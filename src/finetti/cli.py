@@ -24,20 +24,16 @@ from .exchangeable import (
     delta_type_law,
     iid_law,
     law_from_json,
-    marginal,
-    mixture_iid,
     polya_urn_law,
     power_pmf,
     random_type_weight_law,
 )
 from .gibbs import convergence_trace, trace_to_csv
-from .info_measures import relative_entropy
 from .marginal_sets import (
     conditional_mean_divergence,
     divergence_decomposition,
     enumerate_E_k_types,
     lattice_argmin_uniform_divergence,
-    lemma1_constant,
     lemma1_construct,
     max_divergence_over_E_k,
     partition_tail_bound,
@@ -227,10 +223,6 @@ def cmd_verify(args) -> int:
         else:
             n_values = _parse_int_list(args.n)
         laws = [_build_law(args, n) for n in n_values]
-    if args.backend == "float":
-        laws = [
-            ExchangeableLaw(law.m, law.n, law.type_weights.to_float()) for law in laws
-        ]
     cells = [(law, k) for law in laws for k in k_values]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -452,11 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--init", help="initial composition for --family polya")
     p_verify.add_argument("--counts", help="histogram for --family delta-type")
     p_verify.add_argument("--seed", type=int, help="seed for randomized families")
-    p_verify.add_argument("--backend", choices=("exact", "float"), default="exact")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     p_verify.add_argument("--out", help="write output to this file")
-    p_verify.add_argument("--cap", type=int, help="enumeration cap override")
     p_verify.set_defaults(func=cmd_verify)
 
     p_lemma = sub.add_parser("lemma", help="supporting oracles")

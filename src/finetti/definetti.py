@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exchangeable import (
     ExchangeableLaw,
@@ -26,11 +25,10 @@ from .exchangeable import (
 from .gibbs import conditional_block_law
 from .info_measures import relative_entropy
 from .marginal_sets import conditional_mean_divergence
-from .types_core import TypeVector, type_to_pmf
+from .types_core import type_to_pmf
 
 __all__ = [
     "BoundParams",
-    "TypeDiagnostic",
     "VerificationReport",
     "binary_reference_bound",
     "convexity_chain_gap",
@@ -116,15 +114,6 @@ def binary_reference_bound(n: int, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class TypeDiagnostic:
-    """Per-histogram contribution to the mixture approximation."""
-
-    type: TypeVector
-    weight: float
-    conditional_divergence: float
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     m: int
     n: int
@@ -135,20 +124,17 @@ class VerificationReport:
     effective_n: int
     remark_adjusted: bool
     binary_reference: float | None
-    diagnostics: tuple[TypeDiagnostic, ...] | None
 
 
-def verify_theorem(
-    law: ExchangeableLaw, k: int, with_diagnostics: bool = False
-) -> VerificationReport:
+def verify_theorem(law: ExchangeableLaw, k: int) -> VerificationReport:
     """Check D(P_k || M_k) <= epsilon for one law and block length.
 
     P_k is the k-coordinate marginal; M_k mixes i.i.d. blocks over the
-    empirical histogram distribution.  Both are computed exactly for exact
-    laws, and only the final divergence is a float.  When k does not divide
-    n the law is restricted to effective_n(n, k) first (the k-marginal is
-    unaffected) and the constants are taken at the restricted length.  For
-    k = 1 the two sides coincide and the divergence is exactly zero.
+    empirical histogram distribution.  Both are computed exactly, and only
+    the final divergence is a float.  When k does not divide n the law is
+    restricted to effective_n(n, k) first (the k-marginal is unaffected) and
+    the constants are taken at the restricted length.  For k = 1 the two
+    sides coincide and the divergence is exactly zero.
     """
     if not 1 <= k <= law.n:
         raise ValueError(f"k must lie in 1..{law.n}, got {k}")
@@ -162,23 +148,6 @@ def verify_theorem(
     reference = (
         binary_reference_bound(n_eff, k) if law.m == 2 and k < n_eff else None
     )
-    diagnostics = None
-    if with_diagnostics:
-        rows = []
-        for t, w in zip(work.types, work.type_weights):
-            if not w:
-                continue
-            block = conditional_block_law(t, k, exact=work.exact)
-            rows.append(
-                TypeDiagnostic(
-                    type=t,
-                    weight=float(w),
-                    conditional_divergence=relative_entropy(
-                        block, power_pmf(type_to_pmf(t), k)
-                    ),
-                )
-            )
-        diagnostics = tuple(rows)
     return VerificationReport(
         m=law.m,
         n=law.n,
@@ -189,7 +158,6 @@ def verify_theorem(
         effective_n=n_eff,
         remark_adjusted=n_eff != law.n,
         binary_reference=reference,
-        diagnostics=diagnostics,
     )
 
 
@@ -217,7 +185,7 @@ def convexity_chain_gap(
             continue
         weight = float(w)
         q = type_to_pmf(t)
-        block = conditional_block_law(t, k, exact=law.exact)
+        block = conditional_block_law(t, k)
         stage2 += weight * relative_entropy(block, power_pmf(q, k))
         stage3 += weight * conditional_mean_divergence(t, k, ell, cap=cap).value
     if not (stage1 <= stage2 + _SLACK and stage2 <= stage3 + _SLACK):

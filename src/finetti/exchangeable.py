@@ -2,17 +2,21 @@
 
 An exchangeable law is determined by the distribution of the histogram of the
 n draws: within a histogram class the law is uniform.  Laws here store that
-weight vector, indexed by the shared enumeration order of `type_list`, which
-makes mixing, marginalisation, and restriction exact rational linear algebra.
+weight vector as exact rationals, indexed by the shared enumeration order of
+`type_list`, which makes mixing, marginalisation, and restriction exact
+rational linear algebra.
 
 Distributions over k-blocks (elements of A^k) are indexed by base-m encoding
 with the most significant symbol first, i.e. in the order produced by
-itertools.product(range(m), repeat=k).
+itertools.product(range(m), repeat=k).  The k-block marginal and the i.i.d.
+mixture both depend on a block only through its histogram, so they are
+evaluated once per block histogram and then spread over the m^k blocks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,12 +27,10 @@ from .types_core import (
     Pmf,
     TypeVector,
     count_types,
-    empirical_type,
     type_class_probability,
     type_class_size,
     type_index_map,
     type_list,
-    type_to_pmf,
 )
 
 __all__ = [
@@ -104,10 +106,8 @@ class ExchangeableLaw:
                 f"weight vector has {len(self.type_weights)} entries, "
                 f"(m={self.m}, n={self.n}) has {expected} types"
             )
-
-    @property
-    def exact(self) -> bool:
-        return self.type_weights.exact
+        if not self.type_weights.exact:
+            raise ValueError("histogram weights must be exact rationals")
 
     @property
     def types(self) -> tuple[TypeVector, ...]:
@@ -126,14 +126,13 @@ class MixingMeasure:
         m = len(self.atoms[0][0])
         if any(len(q) != m for q, _ in self.atoms):
             raise ValueError("all atoms must share one alphabet")
+        if not all(q.exact and isinstance(w, (int, Fraction)) for q, w in self.atoms):
+            raise ValueError("mixing atoms and weights must be exact rationals")
         if any(w < 0 for _, w in self.atoms):
             raise ValueError("negative mixing weight")
         total = sum(w for _, w in self.atoms)
-        exact = all(isinstance(w, (int, Fraction)) for _, w in self.atoms)
-        if exact and total != 1:
+        if total != 1:
             raise ValueError(f"mixing weights sum to {total}, not 1")
-        if not exact and abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"mixing weights sum to {float(total)!r}")
 
     @property
     def m(self) -> int:
@@ -173,74 +172,80 @@ def conditional_given_type(t: TypeVector, prefix: Sequence[int]) -> Fraction:
     return prob
 
 
+def _block_law(urns, k: int, replace: bool) -> Pmf:
+    """Law over A^k of the first k draws from a weighted mixture of urns.
+
+    Each pair (t, w) in `urns` is an urn holding t.counts[a] balls of symbol
+    a, chosen with probability w; all urns hold the same number n of balls.
+    Drawing without replacement gives the marginal P_k, with replacement the
+    i.i.d. mixture M_k.  Both depend on a block only through its histogram u,
+    so each u in type_list(m, k) is evaluated once, as an integer numerator
+    over the common denominator lcm(weight denominators) * (n)_k, or
+    lcm(weight denominators) * n^k with replacement.
+    """
+    urns = [(t.counts, w) for t, w in urns if w]
+    m, n = len(urns[0][0]), sum(urns[0][0])
+    blocks = [u.counts for u in type_list(m, k)]
+    scale = math.lcm(*(w.denominator for _, w in urns))
+    draws: dict[int, list[int]] = {}  # c -> ordered ways to draw j = 0..k of c balls
+    numerators = [0] * len(blocks)
+    for counts, w in urns:
+        for c in counts:
+            if c not in draws:
+                row = [1]
+                for j in range(k):
+                    row.append(row[-1] * (c if replace else c - j))
+                draws[c] = row
+        rows = [draws[c] for c in counts]
+        weight = w.numerator * (scale // w.denominator)
+        for i, u in enumerate(blocks):
+            term = weight
+            for row, j in zip(rows, u):
+                term *= row[j]
+            numerators[i] += term
+    denominator = scale * (n**k if replace else math.perm(n, k))
+    values = [Fraction(x, denominator) for x in numerators]
+    index = type_index_map(m, k)
+    return Pmf(
+        tuple(values[index[tuple(map(s.count, range(m)))]] for s in all_strings(m, k))
+    )
+
+
 def marginal(law: ExchangeableLaw, k: int) -> Pmf:
     """Law of the first k coordinates, as a pmf over A^k in index order."""
     if not 1 <= k <= law.n:
         raise ValueError(f"k must lie in 1..{law.n}, got {k}")
-    zero = Fraction(0) if law.exact else 0.0
-    entries = []
-    weights = law.type_weights
-    types = law.types
-    for s in all_strings(law.m, k):
-        acc = zero
-        for t, w in zip(types, weights):
-            if w:
-                acc = acc + w * conditional_given_type(t, s)
-        entries.append(acc)
-    return Pmf(tuple(entries), exact=law.exact)
+    return _block_law(zip(law.types, law.type_weights), k, replace=False)
 
 
 def mixture_iid(source, k: int) -> Pmf:
     """Mixture of i.i.d. k-block laws.
 
     `source` is a MixingMeasure, or an ExchangeableLaw whose histogram weights
-    are read as a mixing measure over the empirical pmfs t/n.
+    are read as a mixing measure over the empirical pmfs t/n.  The atoms of a
+    MixingMeasure are read as urns over their common denominator.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if isinstance(source, ExchangeableLaw):
-        atoms = [
-            (type_to_pmf(t), w)
-            for t, w in zip(source.types, source.type_weights)
-            if w
-        ]
-        m = source.m
-        exact = source.exact
-    else:
-        atoms = [(q, w) for q, w in source.atoms if w]
-        m = source.m
-        exact = all(q.exact for q, _ in atoms) and all(
-            isinstance(w, (int, Fraction)) for _, w in atoms
-        )
-    zero = Fraction(0) if exact else 0.0
-    entries = []
-    for s in all_strings(m, k):
-        acc = zero
-        for q, w in atoms:
-            prob = w
-            for a in s:
-                prob = prob * q[a]
-            acc = acc + prob
-        entries.append(acc)
-    return Pmf(tuple(entries), exact=exact)
+        return _block_law(zip(source.types, source.type_weights), k, replace=True)
+    size = math.lcm(*(p.denominator for q, _ in source.atoms for p in q))
+    urns = [
+        (TypeVector(tuple(p.numerator * (size // p.denominator) for p in q)), w)
+        for q, w in source.atoms
+    ]
+    return _block_law(urns, k, replace=True)
 
 
 def from_mixing_measure(mix: MixingMeasure, n: int) -> ExchangeableLaw:
     """Exchangeable law of n i.i.d.-given-theta draws under the mixing measure."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    exact = all(q.exact for q, _ in mix.atoms) and all(
-        isinstance(w, (int, Fraction)) for _, w in mix.atoms
-    )
-    zero = Fraction(0) if exact else 0.0
-    weights = []
-    for t in type_list(mix.m, n):
-        acc = zero
-        for q, w in mix.atoms:
-            if w:
-                acc = acc + w * type_class_probability(t, q)
-        weights.append(acc)
-    return ExchangeableLaw(mix.m, n, Pmf(tuple(weights), exact=exact))
+    weights = [
+        sum((w * type_class_probability(t, q) for q, w in mix.atoms if w), Fraction(0))
+        for t in type_list(mix.m, n)
+    ]
+    return ExchangeableLaw(mix.m, n, Pmf(tuple(weights)))
 
 
 def iid_law(q: Pmf, n: int) -> ExchangeableLaw:
@@ -303,25 +308,18 @@ def restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
         return law
     drop = law.n - n_sub
     idx = type_index_map(law.m, n_sub)
-    zero = Fraction(0) if law.exact else 0.0
-    out = [zero] * count_types(law.m, n_sub)
-    denom = Fraction(1, _binom(law.n, drop)) if law.exact else 1.0 / _binom(law.n, drop)
+    out = [Fraction(0)] * count_types(law.m, n_sub)
+    denom = Fraction(1, math.comb(law.n, drop))
     for t, w in zip(law.types, law.type_weights):
         if not w:
             continue
         for removal in _bounded_compositions(drop, t.counts):
             ways = 1
             for c, r in zip(t.counts, removal):
-                ways *= _binom(c, r)
+                ways *= math.comb(c, r)
             kept = tuple(c - r for c, r in zip(t.counts, removal))
-            out[idx[kept]] = out[idx[kept]] + w * ways * denom
-    return ExchangeableLaw(law.m, n_sub, Pmf(tuple(out), exact=law.exact))
-
-
-def _binom(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
+            out[idx[kept]] += w * ways * denom
+    return ExchangeableLaw(law.m, n_sub, Pmf(tuple(out)))
 
 
 def _bounded_compositions(total: int, bounds: Sequence[int]):
@@ -354,8 +352,6 @@ def _format_rational(value: Fraction) -> str:
 
 def law_to_json(law: ExchangeableLaw) -> dict:
     """Serialisable form: nonzero histogram weights as 'p/q' strings."""
-    if not law.exact:
-        raise ValueError("only exact laws serialise to the rational law format")
     entries = [
         {"counts": list(t.counts), "w": _format_rational(w)}
         for t, w in zip(law.types, law.type_weights)

@@ -9,11 +9,10 @@ decay along a schedule of n values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exchangeable import all_strings, conditional_given_type, power_pmf
+from .exchangeable import _block_law, power_pmf
 from .info_measures import max_abs_deviation, relative_entropy
 from .types_core import Pmf, TypeVector
 
@@ -26,19 +25,12 @@ __all__ = [
     "trace_to_csv",
 ]
 
-# Exact rational block laws stay cheap up to here; larger n switches the
-# falling-factorial products to floats.
-EXACT_TRACE_LIMIT = 512
 
-
-def conditional_block_law(t: TypeVector, k: int, exact: bool = True) -> Pmf:
+def conditional_block_law(t: TypeVector, k: int) -> Pmf:
     """Law of the first k draws given that all n draws have histogram t."""
     if not 1 <= k <= t.n:
         raise ValueError(f"k must lie in 1..{t.n}, got {k}")
-    entries = [conditional_given_type(t, s) for s in all_strings(t.m, k)]
-    if exact:
-        return Pmf(tuple(entries))
-    return Pmf(tuple(float(e) for e in entries), exact=False)
+    return _block_law(((t, 1),), k, replace=False)
 
 
 def round_to_type(target: Pmf, n: int) -> TypeVector:
@@ -76,8 +68,8 @@ def convergence_trace(target: Pmf, k: int, n_values) -> ConvergenceTrace:
     """Divergence of the conditional block law from target^k along n_values.
 
     Each n is rounded to a histogram first; the divergence is
-    D(block law of the rounded histogram || target^k) in nats.  Exact
-    arithmetic is used up to n = 512, floats beyond.
+    D(block law of the rounded histogram || target^k) in nats.  The block
+    law is exact at every n; only the divergence and deviation are floats.
     """
     n_values = [int(n) for n in n_values]
     if not n_values:
@@ -88,8 +80,7 @@ def convergence_trace(target: Pmf, k: int, n_values) -> ConvergenceTrace:
     points = []
     for n in n_values:
         rounded = round_to_type(target, n)
-        exact = target.exact and n <= EXACT_TRACE_LIMIT
-        block = conditional_block_law(rounded, k, exact=exact)
+        block = conditional_block_law(rounded, k)
         points.append(
             TracePoint(
                 n=n,

@@ -252,12 +252,16 @@ def enumerate_types(alphabet: Alphabet | int, n: int, cap: int | None = None) ->
     exceeds the enumeration cap.
     """
     m = _alphabet_size(alphabet)
+    _check_cap(m, n, cap)
+    for counts in _compositions(n, m):
+        yield TypeVector(counts)
+
+
+def _check_cap(m: int, n: int, cap: int | None) -> None:
     total = count_types(m, n)
     limit = resolve_cap(cap)
     if total > limit:
         raise CapacityError(f"{total} types at (m={m}, n={n}) exceeds cap {limit}")
-    for counts in _compositions(n, m):
-        yield TypeVector(counts)
 
 
 # Shared caches keyed by (m, n); laws and restriction maps reuse these.
@@ -266,7 +270,11 @@ _TYPE_INDEX_CACHE: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
 
 
 def type_list(m: int, n: int, cap: int | None = None) -> tuple[TypeVector, ...]:
-    """Cached tuple of all n-types over m symbols, in enumeration order."""
+    """Cached tuple of all n-types over m symbols, in enumeration order.
+
+    The cap is checked on every call, cached or not.
+    """
+    _check_cap(m, n, cap)
     key = (m, n)
     if key not in _TYPE_LIST_CACHE:
         _TYPE_LIST_CACHE[key] = tuple(enumerate_types(m, n, cap=cap))

@@ -195,17 +195,6 @@ def test_verify_binary_reference_presence():
     assert verify_theorem(law3, 2).binary_reference is None
 
 
-def test_verify_diagnostics():
-    law = polya_urn_law((1, 1), 6)
-    rep = verify_theorem(law, 2, with_diagnostics=True)
-    assert rep.diagnostics is not None
-    assert len(rep.diagnostics) == len(law.types)
-    total = sum(d.weight for d in rep.diagnostics)
-    assert total == pytest.approx(1.0, abs=1e-12)
-    for d in rep.diagnostics:
-        assert d.conditional_divergence >= -1e-12
-
-
 def test_report_dict_schema():
     law = iid_law(Pmf((Fraction(1, 2), Fraction(1, 2))), 10)
     rep = verify_theorem(law, 2)

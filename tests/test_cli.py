@@ -213,6 +213,22 @@ def test_cap_flag_overrides_env(monkeypatch, capsys):
     assert code == EXIT_OK
 
 
+def test_env_cap_binds_verify(monkeypatch, capsys):
+    args = ["verify", "--family", "fair-coin", "--n", "800", "--k", "2"]
+    code, _, _ = run(args, capsys)
+    assert code == EXIT_OK
+    monkeypatch.setenv("FINETTI_CAP", "10")
+    code, _, err = run(args, capsys)
+    assert code == EXIT_CAPACITY
+    assert "capacity" in err
+
+
+def test_verify_has_no_backend_or_cap_flag(capsys):
+    for extra in (["--backend", "float"], ["--cap", "10"]):
+        code, _, _ = run(["verify", "--family", "fair-coin", "--n", "8", "--k", "2", *extra], capsys)
+        assert code == EXIT_INPUT
+
+
 def test_lemma1_requires_seed(capsys):
     code, _, err = run(["lemma", "lemma1", "--k", "2", "--l", "20"], capsys)
     assert code == EXIT_INPUT

@@ -7,11 +7,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
     ExchangeableLaw,
     MixingMeasure,
@@ -31,7 +33,11 @@ from finetti.exchangeable import (
     restrict_law,
     string_index,
 )
+from finetti.gibbs import conditional_block_law
+from finetti.info_measures import relative_entropy
 from finetti.types_core import Pmf, TypeVector, empirical_type, type_class_size, type_list
+
+LAWS = Path(__file__).resolve().parent.parent / "laws"
 
 
 def law_on_strings(law: ExchangeableLaw) -> dict[tuple[int, ...], Fraction]:
@@ -272,3 +278,98 @@ def test_marginals_are_consistent(m, n, seed):
 def test_law_validates_weight_count():
     with pytest.raises(ValueError):
         ExchangeableLaw(2, 3, Pmf.uniform(5))
+
+
+def test_law_rejects_float_weights():
+    with pytest.raises(ValueError):
+        ExchangeableLaw(2, 1, Pmf((0.5, 0.5)))
+    with pytest.raises(ValueError):
+        MixingMeasure(((Pmf((0.5, 0.5)), Fraction(1)),))
+    with pytest.raises(ValueError):
+        MixingMeasure(((Pmf((Fraction(1, 2), Fraction(1, 2))), 1.0),))
+
+
+# ---------------------------------------------------------------------------
+# slow per-string oracles for the per-block-histogram kernel
+# ---------------------------------------------------------------------------
+
+
+def oracle_marginal(law: ExchangeableLaw, k: int) -> Pmf:
+    """P_k one string at a time: sum over T of w(T) * P(s | T)."""
+    entries = []
+    for s in all_strings(law.m, k):
+        acc = Fraction(0)
+        for t, w in zip(law.types, law.type_weights):
+            if w:
+                acc += w * conditional_given_type(t, s)
+        entries.append(acc)
+    return Pmf(tuple(entries))
+
+
+def oracle_mixture_iid(source, k: int) -> Pmf:
+    """M_k one string at a time: sum over atoms of w * prod q(s_i)."""
+    if isinstance(source, ExchangeableLaw):
+        atoms = [(t.pmf(), w) for t, w in zip(source.types, source.type_weights) if w]
+    else:
+        atoms = [(q, w) for q, w in source.atoms if w]
+    entries = []
+    for s in all_strings(len(atoms[0][0]), k):
+        acc = Fraction(0)
+        for q, w in atoms:
+            prob = Fraction(w)
+            for a in s:
+                prob *= q[a]
+            acc += prob
+        entries.append(acc)
+    return Pmf(tuple(entries))
+
+
+FAMILY_LAWS = [
+    pytest.param(lambda: iid_law(Pmf.uniform(2), 30), id="fair-coin"),
+    pytest.param(lambda: iid_law(Pmf((Fraction(1, 3), Fraction(2, 3))), 29), id="biased"),
+    pytest.param(lambda: polya_urn_law((1, 1, 1), 12), id="polya"),
+    pytest.param(lambda: polya_urn_law((1, 2), 30), id="polya-m2"),
+    pytest.param(lambda: delta_type_law(TypeVector((5, 3, 2))), id="delta-type"),
+    pytest.param(lambda: random_type_weight_law(3, 14, 2024), id="random-type-weights"),
+    pytest.param(lambda: law_from_json((LAWS / "mix.json").read_text(), n=30), id="mixing-file"),
+    pytest.param(lambda: restrict_law(random_type_weight_law(2, 23, 7), 21), id="restricted"),
+]
+
+
+@pytest.mark.parametrize("build", FAMILY_LAWS)
+def test_kernel_matches_per_string_oracle(build):
+    law = build()
+    for k in range(1, 5):
+        assert marginal(law, k).probs == oracle_marginal(law, k).probs, k
+        assert mixture_iid(law, k).probs == oracle_mixture_iid(law, k).probs, k
+
+
+@pytest.mark.parametrize("build", FAMILY_LAWS)
+def test_verify_divergence_matches_oracle_bit_for_bit(build):
+    law = build()
+    for k in range(1, 5):
+        n_eff = effective_n(law.n, k)
+        work = law if n_eff == law.n else restrict_law(law, n_eff)
+        want = relative_entropy(oracle_marginal(work, k), oracle_mixture_iid(work, k))
+        assert verify_theorem(law, k).divergence == want, k
+
+
+def test_mixing_measure_mixture_matches_oracle():
+    mix = MixingMeasure(
+        (
+            (Pmf((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))), Fraction(2, 7)),
+            (Pmf((Fraction(3, 10), Fraction(0), Fraction(7, 10))), Fraction(5, 7)),
+            (Pmf((Fraction(1), Fraction(0), Fraction(0))), Fraction(0)),
+        )
+    )
+    for k in range(1, 5):
+        assert mixture_iid(mix, k).probs == oracle_mixture_iid(mix, k).probs
+
+
+def test_conditional_block_law_exact_beyond_512():
+    t = TypeVector((301, 200, 99))
+    for k in (1, 3):
+        got = conditional_block_law(t, k)
+        assert got.exact
+        want = tuple(conditional_given_type(t, s) for s in all_strings(3, k))
+        assert got.probs == want

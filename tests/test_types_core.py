@@ -222,6 +222,12 @@ def test_cap_blocks_large_enumerations():
         list(enumerate_types(4, 20, cap=10))
 
 
+def test_type_list_checks_cap_on_cache_hit():
+    assert len(type_list(3, 100)) == 5151
+    with pytest.raises(CapacityError):
+        type_list(3, 100, cap=10)
+
+
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("FINETTI_CAP", "5")
     assert resolve_cap(None) == 5
