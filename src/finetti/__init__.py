@@ -45,7 +45,6 @@ from .info_measures import (
 )
 from .marginal_sets import (
     ConditionalMeanResult,
-    MarginalAverageSet,
     MaxDivergenceResult,
     PermutedBlockResult,
     TailBoundResult,
@@ -59,7 +58,6 @@ from .marginal_sets import (
     partition_tail_bound,
 )
 from .types_core import (
-    Alphabet,
     CapacityError,
     DEFAULT_ENUMERATION_CAP,
     Pmf,

@@ -300,7 +300,9 @@ def restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
     """Law of the first n_sub coordinates, again in histogram-weight form.
 
     The histogram of a prefix given the full histogram is multivariate
-    hypergeometric, so the restricted weights are exact rational sums.
+    hypergeometric, so the restricted weights are exact rational sums; they
+    are accumulated as integer numerators over lcm(weight denominators) *
+    C(n, n - n_sub) and reduced once per output histogram.
     """
     if not 1 <= n_sub <= law.n:
         raise ValueError(f"n_sub must lie in 1..{law.n}, got {n_sub}")
@@ -308,18 +310,21 @@ def restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
         return law
     drop = law.n - n_sub
     idx = type_index_map(law.m, n_sub)
-    out = [Fraction(0)] * count_types(law.m, n_sub)
-    denom = Fraction(1, math.comb(law.n, drop))
+    scale = math.lcm(*(w.denominator for w in law.type_weights))
+    out = [0] * count_types(law.m, n_sub)
     for t, w in zip(law.types, law.type_weights):
         if not w:
             continue
+        num = w.numerator * (scale // w.denominator)
         for removal in _bounded_compositions(drop, t.counts):
-            ways = 1
+            ways = num
             for c, r in zip(t.counts, removal):
                 ways *= math.comb(c, r)
             kept = tuple(c - r for c, r in zip(t.counts, removal))
-            out[idx[kept]] += w * ways * denom
-    return ExchangeableLaw(law.m, n_sub, Pmf(tuple(out)))
+            out[idx[kept]] += ways
+    denom = scale * math.comb(law.n, drop)
+    weights = tuple(Fraction(x, denom) for x in out)
+    return ExchangeableLaw(law.m, n_sub, Pmf(weights))
 
 
 def _bounded_compositions(total: int, bounds: Sequence[int]):

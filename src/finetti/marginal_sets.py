@@ -30,21 +30,19 @@ from .exactlog import (
     relative_entropy_combination,
 )
 from .exchangeable import all_strings, power_pmf
-from .info_measures import entropy, l1_distance, max_abs_deviation, relative_entropy
+from .info_measures import entropy, l1_distance, relative_entropy
 from .types_core import (
     CapacityError,
     Pmf,
     TypeVector,
     count_types,
     resolve_cap,
-    type_class_size,
     type_to_pmf,
 )
 
 __all__ = [
     "ConditionalMeanResult",
     "ExhaustedTriesError",
-    "MarginalAverageSet",
     "MaxDivergenceResult",
     "PermutedBlockResult",
     "TailBoundResult",
@@ -94,25 +92,17 @@ def _infer_k(w_size: int, m: int) -> int:
     return k
 
 
-def _as_block_pmf(w) -> Pmf:
-    if isinstance(w, Pmf):
-        return w
-    if isinstance(w, TypeVector):
-        return type_to_pmf(w)
-    return Pmf(tuple(w))
-
-
-def _as_symbol_pmf(q) -> Pmf:
-    if isinstance(q, Pmf):
-        return q
-    if isinstance(q, TypeVector):
-        return type_to_pmf(q)
-    return Pmf(tuple(q))
+def _as_pmf(p) -> Pmf:
+    if isinstance(p, Pmf):
+        return p
+    if isinstance(p, TypeVector):
+        return type_to_pmf(p)
+    return Pmf(tuple(p))
 
 
 def average_coordinate_marginal(w, m: int) -> Pmf:
     """Average of the k coordinate marginals of a block pmf over A^k."""
-    w = _as_block_pmf(w)
+    w = _as_pmf(w)
     k = _infer_k(len(w), m)
     occ = _occurrence_matrix(m, k)
     zero = Fraction(0) if w.exact else 0.0
@@ -132,31 +122,12 @@ def in_E_k(w, q, tol: float = _SLACK) -> bool:
 
     Exact comparison when both sides are exact, entrywise tolerance otherwise.
     """
-    q = _as_symbol_pmf(q)
-    w = _as_block_pmf(w)
+    q = _as_pmf(q)
+    w = _as_pmf(w)
     avg = average_coordinate_marginal(w, len(q))
     if w.exact and q.exact:
         return avg.probs == q.probs
     return all(abs(float(x) - float(y)) <= tol for x, y in zip(avg, q))
-
-
-@dataclass(frozen=True)
-class MarginalAverageSet:
-    """Descriptor of the set of block laws averaging to q on A^k."""
-
-    q: Pmf
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-    @property
-    def m(self) -> int:
-        return len(self.q)
-
-    def contains(self, w) -> bool:
-        return in_E_k(w, self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +140,20 @@ def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator
 
     Yields exactly the members of the full histogram enumeration that satisfy
     the marginal constraint, in the same order, but walks the constraint
-    lattice directly so large feasible sets stay cheap.  q must be an n-type
-    (or a pmf with k*l*q(a) integral); otherwise the set is empty.
+    lattice directly.  q must be an n-type (or a pmf with k*l*q(a) integral);
+    otherwise the set is empty.  Raises CapacityError when the full
+    enumeration exceeds the cap, before the walk starts.
+
+    The walk fixes the cell counts in block order.  At cell b, with r blocks
+    left and residual R(a) occurrences of each symbol a still to place, a
+    count c leaves R(a) - c*occ[b][a] for the r - c blocks after b, which is
+    reachable only between (r - c) times the smallest and (r - c) times the
+    largest occurrence of a in those cells.  Both conditions are linear in c,
+    so c runs over a closed-form interval [lo, hi] in ascending order, and a
+    count outside it, which can hold no member, is never visited.  With one
+    cell left the two bounds coincide and pin the last count exactly.
     """
-    q = _as_symbol_pmf(q)
+    q = _as_pmf(q)
     m = len(q)
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
@@ -195,34 +176,73 @@ def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator
                 return
             targets.append(int(rounded))
     occ = _occurrence_matrix(m, k)
-    cells = len(occ)
-    # suffix_max[a][b]: largest occ[b'][a] over b' >= b, for pruning
-    suffix_max = [[0] * (cells + 1) for _ in range(m)]
-    for a in range(m):
-        for b in range(cells - 1, -1, -1):
-            suffix_max[a][b] = max(occ[b][a], suffix_max[a][b + 1])
-
-    counts = [0] * cells
+    last = len(occ) - 1
+    if not last:  # one symbol, one cell
+        yield TypeVector((ell,))
+        return
+    # rules[b]: the interval conditions at cell b, each c * slope <= offset
+    # with offset = remaining * scale + sign * residual[a].  For symbol a,
+    # with occ[b][a] = here and occurrences between bottom and top after b:
+    #   residual - c * here <= (remaining - c) * top      (first rule)
+    #   residual - c * here >= (remaining - c) * bottom   (second rule)
+    rules = []
+    for b in range(last):
+        rule = []
+        for a in range(m):
+            top = max(row[a] for row in occ[b + 1 :])
+            bottom = min(row[a] for row in occ[b + 1 :])
+            rule.append((a, top - occ[b][a], top, -1))
+            rule.append((a, occ[b][a] - bottom, -bottom, 1))
+        rules.append(rule)
+    counts = [0] * (last + 1)
 
     def walk(b: int, remaining: int, residual: list[int]) -> Iterator[TypeVector]:
-        if b == cells - 1:
-            counts[b] = remaining
-            if all(occ[b][a] * remaining == residual[a] for a in range(m)):
-                yield TypeVector(tuple(counts))
+        lo, hi = 0, remaining
+        for a, slope, scale, sign in rules[b]:
+            offset = remaining * scale + sign * residual[a]
+            if slope > 0:
+                hi = min(hi, offset // slope)
+            elif slope < 0:
+                lo = max(lo, -(offset // -slope))
+            elif offset < 0:
+                return
+        if b + 1 == last:
+            # one cell left: its bounds coincide, so every c pins a member
+            for c in range(lo, hi + 1):
+                counts[b], counts[last] = c, remaining - c
+                yield TypeVector(counts)
             return
-        upper = remaining
-        for a in range(m):
-            if occ[b][a]:
-                upper = min(upper, residual[a] // occ[b][a])
-        for c in range(upper + 1):
-            left = remaining - c
-            new_residual = [residual[a] - c * occ[b][a] for a in range(m)]
-            if any(new_residual[a] > left * suffix_max[a][b + 1] for a in range(m)):
-                continue
+        row = occ[b]
+        for c in range(lo, hi + 1):
             counts[b] = c
-            yield from walk(b + 1, left, new_residual)
+            yield from walk(b + 1, remaining - c, [residual[a] - c * row[a] for a in range(m)])
 
-    yield from walk(0, ell, list(targets))
+    yield from walk(0, ell, targets)
+
+
+def _weighted_members(
+    q: Pmf, k: int, ell: int, cap: int | None
+) -> Iterator[tuple[TypeVector, int, float]]:
+    """(member W, class size, H(W)) for each member, in enumeration order.
+
+    The class size l!/prod(c!) is exact, read from a factorial table; the
+    entropy is H(W) = log(l) - fsum(c*log(c))/l, read from a c*log(c) table.
+    On the constraint set D(W||Q^k) = k*H(Q) - H(W) and
+    D(W||U) = k*log(m) - H(W), identities divergence_decomposition certifies
+    exactly, so no member needs a pmf.  The tables fill on demand, so a
+    single-member set at a huge l costs only its own counts' factorials, and
+    nothing is computed before the walk has checked the cap.
+    """
+    factorial = lru_cache(maxsize=None)(math.factorial)
+    c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
+    for member in enumerate_E_k_types(q, k, ell, cap=cap):
+        size = factorial(ell) // math.prod(map(factorial, member.counts))
+        yield member, size, math.log(ell) - math.fsum(map(c_log_c, member.counts)) / ell
+
+
+def _entropy_key(counts: Sequence[int]) -> int:
+    """prod c^c: larger exactly when the l-block histogram's entropy is smaller."""
+    return math.prod(c**c for c in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +258,8 @@ def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, 
     exact arithmetic before the float triple is returned.  Raises ValueError
     when W is not a member.
     """
-    q = _as_symbol_pmf(q)
-    w = _as_block_pmf(w)
+    q = _as_pmf(q)
+    w = _as_pmf(w)
     m = len(q)
     inferred = _infer_k(len(w), m)
     if k is not None and k != inferred:
@@ -286,10 +306,7 @@ def lattice_argmin_uniform_divergence(
     best_member: TypeVector | None = None
     unique = True
     for member in enumerate_E_k_types(q, k, ell, cap=cap):
-        key = 1
-        for c in member.counts:
-            if c:
-                key *= c**c
+        key = _entropy_key(member.counts)
         if best_key is None or key < best_key:
             best_key = key
             best_member = member
@@ -352,11 +369,12 @@ def max_divergence_over_E_k(
     Exact mode maximises over the polytope itself: on the set the divergence
     is k*H(Q) - H(W), entropy is concave, so the maximum sits at a vertex, and
     vertices are basic solutions of the occurrence system.  Grid mode takes
-    the maximum over the l-block lattice members instead.  Every member is
-    supported inside supp(Q^k), which keeps the value finite and at most
+    the maximum over the l-block lattice members instead, ordered exactly by
+    the entropy key prod c^c (the first of tied members wins).  Every member
+    is supported inside supp(Q^k), which keeps the value finite and at most
     k * log(n) for an n-type q.
     """
-    q = _as_symbol_pmf(q)
+    q = _as_pmf(q)
     m = len(q)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -364,17 +382,19 @@ def max_divergence_over_E_k(
     if mode == "grid":
         if ell is None:
             raise ValueError("grid mode needs l")
-        best: tuple[float, Pmf] | None = None
+        best_key = 0
+        best_member: TypeVector | None = None
         candidates = 0
         for member in enumerate_E_k_types(q, k, ell, cap=cap):
             candidates += 1
-            w = type_to_pmf(member)
-            d = relative_entropy(w, qk)
-            if best is None or d > best[0]:
-                best = (d, w)
-        if best is None:
+            key = _entropy_key(member.counts)
+            if key > best_key:
+                best_key = key
+                best_member = member
+        if best_member is None:
             raise ValueError("constraint set has no lattice members at this l")
-        return MaxDivergenceResult(best[0], best[1], candidates, "grid")
+        witness = type_to_pmf(best_member)
+        return MaxDivergenceResult(relative_entropy(witness, qk), witness, candidates, "grid")
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
     if not q.exact:
@@ -479,13 +499,23 @@ def lemma1_construct(
     m = q.m
     bound = lemma1_constant(ell, k)
     qk = power_pmf(type_to_pmf(q), k)
+    # W(b) - Q^k(b) = (c_b * n^k - l * N_b) / (l * n^k) with Q^k(b) = N_b / n^k,
+    # so histograms compare exactly by the integer numerator of the largest
+    # deviation, and only the accepted one is reduced to a float
+    nk = q.n**k
+    scale = ell * nk
+    targets = [int(p * nk) * ell for p in qk.probs]
+
+    def excess(counts: Sequence[int]) -> int:
+        return max(abs(c * nk - t) for c, t in zip(counts, targets))
+
     base = []
     for a, c in enumerate(q.counts):
         base.extend([a] * c)
     rng = random.Random(seed)
     cells = m**k
 
-    accepted: tuple[int, ...] | None = None
+    accepted: tuple[int, TypeVector] | None = None
     tries = 0
     fallback = False
     for _ in range(max_tries):
@@ -497,25 +527,22 @@ def lemma1_construct(
             for a in base[start : start + k]:
                 idx = idx * m + a
             counts[idx] += 1
-        dev = max_abs_deviation(tuple(Fraction(c, ell) for c in counts), qk)
-        if dev <= bound:
-            accepted = tuple(counts)
+        worst = excess(counts)
+        if worst / scale <= bound:
+            accepted = (worst, TypeVector(counts))
             break
     if accepted is None:
         fallback = True
-        best: tuple[float, tuple[int, ...]] | None = None
         for member in enumerate_E_k_types(q, k, ell, cap=cap):
-            dev = max_abs_deviation(type_to_pmf(member), qk)
-            if best is None or dev < best[0]:
-                best = (dev, member.counts)
-        if best is None or best[0] > bound:
+            worst = excess(member.counts)
+            if accepted is None or worst < accepted[0]:
+                accepted = (worst, member)
+        if accepted is None or accepted[0] / scale > bound:
             raise ExhaustedTriesError(
                 f"no member within deviation {bound} after {max_tries} shuffles"
             )
-        accepted = best[1]
-    block_type = TypeVector(accepted)
+    deviation, block_type = accepted[0] / scale, accepted[1]
     pmf = type_to_pmf(block_type)
-    deviation = max_abs_deviation(pmf, qk)
     l1_dev = l1_distance(pmf, qk)
     gap = abs(entropy(pmf) - entropy(qk))
     gap_bound = -bound * math.log(bound / cells)
@@ -553,19 +580,16 @@ def conditional_mean_divergence(
 
     What is the histogram of l i.i.d. uniform blocks; conditioning on the
     constraint set weights each member by its class size, exactly.  The
-    weights are exact rationals; only the final average is a float.
+    weights are exact integers; each member's divergence is k*H(Q) - H(W),
+    and only the weights' ratios and the final average are floats.
     """
-    q = _as_symbol_pmf(q)
-    qk = power_pmf(q, k)
-    total = 0
-    rows: list[tuple[int, float]] = []
-    for member in enumerate_E_k_types(q, k, ell, cap=cap):
-        size = type_class_size(member)
-        total += size
-        rows.append((size, relative_entropy(type_to_pmf(member), qk)))
+    q = _as_pmf(q)
+    k_entropy_q = k * entropy(q)
+    rows = [(size, k_entropy_q - h) for _, size, h in _weighted_members(q, k, ell, cap)]
     if not rows:
         raise ValueError("constraint set has no lattice members at this l")
-    value = math.fsum(float(Fraction(size, total)) * d for size, d in rows)
+    total = sum(size for size, _ in rows)
+    value = math.fsum(size / total * d for size, d in rows)
     return ConditionalMeanResult(value=value, members=len(rows))
 
 
@@ -598,7 +622,7 @@ def partition_tail_bound(
     member lands in the low-divergence cell of the partition; M >= 1/2 leaves
     that certification unavailable.
     """
-    q = _as_symbol_pmf(q)
+    q = _as_pmf(q)
     m = len(q)
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
@@ -621,20 +645,18 @@ def partition_tail_bound(
     exact_prob: float | None = None
     within: bool | None = None
     if want_exact:
-        qk = power_pmf(q, k)
-        d_star = relative_entropy(qk, Pmf.uniform(cells, exact=q.exact))
+        d_star = relative_entropy(power_pmf(q, k), Pmf.uniform(cells, exact=q.exact))
         threshold = d_star + 2 * delta
-        total = 0
-        heavy = 0
-        uniform = Pmf.uniform(cells, exact=q.exact)
-        for member in enumerate_E_k_types(q, k, ell, cap=cap):
-            size = type_class_size(member)
+        log_cells = math.log(cells)
+        total = heavy = 0
+        # D(W||U) = log(m^k) - H(W) on the constraint set
+        for _, size, h in _weighted_members(q, k, ell, cap):
             total += size
-            if relative_entropy(type_to_pmf(member), uniform) > threshold:
+            if log_cells - h > threshold:
                 heavy += size
         if total == 0:
             raise ValueError("constraint set has no lattice members at this l")
-        exact_prob = float(Fraction(heavy, total))
+        exact_prob = heavy / total
         within = exact_prob <= bound + _SLACK
         if not within:
             raise AssertionError(

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 __all__ = [
-    "Alphabet",
     "CapacityError",
     "DEFAULT_ENUMERATION_CAP",
     "Pmf",
@@ -61,27 +60,7 @@ def resolve_cap(cap: int | None) -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet with symbols 0 .. m-1."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"alphabet size must be a positive integer, got {self.m!r}")
-
-    @property
-    def symbols(self) -> range:
-        return range(self.m)
-
-    def __len__(self) -> int:
-        return self.m
-
-
-def _alphabet_size(alphabet: Alphabet | int) -> int:
-    if isinstance(alphabet, Alphabet):
-        return alphabet.m
+def _alphabet_size(alphabet: int) -> int:
     m = int(alphabet)
     if m < 1:
         raise ValueError(f"alphabet size must be >= 1, got {m}")
@@ -227,7 +206,7 @@ class Pmf:
 # ---------------------------------------------------------------------------
 
 
-def count_types(alphabet: Alphabet | int, n: int) -> int:
+def count_types(alphabet: int, n: int) -> int:
     """Number of histograms of n-strings: C(n + m - 1, m - 1)."""
     m = _alphabet_size(alphabet)
     if n < 1:
@@ -244,7 +223,7 @@ def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_types(alphabet: Alphabet | int, n: int, cap: int | None = None) -> Iterator[TypeVector]:
+def enumerate_types(alphabet: int, n: int, cap: int | None = None) -> Iterator[TypeVector]:
     """All histograms of n-strings over the alphabet, in ascending count order.
 
     The order is lexicographic on the count tuple, so (m=2, n=2) yields
@@ -317,7 +296,7 @@ def type_class_probability(t: TypeVector, q: Pmf):
     return prob
 
 
-def empirical_type(x: Sequence[int], alphabet: Alphabet | int) -> TypeVector:
+def empirical_type(x: Sequence[int], alphabet: int) -> TypeVector:
     """Histogram of the string x; symbols must lie in 0..m-1."""
     m = _alphabet_size(alphabet)
     if len(x) < 1:

@@ -354,6 +354,41 @@ def test_verify_divergence_matches_oracle_bit_for_bit(build):
         assert verify_theorem(law, k).divergence == want, k
 
 
+def oracle_restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
+    """Restriction with one Fraction per (histogram, removal) pair."""
+    drop = law.n - n_sub
+    idx = {t.counts: i for i, t in enumerate(type_list(law.m, n_sub))}
+    out = [Fraction(0)] * len(idx)
+    denom = Fraction(1, math.comb(law.n, drop))
+    for t, w in zip(law.types, law.type_weights):
+        if not w:
+            continue
+        for removal in itertools.product(*(range(min(c, drop) + 1) for c in t.counts)):
+            if sum(removal) != drop:
+                continue
+            ways = 1
+            for c, r in zip(t.counts, removal):
+                ways *= math.comb(c, r)
+            out[idx[tuple(c - r for c, r in zip(t.counts, removal))]] += w * ways * denom
+    return ExchangeableLaw(law.m, n_sub, Pmf(tuple(out)))
+
+
+@pytest.mark.parametrize(
+    "build, n_sub",
+    [
+        pytest.param(lambda: random_type_weight_law(2, 401, 11), 399, id="m2-n401"),
+        pytest.param(lambda: random_type_weight_law(2, 400, 12), 399, id="m2-n400"),
+        pytest.param(lambda: random_type_weight_law(3, 14, 2024), 9, id="m3"),
+        pytest.param(lambda: polya_urn_law((1, 2, 3), 12), 5, id="polya"),
+        pytest.param(lambda: delta_type_law(TypeVector((5, 0, 3))), 6, id="delta-zero-weights"),
+    ],
+)
+def test_restrict_law_matches_per_pair_oracle(build, n_sub):
+    law = build()
+    got = restrict_law(law, n_sub)
+    assert got.type_weights.probs == oracle_restrict_law(law, n_sub).type_weights.probs
+
+
 def test_mixing_measure_mixture_matches_oracle():
     mix = MixingMeasure(
         (

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finetti.exchangeable import power_pmf
-from finetti.info_measures import entropy, relative_entropy
+from finetti.exchangeable import all_strings, power_pmf
+from finetti.info_measures import entropy, max_abs_deviation, relative_entropy
 from finetti.marginal_sets import (
     ExhaustedTriesError,
-    MarginalAverageSet,
     average_coordinate_marginal,
     conditional_mean_divergence,
     divergence_decomposition,
@@ -26,6 +25,7 @@ from finetti.marginal_sets import (
     partition_tail_bound,
 )
 from finetti.types_core import (
+    CapacityError,
     Pmf,
     TypeVector,
     enumerate_types,
@@ -91,8 +91,6 @@ def test_membership_predicate():
     outside = Pmf((Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)))
     assert in_E_k(inside, type_to_pmf(q))
     assert not in_E_k(outside, type_to_pmf(q))
-    s = MarginalAverageSet(type_to_pmf(q), 2)
-    assert s.contains(inside) and not s.contains(outside)
 
 
 def test_average_coordinate_marginal():
@@ -350,3 +348,211 @@ def test_tail_bound_entropy_margin_certificate():
     delta = theorem_constants(800, 2, 2).delta
     r = partition_tail_bound(q, 2, 400, delta)
     assert r.entropy_margin_certified
+
+
+# ---------------------------------------------------------------------------
+# slow reference oracles for the interval walk and the per-member tables
+# ---------------------------------------------------------------------------
+
+
+def oracle_walk(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
+    """Slow reference walk that filters after the fact.
+
+    Every count up to the largest feasible one builds its residual list and
+    is then pruned only against the largest remaining occurrences.
+    """
+    m = q.m
+    targets = [Fraction(c, q.n) * k * ell for c in q.counts]
+    if any(t.denominator != 1 for t in targets):
+        return []
+    occ = []
+    for s in all_strings(m, k):
+        occ.append(tuple(s.count(a) for a in range(m)))
+    cells = len(occ)
+    suffix_max = [[0] * (cells + 1) for _ in range(m)]
+    for a in range(m):
+        for b in range(cells - 1, -1, -1):
+            suffix_max[a][b] = max(occ[b][a], suffix_max[a][b + 1])
+    counts = [0] * cells
+    out = []
+
+    def walk(b, remaining, residual):
+        if b == cells - 1:
+            counts[b] = remaining
+            if all(occ[b][a] * remaining == residual[a] for a in range(m)):
+                out.append(tuple(counts))
+            return
+        upper = remaining
+        for a in range(m):
+            if occ[b][a]:
+                upper = min(upper, residual[a] // occ[b][a])
+        for c in range(upper + 1):
+            left = remaining - c
+            new_residual = [residual[a] - c * occ[b][a] for a in range(m)]
+            if any(new_residual[a] > left * suffix_max[a][b + 1] for a in range(m)):
+                continue
+            counts[b] = c
+            walk(b + 1, left, new_residual)
+
+    walk(0, ell, [int(t) for t in targets])
+    return out
+
+
+@pytest.mark.parametrize(
+    "counts, k",
+    [((120, 120), 2), ((8, 8, 8), 2), ((4, 4, 4), 3), ((0, 12, 12), 2), ((6,), 2), ((9, 3), 1)],
+)
+def test_interval_walk_matches_oracle_walk(counts, k):
+    q = TypeVector(counts)
+    ell = q.n // k
+    got = [t.counts for t in enumerate_E_k_types(q, k, ell)]
+    assert got == oracle_walk(q, k, ell)
+
+
+def test_cap_fires_before_the_walk():
+    walk = enumerate_E_k_types(TypeVector((1000, 1000)), 2, 1000, cap=10)
+    with pytest.raises(CapacityError):
+        next(walk)
+    with pytest.raises(CapacityError):
+        conditional_mean_divergence(TypeVector((1000, 1000)), 2, 1000, cap=10)
+
+
+def oracle_members(q: TypeVector, k: int, ell: int) -> list[TypeVector]:
+    return [TypeVector(c) for c in oracle_walk(q, k, ell)]
+
+
+def oracle_conditional_mean(q: TypeVector, k: int, ell: int) -> float:
+    qk = power_pmf(type_to_pmf(q), k)
+    rows = [
+        (type_class_size(w), relative_entropy(type_to_pmf(w), qk))
+        for w in oracle_members(q, k, ell)
+    ]
+    total = sum(size for size, _ in rows)
+    return math.fsum(float(Fraction(size, total)) * d for size, d in rows)
+
+
+def oracle_tail_rows(q: TypeVector, k: int, ell: int) -> tuple[float, list[tuple[int, float]]]:
+    """D(Q^k||U) and (class size, D(W||U)) per member, from pmfs."""
+    uniform = Pmf.uniform(q.m**k)
+    d_star = relative_entropy(power_pmf(type_to_pmf(q), k), uniform)
+    rows = [
+        (type_class_size(w), relative_entropy(type_to_pmf(w), uniform))
+        for w in oracle_members(q, k, ell)
+    ]
+    return d_star, rows
+
+
+def oracle_grid_witness(q: TypeVector, k: int, ell: int) -> tuple[float, Pmf]:
+    qk = power_pmf(type_to_pmf(q), k)
+    best = None
+    for w in oracle_members(q, k, ell):
+        d = relative_entropy(type_to_pmf(w), qk)
+        if best is None or d > best[0]:
+            best = (d, type_to_pmf(w))
+    return best
+
+
+def oracle_closest_member(q: TypeVector, k: int, ell: int) -> tuple[float, tuple[int, ...]]:
+    qk = power_pmf(type_to_pmf(q), k)
+    best = None
+    for w in oracle_members(q, k, ell):
+        dev = max_abs_deviation(type_to_pmf(w), qk)
+        if best is None or dev < best[0]:
+            best = (dev, w.counts)
+    return best
+
+
+# (m, k, l) points small enough to scan every n-type q with n = k*l
+SMALL_LATTICES = [(2, 1, 7), (2, 2, 6), (2, 3, 4), (3, 1, 4), (3, 2, 3), (3, 3, 2)]
+
+
+def small_lattice_types():
+    for m, k, ell in SMALL_LATTICES:
+        for q in enumerate_types(m, k * ell):
+            yield q, k, ell
+
+
+def test_conditional_mean_matches_oracle_path():
+    for q, k, ell in small_lattice_types():
+        want = oracle_conditional_mean(q, k, ell)
+        got = conditional_mean_divergence(q, k, ell).value
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (q, k, ell)
+
+
+def test_conditional_mean_matches_oracle_path_at_scale():
+    for counts, k in (((120, 120), 2), ((8, 8, 8), 2), ((4, 4, 4), 3)):
+        q = TypeVector(counts)
+        ell = q.n // k
+        want = oracle_conditional_mean(q, k, ell)
+        assert conditional_mean_divergence(q, k, ell).value == pytest.approx(want, rel=1e-12)
+
+
+def test_tail_probability_matches_oracle_path():
+    # thresholds halfway between consecutive member divergences, so every
+    # member's side of the cut is decided by far more than rounding error
+    for q, k, ell in small_lattice_types():
+        d_star, rows = oracle_tail_rows(q, k, ell)
+        values = sorted(d for _, d in rows if d > d_star + 1e-9)
+        cuts = [(a + b) / 2 for a, b in zip(values, values[1:]) if b - a > 1e-9]
+        cuts.append(d_star + 1e-6)
+        total = sum(size for size, _ in rows)
+        for cut in cuts:
+            delta = (cut - d_star) / 2
+            heavy = sum(size for size, d in rows if d > d_star + 2 * delta)
+            got = partition_tail_bound(q, k, ell, delta, exact=True).exact_probability
+            assert got == float(Fraction(heavy, total)), (q, k, ell, delta)
+
+
+def test_grid_witness_matches_oracle_path():
+    for q, k, ell in small_lattice_types():
+        value, witness = oracle_grid_witness(q, k, ell)
+        r = max_divergence_over_E_k(q, k, mode="grid", ell=ell)
+        assert r.witness == witness, (q, k, ell)
+        assert r.value == value
+        assert r.candidates == len(oracle_walk(q, k, ell))
+
+
+def oracle_farthest_string(q: TypeVector, k: int, ell: int) -> list[int]:
+    """A string of histogram q whose l blocks form the member farthest from Q^k."""
+    qk = power_pmf(type_to_pmf(q), k)
+    far = max(oracle_members(q, k, ell), key=lambda w: max_abs_deviation(type_to_pmf(w), qk))
+    out = []
+    for block, c in zip(all_strings(q.m, k), far.counts):
+        out.extend(list(block) * c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "counts, k, ell",
+    [
+        ((5, 3), 2, 4),
+        ((7, 5), 2, 6),
+        ((5, 4), 3, 3),
+        ((3, 2, 1), 2, 3),
+        ((4, 3, 1), 2, 4),
+        ((5, 4, 3), 3, 4),
+    ],
+)
+def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell):
+    # a shuffle that always lays out the farthest member, and a budget equal
+    # to the best deviation, force the exhaustive scan; it must land on the
+    # first closest member
+    import finetti.marginal_sets as ms
+
+    q = TypeVector(counts)
+    far = oracle_farthest_string(q, k, ell)
+
+    class Rigged:
+        def __init__(self, seed):
+            pass
+
+        def shuffle(self, xs):
+            xs[:] = far
+
+    dev, member = oracle_closest_member(q, k, ell)
+    monkeypatch.setattr(ms.random, "Random", Rigged)
+    monkeypatch.setattr(ms, "lemma1_constant", lambda ell, k: dev)
+    r = lemma1_construct(q, k, ell, seed=0, max_tries=1)
+    assert r.fallback
+    assert r.block_type.counts == member
+    assert r.deviation == dev

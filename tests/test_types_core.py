@@ -6,13 +6,16 @@ import itertools
 import math
 import os
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finetti.types_core import (
+    DEFAULT_ENUMERATION_CAP,
     CapacityError,
     Pmf,
     TypeVector,
@@ -226,6 +229,14 @@ def test_type_list_checks_cap_on_cache_hit():
     assert len(type_list(3, 100)) == 5151
     with pytest.raises(CapacityError):
         type_list(3, 100, cap=10)
+
+
+def test_readme_states_the_default_cap():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    found = re.search(r"default ([\d,]+) = 2\^(\d+) histograms", readme)
+    assert found, "README no longer states the default cap"
+    stated, power = int(found.group(1).replace(",", "")), int(found.group(2))
+    assert stated == 2**power == DEFAULT_ENUMERATION_CAP
 
 
 def test_cap_env_override(monkeypatch):
