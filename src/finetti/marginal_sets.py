@@ -250,6 +250,24 @@ def _entropy_key(counts: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _product_terms(q: Pmf, k: int, exact: bool):
+    """The member-independent half of the decomposition for (q, k).
+
+    (Q^k, U, D(Q^k||U)) as pmfs and a float, plus, when exact, the exact
+    combinations D(Q^k||U) and k*H(Q).  The combinations are shared between
+    calls, so callers read them and never mutate them.
+    """
+    qk = power_pmf(q, k)
+    uniform = Pmf.uniform(len(qk), exact=exact)
+    d_qu = relative_entropy(qk, uniform)
+    if not exact:
+        return qk, uniform, d_qu, None, None
+    k_entropy_q = LogCombination()
+    k_entropy_q.add_combination(entropy_combination(q.probs), k)
+    return qk, uniform, d_qu, relative_entropy_combination(qk.probs, uniform.probs), k_entropy_q
+
+
 def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, float]:
     """(D(W||U), D(W||Q^k), D(Q^k||U)) for a member W of the constraint set.
 
@@ -267,22 +285,22 @@ def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, 
     k = inferred
     if not in_E_k(w, q):
         raise ValueError("w is not in the constraint set of q")
-    uniform = Pmf.uniform(len(w), exact=w.exact and q.exact)
-    qk = power_pmf(q, k)
+    exact = w.exact and q.exact
+    qk, uniform, d_qu, d_qu_exact, k_entropy_q = _product_terms(q, k, exact)
     d_wu = relative_entropy(w, uniform)
     d_wq = relative_entropy(w, qk)
-    d_qu = relative_entropy(qk, uniform)
-    if w.exact and q.exact:
-        lhs = relative_entropy_combination(w.probs, uniform.probs)
-        rhs = relative_entropy_combination(w.probs, qk.probs)
-        rhs.add_combination(relative_entropy_combination(qk.probs, uniform.probs))
-        if not lhs.equals(rhs):
+    if exact:
+        d_wq_exact = relative_entropy_combination(w.probs, qk.probs)
+        rhs = LogCombination()
+        rhs.add_combination(d_wq_exact)
+        rhs.add_combination(d_qu_exact)
+        if not relative_entropy_combination(w.probs, uniform.probs).equals(rhs):
             raise AssertionError("exact Pythagorean identity failed; not reachable for members")
         # consequence: D(W||Q^k) = k*H(Q) - H(W)
-        combo = LogCombination()
-        combo.add_combination(entropy_combination(q.probs), k)
-        combo.add_combination(entropy_combination(w.probs), -1)
-        if not relative_entropy_combination(w.probs, qk.probs).equals(combo):
+        entropy_form = LogCombination()
+        entropy_form.add_combination(k_entropy_q)
+        entropy_form.add_combination(entropy_combination(w.probs), -1)
+        if not d_wq_exact.equals(entropy_form):
             raise AssertionError("entropy form of the member divergence failed")
     else:
         if abs(d_wu - (d_wq + d_qu)) > 1e-10:
@@ -327,34 +345,34 @@ class MaxDivergenceResult:
 
 
 def _solve_columns(
-    cols: Sequence[tuple[Fraction, ...]], target: Sequence[Fraction]
+    cols: Sequence[tuple[int, ...]], target: Sequence[int], scale: int
 ) -> tuple[Fraction, ...] | None:
-    """Unique exact solution of cols * x = target, or None.
+    """Unique exact solution x of cols * x = target / scale, or None.
 
-    None when the columns are dependent or the system is inconsistent.
+    The columns and the target are integers, and the elimination stays in
+    integers: a row is cleared by cross-multiplying with the pivot row, so
+    each pivot row ends as pivot * x_i = rhs_i / scale, and one Fraction is
+    made per coordinate.  None when the columns are dependent or the system
+    is inconsistent.
     """
     rows = len(target)
     s = len(cols)
-    aug = [[cols[j][i] for j in range(s)] + [target[i]] for i in range(rows)]
-    pivot_rows: list[int] = []
-    row = 0
-    for col in range(s):
-        pivot = next((r for r in range(row, rows) if aug[r][col] != 0), None)
+    aug = [[col[i] for col in cols] + [target[i]] for i in range(rows)]
+    for row in range(s):
+        pivot = next((r for r in range(row, rows) if aug[r][row] != 0), None)
         if pivot is None:
             return None  # dependent columns
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col]
-        aug[row] = [v / inv for v in aug[row]]
+        top = aug[row]
+        p = top[row]
         for r in range(rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivot_rows.append(row)
-        row += 1
-    for r in range(row, rows):
+            factor = aug[r][row]
+            if r != row and factor != 0:
+                aug[r] = [p * a - factor * b for a, b in zip(aug[r], top)]
+    for r in range(s, rows):
         if aug[r][s] != 0:
             return None  # inconsistent
-    return tuple(aug[i][s] for i in range(s))
+    return tuple(Fraction(aug[i][s], aug[i][i] * scale) for i in range(s))
 
 
 def max_divergence_over_E_k(
@@ -406,26 +424,29 @@ def max_divergence_over_E_k(
     active_rows = [a for a in range(m) if q[a] > 0]
     # support argument: any member vanishes on blocks using a zero-mass symbol
     active_cols = [b for b in range(cells) if all(occ[b][a] == 0 or q[a] > 0 for a in range(m))]
-    target = [Fraction(q[a]) * k for a in active_rows]
-    columns = {b: tuple(Fraction(occ[b][a]) for a in active_rows) for b in active_cols}
-    seen: set[tuple[Fraction, ...]] = set()
+    # k*q(a) = target[a] / scale with integer targets over scale = lcm(denominators)
+    scale = math.lcm(*(q[a].denominator for a in active_rows))
+    target = [k * q[a].numerator * (scale // q[a].denominator) for a in active_rows]
+    columns = {b: tuple(occ[b][a] for a in active_rows) for b in active_cols}
+    # a vertex is keyed by its support and values, so only new ones are expanded
+    seen: set[tuple[tuple[int, Fraction], ...]] = set()
     best_vertex: Pmf | None = None
     best_h = math.inf
     candidates = 0
     for size in range(1, len(active_rows) + 1):
         for subset in combinations(active_cols, size):
-            x = _solve_columns([columns[b] for b in subset], target)
+            x = _solve_columns([columns[b] for b in subset], target, scale)
             if x is None or any(v < 0 for v in x):
                 continue
-            full = [Fraction(0)] * cells
-            for b, v in zip(subset, x):
-                full[b] = v
-            key = tuple(full)
+            key = tuple((b, v) for b, v in zip(subset, x) if v)
             if key in seen:
                 continue
             seen.add(key)
             candidates += 1
-            vertex = Pmf(key)
+            full = [Fraction(0)] * cells
+            for b, v in key:
+                full[b] = v
+            vertex = Pmf(full)
             h = entropy(vertex)
             if h < best_h - _SLACK or best_vertex is None:
                 best_h = h

@@ -260,6 +260,25 @@ def test_lemma3_bound_holds(capsys):
     assert rep["max_divergence"] <= rep["bound"] + 1e-12
 
 
+@pytest.mark.parametrize(
+    "m, q, k, candidates, support, value",
+    [
+        # recorded from the Fraction Gauss-Jordan vertex search
+        (3, "4,4,4", 3, 187, {5: 1.0}, 3.2958368660043287),
+        (3, "6,3,3", 2, 11, {0: 0.5, 5: 0.5}, 1.3862943611198904),
+        (2, "5,5", 4, 31, {3: 1.0}, 2.772588722239781),
+    ],
+)
+def test_lemma3_exact_vertex_search_is_stable(capsys, m, q, k, candidates, support, value):
+    code, out, _ = run(["lemma", "lemma3", "--m", str(m), "--q", q, "--k", str(k)], capsys)
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep["candidates"] == candidates
+    assert rep["max_divergence"] == value
+    witness = [support.get(b, 0.0) for b in range(m**k)]
+    assert json.dumps(rep["witness"]) == json.dumps(witness)
+
+
 def test_dbound_runs(capsys):
     code, out, _ = run(["lemma", "dbound", "--k", "2", "--q", "4,4"], capsys)
     assert code == EXIT_OK

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,51 @@ def test_max_divergence_respects_k_log_n(k, data):
 def test_max_divergence_grid_needs_ell():
     with pytest.raises(ValueError):
         max_divergence_over_E_k(TypeVector((1, 1)), 2, mode="grid")
+
+
+def oracle_solve_columns(cols, target):
+    """The original Gauss-Jordan solve in Fractions: unique solution or None."""
+    rows, s = len(target), len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(s)] + [Fraction(target[i])] for i in range(rows)]
+    row = 0
+    for col in range(s):
+        pivot = next((r for r in range(row, rows) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = aug[row][col]
+        aug[row] = [v / inv for v in aug[row]]
+        for r in range(rows):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        row += 1
+    if any(aug[r][s] != 0 for r in range(row, rows)):
+        return None
+    return tuple(aug[i][s] for i in range(s))
+
+
+@pytest.mark.parametrize(
+    "counts, k",
+    [((4, 4, 4), 2), ((6, 3, 3), 2), ((5, 5), 3), ((1, 2, 3), 2), ((0, 2, 5), 2), ((2, 1, 1, 4), 1)],
+)
+def test_integer_vertex_solve_matches_fraction_oracle(counts, k):
+    from finetti.marginal_sets import _occurrence_matrix, _solve_columns
+
+    q = type_to_pmf(TypeVector(counts))
+    occ = _occurrence_matrix(len(q), k)
+    rows = [a for a in range(len(q)) if q[a]]
+    scale = math.lcm(*(q[a].denominator for a in rows))
+    target = [k * q[a] * scale for a in rows]
+    assert all(t.denominator == 1 for t in target)
+    cols = [tuple(occ[b][a] for a in rows) for b in range(len(occ))]
+    solved = 0
+    for size in range(1, len(rows) + 1):
+        for subset in combinations(cols, size):
+            want = oracle_solve_columns(subset, [k * q[a] for a in rows])
+            assert _solve_columns(subset, [int(t) for t in target], scale) == want
+            solved += want is not None
+    assert solved
 
 
 # ---------------------------------------------------------------------------
@@ -556,3 +602,145 @@ def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell)
     assert r.fallback
     assert r.block_type.counts == member
     assert r.deviation == dev
+
+
+# ---------------------------------------------------------------------------
+# the per-member Pythagorean certificate against its original form
+# ---------------------------------------------------------------------------
+
+
+def oracle_log_map(terms) -> dict:
+    """sum c*log(x) over (c, x) pairs as a prime -> Fraction exponent map."""
+    from sympy import factorint
+
+    exp: dict = {}
+    for c, x in terms:
+        c, x = Fraction(c), Fraction(x)
+        for sign, part in ((1, x.numerator), (-1, x.denominator)):
+            for p, e in factorint(part).items():
+                exp[p] = exp.get(p, 0) + sign * c * e
+    return {p: e for p, e in exp.items() if e}
+
+
+def oracle_relative_entropy_map(ps, qs) -> dict:
+    terms = []
+    for p, q in zip(ps, qs):
+        if p:
+            if not q:
+                raise ValueError("relative entropy is infinite")
+            terms.append((p, Fraction(p) / Fraction(q)))
+    return oracle_log_map(terms)
+
+
+def oracle_sum(*scaled_maps) -> dict:
+    out: dict = {}
+    for factor, exp in scaled_maps:
+        for p, e in exp.items():
+            out[p] = out.get(p, 0) + factor * e
+    return {p: e for p, e in out.items() if e}
+
+
+def oracle_divergence_decomposition(w, q):
+    """The original body: every term rebuilt per member, with Fraction exponents."""
+    q = type_to_pmf(q) if isinstance(q, TypeVector) else q
+    w = type_to_pmf(w) if isinstance(w, TypeVector) else w
+    k = round(math.log(len(w), len(q)))
+    if not in_E_k(w, q):
+        raise ValueError("w is not in the constraint set of q")
+    uniform = Pmf.uniform(len(w), exact=w.exact and q.exact)
+    qk = power_pmf(q, k)
+    d_wu = relative_entropy(w, uniform)
+    d_wq = relative_entropy(w, qk)
+    d_qu = relative_entropy(qk, uniform)
+    if w.exact and q.exact:
+        lhs = oracle_relative_entropy_map(w.probs, uniform.probs)
+        rhs = oracle_sum(
+            (1, oracle_relative_entropy_map(w.probs, qk.probs)),
+            (1, oracle_relative_entropy_map(qk.probs, uniform.probs)),
+        )
+        if lhs != rhs:
+            raise AssertionError("exact Pythagorean identity failed")
+        entropy_form = oracle_sum(
+            (k, oracle_log_map((-p, p) for p in q.probs if p)),
+            (-1, oracle_log_map((-p, p) for p in w.probs if p)),
+        )
+        if oracle_relative_entropy_map(w.probs, qk.probs) != entropy_form:
+            raise AssertionError("entropy form of the member divergence failed")
+    elif abs(d_wu - (d_wq + d_qu)) > 1e-10:
+        raise AssertionError("float Pythagorean identity failed")
+    return d_wu, d_wq, d_qu
+
+
+def _outcome(fn, w, q):
+    try:
+        return fn(w, q)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+def decomposition_inputs():
+    """Members and non-members of several (q, k), interleaved across (q, k)."""
+    points = [
+        ((3, 3), 1, 6),
+        ((2, 4), 2, 3),
+        ((0, 6), 2, 3),
+        ((3, 3), 3, 2),
+        ((1, 5), 3, 2),
+        ((2, 2, 2), 1, 6),
+        ((2, 1, 3), 2, 3),
+        ((0, 3, 3), 2, 3),
+        ((1, 2, 3), 3, 2),
+    ]
+    streams = []
+    for counts, k, ell in points:
+        q = TypeVector(counts)
+        members = list(enumerate_E_k_types(q, k, ell))
+        outsiders = [t for t in enumerate_types(q.m**k, ell) if t not in members][:4]
+        streams.append([(w, q) for w in members[:12] + outsiders])
+    # float pmfs, and exact and float members of one exact q
+    half = Pmf((0.5, 0.5))
+    streams.append([(Pmf(w), half) for w in ((0.0, 0.5, 0.5, 0.0), (0.25,) * 4, (1.0, 0, 0, 0))])
+    q = TypeVector((2, 4))
+    mixed = []
+    for w in list(enumerate_E_k_types(q, 2, 3))[:3]:
+        mixed += [w, Pmf([float(p) for p in type_to_pmf(w).probs], exact=False)]
+    streams.append([(w, q) for w in mixed + [Pmf((0.25,) * 4)]])
+    out = []
+    for i in range(max(map(len, streams))):
+        out.extend(s[i] for s in streams if i < len(s))
+    return out
+
+
+def test_decomposition_matches_oracle_interleaved():
+    inputs = decomposition_inputs()
+    kinds = set()
+    for w, q in inputs:
+        got = _outcome(divergence_decomposition, w, q)
+        assert got == _outcome(oracle_divergence_decomposition, w, q), (w, q)
+        kinds.add(got if isinstance(got, type) else tuple)
+    assert kinds == {tuple, ValueError}
+
+
+def test_decomposition_certificates_still_bind(monkeypatch):
+    # the shared member-independent terms are checked, not trusted: a wrong
+    # D(Q^k||U) or k*H(Q) from the per-(q, k) cache fails every member
+    import finetti.marginal_sets as ms
+
+    q = TypeVector((2, 4))
+    w = next(enumerate_E_k_types(q, 2, 3))
+    real = ms._product_terms
+
+    for slot in (3, 4):
+        def corrupted(q, k, exact, slot=slot):
+            terms = list(real(q, k, exact))
+            wrong = ms.LogCombination()
+            wrong.add_combination(terms[slot])
+            wrong.add(Fraction(1, 7), 2)
+            terms[slot] = wrong
+            return tuple(terms)
+
+        monkeypatch.setattr(ms, "_product_terms", corrupted)
+        with pytest.raises(AssertionError):
+            divergence_decomposition(w, q)
+    monkeypatch.setattr(ms, "_product_terms", real)
+    divergence_decomposition(w, q)
