@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .definetti import report_to_dict, theorem_constants, verify_theorem
@@ -225,6 +224,9 @@ def cmd_verify(args) -> int:
         laws = [_build_law(args, n) for n in n_values]
     cells = [(law, k) for law in laws for k in k_values]
     if args.jobs > 1:
+        # importing the process pool is a large share of start-up, so only --jobs > 1 pays it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_verify_cell, law, k) for law, k in cells]
             reports = [f.result() for f in futures]

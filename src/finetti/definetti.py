@@ -13,7 +13,7 @@ length divisible by k, which leaves the k-marginal unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exchangeable import (
     ExchangeableLaw,
@@ -44,8 +44,7 @@ _SLACK = 1e-12
 _EXP_MAX = 709.0
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     """Constants of the approximation bound at one (n, k, m) point."""
 
     n: int
@@ -113,8 +112,7 @@ def binary_reference_bound(n: int, k: int) -> float:
     return 5.0 * k * k * math.log(n) / (n - k)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     m: int
     n: int
     k: int

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -86,8 +86,7 @@ def power_pmf(q: Pmf, k: int) -> Pmf:
     return Pmf(tuple(entries), exact=q.exact)
 
 
-@dataclass(frozen=True)
-class ExchangeableLaw:
+class ExchangeableLaw(namedtuple("ExchangeableLaw", "m n type_weights")):
     """Exchangeable law on A^n, stored as its histogram weight vector.
 
     `type_weights[i]` is the probability of the i-th histogram in the shared
@@ -95,44 +94,45 @@ class ExchangeableLaw:
     with the same (m, n) live in the same index space.
     """
 
-    m: int
-    n: int
-    type_weights: Pmf
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        expected = count_types(self.m, self.n)
-        if len(self.type_weights) != expected:
+    def __new__(cls, m: int, n: int, type_weights: Pmf) -> "ExchangeableLaw":
+        expected = count_types(m, n)
+        if len(type_weights) != expected:
             raise ValueError(
-                f"weight vector has {len(self.type_weights)} entries, "
-                f"(m={self.m}, n={self.n}) has {expected} types"
+                f"weight vector has {len(type_weights)} entries, "
+                f"(m={m}, n={n}) has {expected} types"
             )
-        if not self.type_weights.exact:
+        if not type_weights.exact:
             raise ValueError("histogram weights must be exact rationals")
+        return tuple.__new__(cls, (m, n, type_weights))
 
     @property
     def types(self) -> tuple[TypeVector, ...]:
         return type_list(self.m, self.n)
 
 
-@dataclass(frozen=True)
-class MixingMeasure:
+class MixingMeasure(namedtuple("MixingMeasure", "atoms")):
     """Finitely supported measure on the simplex: ((pmf, weight), ...)."""
 
-    atoms: tuple[tuple[Pmf, object], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __new__(cls, atoms: tuple[tuple[Pmf, object], ...]) -> "MixingMeasure":
+        if not atoms:
             raise ValueError("mixing measure needs at least one atom")
-        m = len(self.atoms[0][0])
-        if any(len(q) != m for q, _ in self.atoms):
+        m = len(atoms[0][0])
+        if any(len(q) != m for q, _ in atoms):
             raise ValueError("all atoms must share one alphabet")
-        if not all(q.exact and isinstance(w, (int, Fraction)) for q, w in self.atoms):
+        if not all(q.exact and isinstance(w, (int, Fraction)) for q, w in atoms):
             raise ValueError("mixing atoms and weights must be exact rationals")
-        if any(w < 0 for _, w in self.atoms):
+        if any(w < 0 for _, w in atoms):
             raise ValueError("negative mixing weight")
-        total = sum(w for _, w in self.atoms)
+        total = sum(w for _, w in atoms)
         if total != 1:
             raise ValueError(f"mixing weights sum to {total}, not 1")
+        return tuple.__new__(cls, (atoms,))
 
     @property
     def m(self) -> int:

@@ -9,8 +9,8 @@ decay along a schedule of n values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exchangeable import _block_law, power_pmf
 from .info_measures import max_abs_deviation, relative_entropy
@@ -49,16 +49,14 @@ def round_to_type(target: Pmf, n: int) -> TypeVector:
     return TypeVector(tuple(floors))
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     n: int
     rounded: TypeVector
     divergence: float
     max_deviation: float
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(NamedTuple):
     target: Pmf
     k: int
     points: tuple[TracePoint, ...]

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactlog import (
     LogCombination,
@@ -220,10 +219,9 @@ def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator
     yield from walk(0, ell, targets)
 
 
-def _weighted_members(
-    q: Pmf, k: int, ell: int, cap: int | None
-) -> Iterator[tuple[TypeVector, int, float]]:
-    """(member W, class size, H(W)) for each member, in enumeration order.
+@lru_cache(maxsize=2)
+def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, float], ...]:
+    """(class size, H(W)) for each member W, in enumeration order.
 
     The class size l!/prod(c!) is exact, read from a factorial table; the
     entropy is H(W) = log(l) - fsum(c*log(c))/l, read from a c*log(c) table.
@@ -231,13 +229,17 @@ def _weighted_members(
     D(W||U) = k*log(m) - H(W), identities divergence_decomposition certifies
     exactly, so no member needs a pmf.  The tables fill on demand, so a
     single-member set at a huge l costs only its own counts' factorials, and
-    nothing is computed before the walk has checked the cap.
+    nothing is computed before the walk has checked the cap.  The rows are
+    kept for the last two (q, k, l, cap), so the conditional mean and the
+    exact tail of one lattice share a single walk.
     """
     factorial = lru_cache(maxsize=None)(math.factorial)
     c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
+    rows = []
     for member in enumerate_E_k_types(q, k, ell, cap=cap):
         size = factorial(ell) // math.prod(map(factorial, member.counts))
-        yield member, size, math.log(ell) - math.fsum(map(c_log_c, member.counts)) / ell
+        rows.append((size, math.log(ell) - math.fsum(map(c_log_c, member.counts)) / ell))
+    return tuple(rows)
 
 
 def _entropy_key(counts: Sequence[int]) -> int:
@@ -251,21 +253,25 @@ def _entropy_key(counts: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=16)
-def _product_terms(q: Pmf, k: int, exact: bool):
+def _product_terms(q: Pmf | TypeVector, k: int, exact: bool):
     """The member-independent half of the decomposition for (q, k).
 
     (Q^k, U, D(Q^k||U)) as pmfs and a float, plus, when exact, the exact
-    combinations D(Q^k||U) and k*H(Q).  The combinations are shared between
+    combinations D(Q^k||U) and k*H(Q), and last q itself as a pmf, so a
+    TypeVector q is converted once.  The combinations are shared between
     calls, so callers read them and never mutate them.
     """
+    q = _as_pmf(q)
+    exact = exact and q.exact
     qk = power_pmf(q, k)
     uniform = Pmf.uniform(len(qk), exact=exact)
     d_qu = relative_entropy(qk, uniform)
     if not exact:
-        return qk, uniform, d_qu, None, None
+        return qk, uniform, d_qu, None, None, q
     k_entropy_q = LogCombination()
     k_entropy_q.add_combination(entropy_combination(q.probs), k)
-    return qk, uniform, d_qu, relative_entropy_combination(qk.probs, uniform.probs), k_entropy_q
+    d_qu_exact = relative_entropy_combination(qk.probs, uniform.probs)
+    return qk, uniform, d_qu, d_qu_exact, k_entropy_q, q
 
 
 def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, float]:
@@ -276,17 +282,17 @@ def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, 
     exact arithmetic before the float triple is returned.  Raises ValueError
     when W is not a member.
     """
-    q = _as_pmf(q)
+    if not isinstance(q, TypeVector):  # a TypeVector's pmf comes from the cache
+        q = _as_pmf(q)
     w = _as_pmf(w)
-    m = len(q)
-    inferred = _infer_k(len(w), m)
+    inferred = _infer_k(len(w), q.m if isinstance(q, TypeVector) else len(q))
     if k is not None and k != inferred:
         raise ValueError(f"w lives on A^{inferred}, caller says k={k}")
     k = inferred
+    qk, uniform, d_qu, d_qu_exact, k_entropy_q, q = _product_terms(q, k, w.exact)
     if not in_E_k(w, q):
         raise ValueError("w is not in the constraint set of q")
     exact = w.exact and q.exact
-    qk, uniform, d_qu, d_qu_exact, k_entropy_q = _product_terms(q, k, exact)
     d_wu = relative_entropy(w, uniform)
     d_wq = relative_entropy(w, qk)
     if exact:
@@ -336,8 +342,7 @@ def lattice_argmin_uniform_divergence(
     return best_member, unique
 
 
-@dataclass(frozen=True)
-class MaxDivergenceResult:
+class MaxDivergenceResult(NamedTuple):
     value: float
     witness: Pmf
     candidates: int
@@ -469,8 +474,7 @@ def lemma1_constant(ell: int, k: int) -> float:
     return math.sqrt(2.0 / ell + 4.0 * k / ell + 2.0 * math.sqrt(k / ell))
 
 
-@dataclass(frozen=True)
-class PermutedBlockResult:
+class PermutedBlockResult(NamedTuple):
     """Outcome of the seeded permutation construction."""
 
     block_type: TypeVector
@@ -588,8 +592,7 @@ def lemma1_construct(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionalMeanResult:
+class ConditionalMeanResult(NamedTuple):
     value: float
     members: int
 
@@ -606,7 +609,7 @@ def conditional_mean_divergence(
     """
     q = _as_pmf(q)
     k_entropy_q = k * entropy(q)
-    rows = [(size, k_entropy_q - h) for _, size, h in _weighted_members(q, k, ell, cap)]
+    rows = [(size, k_entropy_q - h) for size, h in _member_table(q, k, ell, resolve_cap(cap))]
     if not rows:
         raise ValueError("constraint set has no lattice members at this l")
     total = sum(size for size, _ in rows)
@@ -614,8 +617,7 @@ def conditional_mean_divergence(
     return ConditionalMeanResult(value=value, members=len(rows))
 
 
-@dataclass(frozen=True)
-class TailBoundResult:
+class TailBoundResult(NamedTuple):
     log_bound: float
     bound: float
     exact_probability: float | None
@@ -671,7 +673,7 @@ def partition_tail_bound(
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set
-        for _, size, h in _weighted_members(q, k, ell, cap):
+        for size, h in _member_table(q, k, ell, resolve_cap(cap)):
             total += size
             if log_cells - h > threshold:
                 heavy += size

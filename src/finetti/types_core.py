@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
@@ -67,21 +67,21 @@ def _alphabet_size(alphabet: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class TypeVector:
+class TypeVector(namedtuple("TypeVector", "counts")):
     """Histogram of an n-string: counts[a] occurrences of symbol a, sum = n."""
 
-    counts: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if len(counts) < 1:
+    def __new__(cls, counts) -> "TypeVector":
+        counts = tuple(map(int, counts))
+        if not counts:
             raise ValueError("a type needs at least one symbol cell")
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise ValueError(f"negative count in {counts}")
         if sum(counts) < 1:
             raise ValueError("a type must describe a nonempty string")
+        return tuple.__new__(cls, (counts,))
 
     @property
     def n(self) -> int:

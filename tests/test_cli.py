@@ -342,3 +342,17 @@ def test_parallel_jobs_match_serial(capsys):
     _, serial, _ = run(base, capsys)
     _, parallel, _ = run(base + ["--jobs", "2"], capsys)
     assert serial == parallel
+
+
+def test_cli_start_loads_no_pool_and_no_dataclasses():
+    # import cost is paid by every CLI call: the process pool machinery is
+    # loaded only for --jobs > 1, and the records are tuples, not dataclasses
+    code = (
+        "import sys; from finetti.cli import main; "
+        "rc = main(['verify', '--family', 'fair-coin', '--n', '8', '--k', '2', '--jobs', '1']); "
+        "heavy = {'dataclasses', 'concurrent.futures', 'multiprocessing'}; "
+        "print(sorted(heavy & set(sys.modules)), rc)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[] 0"

@@ -281,12 +281,67 @@ def test_law_validates_weight_count():
 
 
 def test_law_rejects_float_weights():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be exact rationals"):
         ExchangeableLaw(2, 1, Pmf((0.5, 0.5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be exact rationals"):
         MixingMeasure(((Pmf((0.5, 0.5)), Fraction(1)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be exact rationals"):
         MixingMeasure(((Pmf((Fraction(1, 2), Fraction(1, 2))), 1.0),))
+
+
+def test_law_and_mixing_validation_messages():
+    half = Pmf((Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match=r"3 entries, \(m=2, n=1\) has 2 types"):
+        ExchangeableLaw(m=2, n=1, type_weights=Pmf.uniform(3))
+    with pytest.raises(ValueError, match="at least one atom"):
+        MixingMeasure(())
+    with pytest.raises(ValueError, match="share one alphabet"):
+        MixingMeasure(((half, Fraction(1, 2)), (Pmf.uniform(3), Fraction(1, 2))))
+    with pytest.raises(ValueError, match="negative mixing weight"):
+        MixingMeasure(((half, Fraction(3, 2)), (half, Fraction(-1, 2))))
+    with pytest.raises(ValueError, match="sum to 2/3, not 1"):
+        MixingMeasure(atoms=((half, Fraction(1, 3)), (half, Fraction(1, 3))))
+
+
+def _records():
+    """(record, an equal rebuild, a different one, a field) for each record kind."""
+    law = polya_urn_law((1, 2), 5)
+    mix = MixingMeasure(((Pmf((Fraction(1, 3), Fraction(2, 3))), 1),))
+    other_mix = MixingMeasure(((Pmf((Fraction(2, 3), Fraction(1, 3))), 1),))
+    return [
+        (law, ExchangeableLaw(2, 5, law.type_weights), polya_urn_law((2, 1), 5), "m"),
+        (mix, MixingMeasure(mix.atoms), other_mix, "atoms"),
+        (
+            verify_theorem(law, 2),
+            verify_theorem(polya_urn_law((1, 2), 5), 2),
+            verify_theorem(law, 3),
+            "holds",
+        ),
+    ]
+
+
+def test_records_pickle_compare_and_stay_frozen():
+    import pickle
+
+    for record, same, different, field in _records():
+        # the verify --jobs pool ships laws and reports between processes
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+        assert record == same and hash(record) == hash(same)
+        assert record != different
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    (law, *_), (mix, *_), _ = _records()
+    assert repr(law) == f"ExchangeableLaw(m=2, n=5, type_weights={law.type_weights!r})"
+    assert law.types == type_list(2, 5)
+    assert MixingMeasure(((Pmf.uniform(3), 1),)).m == 3
+    # a changed copy is validated like a new record
+    with pytest.raises(ValueError, match="has 7 types"):
+        law._replace(n=6)
+    with pytest.raises(ValueError, match="not 1"):
+        mix._replace(atoms=((Pmf.uniform(2), Fraction(1, 2)),))
 
 
 # ---------------------------------------------------------------------------

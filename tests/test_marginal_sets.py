@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -604,6 +606,89 @@ def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell)
     assert r.deviation == dev
 
 
+def two_walk_dbound(q: TypeVector, k: int, ell: int, delta: float):
+    """The seed's dbound path: the mean and the exact tail each walk the lattice.
+
+    (mean value, members, exact tail probability, log bound), with the
+    per-member class size and H(W) of the seed's streaming helper.
+    """
+
+    def weighted_members():
+        factorial = lru_cache(maxsize=None)(math.factorial)
+        c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
+        for member in enumerate_E_k_types(q, k, ell):
+            size = factorial(ell) // math.prod(map(factorial, member.counts))
+            yield size, math.log(ell) - math.fsum(map(c_log_c, member.counts)) / ell
+
+    pmf = type_to_pmf(q)
+    k_entropy_q = k * entropy(pmf)
+    rows = [(size, k_entropy_q - h) for size, h in weighted_members()]
+    total = sum(size for size, _ in rows)
+    value = math.fsum(size / total * d for size, d in rows)
+    cells = q.m**k
+    d_star = relative_entropy(power_pmf(pmf, k), Pmf.uniform(cells))
+    total = heavy = 0
+    for size, h in weighted_members():
+        total += size
+        if math.log(cells) - h > d_star + 2 * delta:
+            heavy += size
+    return value, len(rows), heavy / total, 2 * cells * math.log(ell + 1) - ell * delta
+
+
+@pytest.mark.parametrize(
+    "counts, deltas",
+    [((120, 120), (1.1240793409437346, 0.01, 0.003)), ((8, 8, 8), (2.500694630796699, 0.2, 0.05))],
+)
+def test_dbound_single_walk_matches_two_walk_path(counts, deltas):
+    q = TypeVector(counts)
+    ell = q.n // 2
+    tails = set()
+    for delta in deltas:
+        mean = conditional_mean_divergence(q, 2, ell)
+        tail = partition_tail_bound(q, 2, ell, delta)
+        got = (mean.value, mean.members, tail.exact_probability, tail.log_bound)
+        assert got == two_walk_dbound(q, 2, ell, delta), delta
+        tails.add(tail.exact_probability)
+    assert 0.0 in tails and len(tails) == 3  # an empty tail and two proper ones
+
+
+def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
+    import finetti.marginal_sets as ms
+    from finetti.cli import main
+
+    walks = []
+    real = ms.enumerate_E_k_types
+
+    def counted(*args, **kwargs):
+        walks.append(args[:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "enumerate_E_k_types", counted)
+    ms._member_table.cache_clear()
+    assert main(["lemma", "dbound", "--q", "12,12", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["members"] == 49
+    assert len(walks) == 1
+    # the cached rows still answer to the cap
+    with pytest.raises(CapacityError):
+        partition_tail_bound(TypeVector((12, 12)), 2, 12, 0.1, cap=10, exact=True)
+    assert main(["lemma", "dbound", "--q", "12,12", "--k", "2", "--cap", "10"]) == 2
+
+
+def test_decomposition_builds_the_q_pmf_once(monkeypatch):
+    import finetti.marginal_sets as ms
+
+    q = TypeVector((4, 2, 6))
+    members = list(enumerate_E_k_types(q, 2, 6))
+    built = []
+    real = ms.type_to_pmf
+    monkeypatch.setattr(ms, "type_to_pmf", lambda t: built.append(t) or real(t))
+    ms._product_terms.cache_clear()
+    for w in members:
+        divergence_decomposition(w, q)
+    assert built.count(q) == 1
+    assert len(built) == len(members) + 1
+
+
 # ---------------------------------------------------------------------------
 # the per-member Pythagorean certificate against its original form
 # ---------------------------------------------------------------------------
@@ -719,6 +804,17 @@ def test_decomposition_matches_oracle_interleaved():
         assert got == _outcome(oracle_divergence_decomposition, w, q), (w, q)
         kinds.add(got if isinstance(got, type) else tuple)
     assert kinds == {tuple, ValueError}
+
+
+def test_decomposition_of_an_exact_member_against_a_float_q():
+    # the cache is keyed on the member's exactness; a float q still makes
+    # the check a float one, as in the original body
+    third = Pmf((1 / 3, 2 / 3))
+    members = (Pmf((0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))), TypeVector((1, 2, 2, 4)))
+    for q in (third, TypeVector((1, 2)), third):
+        for w in members:
+            got = divergence_decomposition(w, q)
+            assert got == oracle_divergence_decomposition(w, q), (w, q)
 
 
 def test_decomposition_certificates_still_bind(monkeypatch):

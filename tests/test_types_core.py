@@ -263,6 +263,32 @@ def test_type_vector_validation():
         TypeVector((0, 0))
     with pytest.raises(ValueError):
         TypeVector(())
+    with pytest.raises(ValueError, match="at least one symbol cell"):
+        TypeVector(counts=[])
+    with pytest.raises(ValueError, match=r"negative count in \(2, -1\)"):
+        TypeVector([2.0, -1])
+    with pytest.raises(ValueError, match="nonempty string"):
+        TypeVector((0,))
+
+
+def test_type_vector_record_behaviour():
+    import pickle
+
+    t = TypeVector([1, 2.0])
+    assert t.counts == (1, 2) and type(t.counts[1]) is int
+    assert repr(TypeVector((1, 2))) == "TypeVector(counts=(1, 2))"
+    assert (t.n, t.m) == (3, 2)
+    assert t == TypeVector(counts=(1, 2)) and hash(t) == hash(TypeVector((1, 2)))
+    assert t != TypeVector((2, 1))
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and type(back) is TypeVector
+    with pytest.raises(AttributeError):
+        t.counts = (3,)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t._replace(counts=(0, 3)) == TypeVector((0, 3))
+    with pytest.raises(ValueError, match="negative count"):
+        t._replace(counts=(-1, 4))
 
 
 def test_type_json_round_trip():
