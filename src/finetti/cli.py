@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .definetti import report_to_dict, theorem_constants, verify_theorem
 from .exchangeable import (
@@ -30,23 +31,18 @@ from .exchangeable import (
 from .gibbs import convergence_trace, trace_to_csv
 from .marginal_sets import (
     conditional_mean_divergence,
-    divergence_decomposition,
-    enumerate_E_k_types,
-    lattice_argmin_uniform_divergence,
     lemma1_construct,
     max_divergence_over_E_k,
     partition_tail_bound,
+    pythagorean_scan,
 )
 from .types_core import (
     CapacityError,
     Pmf,
     TypeVector,
+    class_numerators,
     count_types,
-    enumerate_types,
-    exp_n_entropy,
-    exp_neg_n_divergence,
-    type_class_probability,
-    type_class_size,
+    integer_numerators,
 )
 
 EXIT_OK = 0
@@ -101,27 +97,30 @@ def cmd_types(args) -> int:
             raise ValueError(f"--q has {len(q)} entries, expected {m}")
     else:
         q = Pmf.uniform(m)
+    # q = a / D gives P(T_t) = |T_t| * prod a^t / D^n.  Multiplied through by
+    # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=
+    # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
+    # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
+    # both sides of the second are 0 when q misses t's support.
+    a, den = integer_numerators(q.probs)
+    den_n, n_n, poly = den**n, n**n, (n + 1) ** m
+    c_pow_c = lru_cache(maxsize=None)(lambda c: c**c)
     rows = []
-    total_prob = Fraction(0)
-    size_sum = 0
-    violations = 0
-    for t in enumerate_types(m, n, cap=args.cap):
-        size = type_class_size(t)
+    num_sum = size_sum = violations = 0
+    for t, size, power in class_numerators(((1, a),), n, cap=args.cap):
         size_sum += size
-        prob = type_class_probability(t, q)
-        total_prob += prob
-        growth = exp_n_entropy(t)
-        lower = growth / (n + 1) ** m
-        size_ok = lower <= size <= growth
-        scale = exp_neg_n_divergence(t, q)
-        prob_ok = scale / (n + 1) ** m <= prob <= scale
+        num = size * power
+        num_sum += num
+        cc = math.prod(map(c_pow_c, t.counts))
+        size_ok = size * cc <= n_n <= poly * size * cc
+        prob_ok = num * cc <= n_n * power <= poly * num * cc
         if not (size_ok and prob_ok):
             violations += 1
         rows.append(
             {
                 "counts": list(t.counts),
                 "size": size,
-                "probability": _rational_pair(prob),
+                "probability": _rational_pair(Fraction(num, den_n)),
                 "size_bounds_ok": size_ok,
                 "probability_bounds_ok": prob_ok,
             }
@@ -130,18 +129,12 @@ def cmd_types(args) -> int:
     checks = {
         "count": count,
         "count_matches_formula": count == len(rows),
-        "count_within_polynomial": count <= (n + 1) ** m,
+        "count_within_polynomial": count <= poly,
         "sizes_sum_to_strings": size_sum == m**n,
-        "probabilities_sum_to_one": total_prob == 1,
+        "probabilities_sum_to_one": num_sum == den_n,
         "bound_violations": violations,
     }
-    ok = (
-        checks["count_matches_formula"]
-        and checks["count_within_polynomial"]
-        and checks["sizes_sum_to_strings"]
-        and checks["probabilities_sum_to_one"]
-        and violations == 0
-    )
+    ok = violations == 0 and all(v for v in checks.values() if isinstance(v, bool))
     if args.format == "json":
         payload = {
             "m": m,
@@ -373,11 +366,8 @@ def cmd_lemma(args) -> int:
         if n % args.k:
             raise ValueError(f"k={args.k} must divide n={n}")
         ell = n // args.k
-        members = 0
-        for member in enumerate_E_k_types(q, args.k, ell, cap=args.cap):
-            divergence_decomposition(member, q)  # exact identity asserted inside
-            members += 1
-        argmin, unique = lattice_argmin_uniform_divergence(q, args.k, ell, cap=args.cap)
+        # one walk: each member's integer residual certifies both identities
+        members, argmin, unique = pythagorean_scan(q, args.k, ell, cap=args.cap)
         qk = power_pmf(q.pmf(), args.k)
         qk_counts = [Fraction(p) * ell for p in qk.probs]
         on_lattice = all(c.denominator == 1 for c in qk_counts)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -26,8 +25,9 @@ from typing import Sequence
 from .types_core import (
     Pmf,
     TypeVector,
+    class_numerators,
     count_types,
-    type_class_probability,
+    integer_numerators,
     type_class_size,
     type_index_map,
     type_list,
@@ -229,23 +229,30 @@ def mixture_iid(source, k: int) -> Pmf:
         raise ValueError(f"k must be >= 1, got {k}")
     if isinstance(source, ExchangeableLaw):
         return _block_law(zip(source.types, source.type_weights), k, replace=True)
-    size = math.lcm(*(p.denominator for q, _ in source.atoms for p in q))
-    urns = [
-        (TypeVector(tuple(p.numerator * (size // p.denominator) for p in q)), w)
-        for q, w in source.atoms
-    ]
-    return _block_law(urns, k, replace=True)
+    return _block_law(_atom_urns(source), k, replace=True)
+
+
+def _atom_urns(mix: MixingMeasure) -> list[tuple[TypeVector, Fraction]]:
+    """The atoms as (urn, weight): integer numerators over one common denominator."""
+    m = mix.m
+    nums, _ = integer_numerators([p for q, _ in mix.atoms for p in q])
+    return [(TypeVector(nums[j * m : j * m + m]), w) for j, (_, w) in enumerate(mix.atoms)]
 
 
 def from_mixing_measure(mix: MixingMeasure, n: int) -> ExchangeableLaw:
-    """Exchangeable law of n i.i.d.-given-theta draws under the mixing measure."""
+    """Exchangeable law of n i.i.d.-given-theta draws under the mixing measure.
+
+    With atoms a_j / D and weights w_j / W over common denominators, the
+    class of t has weight |T_t| * sum_j w_j * prod_i a_j[i]^t[i] / (W * D^n):
+    one integer numerator per type, reduced once.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    weights = [
-        sum((w * type_class_probability(t, q) for q, w in mix.atoms if w), Fraction(0))
-        for t in type_list(mix.m, n)
-    ]
-    return ExchangeableLaw(mix.m, n, Pmf(tuple(weights)))
+    urns = _atom_urns(mix)
+    ws, scale = integer_numerators([w for _, w in urns])
+    classes = class_numerators([(x, t.counts) for x, (t, _) in zip(ws, urns) if x], n)
+    den = scale * urns[0][0].n ** n
+    return ExchangeableLaw(mix.m, n, Pmf(tuple(Fraction(s * x, den) for _, s, x in classes)))
 
 
 def iid_law(q: Pmf, n: int) -> ExchangeableLaw:
@@ -291,6 +298,7 @@ def random_type_weight_law(m: int, n: int, seed: int, max_weight: int = 2**30) -
     """Seeded random histogram weights: positive integers, then normalised."""
     if seed is None:
         raise ValueError("seed is required; the construction is randomized")
+    import random  # only the seeded families need it, so the CLI start skips it
     rng = random.Random(seed)
     raw = [rng.randrange(1, max_weight) for _ in range(count_types(m, n))]
     return ExchangeableLaw(m, n, Pmf.from_weights(raw))

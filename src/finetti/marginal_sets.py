@@ -17,17 +17,12 @@ approximation argument.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .exactlog import (
-    LogCombination,
-    entropy_combination,
-    relative_entropy_combination,
-)
 from .exchangeable import all_strings, power_pmf
 from .info_measures import entropy, l1_distance, relative_entropy
 from .types_core import (
@@ -35,6 +30,7 @@ from .types_core import (
     Pmf,
     TypeVector,
     count_types,
+    integer_numerators,
     resolve_cap,
     type_to_pmf,
 )
@@ -55,6 +51,7 @@ __all__ = [
     "lemma1_construct",
     "max_divergence_over_E_k",
     "partition_tail_bound",
+    "pythagorean_scan",
 ]
 
 # Exact vertex search enumerates column subsets; past 64 cells the subset
@@ -78,6 +75,18 @@ def _occurrence_matrix(m: int, k: int) -> tuple[tuple[int, ...], ...]:
             row[a] += 1
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# col[a][b] = occ[b][a]: the occurrences of symbol a, block by block
+_occurrence_columns = lru_cache(maxsize=None)(lambda m, k: tuple(zip(*_occurrence_matrix(m, k))))
+
+
+def _residuals(counts: Sequence[int], cols, scale: int, targets: Sequence[int]) -> list[int]:
+    """scale * sum_b counts[b] * occ[b][a] - targets[a] for every symbol a.
+
+    With W = c / l, q = a / D, scale D and targets k*l*a, all are 0 iff Wbar = q.
+    """
+    return [scale * sum(map(mul, counts, col)) - t for col, t in zip(cols, targets)]
 
 
 def _infer_k(w_size: int, m: int) -> int:
@@ -134,6 +143,15 @@ def in_E_k(w, q, tol: float = _SLACK) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _lattice_targets(q: Pmf, k: int, ell: int) -> list[int] | None:
+    """k*l*q(a) for every a, or None if one is not an integer (within 1e-9 for a float q)."""
+    targets = [p * k * ell for p in q]
+    rounded = [round(t) for t in targets]
+    if any(abs(t - r) > (0 if q.exact else 1e-9) for t, r in zip(targets, rounded)):
+        return None
+    return rounded
+
+
 def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator[TypeVector]:
     """l-block histograms over A^k whose averaged marginals equal q.
 
@@ -162,18 +180,9 @@ def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator
         raise CapacityError(
             f"{total} block histograms at (cells={m ** k}, l={ell}) exceeds cap {limit}"
         )
-    targets = []
-    for a in range(m):
-        target = Fraction(q[a]) * k * ell if q.exact else q[a] * k * ell
-        if q.exact:
-            if target.denominator != 1:
-                return
-            targets.append(int(target))
-        else:
-            rounded = round(target)
-            if abs(target - rounded) > 1e-9:
-                return
-            targets.append(int(rounded))
+    targets = _lattice_targets(q, k, ell)
+    if targets is None:
+        return
     occ = _occurrence_matrix(m, k)
     last = len(occ) - 1
     if not last:  # one symbol, one cell
@@ -256,90 +265,93 @@ def _entropy_key(counts: Sequence[int]) -> int:
 def _product_terms(q: Pmf | TypeVector, k: int, exact: bool):
     """The member-independent half of the decomposition for (q, k).
 
-    (Q^k, U, D(Q^k||U)) as pmfs and a float, plus, when exact, the exact
-    combinations D(Q^k||U) and k*H(Q), and last q itself as a pmf, so a
-    TypeVector q is converted once.  The combinations are shared between
-    calls, so callers read them and never mutate them.
+    (Q^k, U, D(Q^k||U)) as pmfs and a float, q itself as a pmf, so a
+    TypeVector q is converted once, and last, when exact, q as integer
+    numerators over their common denominator, (a, D) with q = a / D, which
+    the membership residual reads.  Callers read the terms, never mutate them.
     """
     q = _as_pmf(q)
     exact = exact and q.exact
     qk = power_pmf(q, k)
     uniform = Pmf.uniform(len(qk), exact=exact)
-    d_qu = relative_entropy(qk, uniform)
-    if not exact:
-        return qk, uniform, d_qu, None, None, q
-    k_entropy_q = LogCombination()
-    k_entropy_q.add_combination(entropy_combination(q.probs), k)
-    d_qu_exact = relative_entropy_combination(qk.probs, uniform.probs)
-    return qk, uniform, d_qu, d_qu_exact, k_entropy_q, q
+    return qk, uniform, relative_entropy(qk, uniform), q, integer_numerators(q) if exact else None
 
 
 def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, float]:
     """(D(W||U), D(W||Q^k), D(Q^k||U)) for a member W of the constraint set.
 
-    The first equals the sum of the other two on the constraint set; with
-    exact inputs that identity and D(W||Q^k) = k*H(Q) - H(W) are certified in
-    exact arithmetic before the float triple is returned.  Raises ValueError
-    when W is not a member.
+    For any W on A^k with averaged coordinate marginal Wbar, and any q,
+
+        D(W||U) - D(W||Q^k) - D(Q^k||U) = k * sum_a (Wbar(a) - q(a)) * log q(a),
+
+    and D(W||Q^k) - (k*H(Q) - H(W)) is minus that sum, since log Q^k(b) =
+    sum_a occ[b][a] * log q(a).  So both identities hold exactly where
+    Wbar = q (the Pythagorean equality for linear families, Csiszar 1975).
+    With exact inputs that membership is decided in integers: W = c / l and
+    q = a / D are members exactly when D * sum_b c_b * occ[b][a] = k*l*a(a)
+    for every a.  Float inputs are compared within a tolerance, and the float
+    identity is checked to 1e-10.  Raises ValueError when W is not a member.
     """
     if not isinstance(q, TypeVector):  # a TypeVector's pmf comes from the cache
         q = _as_pmf(q)
+    w_counts = w.counts if isinstance(w, TypeVector) else None
     w = _as_pmf(w)
-    inferred = _infer_k(len(w), q.m if isinstance(q, TypeVector) else len(q))
+    m = q.m if isinstance(q, TypeVector) else len(q)
+    inferred = _infer_k(len(w), m)
     if k is not None and k != inferred:
         raise ValueError(f"w lives on A^{inferred}, caller says k={k}")
     k = inferred
-    qk, uniform, d_qu, d_qu_exact, k_entropy_q, q = _product_terms(q, k, w.exact)
-    if not in_E_k(w, q):
+    qk, uniform, d_qu, q, numerators = _product_terms(q, k, w.exact)
+    if numerators is None:
+        member = in_E_k(w, q)
+    else:
+        if w_counts is None:
+            w_counts, _ = integer_numerators(w.probs)
+        a, den = numerators
+        targets = [k * sum(w_counts) * x for x in a]
+        member = not any(_residuals(w_counts, _occurrence_columns(m, k), den, targets))
+    if not member:
         raise ValueError("w is not in the constraint set of q")
-    exact = w.exact and q.exact
     d_wu = relative_entropy(w, uniform)
     d_wq = relative_entropy(w, qk)
-    if exact:
-        d_wq_exact = relative_entropy_combination(w.probs, qk.probs)
-        rhs = LogCombination()
-        rhs.add_combination(d_wq_exact)
-        rhs.add_combination(d_qu_exact)
-        if not relative_entropy_combination(w.probs, uniform.probs).equals(rhs):
-            raise AssertionError("exact Pythagorean identity failed; not reachable for members")
-        # consequence: D(W||Q^k) = k*H(Q) - H(W)
-        entropy_form = LogCombination()
-        entropy_form.add_combination(k_entropy_q)
-        entropy_form.add_combination(entropy_combination(w.probs), -1)
-        if not d_wq_exact.equals(entropy_form):
-            raise AssertionError("entropy form of the member divergence failed")
-    else:
-        if abs(d_wu - (d_wq + d_qu)) > 1e-10:
-            raise AssertionError(
-                f"float Pythagorean identity off by {abs(d_wu - (d_wq + d_qu))!r}"
-            )
+    if numerators is None and abs(d_wu - (d_wq + d_qu)) > 1e-10:
+        raise AssertionError(f"float Pythagorean identity off by {abs(d_wu - (d_wq + d_qu))!r}")
     return d_wu, d_wq, d_qu
+
+
+def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, TypeVector, bool]:
+    """Walk the constraint set once: (members, argmin of D(. || U), unique).
+
+    Each member's integer residuals sum_b c_b * occ[b][a] - k*l*q(a) must be
+    zero, which by the lemma of divergence_decomposition certifies both of
+    its identities for the member.  On the set D(W || U) = k*log(m) - H(W),
+    and entropies of l-block histograms compare exactly through the integer
+    keys prod_b c_b^c_b, so the argmin is the first member of least key,
+    unique unless tied; when Q^k is a lattice point it is the unique one.
+    Raises ValueError when the set is empty.
+    """
+    q = _as_pmf(q)
+    targets = _lattice_targets(q, k, ell)
+    members, best, unique = 0, None, True  # best: (key, member)
+    for member in enumerate_E_k_types(q, k, ell, cap=cap):
+        if any(_residuals(member.counts, _occurrence_columns(len(q), k), 1, targets)):
+            raise AssertionError(f"walk yielded {member}, off the constraint set; unreachable")
+        members += 1
+        key = _entropy_key(member.counts)
+        if best is None or key < best[0]:
+            best, unique = (key, member), True
+        elif key == best[0]:
+            unique = False
+    if best is None:
+        raise ValueError("constraint set has no lattice members at this l")
+    return members, best[1], unique
 
 
 def lattice_argmin_uniform_divergence(
     q, k: int, ell: int, cap: int | None = None
 ) -> tuple[TypeVector, bool]:
-    """Member minimising D(. || uniform), with a uniqueness flag, exactly.
-
-    On the constraint set D(W || U) = k*log(m) - H(W), and entropies of
-    l-block histograms compare exactly through the integer keys
-    prod_b counts[b]^counts[b], so no floats are involved in the ordering.
-    When Q^k itself is a lattice point it is the unique minimiser.
-    """
-    best_key: int | None = None
-    best_member: TypeVector | None = None
-    unique = True
-    for member in enumerate_E_k_types(q, k, ell, cap=cap):
-        key = _entropy_key(member.counts)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_member = member
-            unique = True
-        elif key == best_key:
-            unique = False
-    if best_member is None:
-        raise ValueError("constraint set has no lattice members at this l")
-    return best_member, unique
+    """Member minimising D(. || uniform) exactly, and whether it is unique."""
+    return pythagorean_scan(q, k, ell, cap=cap)[1:]
 
 
 class MaxDivergenceResult(NamedTuple):
@@ -521,6 +533,7 @@ def lemma1_construct(
         raise ValueError("seed is required; the construction is randomized")
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
+    import random  # only the shuffle needs it, so the CLI start skips it
     m = q.m
     bound = lemma1_constant(ell, k)
     qk = power_pmf(type_to_pmf(q), k)

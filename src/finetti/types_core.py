@@ -15,6 +15,7 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 __all__ = [
@@ -22,11 +23,13 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "Pmf",
     "TypeVector",
+    "class_numerators",
     "count_types",
     "empirical_type",
     "enumerate_types",
     "exp_n_entropy",
     "exp_neg_n_divergence",
+    "integer_numerators",
     "sequence_probability_identity",
     "type_class_probability",
     "type_class_size",
@@ -243,9 +246,14 @@ def _check_cap(m: int, n: int, cap: int | None) -> None:
         raise CapacityError(f"{total} types at (m={m}, n={n}) exceeds cap {limit}")
 
 
-# Shared caches keyed by (m, n); laws and restriction maps reuse these.
-_TYPE_LIST_CACHE: dict[tuple[int, int], tuple[TypeVector, ...]] = {}
-_TYPE_INDEX_CACHE: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+# Type caches keyed by (m, n), shared by laws and restriction maps; each
+# keeps this many entries and drops the least recently used.
+TYPE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
+def _type_tuple(m: int, n: int) -> tuple[TypeVector, ...]:
+    return tuple(map(TypeVector, _compositions(n, m)))
 
 
 def type_list(m: int, n: int, cap: int | None = None) -> tuple[TypeVector, ...]:
@@ -254,17 +262,12 @@ def type_list(m: int, n: int, cap: int | None = None) -> tuple[TypeVector, ...]:
     The cap is checked on every call, cached or not.
     """
     _check_cap(m, n, cap)
-    key = (m, n)
-    if key not in _TYPE_LIST_CACHE:
-        _TYPE_LIST_CACHE[key] = tuple(enumerate_types(m, n, cap=cap))
-    return _TYPE_LIST_CACHE[key]
+    return _type_tuple(m, n)
 
 
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
 def type_index_map(m: int, n: int) -> dict[tuple[int, ...], int]:
-    key = (m, n)
-    if key not in _TYPE_INDEX_CACHE:
-        _TYPE_INDEX_CACHE[key] = {t.counts: i for i, t in enumerate(type_list(m, n))}
-    return _TYPE_INDEX_CACHE[key]
+    return {t.counts: i for i, t in enumerate(type_list(m, n))}
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,28 @@ def type_class_probability(t: TypeVector, q: Pmf):
         if c:
             prob *= p**c
     return prob
+
+
+def integer_numerators(probs: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
+    """(a, D) with probs = a / D, over the least common denominator D."""
+    den = math.lcm(*(Fraction(p).denominator for p in probs))
+    return tuple(int(p * den) for p in probs), den
+
+
+def class_numerators(
+    atoms: Sequence[tuple[int, Sequence[int]]], n: int, cap: int | None = None
+) -> Iterator[tuple[TypeVector, int, int]]:
+    """(t, |T_t|, sum_j w_j * prod_i a_j[i]^t[i]) for every n-type t, in order.
+
+    For integer atoms (w_j, a_j), each a_j summing to D, the class of t has
+    probability |T_t| * sum / (W * D^n) under the mixture of i.i.d. laws
+    sum_j (w_j / W) * (a_j / D)^n, W = sum_j w_j: one integer numerator over
+    one denominator for every class.  A single atom (1, a) gives q = a / D.
+    Powers are cached as they are first needed, after the cap is checked.
+    """
+    power = lru_cache(maxsize=None)(pow)
+    for t in type_list(len(atoms[0][1]), n, cap=cap):
+        yield t, type_class_size(t), sum(w * math.prod(map(power, a, t.counts)) for w, a in atoms)
 
 
 def empirical_type(x: Sequence[int], alphabet: int) -> TypeVector:

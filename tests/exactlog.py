@@ -1,4 +1,9 @@
-"""Exact zero tests for rational combinations of logarithms.
+"""Exact zero tests for rational combinations of logarithms: the test oracle.
+
+The package certifies the Pythagorean identity of its constraint sets by an
+integer residual on counts, through a lemma.  This module is the independent
+check: it certifies the identities term by term in a prime basis, from the
+pmfs alone, without that lemma.
 
 A value of the form sum_i c_i * log(x_i), with rational coefficients c_i and
 positive rational arguments x_i, is determined by the map prime -> exponent
@@ -26,7 +31,12 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-__all__ = ["LogCombination", "entropy_combination", "relative_entropy_combination"]
+__all__ = [
+    "LogCombination",
+    "entropy_combination",
+    "prime_basis_gaps",
+    "relative_entropy_combination",
+]
 
 
 @lru_cache(maxsize=None)
@@ -135,3 +145,24 @@ def entropy_combination(p_probs) -> LogCombination:
         if p:
             comb._add_ratio(-p, (p.numerator,), (p.denominator,))
     return comb
+
+
+def prime_basis_gaps(w, q, k: int) -> tuple[LogCombination, LogCombination]:
+    """Both identity gaps of a block pmf w and a pmf q on A^k, exactly.
+
+    (D(W||U) - D(W||Q^k) - D(Q^k||U), D(W||Q^k) - (k*H(Q) - H(W))) as log
+    combinations, from the pmfs alone: both are zero for a member of the
+    constraint set.  w and q are sequences of rationals, and W << Q^k.
+    """
+    from finetti.exchangeable import power_pmf
+    from finetti.types_core import Pmf
+
+    qk = power_pmf(Pmf(tuple(q)), k).probs
+    uniform = [Fraction(1, len(qk))] * len(qk)
+    pythagoras = relative_entropy_combination(w, uniform)
+    pythagoras.add_combination(relative_entropy_combination(w, qk), -1)
+    pythagoras.add_combination(relative_entropy_combination(qk, uniform), -1)
+    entropy_form = relative_entropy_combination(w, qk)
+    entropy_form.add_combination(entropy_combination(q), -k)
+    entropy_form.add_combination(entropy_combination(w))
+    return pythagoras, entropy_form

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,17 @@ from finetti.cli import (
     EXIT_VIOLATION,
     main,
 )
+from finetti.types_core import (
+    Pmf,
+    count_types,
+    enumerate_types,
+    exp_n_entropy,
+    exp_neg_n_divergence,
+    type_class_probability,
+    type_class_size,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MIX = """{
   "mixing": [
@@ -356,3 +371,129 @@ def test_cli_start_loads_no_pool_and_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[] 0"
+
+
+def test_cli_start_loads_no_random_and_no_exactlog():
+    # the seeded families and the lemma1 shuffle import random themselves;
+    # -S keeps site hooks (.pth files), which may import it, out of the check
+    src = str(Path(__import__("finetti").__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys; import finetti.cli; "
+        "print(sorted({'random', 'finetti.exactlog'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# types rows against the Fraction form of the bounds
+# ---------------------------------------------------------------------------
+
+
+def fraction_types_payload(m: int, n: int, q: Pmf) -> dict:
+    """The types JSON payload built with a Fraction per operation."""
+
+    def pair(value):
+        return {"rational": f"{value.numerator}/{value.denominator}", "decimal": float(value)}
+
+    rows, total, size_sum, violations = [], Fraction(0), 0, 0
+    for t in enumerate_types(m, n):
+        size = type_class_size(t)
+        prob = type_class_probability(t, q)
+        growth = exp_n_entropy(t)
+        size_ok = growth / (n + 1) ** m <= size <= growth
+        scale = exp_neg_n_divergence(t, q)
+        prob_ok = scale / (n + 1) ** m <= prob <= scale
+        size_sum += size
+        total += prob
+        violations += not (size_ok and prob_ok)
+        rows.append(
+            {
+                "counts": list(t.counts),
+                "size": size,
+                "probability": pair(prob),
+                "size_bounds_ok": size_ok,
+                "probability_bounds_ok": prob_ok,
+            }
+        )
+    count = count_types(m, n)
+    checks = {
+        "count": count,
+        "count_matches_formula": count == len(rows),
+        "count_within_polynomial": count <= (n + 1) ** m,
+        "sizes_sum_to_strings": size_sum == m**n,
+        "probabilities_sum_to_one": total == 1,
+        "bound_violations": violations,
+    }
+    ok = violations == 0 and all(v for v in checks.values() if isinstance(v, bool))
+    q_pairs = [pair(p) for p in q.probs]
+    return {"m": m, "n": n, "q": q_pairs, "checks": checks, "types": rows, "pass": ok}
+
+
+@pytest.mark.parametrize(
+    "m, n, q",
+    [
+        (1, 5, None),
+        (2, 9, "1/3,2/3"),
+        (2, 10, "1,0"),
+        (3, 12, "0,1/4,3/4"),
+        (3, 20, "1/2,1/3,1/6"),
+        (4, 7, None),
+        (4, 6, "1/10,0,3/10,3/5"),
+    ],
+)
+def test_types_rows_match_the_fraction_form(capsys, m, n, q):
+    args = ["types", "--m", str(m), "--n", str(n), "--format", "json"]
+    pmf = Pmf.uniform(m) if q is None else Pmf(tuple(Fraction(p) for p in q.split(",")))
+    code, out, _ = run(args + (["--q", q] if q else []), capsys)
+    want = fraction_types_payload(m, n, pmf)
+    assert json.loads(out) == want
+    assert code == (EXIT_OK if want["pass"] else EXIT_VIOLATION)
+    if q and "0" in q.split(","):
+        # classes that q misses have probability 0, and both bound flags hold
+        missed = [r for r in want["types"] if r["probability"]["rational"] == "0/1"]
+        assert missed and all(r["probability_bounds_ok"] for r in missed)
+    assert all(r["size_bounds_ok"] for r in want["types"])
+
+
+# ---------------------------------------------------------------------------
+# golden stdout: sha256 and exit code of invocations whose output is pinned
+# ---------------------------------------------------------------------------
+
+GOLDEN = [
+    ("lemma pythagoras --q 50,50 --k 2", "4481cd203ab1858bbe230c6984f74278fd4c480c06399b6f8c0122ff02b5b9c6"),
+    ("lemma pythagoras --q 4,4,4 --k 2", "5d40788b8e3d35694615fbad1e85f922d5a30bef713f63eaefd45141d6c0fab3"),
+    (
+        "lemma lemma3 --m 3 --q 4,4,4 --k 3 --mode exact",
+        "1fede31e6c7c9a1edb835d7e768d0884cc88d3387d6c7a29d7f85de52ce75e26",
+    ),
+    (
+        "types --m 3 --n 60 --q 1/2,1/3,1/6 --format json",
+        "6174544febc5252411df975109b8e17fd72f21aab97d92886c7d1f4a12577acb",
+    ),
+    ("lemma pythagoras --q 7,5 --k 3", "e76f9cfaf9cd17bc001df0c6f338574cf302880a8a962cefd4aeaa8c996b4d70"),
+    ("lemma pythagoras --q 0,6,6 --k 2", "d31167c7afe1806068bfa2867372a30d6d57339ad4dbed4eaa3ca757037a5720"),
+    (
+        "types --m 3 --n 20 --q 0,1/3,2/3 --format json",
+        "8afe43e884eee037514b5088e71e09e4af70e0d24fb693bc01112c950cb0f325",
+    ),
+    ("types --m 4 --n 12", "b4184004e6303c8409e44bd24e03f711d99df60145a236f1247e345cabc56a11"),
+    (
+        "verify --law laws/mix.json --n 200,403 --k 2,3",
+        "143d107c71ffb452bf7637a1065f0bf7f334b7c5b146007decae58f5db00954e",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_stdout(capsys, command, digest):
+    # every row, including the per-row bound flags, is pinned byte for byte
+    args = [str(ROOT / a) if a.startswith("laws/") else a for a in command.split()]
+    code, out, _ = run(args, capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

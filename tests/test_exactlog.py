@@ -11,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finetti.exactlog import (
+from exactlog import (
     LogCombination,
     _factor,
     entropy_combination,
+    prime_basis_gaps,
     relative_entropy_combination,
 )
+from finetti.exchangeable import all_strings
 from finetti.info_measures import entropy, relative_entropy
+from finetti.marginal_sets import divergence_decomposition, enumerate_E_k_types
+from finetti.types_core import TypeVector, enumerate_types, type_to_pmf
 
 
 def test_log_laws_certified():
@@ -230,3 +234,77 @@ def test_equal_combinations_over_different_denominators(terms, ell):
     assert a.equals(b) and b.equals(a)
     b.add(Fraction(1, ell), 2)
     assert not a.equals(b)
+
+
+# ---------------------------------------------------------------------------
+# the prime-basis oracle for the Pythagorean certificate
+# ---------------------------------------------------------------------------
+
+
+def test_prime_basis_certifies_every_member_at_the_criterion_07_points():
+    # every member the integer residual accepts satisfies both identities
+    # term by term, with no use of the lemma behind the residual
+    members = 0
+    for ell in range(1, 21):
+        for q in enumerate_types(2, 2 * ell):
+            qp = type_to_pmf(q).probs
+            for w in enumerate_E_k_types(q, 2, ell):
+                divergence_decomposition(w, q)
+                pythagoras, entropy_form = prime_basis_gaps(type_to_pmf(w).probs, qp, 2)
+                assert pythagoras.is_zero() and entropy_form.is_zero(), (w, q)
+                members += 1
+    assert members == 10625
+
+
+def lemma_sum(w, q, k: int) -> LogCombination:
+    """k * sum_a (Wbar(a) - q(a)) * log q(a), Wbar read off the blocks of A^k."""
+    m = len(q)
+    wbar = [Fraction(0)] * m
+    for p, s in zip(w, all_strings(m, k)):
+        for a in s:
+            wbar[a] += Fraction(p, k)
+    combo = LogCombination()
+    for a in range(m):
+        combo.add(k * (wbar[a] - q[a]), q[a])
+    return combo
+
+
+@pytest.mark.parametrize(
+    "q, k, ell",
+    [
+        ((Fraction(1, 3), Fraction(2, 3)), 2, 3),
+        ((Fraction(1, 4), Fraction(3, 4)), 3, 2),
+        ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), 2, 2),
+        ((Fraction(1, 2), Fraction(1, 2)), 2, 4),
+    ],
+)
+def test_prime_basis_gap_off_the_set_is_the_lemma(q, k, ell):
+    # for every l-block histogram W, members or not, the two gaps are
+    # k * sum (Wbar - q) log q and its negative: the lemma itself
+    m = len(q)
+    offset = 0
+    for t in enumerate_types(m**k, ell):
+        w = type_to_pmf(t).probs
+        pythagoras, entropy_form = prime_basis_gaps(w, q, k)
+        lemma = lemma_sum(w, q, k)
+        assert pythagoras.equals(lemma), t
+        lemma.add_combination(entropy_form)
+        assert lemma.is_zero(), t
+        offset += not pythagoras.is_zero()
+    # off the set the gap is not zero in general, unless q is uniform
+    assert (offset > 0) == (len(set(q)) > 1)
+
+
+def test_prime_basis_oracle_sees_a_shifted_member():
+    # one count of a member moved from block 00 to block 11 leaves E_k, and
+    # the oracle's gap is then k * (Wbar - q) . log q, which is not zero
+    q = TypeVector((2, 4))
+    qp = type_to_pmf(q).probs
+    for w in enumerate_E_k_types(q, 2, 3):
+        if not w.counts[0]:
+            continue
+        shifted = TypeVector((w.counts[0] - 1, *w.counts[1:3], w.counts[3] + 1))
+        pythagoras, entropy_form = prime_basis_gaps(type_to_pmf(shifted).probs, qp, 2)
+        assert not pythagoras.is_zero() and not entropy_form.is_zero()
+        with pytest.raises(ValueError):
+            divergence_decomposition(shifted, q)

@@ -35,7 +35,14 @@ from finetti.exchangeable import (
 )
 from finetti.gibbs import conditional_block_law
 from finetti.info_measures import relative_entropy
-from finetti.types_core import Pmf, TypeVector, empirical_type, type_class_size, type_list
+from finetti.types_core import (
+    Pmf,
+    TypeVector,
+    empirical_type,
+    type_class_probability,
+    type_class_size,
+    type_list,
+)
 
 LAWS = Path(__file__).resolve().parent.parent / "laws"
 
@@ -225,6 +232,41 @@ def test_from_mixing_measure_round_trip():
     law = from_mixing_measure(mix, 4)
     want = iid_law(q, 4)
     assert law.type_weights.probs == want.type_weights.probs
+
+
+def fraction_mixture_weights(mix: MixingMeasure, n: int) -> tuple[Fraction, ...]:
+    """The histogram weights as a Fraction sum of class probabilities per type."""
+    return tuple(
+        sum((w * type_class_probability(t, q) for q, w in mix.atoms if w), Fraction(0))
+        for t in type_list(mix.m, n)
+    )
+
+
+def _mixture(*atoms) -> MixingMeasure:
+    return MixingMeasure(
+        tuple((Pmf(tuple(map(Fraction, q))), Fraction(w)) for q, w in atoms)
+    )
+
+
+MIXTURES = {
+    "fair-coin": _mixture((("1/2", "1/2"), 1)),
+    "biased-coin": _mixture((("3/10", "7/10"), 1)),
+    "mix-json": _mixture(
+        *((a["pmf"], a["w"]) for a in json.loads((LAWS / "mix.json").read_text())["mixing"])
+    ),
+    "three-atoms-m3": _mixture(
+        (("0", "1/3", "2/3"), "1/2"), (("1/6", "1/2", "1/3"), "1/3"), (("1/4", "1/4", "1/2"), "1/6")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_from_mixing_measure_matches_the_fraction_sum(name):
+    mix = MIXTURES[name]
+    grid = (1, 2, 7, 30, 60) + ((403,) if mix.m == 2 else ())
+    for n in grid:
+        got = from_mixing_measure(mix, n).type_weights.probs
+        assert got == fraction_mixture_weights(mix, n), (name, n)
 
 
 def test_law_json_round_trip():

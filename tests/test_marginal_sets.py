@@ -314,8 +314,8 @@ def test_lemma1_certified_regime_flag():
 def test_lemma1_fallback_scan(monkeypatch):
     # rig the shuffle to always interleave 0101...: every block is "01",
     # deviation 3/4 > M(400, 2) = 0.408, so all tries fail and the
-    # exhaustive lattice scan takes over
-    import finetti.marginal_sets as ms
+    # exhaustive lattice scan takes over; the shuffle imports random lazily
+    import random
 
     class RiggedRandom:
         def __init__(self, seed):
@@ -327,7 +327,7 @@ def test_lemma1_fallback_scan(monkeypatch):
             xs[::2] = zeros
             xs[1::2] = ones
 
-    monkeypatch.setattr(ms.random, "Random", RiggedRandom)
+    monkeypatch.setattr(random, "Random", RiggedRandom)
     q = TypeVector((400, 400))
     r = lemma1_construct(q, 2, 400, seed=0, max_tries=3)
     assert r.fallback
@@ -585,6 +585,8 @@ def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell)
     # a shuffle that always lays out the farthest member, and a budget equal
     # to the best deviation, force the exhaustive scan; it must land on the
     # first closest member
+    import random
+
     import finetti.marginal_sets as ms
 
     q = TypeVector(counts)
@@ -598,7 +600,7 @@ def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell)
             xs[:] = far
 
     dev, member = oracle_closest_member(q, k, ell)
-    monkeypatch.setattr(ms.random, "Random", Rigged)
+    monkeypatch.setattr(random, "Random", Rigged)
     monkeypatch.setattr(ms, "lemma1_constant", lambda ell, k: dev)
     r = lemma1_construct(q, k, ell, seed=0, max_tries=1)
     assert r.fallback
@@ -818,25 +820,93 @@ def test_decomposition_of_an_exact_member_against_a_float_q():
 
 
 def test_decomposition_certificates_still_bind(monkeypatch):
-    # the shared member-independent terms are checked, not trusted: a wrong
-    # D(Q^k||U) or k*H(Q) from the per-(q, k) cache fails every member
+    # the certificate reads q's integer numerators from the per-(q, k) cache
+    # and the occurrence columns; corrupting either fails a true member
     import finetti.marginal_sets as ms
 
     q = TypeVector((2, 4))
     w = next(enumerate_E_k_types(q, 2, 3))
-    real = ms._product_terms
+    real_terms, real_cols = ms._product_terms, ms._occurrence_columns
 
-    for slot in (3, 4):
-        def corrupted(q, k, exact, slot=slot):
-            terms = list(real(q, k, exact))
-            wrong = ms.LogCombination()
-            wrong.add_combination(terms[slot])
-            wrong.add(Fraction(1, 7), 2)
-            terms[slot] = wrong
-            return tuple(terms)
+    def shifted_numerators(q, k, exact):
+        *terms, (a, den) = real_terms(q, k, exact)
+        return (*terms, ((a[0] + 1, a[1] - 1), den))
 
-        monkeypatch.setattr(ms, "_product_terms", corrupted)
-        with pytest.raises(AssertionError):
+    def doubled_denominator(q, k, exact):
+        *terms, (a, den) = real_terms(q, k, exact)
+        return (*terms, (a, 2 * den))
+
+    def swapped_columns(m, k):
+        return real_cols(m, k)[::-1]
+
+    for name, corrupted in (
+        ("_product_terms", shifted_numerators),
+        ("_product_terms", doubled_denominator),
+        ("_occurrence_columns", swapped_columns),
+    ):
+        monkeypatch.setattr(ms, name, corrupted)
+        with pytest.raises(ValueError):
             divergence_decomposition(w, q)
-    monkeypatch.setattr(ms, "_product_terms", real)
+        monkeypatch.undo()
     divergence_decomposition(w, q)
+
+
+def shifted_members(q: TypeVector, k: int, ell: int):
+    """Each member with one count moved to the next cell of another histogram."""
+    blocks = [tuple(map(s.count, range(q.m))) for s in all_strings(q.m, k)]
+    for w in enumerate_E_k_types(q, k, ell):
+        counts = list(w.counts)
+        b = next(i for i, c in enumerate(counts) if c)
+        to = next(i for i in range(b + 1, b + len(blocks)) if blocks[i % len(blocks)] != blocks[b])
+        counts[b] -= 1
+        counts[to % len(blocks)] += 1
+        yield TypeVector(counts)
+
+
+@pytest.mark.parametrize(
+    "counts, k, ell",
+    [((2, 4), 2, 3), ((3, 3), 2, 3), ((5, 3), 2, 4), ((2, 1, 3), 2, 3), ((3, 3), 3, 2)],
+)
+def test_shifted_member_fails_the_residual_check(monkeypatch, counts, k, ell):
+    import finetti.marginal_sets as ms
+
+    q = TypeVector(counts)
+    shifted = list(shifted_members(q, k, ell))
+    assert shifted
+    for w in shifted:
+        with pytest.raises(ValueError):
+            divergence_decomposition(w, q)
+        # the same histogram as an exact pmf takes the same integer check
+        with pytest.raises(ValueError):
+            divergence_decomposition(type_to_pmf(w), q)
+    real = ms.enumerate_E_k_types
+    for w in shifted:
+        # a walk that yields the shifted histogram among true members
+        walk = lambda *a, w=w, **kw: iter([*real(*a, **kw), w])  # noqa: E731
+        monkeypatch.setattr(ms, "enumerate_E_k_types", walk)
+        with pytest.raises(AssertionError):
+            ms.pythagorean_scan(q, k, ell)
+    monkeypatch.setattr(ms, "enumerate_E_k_types", real)
+    assert ms.pythagorean_scan(q, k, ell)[0] == len(list(real(q, k, ell)))
+
+
+def test_pythagoras_walks_the_lattice_once(monkeypatch, capsys):
+    import finetti.marginal_sets as ms
+    from finetti.cli import main
+
+    walks = []
+    real = ms.enumerate_E_k_types
+
+    def counted(*args, **kwargs):
+        walks.append(args[:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "enumerate_E_k_types", counted)
+    for counts, k, members in (("6,6", 2, 16), ("7,5", 3, 57), ("0,6,6", 2, 16)):
+        walks.clear()
+        assert main(["lemma", "pythagoras", "--q", counts, "--k", str(k)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["members"] == members
+        assert payload["identity_exact"] and payload["pass"]
+        assert len(walks) == 1
+

@@ -231,6 +231,22 @@ def test_type_list_checks_cap_on_cache_hit():
         type_list(3, 100, cap=10)
 
 
+def test_type_caches_stay_within_their_bound():
+    from finetti import types_core
+
+    bound = types_core.TYPE_CACHE_SIZE
+    first = type_list(2, 1)
+    for n in range(1, 3 * bound):
+        assert len(type_list(2, n)) == n + 1
+        assert type_index_map(2, n)[(0, n)] == 0
+        for cache in (types_core._type_tuple, type_index_map):
+            assert cache.cache_info().currsize <= bound
+    # an evicted entry is rebuilt equal, and the cap still binds on every call
+    assert type_list(2, 1) == first
+    with pytest.raises(CapacityError):
+        type_list(2, 3 * bound - 1, cap=10)
+
+
 def test_readme_states_the_default_cap():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     found = re.search(r"default ([\d,]+) = 2\^(\d+) histograms", readme)
