@@ -13,13 +13,10 @@ from .definetti import (
 from .exchangeable import (
     ExchangeableLaw,
     MixingMeasure,
-    conditional_given_type,
     delta_type_law,
-    empirical_type_law,
     from_mixing_measure,
     iid_law,
     law_from_json,
-    law_from_type_weights,
     law_to_json,
     marginal,
     mixture_iid,
@@ -37,7 +34,6 @@ from .gibbs import (
 )
 from .info_measures import (
     entropy,
-    entropy_continuity_bound,
     l1_distance,
     max_abs_deviation,
     pinsker_gap,

@@ -369,7 +369,7 @@ def cmd_lemma(args) -> int:
         # one walk: each member's integer residual certifies both identities
         members, argmin, unique = pythagorean_scan(q, args.k, ell, cap=args.cap)
         qk = power_pmf(q.pmf(), args.k)
-        qk_counts = [Fraction(p) * ell for p in qk.probs]
+        qk_counts = [p * ell for p in qk]
         on_lattice = all(c.denominator == 1 for c in qk_counts)
         argmin_ok = True
         if on_lattice:

@@ -19,10 +19,12 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 from .types_core import (
+    TYPE_CACHE_SIZE,
     Pmf,
     TypeVector,
     class_numerators,
@@ -37,13 +39,10 @@ __all__ = [
     "ExchangeableLaw",
     "MixingMeasure",
     "all_strings",
-    "conditional_given_type",
     "delta_type_law",
-    "empirical_type_law",
     "from_mixing_measure",
     "iid_law",
     "law_from_json",
-    "law_from_type_weights",
     "law_to_json",
     "marginal",
     "mixture_iid",
@@ -51,7 +50,6 @@ __all__ = [
     "power_pmf",
     "random_type_weight_law",
     "restrict_law",
-    "string_index",
 ]
 
 
@@ -62,28 +60,22 @@ def all_strings(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(m), repeat=k))
 
 
-def string_index(s: Sequence[int], m: int) -> int:
-    idx = 0
-    for a in s:
-        if not 0 <= a < m:
-            raise ValueError(f"symbol {a!r} outside alphabet of size {m}")
-        idx = idx * m + a
-    return idx
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
+def _occurrence_matrix(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """occ[b][a]: multiplicity of symbol a in the b-th block of A^k, its histogram."""
+    return tuple(tuple(map(s.count, range(m))) for s in all_strings(m, k))
 
 
 def power_pmf(q: Pmf, k: int) -> Pmf:
-    """Law of k i.i.d. draws from q, as a pmf over A^k in index order."""
+    """Law of k i.i.d. draws from q, as a pmf over A^k in index order.
+
+    With q = a / D, each block b has Q^k(b) = prod_i a[i]^occ[b][i] / D^k.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    m = len(q)
-    one = Fraction(1) if q.exact else 1.0
-    entries = []
-    for s in all_strings(m, k):
-        prob = one
-        for a in s:
-            prob = prob * q[a]
-        entries.append(prob)
-    return Pmf(tuple(entries), exact=q.exact)
+    a, den = integer_numerators(q)
+    rows = _occurrence_matrix(len(a), k)
+    return Pmf.from_numerators([math.prod(map(pow, a, row)) for row in rows], den**k)
 
 
 class ExchangeableLaw(namedtuple("ExchangeableLaw", "m n type_weights")):
@@ -104,8 +96,8 @@ class ExchangeableLaw(namedtuple("ExchangeableLaw", "m n type_weights")):
                 f"weight vector has {len(type_weights)} entries, "
                 f"(m={m}, n={n}) has {expected} types"
             )
-        if not type_weights.exact:
-            raise ValueError("histogram weights must be exact rationals")
+        if not isinstance(type_weights, Pmf):
+            raise ValueError("histogram weights must be a Pmf of exact rationals")
         return tuple.__new__(cls, (m, n, type_weights))
 
     @property
@@ -125,7 +117,7 @@ class MixingMeasure(namedtuple("MixingMeasure", "atoms")):
         m = len(atoms[0][0])
         if any(len(q) != m for q, _ in atoms):
             raise ValueError("all atoms must share one alphabet")
-        if not all(q.exact and isinstance(w, (int, Fraction)) for q, w in atoms):
+        if not all(isinstance(q, Pmf) and isinstance(w, (int, Fraction)) for q, w in atoms):
             raise ValueError("mixing atoms and weights must be exact rationals")
         if any(w < 0 for _, w in atoms):
             raise ValueError("negative mixing weight")
@@ -137,39 +129,6 @@ class MixingMeasure(namedtuple("MixingMeasure", "atoms")):
     @property
     def m(self) -> int:
         return len(self.atoms[0][0])
-
-
-def law_from_type_weights(m: int, n: int, weights) -> ExchangeableLaw:
-    pmf = weights if isinstance(weights, Pmf) else Pmf(tuple(weights))
-    return ExchangeableLaw(m, n, pmf)
-
-
-def empirical_type_law(law: ExchangeableLaw) -> Pmf:
-    """Distribution of the histogram of the n draws (the mixing weights)."""
-    return law.type_weights
-
-
-def conditional_given_type(t: TypeVector, prefix: Sequence[int]) -> Fraction:
-    """P(first len(prefix) draws equal prefix | histogram of all n draws is t).
-
-    Sampling without replacement from the multiset t: a falling-factorial
-    product, exactly rational, zero when the prefix needs more of a symbol
-    than t holds.
-    """
-    n = t.n
-    if len(prefix) > n:
-        raise ValueError(f"prefix of length {len(prefix)} exceeds n={n}")
-    used = [0] * t.m
-    prob = Fraction(1)
-    for i, a in enumerate(prefix):
-        if not 0 <= a < t.m:
-            raise ValueError(f"symbol {a!r} outside alphabet of size {t.m}")
-        avail = t.counts[a] - used[a]
-        if avail <= 0:
-            return Fraction(0)
-        prob *= Fraction(avail, n - i)
-        used[a] += 1
-    return prob
 
 
 def _block_law(urns, k: int, replace: bool) -> Pmf:
@@ -204,11 +163,9 @@ def _block_law(urns, k: int, replace: bool) -> Pmf:
                 term *= row[j]
             numerators[i] += term
     denominator = scale * (n**k if replace else math.perm(n, k))
-    values = [Fraction(x, denominator) for x in numerators]
     index = type_index_map(m, k)
-    return Pmf(
-        tuple(values[index[tuple(map(s.count, range(m)))]] for s in all_strings(m, k))
-    )
+    spread = [numerators[index[row]] for row in _occurrence_matrix(m, k)]
+    return Pmf.from_numerators(spread, denominator)
 
 
 def marginal(law: ExchangeableLaw, k: int) -> Pmf:
@@ -252,7 +209,7 @@ def from_mixing_measure(mix: MixingMeasure, n: int) -> ExchangeableLaw:
     ws, scale = integer_numerators([w for _, w in urns])
     classes = class_numerators([(x, t.counts) for x, (t, _) in zip(ws, urns) if x], n)
     den = scale * urns[0][0].n ** n
-    return ExchangeableLaw(mix.m, n, Pmf(tuple(Fraction(s * x, den) for _, s, x in classes)))
+    return ExchangeableLaw(mix.m, n, Pmf.from_numerators([s * x for _, s, x in classes], den))
 
 
 def iid_law(q: Pmf, n: int) -> ExchangeableLaw:
@@ -285,13 +242,13 @@ def polya_urn_law(initial: Sequence[int], n: int) -> ExchangeableLaw:
     m = len(initial)
     total = sum(initial)
     denom = _rising(total, n)
-    weights = []
+    nums = []
     for t in type_list(m, n):
         num = type_class_size(t)
         for a, c in zip(initial, t.counts):
             num *= _rising(a, c)
-        weights.append(Fraction(num, denom))
-    return ExchangeableLaw(m, n, Pmf(tuple(weights)))
+        nums.append(num)
+    return ExchangeableLaw(m, n, Pmf.from_numerators(nums, denom))
 
 
 def random_type_weight_law(m: int, n: int, seed: int, max_weight: int = 2**30) -> ExchangeableLaw:
@@ -330,9 +287,7 @@ def restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
                 ways *= math.comb(c, r)
             kept = tuple(c - r for c, r in zip(t.counts, removal))
             out[idx[kept]] += ways
-    denom = scale * math.comb(law.n, drop)
-    weights = tuple(Fraction(x, denom) for x in out)
-    return ExchangeableLaw(law.m, n_sub, Pmf(weights))
+    return ExchangeableLaw(law.m, n_sub, Pmf.from_numerators(out, scale * math.comb(law.n, drop)))
 
 
 def _bounded_compositions(total: int, bounds: Sequence[int]):

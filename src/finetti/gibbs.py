@@ -9,7 +9,6 @@ decay along a schedule of n values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exchangeable import _block_law, power_pmf
@@ -37,7 +36,7 @@ def round_to_type(target: Pmf, n: int) -> TypeVector:
     """Nearest histogram by largest remainder; ties go to the lowest index."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    scaled = [Fraction(p) * n if target.exact else p * n for p in target.probs]
+    scaled = [p * n for p in target]
     floors = [int(s) for s in scaled]
     leftover = n - sum(floors)
     remainders = sorted(

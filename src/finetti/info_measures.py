@@ -13,7 +13,6 @@ from typing import Iterable
 
 __all__ = [
     "entropy",
-    "entropy_continuity_bound",
     "l1_distance",
     "max_abs_deviation",
     "pinsker_gap",
@@ -86,18 +85,3 @@ def pinsker_gap(p: Iterable, q: Iterable) -> float:
         return d
     return d - 0.5 * l1_distance(p, q) ** 2
 
-
-def entropy_continuity_bound(deviation: float, support_size: int) -> float:
-    """-d * log(d / N): entropy modulus of continuity at L1 deviation d.
-
-    Valid as a guarantee for 0 < d < 1/2 with support size N >= 2, which is
-    enforced here.  The guarantee is a theorem for the L1 deviation; with the
-    max-abs deviation in the same slot it can fail (see the tests for an
-    explicit two-symbol counterexample), so callers that track max-abs
-    deviations must check the inequality rather than assume it.
-    """
-    if not 0 < deviation < 0.5:
-        raise ValueError(f"deviation must lie in (0, 1/2), got {deviation}")
-    if support_size < 2:
-        raise ValueError(f"support size must be >= 2, got {support_size}")
-    return -deviation * math.log(deviation / support_size)

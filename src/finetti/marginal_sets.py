@@ -23,9 +23,10 @@ from itertools import combinations
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .exchangeable import all_strings, power_pmf
+from .exchangeable import _occurrence_matrix, power_pmf
 from .info_measures import entropy, l1_distance, relative_entropy
 from .types_core import (
+    TYPE_CACHE_SIZE,
     CapacityError,
     Pmf,
     TypeVector,
@@ -65,20 +66,10 @@ class ExhaustedTriesError(RuntimeError):
     """The randomized construction ran out of permutations and fallbacks."""
 
 
-@lru_cache(maxsize=None)
-def _occurrence_matrix(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """occ[b][a]: multiplicity of symbol a in the b-th block of A^k."""
-    rows = []
-    for s in all_strings(m, k):
-        row = [0] * m
-        for a in s:
-            row[a] += 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 # col[a][b] = occ[b][a]: the occurrences of symbol a, block by block
-_occurrence_columns = lru_cache(maxsize=None)(lambda m, k: tuple(zip(*_occurrence_matrix(m, k))))
+_occurrence_columns = lru_cache(maxsize=TYPE_CACHE_SIZE)(
+    lambda m, k: tuple(zip(*_occurrence_matrix(m, k)))
+)
 
 
 def _residuals(counts: Sequence[int], cols, scale: int, targets: Sequence[int]) -> list[int]:
@@ -109,33 +100,20 @@ def _as_pmf(p) -> Pmf:
 
 
 def average_coordinate_marginal(w, m: int) -> Pmf:
-    """Average of the k coordinate marginals of a block pmf over A^k."""
-    w = _as_pmf(w)
-    k = _infer_k(len(w), m)
-    occ = _occurrence_matrix(m, k)
-    zero = Fraction(0) if w.exact else 0.0
-    sums = [zero] * m
-    for prob, row in zip(w.probs, occ):
-        if prob:
-            for a in range(m):
-                if row[a]:
-                    sums[a] = sums[a] + prob * row[a]
-    if w.exact:
-        return Pmf(tuple(s / k for s in sums))
-    return Pmf(tuple(s / k for s in sums), exact=False)
+    """Average of the k coordinate marginals of a block pmf over A^k.
 
-
-def in_E_k(w, q, tol: float = _SLACK) -> bool:
-    """Whether the averaged coordinate marginals of w equal q.
-
-    Exact comparison when both sides are exact, entrywise tolerance otherwise.
+    With W = c / l the average is sum_b c_b * occ[b][a] / (k*l) for every a.
     """
+    counts, ell = integer_numerators(_as_pmf(w))
+    k = _infer_k(len(counts), m)
+    sums = [sum(map(mul, counts, col)) for col in _occurrence_columns(m, k)]
+    return Pmf.from_numerators(sums, k * ell)
+
+
+def in_E_k(w, q) -> bool:
+    """Whether the averaged coordinate marginals of w equal q, exactly."""
     q = _as_pmf(q)
-    w = _as_pmf(w)
-    avg = average_coordinate_marginal(w, len(q))
-    if w.exact and q.exact:
-        return avg.probs == q.probs
-    return all(abs(float(x) - float(y)) <= tol for x, y in zip(avg, q))
+    return average_coordinate_marginal(w, len(q)) == q
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +122,11 @@ def in_E_k(w, q, tol: float = _SLACK) -> bool:
 
 
 def _lattice_targets(q: Pmf, k: int, ell: int) -> list[int] | None:
-    """k*l*q(a) for every a, or None if one is not an integer (within 1e-9 for a float q)."""
+    """k*l*q(a) for every a, or None if one is not an integer."""
     targets = [p * k * ell for p in q]
-    rounded = [round(t) for t in targets]
-    if any(abs(t - r) > (0 if q.exact else 1e-9) for t, r in zip(targets, rounded)):
+    if any(t.denominator != 1 for t in targets):
         return None
-    return rounded
+    return [t.numerator for t in targets]
 
 
 def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator[TypeVector]:
@@ -262,19 +239,18 @@ def _entropy_key(counts: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=16)
-def _product_terms(q: Pmf | TypeVector, k: int, exact: bool):
+def _product_terms(q: Pmf | TypeVector, k: int):
     """The member-independent half of the decomposition for (q, k).
 
-    (Q^k, U, D(Q^k||U)) as pmfs and a float, q itself as a pmf, so a
-    TypeVector q is converted once, and last, when exact, q as integer
-    numerators over their common denominator, (a, D) with q = a / D, which
-    the membership residual reads.  Callers read the terms, never mutate them.
+    (Q^k, U, D(Q^k||U)) as pmfs and a float, and last q as integer numerators
+    over their common denominator, (a, D) with q = a / D, which the
+    membership residual reads; a TypeVector q is converted once.  Callers
+    read the terms, never mutate them.
     """
     q = _as_pmf(q)
-    exact = exact and q.exact
     qk = power_pmf(q, k)
-    uniform = Pmf.uniform(len(qk), exact=exact)
-    return qk, uniform, relative_entropy(qk, uniform), q, integer_numerators(q) if exact else None
+    uniform = Pmf.uniform(len(qk))
+    return qk, uniform, relative_entropy(qk, uniform), integer_numerators(q)
 
 
 def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, float]:
@@ -287,10 +263,9 @@ def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, 
     and D(W||Q^k) - (k*H(Q) - H(W)) is minus that sum, since log Q^k(b) =
     sum_a occ[b][a] * log q(a).  So both identities hold exactly where
     Wbar = q (the Pythagorean equality for linear families, Csiszar 1975).
-    With exact inputs that membership is decided in integers: W = c / l and
-    q = a / D are members exactly when D * sum_b c_b * occ[b][a] = k*l*a(a)
-    for every a.  Float inputs are compared within a tolerance, and the float
-    identity is checked to 1e-10.  Raises ValueError when W is not a member.
+    That membership is decided in integers: W = c / l and q = a / D are
+    members exactly when D * sum_b c_b * occ[b][a] = k*l*a(a) for every a.
+    Raises ValueError when W is not a member.
     """
     if not isinstance(q, TypeVector):  # a TypeVector's pmf comes from the cache
         q = _as_pmf(q)
@@ -301,22 +276,13 @@ def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, 
     if k is not None and k != inferred:
         raise ValueError(f"w lives on A^{inferred}, caller says k={k}")
     k = inferred
-    qk, uniform, d_qu, q, numerators = _product_terms(q, k, w.exact)
-    if numerators is None:
-        member = in_E_k(w, q)
-    else:
-        if w_counts is None:
-            w_counts, _ = integer_numerators(w.probs)
-        a, den = numerators
-        targets = [k * sum(w_counts) * x for x in a]
-        member = not any(_residuals(w_counts, _occurrence_columns(m, k), den, targets))
-    if not member:
+    qk, uniform, d_qu, (a, den) = _product_terms(q, k)
+    if w_counts is None:
+        w_counts, _ = integer_numerators(w)
+    targets = [k * sum(w_counts) * x for x in a]
+    if any(_residuals(w_counts, _occurrence_columns(m, k), den, targets)):
         raise ValueError("w is not in the constraint set of q")
-    d_wu = relative_entropy(w, uniform)
-    d_wq = relative_entropy(w, qk)
-    if numerators is None and abs(d_wu - (d_wq + d_qu)) > 1e-10:
-        raise AssertionError(f"float Pythagorean identity off by {abs(d_wu - (d_wq + d_qu))!r}")
-    return d_wu, d_wq, d_qu
+    return relative_entropy(w, uniform), relative_entropy(w, qk), d_qu
 
 
 def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, TypeVector, bool]:
@@ -432,8 +398,6 @@ def max_divergence_over_E_k(
         return MaxDivergenceResult(relative_entropy(witness, qk), witness, candidates, "grid")
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
-    if not q.exact:
-        raise ValueError("exact mode needs an exact pmf")
     cells = m**k
     if cells > MAX_VERTEX_CELLS:
         raise CapacityError(f"{cells} cells exceeds vertex search limit {MAX_VERTEX_CELLS}")
@@ -681,7 +645,7 @@ def partition_tail_bound(
     exact_prob: float | None = None
     within: bool | None = None
     if want_exact:
-        d_star = relative_entropy(power_pmf(q, k), Pmf.uniform(cells, exact=q.exact))
+        d_star = relative_entropy(power_pmf(q, k), Pmf.uniform(cells))
         threshold = d_star + 2 * delta
         log_cells = math.log(cells)
         total = heavy = 0

@@ -5,8 +5,7 @@ Everything in this module is computed with unbounded integers and
 bounds can be asserted with equality instead of tolerances.  The quantities
 ``e^(n*H(P))`` and ``e^(-n*D(P||Q))`` are rational for a histogram P of
 denominator n and rational Q, which is what makes the exact checks possible;
-helpers for both are provided.  A float backend is available on `Pmf` for
-callers that prefer speed over exactness.
+helpers for both are provided.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 DEFAULT_ENUMERATION_CAP = 2**26
-
-# Tolerance used when validating float-backend probability vectors.
-FLOAT_SUM_TOL = 1e-12
 
 
 class CapacityError(RuntimeError):
@@ -110,98 +106,82 @@ class TypeVector(namedtuple("TypeVector", "counts")):
         return tv
 
 
-class Pmf:
+def _rational(p) -> Fraction:
+    if isinstance(p, (int, Fraction)):
+        return Fraction(p)
+    raise ValueError(f"pmf entries and weights must be exact rationals, got {p!r}")
+
+
+class Pmf(tuple):
     """Probability vector over an indexed finite outcome space.
 
-    The exact backend stores `Fraction` entries summing to exactly 1.  The
-    float backend tolerates |sum - 1| <= 1e-12.  Instances are immutable.
+    A tuple of `Fraction` entries, nonnegative and summing to exactly 1.  It
+    validates on construction and again when unpickled, is immutable, and
+    compares and hashes by value.
     """
 
-    __slots__ = ("probs", "exact")
+    __slots__ = ()
 
-    def __init__(self, probs: Sequence, exact: bool | None = None):
-        entries = tuple(probs)
+    def __new__(cls, probs: Sequence[Rational]) -> "Pmf":
+        entries = tuple(map(_rational, probs))
         if not entries:
             raise ValueError("empty probability vector")
-        if exact is None:
-            exact = not any(isinstance(p, float) for p in entries)
-        if exact:
-            entries = tuple(Fraction(p) for p in entries)
-            if any(p < 0 for p in entries):
-                raise ValueError("negative probability")
-            if sum(entries) != 1:
-                raise ValueError(f"exact pmf sums to {sum(entries)}, not 1")
-        else:
-            entries = tuple(float(p) for p in entries)
-            if any(p < 0.0 for p in entries):
-                raise ValueError("negative probability")
-            if abs(math.fsum(entries) - 1.0) > FLOAT_SUM_TOL:
-                raise ValueError(f"float pmf sums to {math.fsum(entries)!r}")
-        object.__setattr__(self, "probs", entries)
-        object.__setattr__(self, "exact", bool(exact))
+        if min(entries) < 0:
+            raise ValueError("negative probability")
+        if sum(entries) != 1:
+            raise ValueError(f"pmf sums to {sum(entries)}, not 1")
+        return tuple.__new__(cls, entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Pmf is immutable")
+    def __reduce__(self):
+        return type(self), (tuple(self),)
 
-    def __getstate__(self):
-        return (self.probs, self.exact)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "probs", state[0])
-        object.__setattr__(self, "exact", state[1])
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __getitem__(self, i: int):
-        return self.probs[i]
-
-    def __iter__(self):
-        return iter(self.probs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pmf):
-            return NotImplemented
-        return self.exact == other.exact and self.probs == other.probs
-
-    def __hash__(self) -> int:
-        return hash((self.exact, self.probs))
+    @property
+    def probs(self) -> "Pmf":
+        """The entries: the pmf itself, so reading them copies nothing."""
+        return self
 
     def __repr__(self) -> str:
-        kind = "exact" if self.exact else "float"
-        return f"Pmf({list(self.probs)!r}, {kind})"
+        return f"Pmf({list(self)!r})"
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
+        return tuple(i for i, p in enumerate(self) if p > 0)
 
-    def to_float(self) -> "Pmf":
-        if not self.exact:
-            return self
-        return Pmf(tuple(float(p) for p in self.probs), exact=False)
+    def to_float(self) -> tuple[float, ...]:
+        return tuple(map(float, self))
 
     @classmethod
-    def uniform(cls, size: int, exact: bool = True) -> "Pmf":
+    def from_numerators(cls, nums: Sequence[int], den: int) -> "Pmf":
+        """The pmf nums / den, checked in integers: nonnegative ints summing to den.
+
+        Equal numerators share one reduced `Fraction`.
+        """
+        nums = tuple(nums)
+        if not nums:
+            raise ValueError("empty probability vector")
+        if not all(isinstance(x, int) and x >= 0 for x in nums):
+            raise ValueError(f"numerators must be nonnegative integers, got {nums}")
+        if den < 1 or sum(nums) != den:
+            raise ValueError(f"numerators sum to {sum(nums)}, not to the denominator {den}")
+        reduced = {x: Fraction(x, den) for x in set(nums)}
+        return tuple.__new__(cls, map(reduced.__getitem__, nums))
+
+    @classmethod
+    def uniform(cls, size: int) -> "Pmf":
         if size < 1:
             raise ValueError("size must be >= 1")
-        if exact:
-            return cls(tuple(Fraction(1, size) for _ in range(size)))
-        return cls(tuple(1.0 / size for _ in range(size)), exact=False)
+        return cls.from_numerators((1,) * size, size)
 
     @classmethod
     def point_mass(cls, size: int, index: int) -> "Pmf":
         if not 0 <= index < size:
             raise ValueError(f"index {index} outside 0..{size - 1}")
-        return cls(tuple(Fraction(1) if i == index else Fraction(0) for i in range(size)))
+        return cls.from_numerators([int(i == index) for i in range(size)], 1)
 
     @classmethod
     def from_weights(cls, weights: Sequence[Rational]) -> "Pmf":
-        ws = [Fraction(w) for w in weights]
-        if any(w < 0 for w in ws):
-            raise ValueError("negative weight")
-        total = sum(ws)
-        if total <= 0:
-            raise ValueError("weights sum to zero")
-        return cls(tuple(w / total for w in ws))
+        """Nonnegative exact weights scaled to sum to 1."""
+        nums, _ = integer_numerators(tuple(map(_rational, weights)))
+        return cls.from_numerators(nums, sum(nums))
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +265,12 @@ def type_class_size(t: TypeVector) -> int:
     return size
 
 
-def type_class_probability(t: TypeVector, q: Pmf):
-    """Probability that n i.i.d. draws from q land in the class of t.
-
-    Exact `Fraction` when q is exact, float otherwise.
-    """
+def type_class_probability(t: TypeVector, q: Pmf) -> Fraction:
+    """Probability that n i.i.d. draws from q land in the class of t, exactly."""
     if len(q) != t.m:
         raise ValueError(f"pmf has {len(q)} entries, type has {t.m} cells")
-    prob = Fraction(type_class_size(t)) if q.exact else float(type_class_size(t))
-    for c, p in zip(t.counts, q.probs):
+    prob = Fraction(type_class_size(t))
+    for c, p in zip(t.counts, q):
         if c:
             prob *= p**c
     return prob
@@ -335,8 +312,7 @@ def empirical_type(x: Sequence[int], alphabet: int) -> TypeVector:
 
 
 def type_to_pmf(t: TypeVector) -> Pmf:
-    n = t.n
-    return Pmf(tuple(Fraction(c, n) for c in t.counts))
+    return Pmf.from_numerators(t.counts, t.n)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +332,11 @@ def exp_n_entropy(t: TypeVector) -> Fraction:
 
 def exp_neg_n_divergence(t: TypeVector, q: Pmf) -> Fraction:
     """e^(-n*D(t/n || q)) as an exact rational; 0 when q misses support of t."""
-    if not q.exact:
-        raise ValueError("exact helper needs an exact pmf")
     if len(q) != t.m:
         raise ValueError(f"pmf has {len(q)} entries, type has {t.m} cells")
     n = t.n
     out = Fraction(1)
-    for c, p in zip(t.counts, q.probs):
+    for c, p in zip(t.counts, q):
         if not c:
             continue
         if p == 0:
@@ -371,32 +345,24 @@ def exp_neg_n_divergence(t: TypeVector, q: Pmf) -> Fraction:
     return out
 
 
-def sequence_probability_identity(x: Sequence[int], q: Pmf) -> tuple:
+def sequence_probability_identity(x: Sequence[int], q) -> tuple:
     """Both sides of the product-form identity for i.i.d. string probabilities.
 
     Returns (lhs, rhs) where lhs is the direct per-symbol product q(x_1)...q(x_n)
-    and rhs re-expresses it through the histogram of x.  In the exact backend
-    rhs is the log-free rearrangement prod_a q(a)^counts[a] and the two agree
-    as exact rationals.  In the float backend rhs is exp(-n*(H + D)) evaluated
-    through logarithms; a zero q(a) hit by x raises ValueError there.
+    and rhs re-expresses it through the histogram of x.  For a `Pmf` q, rhs is
+    the log-free rearrangement prod_a q(a)^counts[a] and the two agree as exact
+    rationals.  For any other sequence of probabilities, such as
+    `Pmf.to_float()`, rhs is exp(-n*(H + D)) evaluated through logarithms; a
+    zero q(a) hit by x raises ValueError there.
     """
     t = empirical_type(x, len(q))
-    if q.exact:
-        lhs = Fraction(1)
-        for a in x:
-            lhs *= q[a]
-        rhs = Fraction(1)
-        for c, p in zip(t.counts, q.probs):
-            if c:
-                rhs *= p**c
-        return lhs, rhs
-    lhs = 1.0
-    for a in x:
-        lhs *= q[a]
+    lhs = math.prod(q[a] for a in x)
+    if isinstance(q, Pmf):
+        return lhs, math.prod(p**c for c, p in zip(t.counts, q) if c)
     n = t.n
     ent = 0.0
     div = 0.0
-    for c, p in zip(t.counts, q.probs):
+    for c, p in zip(t.counts, q):
         if not c:
             continue
         if p <= 0.0:

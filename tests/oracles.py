@@ -1,0 +1,45 @@
+"""Per-string reference functions that the kernels are checked against.
+
+The package evaluates k-block laws once per block histogram; these work one
+string at a time, straight from the definitions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from finetti.types_core import TypeVector
+
+
+def string_index(s: Sequence[int], m: int) -> int:
+    """Position of the string s in index order: base m, most significant first."""
+    idx = 0
+    for a in s:
+        if not 0 <= a < m:
+            raise ValueError(f"symbol {a!r} outside alphabet of size {m}")
+        idx = idx * m + a
+    return idx
+
+
+def conditional_given_type(t: TypeVector, prefix: Sequence[int]) -> Fraction:
+    """P(first len(prefix) draws equal prefix | histogram of all n draws is t).
+
+    Sampling without replacement from the multiset t: a falling-factorial
+    product, exactly rational, zero when the prefix needs more of a symbol
+    than t holds.
+    """
+    n = t.n
+    if len(prefix) > n:
+        raise ValueError(f"prefix of length {len(prefix)} exceeds n={n}")
+    used = [0] * t.m
+    prob = Fraction(1)
+    for i, a in enumerate(prefix):
+        if not 0 <= a < t.m:
+            raise ValueError(f"symbol {a!r} outside alphabet of size {t.m}")
+        avail = t.counts[a] - used[a]
+        if avail <= 0:
+            return Fraction(0)
+        prob *= Fraction(avail, n - i)
+        used[a] += 1
+    return prob

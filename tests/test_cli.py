@@ -487,6 +487,14 @@ GOLDEN = [
         "verify --law laws/mix.json --n 200,403 --k 2,3",
         "143d107c71ffb452bf7637a1065f0bf7f334b7c5b146007decae58f5db00954e",
     ),
+    (
+        "verify --family polya --init 1,1,1 --n 24 --k 3,4",
+        "3857fa0520fdaa8b5afb1dd44fd632085d8d08f3a07e8c6983b1cdc1b8af9063",
+    ),
+    (
+        "gibbs --target 1/2,1/3,1/6 --k 3 --n 6,60,600,6000",
+        "eb41feda28a8e4c218cdda175cf9d1434efdfabac45224c3844580ea23edaf03",
+    ),
 ]
 
 

@@ -58,7 +58,9 @@ def test_round_to_type_largest_remainder():
     t = round_to_type(p, 4)
     assert t.counts == (2, 1, 1)  # ties broken toward the lowest index
     assert t.n == 4
-    q = Pmf((0.5, 0.3, 0.2))
+    with pytest.raises(ValueError, match="must be exact rationals"):
+        Pmf((0.5, 0.3, 0.2))
+    q = Pmf((Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
     assert round_to_type(q, 10).counts == (5, 3, 2)
 
 

@@ -1,4 +1,4 @@
-"""Entropy, divergence, Pinsker, and the continuity bound."""
+"""Entropy, divergence, Pinsker, and the L1 continuity of entropy."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from finetti.info_measures import (
     entropy,
-    entropy_continuity_bound,
     l1_distance,
     max_abs_deviation,
     pinsker_gap,
@@ -97,6 +96,11 @@ def test_distances():
 # ---------------------------------------------------------------------------
 
 
+def continuity_bound(deviation: float, support_size: int) -> float:
+    """-d * log(d / N): the entropy modulus of continuity at L1 deviation d < 1/2."""
+    return -deviation * math.log(deviation / support_size)
+
+
 @given(st.integers(2, 8), st.integers(0, 2**30))
 @settings(max_examples=300)
 def test_entropy_continuity_holds_for_l1(m, seed):
@@ -107,7 +111,7 @@ def test_entropy_continuity_holds_for_l1(m, seed):
     if not 0.0 < d < 0.5:
         return
     gap = abs(entropy(p) - entropy(q))
-    assert gap <= entropy_continuity_bound(d, m) + 1e-12
+    assert gap <= continuity_bound(d, m) + 1e-12
 
 
 def test_entropy_continuity_fails_for_max_deviation():
@@ -122,25 +126,9 @@ def test_entropy_continuity_fails_for_max_deviation():
     dev = max_abs_deviation(p, q)
     assert dev == pytest.approx(0.1)
     gap = abs(entropy(p) - entropy(q))
-    bound = entropy_continuity_bound(dev, 2)
+    bound = continuity_bound(dev, 2)
     assert gap == pytest.approx(0.3250829733914482, abs=1e-12)
     assert bound == pytest.approx(0.29957322735539907, abs=1e-12)
     assert gap > bound
     # and the L1 reading stays true on the same pair: d = 0.2
-    assert gap <= entropy_continuity_bound(l1_distance(p, q), 2)
-
-
-def test_entropy_continuity_bound_domain():
-    with pytest.raises(ValueError):
-        entropy_continuity_bound(0.0, 4)
-    with pytest.raises(ValueError):
-        entropy_continuity_bound(0.5, 4)
-    with pytest.raises(ValueError):
-        entropy_continuity_bound(0.1, 1)
-
-
-def test_entropy_continuity_bound_value():
-    # -d log(d/N)
-    assert entropy_continuity_bound(0.25, 4) == pytest.approx(
-        -0.25 * math.log(0.25 / 4)
-    )
+    assert gap <= continuity_bound(l1_distance(p, q), 2)

@@ -151,11 +151,16 @@ def test_decomposition_rejects_nonmembers():
 
 
 def test_decomposition_float_path():
-    # float inputs take the numeric path (asserted within 1e-10 internally)
-    w = Pmf((0.0, 0.5, 0.5, 0.0))
-    q = Pmf((0.5, 0.5))
-    d_wu, d_wq, d_qu = divergence_decomposition(w, q, k=2)
-    assert d_wu == pytest.approx(d_wq + d_qu, abs=1e-10)
+    # there is no float path: float inputs are refused, not compared within a tolerance
+    w, q = (0.0, 0.5, 0.5, 0.0), (0.5, 0.5)
+    for args in ((w, q), (w, Pmf.uniform(2)), (Pmf.uniform(4), q)):
+        with pytest.raises(ValueError, match="must be exact rationals"):
+            divergence_decomposition(*args, k=2)
+    with pytest.raises(ValueError, match="must be exact rationals"):
+        Pmf(w)
+    # the same pair in exact form is a member, and the identity holds
+    d_wu, d_wq, d_qu = divergence_decomposition(Pmf((0, Fraction(1, 2), Fraction(1, 2), 0)), Pmf.uniform(2))
+    assert d_wu == pytest.approx(d_wq + d_qu, abs=1e-12)
 
 
 def test_argmin_over_lattice_is_product_point():
@@ -734,27 +739,24 @@ def oracle_divergence_decomposition(w, q):
     k = round(math.log(len(w), len(q)))
     if not in_E_k(w, q):
         raise ValueError("w is not in the constraint set of q")
-    uniform = Pmf.uniform(len(w), exact=w.exact and q.exact)
+    uniform = Pmf.uniform(len(w))
     qk = power_pmf(q, k)
     d_wu = relative_entropy(w, uniform)
     d_wq = relative_entropy(w, qk)
     d_qu = relative_entropy(qk, uniform)
-    if w.exact and q.exact:
-        lhs = oracle_relative_entropy_map(w.probs, uniform.probs)
-        rhs = oracle_sum(
-            (1, oracle_relative_entropy_map(w.probs, qk.probs)),
-            (1, oracle_relative_entropy_map(qk.probs, uniform.probs)),
-        )
-        if lhs != rhs:
-            raise AssertionError("exact Pythagorean identity failed")
-        entropy_form = oracle_sum(
-            (k, oracle_log_map((-p, p) for p in q.probs if p)),
-            (-1, oracle_log_map((-p, p) for p in w.probs if p)),
-        )
-        if oracle_relative_entropy_map(w.probs, qk.probs) != entropy_form:
-            raise AssertionError("entropy form of the member divergence failed")
-    elif abs(d_wu - (d_wq + d_qu)) > 1e-10:
-        raise AssertionError("float Pythagorean identity failed")
+    lhs = oracle_relative_entropy_map(w.probs, uniform.probs)
+    rhs = oracle_sum(
+        (1, oracle_relative_entropy_map(w.probs, qk.probs)),
+        (1, oracle_relative_entropy_map(qk.probs, uniform.probs)),
+    )
+    if lhs != rhs:
+        raise AssertionError("exact Pythagorean identity failed")
+    entropy_form = oracle_sum(
+        (k, oracle_log_map((-p, p) for p in q.probs if p)),
+        (-1, oracle_log_map((-p, p) for p in w.probs if p)),
+    )
+    if oracle_relative_entropy_map(w.probs, qk.probs) != entropy_form:
+        raise AssertionError("entropy form of the member divergence failed")
     return d_wu, d_wq, d_qu
 
 
@@ -784,18 +786,22 @@ def decomposition_inputs():
         members = list(enumerate_E_k_types(q, k, ell))
         outsiders = [t for t in enumerate_types(q.m**k, ell) if t not in members][:4]
         streams.append([(w, q) for w in members[:12] + outsiders])
-    # float pmfs, and exact and float members of one exact q
-    half = Pmf((0.5, 0.5))
-    streams.append([(Pmf(w), half) for w in ((0.0, 0.5, 0.5, 0.0), (0.25,) * 4, (1.0, 0, 0, 0))])
+    # float tuples, refused, and exact members of one exact q with their float forms
+    half = (0.5, 0.5)
+    streams.append([(w, half) for w in ((0.0, 0.5, 0.5, 0.0), (0.25,) * 4, (1.0, 0, 0, 0))])
     q = TypeVector((2, 4))
     mixed = []
     for w in list(enumerate_E_k_types(q, 2, 3))[:3]:
-        mixed += [w, Pmf([float(p) for p in type_to_pmf(w).probs], exact=False)]
-    streams.append([(w, q) for w in mixed + [Pmf((0.25,) * 4)]])
+        mixed += [w, type_to_pmf(w).to_float()]
+    streams.append([(w, q) for w in mixed + [(0.25,) * 4]])
     out = []
     for i in range(max(map(len, streams))):
         out.extend(s[i] for s in streams if i < len(s))
     return out
+
+
+def _has_float(x) -> bool:
+    return any(isinstance(p, float) for p in x)
 
 
 def test_decomposition_matches_oracle_interleaved():
@@ -804,19 +810,26 @@ def test_decomposition_matches_oracle_interleaved():
     for w, q in inputs:
         got = _outcome(divergence_decomposition, w, q)
         assert got == _outcome(oracle_divergence_decomposition, w, q), (w, q)
+        if _has_float(w) or _has_float(q):
+            assert got is ValueError, (w, q)
         kinds.add(got if isinstance(got, type) else tuple)
     assert kinds == {tuple, ValueError}
+    assert sum(_has_float(w) or _has_float(q) for w, q in inputs) == 7
 
 
 def test_decomposition_of_an_exact_member_against_a_float_q():
-    # the cache is keyed on the member's exactness; a float q still makes
-    # the check a float one, as in the original body
-    third = Pmf((1 / 3, 2 / 3))
+    # a float q is refused before any cache is read, also between calls with
+    # exact q that fill the per-(q, k) cache
+    third = (1 / 3, 2 / 3)
     members = (Pmf((0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))), TypeVector((1, 2, 2, 4)))
-    for q in (third, TypeVector((1, 2)), third):
+    for q in (third, TypeVector((1, 2)), third, Pmf((Fraction(1, 3), Fraction(2, 3)))):
         for w in members:
-            got = divergence_decomposition(w, q)
-            assert got == oracle_divergence_decomposition(w, q), (w, q)
+            if q is third:
+                with pytest.raises(ValueError, match="must be exact rationals"):
+                    divergence_decomposition(w, q)
+            else:
+                got = divergence_decomposition(w, q)
+                assert got == oracle_divergence_decomposition(w, q), (w, q)
 
 
 def test_decomposition_certificates_still_bind(monkeypatch):
@@ -828,12 +841,12 @@ def test_decomposition_certificates_still_bind(monkeypatch):
     w = next(enumerate_E_k_types(q, 2, 3))
     real_terms, real_cols = ms._product_terms, ms._occurrence_columns
 
-    def shifted_numerators(q, k, exact):
-        *terms, (a, den) = real_terms(q, k, exact)
+    def shifted_numerators(q, k):
+        *terms, (a, den) = real_terms(q, k)
         return (*terms, ((a[0] + 1, a[1] - 1), den))
 
-    def doubled_denominator(q, k, exact):
-        *terms, (a, den) = real_terms(q, k, exact)
+    def doubled_denominator(q, k):
+        *terms, (a, den) = real_terms(q, k)
         return (*terms, (a, 2 * den))
 
     def swapped_columns(m, k):

@@ -160,7 +160,9 @@ def test_sequence_identity_exact(m, n, data):
 
 
 def test_sequence_identity_float():
-    q = Pmf((0.3, 0.45, 0.25))
+    # a plain float tuple, as Pmf.to_float() gives, takes the log form
+    q = Pmf((Fraction(3, 10), Fraction(9, 20), Fraction(1, 4))).to_float()
+    assert q == (0.3, 0.45, 0.25) and type(q) is tuple
     x = (0, 2, 1, 1, 0, 2, 1)
     lhs, rhs = sequence_probability_identity(x, q)
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -178,8 +180,13 @@ def test_sequence_identity_rejects_bad_symbol():
 
 
 def test_pmf_exactness_detection():
-    assert Pmf((Fraction(1, 2), Fraction(1, 2))).exact
-    assert not Pmf((0.5, 0.5)).exact
+    # every pmf is exact: integer entries become Fractions, floats are refused
+    p = Pmf((Fraction(1, 2), Fraction(1, 2)))
+    assert all(type(x) is Fraction for x in Pmf((1, 0)))
+    with pytest.raises(ValueError, match="must be exact rationals"):
+        Pmf((0.5, 0.5))
+    with pytest.raises(ValueError, match="must be exact rationals"):
+        Pmf((p[0], 0.5))
     with pytest.raises(ValueError):
         Pmf((Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(ValueError):
@@ -199,7 +206,7 @@ def test_pmf_pickles():
 
     p = Pmf((Fraction(1, 4), Fraction(3, 4)))
     q = pickle.loads(pickle.dumps(p))
-    assert q.probs == p.probs and q.exact
+    assert q.probs == p.probs and type(q) is Pmf
 
 
 def test_pmf_from_weights():
@@ -207,6 +214,51 @@ def test_pmf_from_weights():
     assert p.probs == (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
     with pytest.raises(ValueError):
         Pmf.from_weights((0, 0))
+    assert Pmf.from_weights((Fraction(1, 10), Fraction(7, 10))) == (Fraction(1, 8), Fraction(7, 8))
+
+
+def test_pmf_from_weights_rejects_floats():
+    # as a rational 0.1 is 3602879701896397/2^55, so taking the float at its
+    # binary value would give 3602879701896397/28823037615171173, not 1/8
+    with pytest.raises(ValueError, match="must be exact rationals"):
+        Pmf.from_weights((0.1, 0.7))
+    with pytest.raises(ValueError, match="must be exact rationals"):
+        Pmf.from_weights((1, 2.0))
+
+
+def test_pmf_record_behaviour():
+    import pickle
+
+    p = Pmf((Fraction(1, 4), 0, Fraction(3, 4)))
+    assert p.probs is p and all(type(x) is Fraction for x in p)
+    assert repr(p) == "Pmf([Fraction(1, 4), Fraction(0, 1), Fraction(3, 4)])"
+    same = Pmf.from_numerators((1, 0, 3), 4)
+    assert p == same and hash(p) == hash(same) and type(same) is Pmf
+    assert p == Pmf.from_weights((2, 0, 6)) and p != Pmf((Fraction(3, 4), 0, Fraction(1, 4)))
+    # unpickling validates again, so a record that skipped validation does not come back
+    bad = tuple.__new__(Pmf, (Fraction(1, 2), Fraction(1, 3)))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert back == p and type(back) is Pmf
+        with pytest.raises(ValueError, match="not 1"):
+            pickle.loads(pickle.dumps(bad, protocol))
+    with pytest.raises(AttributeError):
+        p.probs = (1,)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    with pytest.raises(ValueError, match="must be exact rationals"):
+        Pmf((0.25, 0, 0.75))
+    # from_numerators checks in integers: nonnegative ints summing to den
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Pmf.from_numerators((5, -1), 4)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Pmf.from_numerators((1, Fraction(3)), 4)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Pmf.from_numerators((1.0, 3), 4)
+    with pytest.raises(ValueError, match="not to the denominator"):
+        Pmf.from_numerators((1, 2), 4)
+    with pytest.raises(ValueError, match="not to the denominator"):
+        Pmf.from_numerators((1, 4), 4)
 
 
 def test_point_mass_support():
@@ -233,13 +285,18 @@ def test_type_list_checks_cap_on_cache_hit():
 
 def test_type_caches_stay_within_their_bound():
     from finetti import types_core
+    from finetti.exchangeable import _occurrence_matrix
+    from finetti.marginal_sets import _occurrence_columns
 
     bound = types_core.TYPE_CACHE_SIZE
     first = type_list(2, 1)
     for n in range(1, 3 * bound):
         assert len(type_list(2, n)) == n + 1
         assert type_index_map(2, n)[(0, n)] == 0
-        for cache in (types_core._type_tuple, type_index_map):
+        # the block histograms of A^1 over n symbols: one row per symbol
+        assert _occurrence_matrix(n, 1)[n - 1] == (0,) * (n - 1) + (1,)
+        assert _occurrence_columns(n, 1)[0] == (1,) + (0,) * (n - 1)
+        for cache in (types_core._type_tuple, type_index_map, _occurrence_matrix, _occurrence_columns):
             assert cache.cache_info().currsize <= bound
     # an evicted entry is rebuilt equal, and the cap still binds on every call
     assert type_list(2, 1) == first
@@ -253,6 +310,23 @@ def test_readme_states_the_default_cap():
     assert found, "README no longer states the default cap"
     stated, power = int(found.group(1).replace(",", "")), int(found.group(2))
     assert stated == 2**power == DEFAULT_ENUMERATION_CAP
+
+
+def test_readme_library_tour_names_exist():
+    import importlib
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* `(finetti\.\w+)`(.*?)(?=^\* |^$)", tour, re.M | re.S)
+    assert len(bullets) == 6
+    for module_name, text in bullets:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", text):
+            name = re.sub(r"\(.*\)$", "", name)  # theorem_constants(n, k, m) names theorem_constants
+            owner = module
+            for part in name.split("."):  # Pmf.from_numerators names an attribute of Pmf
+                assert hasattr(owner, part), f"the README tour names {module_name}.{name}"
+                owner = getattr(owner, part)
 
 
 def test_cap_env_override(monkeypatch):
