@@ -116,7 +116,8 @@ def main(argv=None) -> int:
         print(f"  n={point.n:>4}  D = {point.divergence:.3e}")
 
     print()
-    print(f"report complete in {time.time() - t0:.1f}s")
+    # stderr, so that stdout is the same bytes on every run
+    print(f"report complete in {time.time() - t0:.1f}s", file=sys.stderr)
     return 0
 
 

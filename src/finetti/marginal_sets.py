@@ -369,7 +369,15 @@ def max_divergence_over_E_k(
 
     Exact mode maximises over the polytope itself: on the set the divergence
     is k*H(Q) - H(W), entropy is concave, so the maximum sits at a vertex, and
-    vertices are basic solutions of the occurrence system.  Grid mode takes
+    vertices are basic solutions of the occurrence system.  Cells with the
+    same block histogram have the same column, so a basic solution uses at
+    most one of them, and its entropy does not depend on which: the search
+    solves over one column per histogram, C(k+m-1, m-1) of them, each
+    standing for its first cell.  That cell choice is the first instance of
+    each vertex in cell order, so the witness is the one a search over all
+    cells would find, and `candidates` still counts cell-level vertices:
+    each vertex stands for the product, over its support, of the number of
+    cells sharing each column.  Grid mode takes
     the maximum over the l-block lattice members instead, ordered exactly by
     the entropy key prod c^c (the first of tied members wins).  Every member
     is supported inside supp(Q^k), which keeps the value finite and at most
@@ -408,34 +416,36 @@ def max_divergence_over_E_k(
     # k*q(a) = target[a] / scale with integer targets over scale = lcm(denominators)
     scale = math.lcm(*(q[a].denominator for a in active_rows))
     target = [k * q[a].numerator * (scale // q[a].denominator) for a in active_rows]
-    columns = {b: tuple(occ[b][a] for a in active_rows) for b in active_cols}
+    # column -> [first cell, cells sharing it], in cell order
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for b in active_cols:
+        classes.setdefault(tuple(occ[b][a] for a in active_rows), [b, 0])[1] += 1
     # a vertex is keyed by its support and values, so only new ones are expanded
     seen: set[tuple[tuple[int, Fraction], ...]] = set()
-    best_vertex: Pmf | None = None
+    best_key: tuple[tuple[int, Fraction], ...] | None = None
     best_h = math.inf
     candidates = 0
     for size in range(1, len(active_rows) + 1):
-        for subset in combinations(active_cols, size):
-            x = _solve_columns([columns[b] for b in subset], target, scale)
+        for subset in combinations(classes.items(), size):
+            x = _solve_columns([col for col, _ in subset], target, scale)
             if x is None or any(v < 0 for v in x):
                 continue
-            key = tuple((b, v) for b, v in zip(subset, x) if v)
+            key = tuple((first, v) for (_, (first, _)), v in zip(subset, x) if v)
             if key in seen:
                 continue
             seen.add(key)
-            candidates += 1
-            full = [Fraction(0)] * cells
-            for b, v in key:
-                full[b] = v
-            vertex = Pmf(full)
-            h = entropy(vertex)
-            if h < best_h - _SLACK or best_vertex is None:
+            candidates += math.prod(shared for (_, (_, shared)), v in zip(subset, x) if v)
+            h = entropy([v for _, v in key])
+            if h < best_h - _SLACK or best_key is None:
                 best_h = h
-                best_vertex = vertex
-    if best_vertex is None:
+                best_key = key
+    if best_key is None:
         raise ValueError("constraint polytope is empty; q must be a valid pmf")
+    full = [Fraction(0)] * cells
+    for b, v in best_key:
+        full[b] = v
     value = k * entropy(q) - best_h
-    return MaxDivergenceResult(value, best_vertex, candidates, "exact")
+    return MaxDivergenceResult(value, Pmf(full), candidates, "exact")
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,8 @@ def test_lemma3_bound_holds(capsys):
         (3, "4,4,4", 3, 187, {5: 1.0}, 3.2958368660043287),
         (3, "6,3,3", 2, 11, {0: 0.5, 5: 0.5}, 1.3862943611198904),
         (2, "5,5", 4, 31, {3: 1.0}, 2.772588722239781),
+        # recorded from the cell-level search over all 64 cells
+        (4, "1,2,3,4", 3, 34792, {0: 0.1, 22: 0.3, 47: 0.6}, 2.941616952644223),
     ],
 )
 def test_lemma3_exact_vertex_search_is_stable(capsys, m, q, k, candidates, support, value):
@@ -373,12 +375,17 @@ def test_cli_start_loads_no_pool_and_no_dataclasses():
     assert proc.stdout.strip().splitlines()[-1] == "[] 0"
 
 
+def _env_with_finetti() -> dict[str, str]:
+    """The environment with the imported finetti's source first on PYTHONPATH."""
+    src = str(Path(__import__("finetti").__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_cli_start_loads_no_random_and_no_exactlog():
     # the seeded families and the lemma1 shuffle import random themselves;
     # -S keeps site hooks (.pth files), which may import it, out of the check
-    src = str(Path(__import__("finetti").__file__).resolve().parent.parent)
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = _env_with_finetti()
     code = (
         "import sys; import finetti.cli; "
         "print(sorted({'random', 'finetti.exactlog'} & set(sys.modules)))"
@@ -388,6 +395,18 @@ def test_cli_start_loads_no_random_and_no_exactlog():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_desk_report_stdout_is_deterministic():
+    # the run time goes to stderr, so two runs print the same bytes
+    args = [sys.executable, str(ROOT / "scripts" / "desk_report.py"), "--n", "40", "--seeds", "2"]
+    first, second = (
+        subprocess.run(args, capture_output=True, env=_env_with_finetti()) for _ in range(2)
+    )
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert b"report complete" not in first.stdout
+    assert b"report complete" in first.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +490,10 @@ GOLDEN = [
     (
         "lemma lemma3 --m 3 --q 4,4,4 --k 3 --mode exact",
         "1fede31e6c7c9a1edb835d7e768d0884cc88d3387d6c7a29d7f85de52ce75e26",
+    ),
+    (
+        "lemma lemma3 --m 4 --q 1,2,3,4 --k 3 --mode exact",
+        "8d43425c21262890941b1ce71bb1aad5837a137b40fb60b1d4213dc445d3f594",
     ),
     (
         "types --m 3 --n 60 --q 1/2,1/3,1/6 --format json",

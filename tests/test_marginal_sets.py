@@ -219,6 +219,73 @@ def test_max_divergence_grid_needs_ell():
         max_divergence_over_E_k(TypeVector((1, 1)), 2, mode="grid")
 
 
+def oracle_max_divergence_exact(q: TypeVector, k: int) -> tuple[float, Pmf, int]:
+    """The cell-level vertex search: every subset of cells, a Pmf per vertex.
+
+    Returns (value, witness, candidates): the witness is the first vertex of
+    least entropy, up to the search's slack, and candidates counts the
+    vertices over all m^k cells.
+    """
+    from finetti.marginal_sets import _SLACK, _occurrence_matrix, _solve_columns
+
+    qp = type_to_pmf(q)
+    m = len(qp)
+    cells = m**k
+    occ = _occurrence_matrix(m, k)
+    rows = [a for a in range(m) if qp[a] > 0]
+    cols = [b for b in range(cells) if all(occ[b][a] == 0 or qp[a] > 0 for a in range(m))]
+    scale = math.lcm(*(qp[a].denominator for a in rows))
+    target = [k * qp[a].numerator * (scale // qp[a].denominator) for a in rows]
+    seen = set()
+    best, best_h, candidates = None, math.inf, 0
+    for size in range(1, len(rows) + 1):
+        for subset in combinations(cols, size):
+            x = _solve_columns([tuple(occ[b][a] for a in rows) for b in subset], target, scale)
+            if x is None or any(v < 0 for v in x):
+                continue
+            key = tuple((b, v) for b, v in zip(subset, x) if v)
+            if key in seen:
+                continue
+            seen.add(key)
+            candidates += 1
+            full = [Fraction(0)] * cells
+            for b, v in key:
+                full[b] = v
+            vertex = Pmf(full)
+            h = entropy(vertex)
+            if best is None or h < best_h - _SLACK:
+                best, best_h = vertex, h
+    return k * entropy(qp) - best_h, best, candidates
+
+
+@pytest.mark.parametrize(
+    "m, k, n_max", [(2, k, 8) for k in range(1, 6)] + [(3, k, 5) for k in range(1, 4)]
+)
+def test_max_divergence_matches_cell_level_oracle(m, k, n_max):
+    # one column per block histogram finds the same vertices as every cell
+    for n in range(1, n_max + 1):
+        for q in enumerate_types(m, n):
+            r = max_divergence_over_E_k(q, k)
+            value, witness, candidates = oracle_max_divergence_exact(q, k)
+            assert r.value.hex() == value.hex(), q
+            assert r.witness == witness, q
+            assert r.candidates == candidates, q
+
+
+def test_vertex_search_solves_one_column_per_histogram(monkeypatch):
+    from finetti import marginal_sets
+
+    calls = []
+    solve = marginal_sets._solve_columns
+    monkeypatch.setattr(
+        marginal_sets, "_solve_columns", lambda *args: calls.append(args) or solve(*args)
+    )
+    r = max_divergence_over_E_k(TypeVector((4, 4, 4)), 3)
+    assert r.candidates == 187
+    # 10 histograms, 3 rows: at most 175 solves; all 27 cells would give 3,303
+    assert len(calls) <= sum(math.comb(10, s) for s in range(1, 4))
+
+
 def oracle_solve_columns(cols, target):
     """The original Gauss-Jordan solve in Fractions: unique solution or None."""
     rows, s = len(target), len(cols)
