@@ -27,6 +27,7 @@ from .exchangeable import (
     polya_urn_law,
     power_pmf,
     random_type_weight_law,
+    urn_numerators,
 )
 from .gibbs import convergence_trace, trace_to_csv
 from .marginal_sets import (
@@ -40,9 +41,10 @@ from .types_core import (
     CapacityError,
     Pmf,
     TypeVector,
-    class_numerators,
     count_types,
     integer_numerators,
+    type_class_size,
+    type_list,
 )
 
 EXIT_OK = 0
@@ -102,12 +104,14 @@ def cmd_types(args) -> int:
     # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
     # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
     # both sides of the second are 0 when q misses t's support.
-    a, den = integer_numerators(q.probs)
-    den_n, n_n, poly = den**n, n**n, (n + 1) ** m
+    a, _ = integer_numerators(q.probs)
+    powers, den_n = urn_numerators(((a, 1),), n, 0, cap=args.cap)  # prod a^t over D^n
+    n_n, poly = n**n, (n + 1) ** m
     c_pow_c = lru_cache(maxsize=None)(lambda c: c**c)
     rows = []
     num_sum = size_sum = violations = 0
-    for t, size, power in class_numerators(((1, a),), n, cap=args.cap):
+    for t, power in zip(type_list(m, n, cap=args.cap), powers):
+        size = type_class_size(t)
         size_sum += size
         num = size * power
         num_sum += num

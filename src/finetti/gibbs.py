@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exchangeable import _block_law, power_pmf
+from .exchangeable import _block_pmf, power_pmf
 from .info_measures import max_abs_deviation, relative_entropy
 from .types_core import Pmf, TypeVector
 
@@ -29,7 +29,7 @@ def conditional_block_law(t: TypeVector, k: int) -> Pmf:
     """Law of the first k draws given that all n draws have histogram t."""
     if not 1 <= k <= t.n:
         raise ValueError(f"k must lie in 1..{t.n}, got {k}")
-    return _block_law(((t, 1),), k, replace=False)
+    return _block_pmf(t.m, k, ((t.counts, 1),), -1)
 
 
 def round_to_type(target: Pmf, n: int) -> TypeVector:

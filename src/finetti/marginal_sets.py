@@ -55,9 +55,8 @@ __all__ = [
     "pythagorean_scan",
 ]
 
-# Exact vertex search enumerates column subsets; past 64 cells the subset
-# count stops being desk scale.
-MAX_VERTEX_CELLS = 64
+# Most column subsets the exact vertex search solves: beyond, not desk scale.
+MAX_VERTEX_SUBSETS = 100_000
 
 _SLACK = 1e-12
 
@@ -377,17 +376,18 @@ def max_divergence_over_E_k(
     each vertex in cell order, so the witness is the one a search over all
     cells would find, and `candidates` still counts cell-level vertices:
     each vertex stands for the product, over its support, of the number of
-    cells sharing each column.  Grid mode takes
-    the maximum over the l-block lattice members instead, ordered exactly by
-    the entropy key prod c^c (the first of tied members wins).  Every member
-    is supported inside supp(Q^k), which keeps the value finite and at most
-    k * log(n) for an n-type q.
+    cells sharing each column.  Before the first solve, exact mode raises
+    CapacityError when the column subsets it would solve exceed
+    MAX_VERTEX_SUBSETS or the m^k cells of the witness exceed the cap.  Grid
+    mode takes the maximum over the l-block lattice members instead, ordered
+    exactly by the entropy key prod c^c (the first of tied members wins).
+    Every member is supported inside supp(Q^k), which keeps the value finite
+    and at most k * log(n) for an n-type q.
     """
     q = _as_pmf(q)
     m = len(q)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    qk = power_pmf(q, k)
     if mode == "grid":
         if ell is None:
             raise ValueError("grid mode needs l")
@@ -403,14 +403,21 @@ def max_divergence_over_E_k(
         if best_member is None:
             raise ValueError("constraint set has no lattice members at this l")
         witness = type_to_pmf(best_member)
-        return MaxDivergenceResult(relative_entropy(witness, qk), witness, candidates, "grid")
+        value = relative_entropy(witness, power_pmf(q, k))
+        return MaxDivergenceResult(value, witness, candidates, "grid")
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
     cells = m**k
-    if cells > MAX_VERTEX_CELLS:
-        raise CapacityError(f"{cells} cells exceeds vertex search limit {MAX_VERTEX_CELLS}")
-    occ = _occurrence_matrix(m, k)
+    limit = resolve_cap(cap)
+    if cells > limit:  # the witness has one entry per cell
+        raise CapacityError(f"{cells} cells at (m={m}, k={k}) exceeds cap {limit}")
     active_rows = [a for a in range(m) if q[a] > 0]
+    # one column per k-histogram over the active symbols, subsets up to the rows
+    columns = count_types(len(active_rows), k)
+    subsets = sum(math.comb(columns, s) for s in range(1, len(active_rows) + 1))
+    if subsets > MAX_VERTEX_SUBSETS:
+        raise CapacityError(f"{subsets} column subsets exceed the vertex limit {MAX_VERTEX_SUBSETS}")
+    occ = _occurrence_matrix(m, k)
     # support argument: any member vanishes on blocks using a zero-mass symbol
     active_cols = [b for b in range(cells) if all(occ[b][a] == 0 or q[a] > 0 for a in range(m))]
     # k*q(a) = target[a] / scale with integer targets over scale = lcm(denominators)
@@ -655,8 +662,7 @@ def partition_tail_bound(
     exact_prob: float | None = None
     within: bool | None = None
     if want_exact:
-        d_star = relative_entropy(power_pmf(q, k), Pmf.uniform(cells))
-        threshold = d_star + 2 * delta
+        threshold = _product_terms(q, k)[2] + 2 * delta  # D(Q^k||U) + 2*delta
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set

@@ -22,7 +22,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "Pmf",
     "TypeVector",
-    "class_numerators",
     "count_types",
     "empirical_type",
     "enumerate_types",
@@ -278,24 +277,8 @@ def type_class_probability(t: TypeVector, q: Pmf) -> Fraction:
 
 def integer_numerators(probs: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
     """(a, D) with probs = a / D, over the least common denominator D."""
-    den = math.lcm(*(Fraction(p).denominator for p in probs))
-    return tuple(int(p * den) for p in probs), den
-
-
-def class_numerators(
-    atoms: Sequence[tuple[int, Sequence[int]]], n: int, cap: int | None = None
-) -> Iterator[tuple[TypeVector, int, int]]:
-    """(t, |T_t|, sum_j w_j * prod_i a_j[i]^t[i]) for every n-type t, in order.
-
-    For integer atoms (w_j, a_j), each a_j summing to D, the class of t has
-    probability |T_t| * sum / (W * D^n) under the mixture of i.i.d. laws
-    sum_j (w_j / W) * (a_j / D)^n, W = sum_j w_j: one integer numerator over
-    one denominator for every class.  A single atom (1, a) gives q = a / D.
-    Powers are cached as they are first needed, after the cap is checked.
-    """
-    power = lru_cache(maxsize=None)(pow)
-    for t in type_list(len(atoms[0][1]), n, cap=cap):
-        yield t, type_class_size(t), sum(w * math.prod(map(power, a, t.counts)) for w, a in atoms)
+    den = math.lcm(*(p.denominator for p in probs))
+    return tuple(p.numerator * (den // p.denominator) for p in probs), den
 
 
 def empirical_type(x: Sequence[int], alphabet: int) -> TypeVector:

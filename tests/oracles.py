@@ -27,7 +27,7 @@ def conditional_given_type(t: TypeVector, prefix: Sequence[int]) -> Fraction:
 
     Sampling without replacement from the multiset t: a falling-factorial
     product, exactly rational, zero when the prefix needs more of a symbol
-    than t holds.
+    than t holds.  This is `urn_draw_probability(((t.counts, 1),), prefix, -1)`.
     """
     n = t.n
     if len(prefix) > n:
@@ -42,4 +42,27 @@ def conditional_given_type(t: TypeVector, prefix: Sequence[int]) -> Fraction:
             return Fraction(0)
         prob *= Fraction(avail, n - i)
         used[a] += 1
+    return prob
+
+
+def urn_draw_probability(urns, prefix: Sequence[int], step: int) -> Fraction:
+    """P(first draws equal prefix) from a weighted mixture of urns, one draw at a time.
+
+    `urns` holds (counts, weight) pairs with integer weights; an urn is chosen
+    with probability weight / total weight, and each drawn ball goes back with
+    `step` more of its symbol (-1: without replacement, 0: with replacement,
+    +1: Polya).  Every draw multiplies a `Fraction` by held / size.
+    """
+    total = sum(w for _, w in urns)
+    prob = Fraction(0)
+    for counts, w in urns:
+        held = list(counts)
+        path = Fraction(w, total)
+        for a in prefix:
+            if held[a] <= 0:
+                path = Fraction(0)
+                break
+            path *= Fraction(held[a], sum(held))
+            held[a] += step
+        prob += path
     return prob

@@ -296,6 +296,26 @@ def test_lemma3_exact_vertex_search_is_stable(capsys, m, q, k, candidates, suppo
     assert json.dumps(rep["witness"]) == json.dumps(witness)
 
 
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        # 128 cells, 8 histogram columns: 36 column subsets
+        (["--m", "2", "--q", "1,1", "--k", "7"], EXIT_OK),
+        # 49 cells, 28 columns over 7 rows: refused before the first solve
+        (["--m", "7", "--q", "1,1,1,1,1,1,1", "--k", "2"], EXIT_CAPACITY),
+        # the 128-cell witness exceeds the enumeration cap
+        (["--m", "2", "--q", "1,1", "--k", "7", "--cap", "100"], EXIT_CAPACITY),
+    ],
+)
+def test_lemma3_exact_limits_count_subsets_and_cells(capsys, extra, code):
+    got, out, err = run(["lemma", "lemma3", "--mode", "exact"] + extra, capsys)
+    assert got == code, err
+    if code == EXIT_OK:
+        assert json.loads(out)["candidates"] == 4096
+    else:
+        assert out == "" and err.startswith("capacity:")
+
+
 def test_dbound_runs(capsys):
     code, out, _ = run(["lemma", "dbound", "--k", "2", "--q", "4,4"], capsys)
     assert code == EXIT_OK
@@ -517,6 +537,36 @@ GOLDEN = [
     (
         "gibbs --target 1/2,1/3,1/6 --k 3 --n 6,60,600,6000",
         "eb41feda28a8e4c218cdda175cf9d1434efdfabac45224c3844580ea23edaf03",
+    ),
+    # every caller of the urn kernel
+    (
+        "verify --family biased --p 1/3 --n 30,31 --k 2,3",
+        "1fcc91d263e43896adf43ca816451f1b5caf977842f67ec8820589f7615acb3c",
+    ),
+    (
+        "verify --family delta-type --counts 3,2,1 --k 2,3",
+        "4aed65af426428ce08fe4d521c83038ce0ceaf26e45c50cc6e16b894be528ff3",
+    ),
+    (
+        "verify --family polya --init 2,1 --n 40,41 --k 1,2,3",
+        "07e00c70a746200af0b7a18288aedc6e274a0138cb61ada814ad78ce87979d54",
+    ),
+    (
+        "verify --family random-type-weights --seed 5 --m 2 --n 400,401 --k 2,3",
+        "c5dbf80427ae9f66afbad3a78b77ed2cb4b640b2019173dd289d3ec26d44b127",
+    ),
+    (
+        "gibbs --target 1/5,4/5 --k 4 --n 8,80,800",
+        "e22ccf72c00faf8d296f69b679c95bc0a5ae2ab250407bcc0e2f8aaea1ad7835",
+    ),
+    (
+        "types --m 2 --n 30 --q 1/3,2/3 --format json",
+        "5420d8fc6dd585f878707362c011029314a345bdb3f742206e576beecc9e412e",
+    ),
+    ("lemma dbound --q 8,8,8 --k 2", "92c5a35e7c8ee4b2c22a16398fed368524f387f15532d70223dd6e647ccdafa7"),
+    (
+        "lemma lemma1 --q 400,400 --k 2 --l 400 --seed 3",
+        "0f0bb6afbb4fe1f48ba6525f35df449e594ca339e28be8920e1c02ae6977d403",
     ),
 ]
 

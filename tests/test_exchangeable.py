@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conditional_given_type, string_index
+from oracles import conditional_given_type, string_index, urn_draw_probability
 
 from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
@@ -31,6 +31,7 @@ from finetti.exchangeable import (
     power_pmf,
     random_type_weight_law,
     restrict_law,
+    urn_numerators,
 )
 from finetti.gibbs import conditional_block_law
 from finetti.info_measures import relative_entropy
@@ -40,6 +41,7 @@ from finetti.types_core import (
     empirical_type,
     type_class_probability,
     type_class_size,
+    type_index_map,
     type_list,
 )
 
@@ -497,3 +499,37 @@ def test_conditional_block_law_exact_beyond_512():
         assert type(got) is Pmf and all(type(p) is Fraction for p in got)
         want = tuple(conditional_given_type(t, s) for s in all_strings(3, k))
         assert got.probs == want
+
+
+# ---------------------------------------------------------------------------
+# the urn kernel against sequential draws
+# ---------------------------------------------------------------------------
+
+# mixed integer weights (one of them zero) and urns with empty symbols
+KERNEL_URNS = {
+    1: [((5,), 2)],
+    2: [((4, 0), 3), ((1, 3), 1), ((2, 2), 0), ((0, 4), 2)],
+    3: [((2, 0, 3), 1), ((0, 0, 5), 4), ((1, 1, 3), 2)],
+}
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_urn_numerators_match_sequential_draws(m, step):
+    urns = KERNEL_URNS[m]
+    for k in range(1, 5):
+        numerators, den = urn_numerators(urns, k, step)
+        assert len(numerators) == len(type_list(m, k))
+        index = type_index_map(m, k)
+        total = Fraction(0)
+        for s in all_strings(m, k):
+            got = Fraction(numerators[index[empirical_type(s, m).counts]], den)
+            assert got == urn_draw_probability(urns, s, step), (k, s)
+            total += got
+        assert total == 1
+
+
+def test_sequential_oracle_without_replacement_is_conditional_given_type():
+    for t in (TypeVector((2, 0, 3)), TypeVector((1, 1, 1))):
+        for s in all_strings(3, 3):
+            assert urn_draw_probability(((t.counts, 1),), s, -1) == conditional_given_type(t, s)

@@ -286,6 +286,31 @@ def test_vertex_search_solves_one_column_per_histogram(monkeypatch):
     assert len(calls) <= sum(math.comb(10, s) for s in range(1, 4))
 
 
+@pytest.mark.parametrize("counts, k, candidates", [((1, 1), 7, 4096), ((3, 1), 7, 960)])
+def test_vertex_limit_admits_many_cells_with_few_columns(counts, k, candidates):
+    # 128 cells but 8 histogram columns over 2 rows: 36 column subsets
+    q = TypeVector(counts)
+    r = max_divergence_over_E_k(q, k)
+    value, witness, oracle_candidates = oracle_max_divergence_exact(q, k)
+    assert r.value.hex() == value.hex()
+    assert r.witness == witness
+    assert r.candidates == oracle_candidates == candidates
+
+
+def test_vertex_limit_refuses_before_the_first_solve(monkeypatch):
+    from finetti import marginal_sets
+
+    calls = []
+    monkeypatch.setattr(marginal_sets, "_solve_columns", lambda *args: calls.append(args))
+    # 49 cells, but 28 columns over 7 rows: 1,683,217 column subsets
+    with pytest.raises(CapacityError, match="1683217 column subsets"):
+        max_divergence_over_E_k(TypeVector((1,) * 7), 2)
+    # 36 column subsets, but the 128-cell witness exceeds the cap
+    with pytest.raises(CapacityError, match="128 cells"):
+        max_divergence_over_E_k(TypeVector((1, 1)), 7, cap=100)
+    assert calls == []
+
+
 def oracle_solve_columns(cols, target):
     """The original Gauss-Jordan solve in Fractions: unique solution or None."""
     rows, s = len(target), len(cols)

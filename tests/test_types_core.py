@@ -24,6 +24,7 @@ from finetti.types_core import (
     enumerate_types,
     exp_n_entropy,
     exp_neg_n_divergence,
+    integer_numerators,
     resolve_cap,
     sequence_probability_identity,
     type_class_probability,
@@ -384,3 +385,13 @@ def test_type_vector_record_behaviour():
 def test_type_json_round_trip():
     t = TypeVector((2, 0, 3))
     assert TypeVector.from_json(t.to_json()).counts == t.counts
+
+
+def test_integer_numerators_use_the_least_common_denominator():
+    assert integer_numerators([3, 0, 5]) == ((3, 0, 5), 1)
+    assert integer_numerators([0, 0]) == ((0, 0), 1)
+    mixed = [Fraction(1, 6), Fraction(1, 4), 0, Fraction(7, 12), 2]
+    assert integer_numerators(mixed) == ((2, 3, 0, 7, 24), 12)
+    assert integer_numerators(Pmf((Fraction(2, 4), Fraction(1, 3), Fraction(1, 6)))) == ((3, 2, 1), 6)
+    nums, _ = integer_numerators(mixed)
+    assert all(type(x) is int for x in nums)
