@@ -13,6 +13,7 @@ from .definetti import (
 from .exchangeable import (
     ExchangeableLaw,
     MixingMeasure,
+    block_laws,
     delta_type_law,
     from_mixing_measure,
     iid_law,
@@ -23,7 +24,6 @@ from .exchangeable import (
     polya_urn_law,
     power_pmf,
     random_type_weight_law,
-    restrict_law,
 )
 from .gibbs import (
     ConvergenceTrace,

@@ -204,6 +204,8 @@ def _verify_cell(law: ExchangeableLaw, k: int) -> dict:
 def cmd_verify(args) -> int:
     if (args.law is None) == (args.family is None):
         raise ValueError("give exactly one of --law FILE or --family NAME")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     k_values = _parse_int_list(args.k)
     if args.law is not None:
         with open(args.law) as fh:

@@ -6,8 +6,9 @@ histogram distribution.  The divergence between the two is bounded by an
 explicit epsilon(n, k) built from the deviation constant alpha and the margin
 delta = alpha * log(m^k / alpha); the bound is meaningful for
 1 <= k <= (n/100)^(1/3) and is reported (flagged) outside that range.  When k
-does not divide n, the law is first restricted to its longest prefix of
-length divisible by k, which leaves the k-marginal unchanged.
+does not divide n, the mixture is taken over the histogram of the longest
+prefix of length divisible by k; it comes from the k-marginal alone, as a
+Stirling transform, so the law is never restricted.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exchangeable import (
-    ExchangeableLaw,
-    marginal,
-    mixture_iid,
-    power_pmf,
-    restrict_law,
-)
+from .exchangeable import ExchangeableLaw, block_laws, power_pmf
 from .gibbs import conditional_block_law
 from .info_measures import relative_entropy
 from .marginal_sets import conditional_mean_divergence
@@ -128,19 +123,15 @@ def verify_theorem(law: ExchangeableLaw, k: int) -> VerificationReport:
     """Check D(P_k || M_k) <= epsilon for one law and block length.
 
     P_k is the k-coordinate marginal; M_k mixes i.i.d. blocks over the
-    empirical histogram distribution.  Both are computed exactly, and only
-    the final divergence is a float.  When k does not divide n the law is
-    restricted to effective_n(n, k) first (the k-marginal is unaffected) and
-    the constants are taken at the restricted length.  For k = 1 the two
-    sides coincide and the divergence is exactly zero.
+    empirical histogram of the first n_eff = effective_n(n, k) draws, and the
+    constants are taken at n_eff.  Both come exactly from one pass over the
+    law (`block_laws`), and only the final divergence is a float.  For k = 1
+    the two sides coincide and the divergence is exactly zero.
     """
     if not 1 <= k <= law.n:
         raise ValueError(f"k must lie in 1..{law.n}, got {k}")
     n_eff = effective_n(law.n, k)
-    work = law if n_eff == law.n else restrict_law(law, n_eff)
-    p_k = marginal(work, k)
-    m_k = mixture_iid(work, k)
-    divergence = relative_entropy(p_k, m_k)
+    divergence = relative_entropy(*block_laws(law, k, n_eff))
     params = theorem_constants(n_eff, k, law.m)
     holds = divergence <= params.epsilon + _SLACK
     reference = (

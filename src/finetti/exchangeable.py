@@ -3,16 +3,18 @@
 An exchangeable law is determined by the distribution of the histogram of the
 n draws: within a histogram class the law is uniform.  Laws here store that
 weight vector as exact rationals, indexed by the shared enumeration order of
-`type_list`, which makes mixing, marginalisation, and restriction exact
-rational linear algebra.
+`type_list`, which makes mixing and marginalisation exact rational linear
+algebra.
 
 Every law here draws from a mixture of urns that take back each drawn ball
 with `step` more of its symbol: -1 draws without replacement (the marginal
-P_k), 0 with replacement (M_k, Q^k, i.i.d. laws), +1 is the Polya urn.  A
-draw sequence's probability is a product of draw counts that depends only on
-its histogram, so one kernel, `urn_numerators`, gives every k-block law and
-class law once per histogram, as integer numerators over one denominator,
-then spread over A^k in base-m index order (itertools.product order).
+P_k), 0 with replacement (Q^k, i.i.d. and mixing laws), +1 is the Polya urn.
+A draw sequence's probability is a product of draw counts that depends only
+on its histogram, so one kernel, `urn_numerators`, gives every k-block law
+and class law once per histogram, as integer numerators over one
+denominator, then spread over A^k in base-m index order (itertools.product
+order).  The mixture M_k of an exchangeable law is a linear function of its
+P_k (`block_laws`), so it needs no pass of its own.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "ExchangeableLaw",
     "MixingMeasure",
     "all_strings",
+    "block_laws",
     "delta_type_law",
     "from_mixing_measure",
     "iid_law",
@@ -51,7 +54,6 @@ __all__ = [
     "polya_urn_law",
     "power_pmf",
     "random_type_weight_law",
-    "restrict_law",
     "urn_numerators",
 ]
 
@@ -92,11 +94,15 @@ def urn_numerators(urns, k: int, step: int, cap: int | None = None) -> tuple[lis
     return numerators, sum(w for _, w in urns) * math.prod(n + j * step for j in range(k))
 
 
-def _block_pmf(m: int, k: int, urns, step: int) -> Pmf:
-    """The kernel's k-block law spread over A^k in index order."""
-    numerators, den = urn_numerators(urns, k, step)
+def _spread(m: int, k: int, numerators: Sequence[int], den: int) -> Pmf:
+    """One numerator per k-histogram, spread over A^k in index order."""
     index = type_index_map(m, k)
     return Pmf.from_numerators([numerators[index[row]] for row in _occurrence_matrix(m, k)], den)
+
+
+def _block_pmf(m: int, k: int, urns, step: int) -> Pmf:
+    """The kernel's k-block law spread over A^k in index order."""
+    return _spread(m, k, *urn_numerators(urns, k, step))
 
 
 def _class_law(m: int, n: int, urns, step: int) -> ExchangeableLaw:
@@ -178,13 +184,53 @@ def mixture_iid(source, k: int) -> Pmf:
     """Mixture of i.i.d. k-block laws.
 
     `source` is a MixingMeasure, or an ExchangeableLaw whose histogram weights
-    are read as a mixing measure over the empirical pmfs t/n.  The atoms of a
+    are read as a mixing measure over the empirical pmfs t/n (then
+    1 <= k <= n, and M_k comes from P_k by `block_laws`).  The atoms of a
     MixingMeasure are read as urns over their common denominator.
     """
+    if isinstance(source, ExchangeableLaw):
+        return block_laws(source, k, source.n)[1]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    urns = _law_urns(source) if isinstance(source, ExchangeableLaw) else _atom_urns(source)
-    return _block_pmf(source.m, k, urns, 0)
+    return _block_pmf(source.m, k, _atom_urns(source), 0)
+
+
+@lru_cache(maxsize=None)
+def _stirling2(c: int, i: int) -> int:
+    """Stirling number of the second kind: partitions of c items into i blocks."""
+    if c == 0 or i == 0:
+        return int(c == i)
+    return i * _stirling2(c - 1, i) + _stirling2(c - 1, i - 1)
+
+
+def block_laws(law: ExchangeableLaw, k: int, n: int) -> tuple[Pmf, Pmf]:
+    """(P_k, M_k), M_k mixing i.i.d. blocks over the pmf T/n of the first n draws.
+
+    Needs 1 <= k <= n <= law.n.  One kernel pass without replacement gives P_k
+    as numerators over D.  The probability of one j-string with histogram i is
+    a margin of P_k, p_j(i) = A_j(i) / D with A_j(i) = sum_a A_{j+1}(i + e_a).
+    With t^u = sum_{i<=u} prod_a S(u_a, i_a) (t_a)_{i_a}, S the Stirling
+    numbers of the second kind, and E[prod_a (T_a)_{i_a}] = (n)_{|i|} p_{|i|}(i),
+    M_k has numerators sum_{i<=u} prod_a S(u_a, i_a) (n)_{|i|} A_{|i|}(i) over
+    D * n^k (Diaconis & Freedman 1980); no law of the first n draws is built.
+    """
+    if not 1 <= k <= n <= law.n:
+        raise ValueError(f"need 1 <= k <= n <= {law.n}, got k={k}, n={n}")
+    numerators, den = urn_numerators(_law_urns(law), k, -1)
+    blocks = [u.counts for u in type_list(law.m, k)]
+    margin = dict(zip(blocks, numerators))
+    for j in range(k - 1, 0, -1):
+        for i in (t.counts for t in type_list(law.m, j)):
+            margin[i] = sum(margin[i[:a] + (c + 1,) + i[a + 1 :]] for a, c in enumerate(i))
+    falling = list(accumulate((n - j for j in range(k)), mul, initial=1))
+    mixed = [
+        sum(
+            math.prod(map(_stirling2, u, i)) * falling[sum(i)] * margin[i]
+            for i in product(*(range(1 if c else 0, c + 1) for c in u))
+        )
+        for u in blocks
+    ]
+    return _spread(law.m, k, numerators, den), _spread(law.m, k, mixed, den * n**k)
 
 
 def _law_urns(law: ExchangeableLaw) -> list[tuple[tuple[int, ...], int]]:
@@ -250,48 +296,6 @@ def random_type_weight_law(m: int, n: int, seed: int) -> ExchangeableLaw:
     return ExchangeableLaw(m, n, Pmf.from_weights(raw))
 
 
-def restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
-    """Law of the first n_sub coordinates, again in histogram-weight form.
-
-    The histogram of a prefix given the full histogram is multivariate
-    hypergeometric: with the weights as integers over W, the restricted
-    weights are integer sums over W * C(n, n - n_sub), reduced once each.
-    The loop removes the n - n_sub balls left out, a few compositions per
-    histogram when n_sub is near n, where the urn kernel at k = n_sub would
-    form a product per pair of histograms (about 161k at n = 401, m = 2,
-    against about 800 removals).
-    """
-    if not 1 <= n_sub <= law.n:
-        raise ValueError(f"n_sub must lie in 1..{law.n}, got {n_sub}")
-    if n_sub == law.n:
-        return law
-    drop = law.n - n_sub
-    idx = type_index_map(law.m, n_sub)
-    weights, scale = integer_numerators(law.type_weights)
-    out = [0] * count_types(law.m, n_sub)
-    for t, num in zip(law.types, weights):
-        if not num:
-            continue
-        for removal in _bounded_compositions(drop, t.counts):
-            ways = num
-            for c, r in zip(t.counts, removal):
-                ways *= math.comb(c, r)
-            kept = tuple(c - r for c, r in zip(t.counts, removal))
-            out[idx[kept]] += ways
-    return ExchangeableLaw(law.m, n_sub, Pmf.from_numerators(out, scale * math.comb(law.n, drop)))
-
-
-def _bounded_compositions(total: int, bounds: Sequence[int]):
-    """Integer vectors 0 <= r <= bounds with sum(r) = total."""
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
-        return
-    for first in range(min(total, bounds[0]) + 1):
-        for rest in _bounded_compositions(total - first, bounds[1:]):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # law files
 # ---------------------------------------------------------------------------
@@ -323,7 +327,8 @@ def law_from_json(obj, n: int | None = None) -> ExchangeableLaw:
     """Read a law file: either histogram weights or a mixing measure.
 
     A typeWeights file fixes (m, n) itself.  A mixing file needs n, from the
-    file or from the caller; the caller wins only when the file has no n.
+    file or from the caller.  When both give n they must agree, for either
+    kind of file.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -350,5 +355,7 @@ def law_from_json(obj, n: int | None = None) -> ExchangeableLaw:
         use_n = int(obj["n"]) if "n" in obj else n
         if use_n is None:
             raise ValueError("mixing law file needs n (in the file or from the caller)")
+        if n is not None and n != use_n:
+            raise ValueError(f"law file has n={use_n}, caller asked for n={n}")
         return from_mixing_measure(mix, use_n)
     raise ValueError("law file needs a 'typeWeights' or 'mixing' key")

@@ -621,23 +621,18 @@ class TailBoundResult(NamedTuple):
 
 
 def partition_tail_bound(
-    q,
-    k: int,
-    ell: int,
-    delta: float,
-    cap: int | None = None,
-    exact: bool | None = None,
+    q, k: int, ell: int, delta: float, cap: int | None = None
 ) -> TailBoundResult:
     """(l+1)^(2*m^k) * e^(-l*delta) tail bound, with an exact check when cheap.
 
     Covers the conditional probability that an l-block histogram in the
     constraint set has D(W||U) exceeding D(Q^k||U) + 2*delta.  When the
-    lattice fits the cap (or exact=True) the exact conditional probability is
-    computed by enumeration and asserted to sit below the bound.  Also
-    reports whether the entropy margin -M*log(M/m^k) of the permutation
-    construction fits inside delta, which certifies that the well-placed
-    member lands in the low-divergence cell of the partition; M >= 1/2 leaves
-    that certification unavailable.
+    lattice fits the cap the exact conditional probability is computed by
+    enumeration and asserted to sit below the bound.  Also reports whether
+    the entropy margin -M*log(M/m^k) of the permutation construction fits
+    inside delta, which certifies that the well-placed member lands in the
+    low-divergence cell of the partition; M >= 1/2 leaves that certification
+    unavailable.
     """
     q = _as_pmf(q)
     m = len(q)
@@ -656,17 +651,15 @@ def partition_tail_bound(
         big_m = math.inf
         certified = False
 
-    want_exact = exact
-    if want_exact is None:
-        want_exact = count_types(cells, ell) <= resolve_cap(cap)
     exact_prob: float | None = None
     within: bool | None = None
-    if want_exact:
+    cap = resolve_cap(cap)
+    if count_types(cells, ell) <= cap:
         threshold = _product_terms(q, k)[2] + 2 * delta  # D(Q^k||U) + 2*delta
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set
-        for size, h in _member_table(q, k, ell, resolve_cap(cap)):
+        for size, h in _member_table(q, k, ell, cap):
             total += size
             if log_cells - h > threshold:
                 heavy += size

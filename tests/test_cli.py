@@ -137,6 +137,27 @@ def test_verify_law_file(tmp_path, capsys):
     assert rep["n"] == 6 and rep["holds"] is True
 
 
+def test_verify_law_file_n_must_match_the_grid(tmp_path, capsys):
+    path = tmp_path / "mix10.json"
+    path.write_text(json.dumps(dict(json.loads(MIX), n=10)))
+    code, out, err = run(["verify", "--law", str(path), "--n", "20,40", "--k", "2"], capsys)
+    assert code == EXIT_INPUT and out == ""
+    assert "n=10" in err and "n=20" in err
+    code, out, _ = run(["verify", "--law", str(path), "--n", "10", "--k", "2"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["n"] == 10
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    # refused before any law is built or any process is started
+    for jobs in ("0", "-3"):
+        code, out, err = run(
+            ["verify", "--family", "fair-coin", "--n", "8", "--k", "2", "--jobs", jobs], capsys
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert "--jobs" in err
+
+
 def test_verify_needs_exactly_one_source(capsys):
     code, _, err = run(["verify", "--k", "2"], capsys)
     assert code == EXIT_INPUT
@@ -427,6 +448,21 @@ def test_desk_report_stdout_is_deterministic():
     assert first.stdout == second.stdout
     assert b"report complete" not in first.stdout
     assert b"report complete" in first.stderr
+
+
+def test_epsilon_sweep_prints_its_grid_deterministically():
+    script = ROOT / "scripts" / "epsilon_sweep.py"
+    args = [sys.executable, str(script), "--n", "100,200", "--k", "1,2"]
+    first, second = (
+        subprocess.run(args, capture_output=True, env=_env_with_finetti()) for _ in range(2)
+    )
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    header, rule, *rows = first.stdout.decode().splitlines()
+    assert header.split() == ["n", "k", "alpha", "delta", "epsilon", "binary", "ref", "valid"]
+    assert set(rule) == {"-"}
+    cells = [row.split()[:2] for row in rows]
+    assert cells == [["100", "1"], ["100", "2"], ["200", "1"], ["200", "2"]]
 
 
 # ---------------------------------------------------------------------------

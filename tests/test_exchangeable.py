@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from finetti.exchangeable import (
     ExchangeableLaw,
     MixingMeasure,
     all_strings,
+    block_laws,
     delta_type_law,
     from_mixing_measure,
     iid_law,
@@ -30,7 +32,6 @@ from finetti.exchangeable import (
     polya_urn_law,
     power_pmf,
     random_type_weight_law,
-    restrict_law,
     urn_numerators,
 )
 from finetti.gibbs import conditional_block_law
@@ -185,10 +186,12 @@ def test_random_type_weight_law_is_seed_stable():
 
 
 def test_restrict_law_is_marginal_consistent():
+    # the reference restriction keeps every k-marginal, which is why
+    # verify_theorem reads P_k from the unrestricted law
     rng = random.Random(99)
     weights = [rng.randrange(1, 9) for _ in type_list(2, 6)]
     law = ExchangeableLaw(2, 6, Pmf.from_weights(weights))
-    small = restrict_law(law, 4)
+    small = oracle_restrict_law(law, 4)
     assert small.n == 4
     for k in range(1, 5):
         assert marginal(small, k).probs == marginal(law, k).probs
@@ -196,7 +199,7 @@ def test_restrict_law_is_marginal_consistent():
 
 def test_restrict_law_weights_are_hypergeometric():
     law = delta_type_law(TypeVector((3, 1)))
-    small = restrict_law(law, 2)
+    small = oracle_restrict_law(law, 2)
     want = {
         (2, 0): Fraction(3, 6),  # C(3,2)C(1,0)/C(4,2)
         (1, 1): Fraction(3, 6),
@@ -283,10 +286,12 @@ def test_law_json_mixing_needs_n():
 
 
 def test_law_json_rejects_mismatched_n():
-    law = polya_urn_law((1, 1), 4)
-    blob = json.dumps(law_to_json(law))
-    with pytest.raises(ValueError):
-        law_from_json(blob, n=5)
+    typed = json.dumps(law_to_json(polya_urn_law((1, 1), 4)))
+    mixing = json.dumps({"n": 4, "mixing": [{"pmf": ["1/2", "1/2"], "w": "1"}]})
+    for blob in (typed, mixing):
+        assert law_from_json(blob, n=4).n == 4
+        with pytest.raises(ValueError):
+            law_from_json(blob, n=5)
 
 
 def test_string_indexing_is_base_m():
@@ -423,7 +428,9 @@ FAMILY_LAWS = [
     pytest.param(lambda: delta_type_law(TypeVector((5, 3, 2))), id="delta-type"),
     pytest.param(lambda: random_type_weight_law(3, 14, 2024), id="random-type-weights"),
     pytest.param(lambda: law_from_json((LAWS / "mix.json").read_text(), n=30), id="mixing-file"),
-    pytest.param(lambda: restrict_law(random_type_weight_law(2, 23, 7), 21), id="restricted"),
+    pytest.param(
+        lambda: oracle_restrict_law(random_type_weight_law(2, 23, 7), 21), id="restricted"
+    ),
 ]
 
 
@@ -440,7 +447,7 @@ def test_verify_divergence_matches_oracle_bit_for_bit(build):
     law = build()
     for k in range(1, 5):
         n_eff = effective_n(law.n, k)
-        work = law if n_eff == law.n else restrict_law(law, n_eff)
+        work = law if n_eff == law.n else oracle_restrict_law(law, n_eff)
         want = relative_entropy(oracle_marginal(work, k), oracle_mixture_iid(work, k))
         assert verify_theorem(law, k).divergence == want, k
 
@@ -475,9 +482,43 @@ def oracle_restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
     ],
 )
 def test_restrict_law_matches_per_pair_oracle(build, n_sub):
+    # M_k over the first n_sub draws, from P_k alone, against the mixture of
+    # the restricted law
     law = build()
-    got = restrict_law(law, n_sub)
-    assert got.type_weights.probs == oracle_restrict_law(law, n_sub).type_weights.probs
+    work = oracle_restrict_law(law, n_sub)
+    for k in range(1, 4):
+        p_k, m_k = block_laws(law, k, n_sub)
+        assert p_k.probs == marginal(law, k).probs, k
+        assert m_k.probs == oracle_mixture_iid(work, k).probs, k
+    with pytest.raises(ValueError):
+        block_laws(law, 1, law.n + 1)
+
+
+def test_verify_cell_makes_one_kernel_pass(monkeypatch):
+    # P_k and M_k come from one pass over the level-n weights, lifted to
+    # integers once, and no histogram of the first n_eff draws is listed
+    import finetti.exchangeable as ex
+    import finetti.types_core as tc
+
+    def counting(real, seen):
+        def counted(*args, **kwargs):
+            seen.append(args[:2])
+            return real(*args, **kwargs)
+
+        return counted
+
+    law = random_type_weight_law(2, 401, 5)
+    calls = {"urn_numerators": [], "integer_numerators": [], "type_list": []}
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("finetti")]
+    for name, owner in (("urn_numerators", ex), ("integer_numerators", tc), ("type_list", tc)):
+        real = getattr(owner, name)
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting(real, calls[name]))
+    verify_theorem(law, 3)
+    assert len(calls["urn_numerators"]) == 1
+    assert len(calls["integer_numerators"]) == 1
+    assert (2, 399) not in calls["type_list"]
 
 
 def test_mixing_measure_mixture_matches_oracle():

@@ -644,7 +644,7 @@ def test_tail_probability_matches_oracle_path():
         for cut in cuts:
             delta = (cut - d_star) / 2
             heavy = sum(size for size, d in rows if d > d_star + 2 * delta)
-            got = partition_tail_bound(q, k, ell, delta, exact=True).exact_probability
+            got = partition_tail_bound(q, k, ell, delta).exact_probability
             assert got == float(Fraction(heavy, total)), (q, k, ell, delta)
 
 
@@ -769,7 +769,7 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
     assert len(walks) == 1
     # the cached rows still answer to the cap
     with pytest.raises(CapacityError):
-        partition_tail_bound(TypeVector((12, 12)), 2, 12, 0.1, cap=10, exact=True)
+        conditional_mean_divergence(TypeVector((12, 12)), 2, 12, cap=10)
     assert main(["lemma", "dbound", "--q", "12,12", "--k", "2", "--cap", "10"]) == 2
 
 
