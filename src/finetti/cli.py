@@ -18,35 +18,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .definetti import report_to_dict, theorem_constants, verify_theorem
-from .exchangeable import (
-    ExchangeableLaw,
-    delta_type_law,
-    iid_law,
-    law_from_json,
-    polya_urn_law,
-    power_pmf,
-    random_type_weight_law,
-    urn_numerators,
-)
-from .gibbs import convergence_trace, trace_to_csv
-from .marginal_sets import (
-    conditional_mean_divergence,
-    lemma1_construct,
-    max_divergence_over_E_k,
-    partition_tail_bound,
-    pythagorean_scan,
-)
-from .types_core import (
-    CapacityError,
-    Pmf,
-    TypeVector,
-    count_types,
-    integer_numerators,
-    type_class_size,
-    type_list,
-)
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CAPACITY = 2
@@ -92,6 +63,9 @@ def _rational_pair(value: Fraction) -> dict:
 
 
 def cmd_types(args) -> int:
+    from .exchangeable import urn_numerators
+    from .types_core import Pmf, count_types, integer_numerators, type_class_size, type_list
+
     m, n = args.m, args.n
     if args.q is not None:
         q = Pmf(_parse_rational_list(args.q))
@@ -166,7 +140,10 @@ def cmd_types(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_law(args, n: int) -> ExchangeableLaw:
+def _build_law(args, n: int):
+    from .exchangeable import delta_type_law, iid_law, polya_urn_law, random_type_weight_law
+    from .types_core import Pmf, TypeVector
+
     fam = args.family
     if fam == "fair-coin":
         return iid_law(Pmf.uniform(2), n)
@@ -196,12 +173,15 @@ def _build_law(args, n: int) -> ExchangeableLaw:
     raise ValueError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")
 
 
-def _verify_cell(law: ExchangeableLaw, k: int) -> dict:
-    report = verify_theorem(law, k)
-    return report_to_dict(report)
+def _verify_cell(law, k: int) -> dict:
+    from .definetti import report_to_dict, verify_theorem
+
+    return report_to_dict(verify_theorem(law, k))
 
 
 def cmd_verify(args) -> int:
+    from .exchangeable import law_from_json
+
     if (args.law is None) == (args.family is None):
         raise ValueError("give exactly one of --law FILE or --family NAME")
     if args.jobs < 1:
@@ -261,7 +241,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lemma_q(args, n: int) -> TypeVector:
+def _lemma_q(args, n: int):
+    from .types_core import TypeVector
+
     if args.q is not None:
         t = TypeVector(_parse_int_list(args.q))
         if t.n != n:
@@ -275,6 +257,18 @@ def _lemma_q(args, n: int) -> TypeVector:
 
 
 def cmd_lemma(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
+    from .exchangeable import _occurrence_matrix, urn_numerators
+    from .marginal_sets import (
+        conditional_mean_divergence,
+        lemma1_construct,
+        max_divergence_over_E_k,
+        partition_tail_bound,
+        pythagorean_scan,
+    )
+    from .types_core import TypeVector, type_index_map
+
     name = args.name
     if name == "lemma1":
         if args.seed is None:
@@ -342,6 +336,8 @@ def cmd_lemma(args) -> int:
         if n % args.k:
             raise ValueError(f"k={args.k} must divide n={n}")
         ell = n // args.k
+        from .definetti import theorem_constants  # only dbound needs the bound's constants
+
         params = theorem_constants(n, args.k, q.m)
         delta = args.delta if args.delta is not None else params.delta
         mean = conditional_mean_divergence(q, args.k, ell, cap=args.cap)
@@ -374,12 +370,15 @@ def cmd_lemma(args) -> int:
         ell = n // args.k
         # one walk: each member's integer residual certifies both identities
         members, argmin, unique = pythagorean_scan(q, args.k, ell, cap=args.cap)
-        qk = power_pmf(q.pmf(), args.k)
-        qk_counts = [p * ell for p in qk]
-        on_lattice = all(c.denominator == 1 for c in qk_counts)
+        # with counts c, Q^k gives a k-string of histogram u the mass prod_a c_a^u_a
+        # over n^k, so l*Q^k is a lattice point when n^k divides each l * prod_a c_a^u_a
+        powers, den = urn_numerators(((q.counts, 1),), args.k, 0)
+        on_lattice = all(ell * p % den == 0 for p in powers)
         argmin_ok = True
         if on_lattice:
-            argmin_ok = unique and argmin.counts == tuple(int(c) for c in qk_counts)
+            index = type_index_map(q.m, args.k)
+            l_qk = tuple(ell * powers[index[u]] // den for u in _occurrence_matrix(q.m, args.k))
+            argmin_ok = unique and argmin.counts == l_qk
         payload = {
             "lemma": "pythagoras",
             "m": q.m,
@@ -403,6 +402,9 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
+    from .gibbs import convergence_trace, trace_to_csv
+    from .types_core import Pmf
+
     target = Pmf(_parse_rational_list(args.target))
     n_values = _parse_int_list(args.n)
     trace = convergence_trace(target, args.k, n_values)
@@ -481,6 +483,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage; map to the input error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    from .types_core import CapacityError  # after parse_args, so --help loads no other module
+
     try:
         return args.func(args)
     except CapacityError as exc:

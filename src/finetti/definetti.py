@@ -17,9 +17,7 @@ import math
 from typing import NamedTuple
 
 from .exchangeable import ExchangeableLaw, block_laws, power_pmf
-from .gibbs import conditional_block_law
 from .info_measures import relative_entropy
-from .marginal_sets import conditional_mean_divergence
 from .types_core import type_to_pmf
 
 __all__ = [
@@ -162,6 +160,10 @@ def convexity_chain_gap(
     entropy in both arguments, stage2 <= stage3 by convexity in the first.
     Requires k | n so the block decomposition is exact.
     """
+    # only this chain needs the block laws and the lattice walk, so verify skips them
+    from .gibbs import conditional_block_law
+    from .marginal_sets import conditional_mean_divergence
+
     if law.n % k != 0:
         raise ValueError(f"k={k} must divide n={law.n}")
     ell = law.n // k

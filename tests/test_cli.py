@@ -353,6 +353,22 @@ def test_pythagoras_runs(capsys):
     assert rep["argmin_is_product"] is True
 
 
+@pytest.mark.parametrize("q, on_lattice", [("24,8", True), ("3,1", False), ("6,0,6", False)])
+def test_pythagoras_product_lattice_test_is_per_cell(capsys, q, on_lattice):
+    # 16 * Q^2 = (9, 3, 3, 1) at q = (24, 8): the argmin matches it cell by cell
+    code, out, _ = run(["lemma", "pythagoras", "--k", "2", "--q", q], capsys)
+    rep = json.loads(out)
+    assert code == EXIT_OK
+    assert rep["product_on_lattice"] is on_lattice
+    assert rep["argmin_is_product"] is True
+
+
+@pytest.mark.parametrize("name", ["dbound", "pythagoras"])
+def test_lemma_rejects_k_below_one(capsys, name):
+    code, out, err = run(["lemma", name, "--q", "4,4", "--k", "0"], capsys)
+    assert (code, out, err) == (EXIT_INPUT, "", "error: k must be >= 1, got 0\n")
+
+
 def test_lemma_rejects_mismatched_shape(capsys):
     code, _, _ = run(
         ["lemma", "lemma1", "--k", "2", "--l", "10", "--q", "9,9", "--seed", "1"],
@@ -400,6 +416,14 @@ def test_parallel_jobs_match_serial(capsys):
     _, serial, _ = run(base, capsys)
     _, parallel, _ = run(base + ["--jobs", "2"], capsys)
     assert serial == parallel
+    # from a fresh start the main process never imports definetti; the workers do
+    fresh = subprocess.run(
+        [sys.executable, "-m", "finetti", *base, "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        env=_env_with_finetti(),
+    )
+    assert (fresh.returncode, fresh.stdout) == (0, serial), fresh.stderr
 
 
 def test_cli_start_loads_no_pool_and_no_dataclasses():
@@ -433,6 +457,55 @@ def test_cli_start_loads_no_random_and_no_exactlog():
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# the finetti modules each start loads: a start compiles only what its subcommand runs
+LEMMA_MODULES = {"cli", "marginal_sets", "exchangeable", "types_core", "info_measures"}
+START_MODULES = [
+    ("--help", {"cli"}),
+    ("verify --help", {"cli"}),
+    (
+        "verify --family fair-coin --n 8 --k 2",
+        {"cli", "definetti", "exchangeable", "types_core", "info_measures"},
+    ),
+    (
+        "gibbs --target 1/2,1/2 --k 2 --n 4 --threshold 1",
+        {"cli", "gibbs", "exchangeable", "types_core", "info_measures"},
+    ),
+    ("types --m 2 --n 4", {"cli", "exchangeable", "types_core"}),
+    ("lemma lemma1 --q 4,4 --k 2 --l 4 --seed 1", LEMMA_MODULES),
+    ("lemma lemma3 --q 4,4 --k 2", LEMMA_MODULES),
+    ("lemma pythagoras --q 4,4 --k 2", LEMMA_MODULES),
+    ("lemma dbound --q 4,4 --k 2", LEMMA_MODULES | {"definetti"}),
+]
+
+
+@pytest.mark.parametrize("command, modules", START_MODULES, ids=[c for c, _ in START_MODULES])
+def test_cli_start_loads_only_its_subcommands_modules(command, modules):
+    # run as `python -m finetti`; -S keeps site hooks out of the module set
+    code = (
+        "import runpy, sys; sys.argv[0] = 'finetti'\n"
+        "try:\n    runpy.run_module('finetti', run_name='__main__')\n"
+        "except SystemExit as exc:\n    rc = exc.code\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('finetti.')), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *command.split()],
+        capture_output=True,
+        text=True,
+        env=_env_with_finetti(),
+    )
+    loaded = proc.stderr.strip().splitlines()[-1]
+    assert loaded == f"0 {sorted(f'finetti.{name}' for name in modules)}", proc.stderr
+
+
+def test_import_finetti_loads_no_submodule():
+    code = "import sys, finetti; print(sorted(m for m in sys.modules if m.startswith('finetti.')))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_env_with_finetti()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
