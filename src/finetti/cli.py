@@ -328,17 +328,25 @@ def cmd_lemma(args) -> int:
         }
         _emit([_json_line(payload)], args.out)
         return EXIT_OK if ok else EXIT_VIOLATION
+    # dbound and pythagoras walk the lattice of q at l = n/k
+    if args.q is None:
+        raise ValueError(f"{name} needs --q (an n-type)")
+    q = TypeVector(_parse_int_list(args.q))
+    n = q.n
+    if n % args.k:
+        raise ValueError(f"k={args.k} must divide n={n}")
+    ell = n // args.k
+    if args.l is not None and args.l != ell:
+        raise ValueError(f"--l {args.l} is not n/k = {ell}; {name} takes l = n/k")
     if name == "dbound":
-        if args.q is None:
-            raise ValueError("dbound needs --q (an n-type)")
-        q = TypeVector(_parse_int_list(args.q))
-        n = q.n
-        if n % args.k:
-            raise ValueError(f"k={args.k} must divide n={n}")
-        ell = n // args.k
         from .definetti import theorem_constants  # only dbound needs the bound's constants
 
         params = theorem_constants(n, args.k, q.m)
+        if args.delta is None and params.delta <= 0:
+            raise ValueError(
+                f"the theorem's delta(n, k, m) = {params.delta} is not positive at "
+                f"n={n}, k={args.k}, m={q.m}; pass --delta"
+            )
         delta = args.delta if args.delta is not None else params.delta
         mean = conditional_mean_divergence(q, args.k, ell, cap=args.cap)
         tail = partition_tail_bound(q, args.k, ell, delta, cap=args.cap)
@@ -361,13 +369,6 @@ def cmd_lemma(args) -> int:
         _emit([_json_line(payload)], args.out)
         return EXIT_OK if ok else EXIT_VIOLATION
     if name == "pythagoras":
-        if args.q is None:
-            raise ValueError("pythagoras needs --q (an n-type)")
-        q = TypeVector(_parse_int_list(args.q))
-        n = q.n
-        if n % args.k:
-            raise ValueError(f"k={args.k} must divide n={n}")
-        ell = n // args.k
         # one walk: each member's integer residual certifies both identities
         members, argmin, unique = pythagorean_scan(q, args.k, ell, cap=args.cap)
         # with counts c, Q^k gives a k-string of histogram u the mass prod_a c_a^u_a

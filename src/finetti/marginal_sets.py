@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exchangeable import _occurrence_matrix, power_pmf
 from .info_measures import entropy, l1_distance, relative_entropy
@@ -128,6 +128,80 @@ def _lattice_targets(q: Pmf, k: int, ell: int) -> list[int] | None:
     return [t.numerator for t in targets]
 
 
+def _progression(start: int, step: int, length: int) -> Iterable[int]:
+    """start, start + step, ... for `length` terms."""
+    return range(start, start + step * length, step) if step else repeat(start, length)
+
+
+def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[int, ...]]:
+    """The counts of every member of enumerate_E_k_types, in its order.
+
+    Checks k, l and the cap when called, before the walk starts.
+    """
+    m = len(q)
+    if k < 1 or ell < 1:
+        raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
+    total = count_types(m**k, ell)
+    limit = resolve_cap(cap)
+    if total > limit:
+        raise CapacityError(
+            f"{total} block histograms at (cells={m ** k}, l={ell}) exceeds cap {limit}"
+        )
+    targets = _lattice_targets(q, k, ell)
+    if targets is None:
+        return iter(())
+    if m == 1:  # one symbol, one cell
+        return iter(((ell,),))
+    if k == 1:  # one cell per symbol: the only member is l*q
+        return iter((tuple(targets),))
+    occ = _occurrence_matrix(m, k)
+    split = len(occ) - m  # the walk branches on the cells before, and solves the last m
+    # rules[b]: the interval conditions at cell b, each c * slope <= offset
+    # with offset = remaining * scale + sign * residual[a].  For symbol a,
+    # with occ[b][a] = here and occurrences between bottom and top after b:
+    #   residual - c * here <= (remaining - c) * top      (first rule)
+    #   residual - c * here >= (remaining - c) * bottom   (second rule)
+    rules = []
+    for b in range(split):
+        rule = []
+        for a in range(m):
+            top = max(row[a] for row in occ[b + 1 :])
+            bottom = min(row[a] for row in occ[b + 1 :])
+            rule.append((a, top - occ[b][a], top, -1))
+            rule.append((a, occ[b][a] - bottom, -bottom, 1))
+        rules.append(rule)
+
+    def batches(b: int, head: tuple[int, ...], remaining: int, residual: list[int]):
+        lo, hi = 0, remaining
+        for a, slope, scale, sign in rules[b]:
+            offset = remaining * scale + sign * residual[a]
+            if slope > 0:
+                hi = min(hi, offset // slope)
+            elif slope < 0:
+                lo = max(lo, -(offset // -slope))
+            elif offset < 0:
+                return
+        row = occ[b]
+        if b + 1 < split:
+            for c in range(lo, hi + 1):
+                yield from batches(
+                    b + 1, head + (c,), remaining - c, [residual[a] - c * row[a] for a in range(m)]
+                )
+            return
+        # The solved cells: at count c here, cell split + a (a < m-1) takes the
+        # residual of a, and the last cell the blocks left; each is linear in c.
+        size = hi - lo + 1
+        solved = [residual[a] - lo * row[a] for a in range(m - 1)]
+        columns = [_progression(s, -row[a], size) for a, s in enumerate(solved)]
+        left = remaining - lo - sum(solved)
+        yield map(
+            head.__add__,
+            zip(range(lo, hi + 1), *columns, _progression(left, sum(row[:-1]) - 1, size)),
+        )
+
+    return chain.from_iterable(batches(0, (), ell, targets))
+
+
 def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator[TypeVector]:
     """l-block histograms over A^k whose averaged marginals equal q.
 
@@ -143,72 +217,28 @@ def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator
     reachable only between (r - c) times the smallest and (r - c) times the
     largest occurrence of a in those cells.  Both conditions are linear in c,
     so c runs over a closed-form interval [lo, hi] in ascending order, and a
-    count outside it, which can hold no member, is never visited.  With one
-    cell left the two bounds coincide and pin the last count exactly.
+    count outside it, which can hold no member, is never visited.
+
+    The walk branches only on the first m^k - m cells; the last m cells, the
+    strings (m-1, ..., m-1, a), are solved.  For a < m-1 the cell ending in a
+    is the only one left that holds a, once, so its count is R(a), and the
+    last cell takes the blocks left, r - sum_{a<m-1} R(a).  The interval at
+    the last branched cell already puts every solved count in [0, r]: there
+    the bounds read 0 <= R(a) <= r for a < m-1 and (k-1)*r <= R(m-1), and
+    sum_a R(a) = k*r.  So each count of that cell pins one member, and no
+    solved count needs a check.  k = 1 (one member, l*q) and m = 1 (one
+    cell) have no cell to branch on.
     """
-    q = _as_pmf(q)
-    m = len(q)
-    if k < 1 or ell < 1:
-        raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
-    total = count_types(m**k, ell)
-    limit = resolve_cap(cap)
-    if total > limit:
-        raise CapacityError(
-            f"{total} block histograms at (cells={m ** k}, l={ell}) exceeds cap {limit}"
-        )
-    targets = _lattice_targets(q, k, ell)
-    if targets is None:
-        return
-    occ = _occurrence_matrix(m, k)
-    last = len(occ) - 1
-    if not last:  # one symbol, one cell
-        yield TypeVector((ell,))
-        return
-    # rules[b]: the interval conditions at cell b, each c * slope <= offset
-    # with offset = remaining * scale + sign * residual[a].  For symbol a,
-    # with occ[b][a] = here and occurrences between bottom and top after b:
-    #   residual - c * here <= (remaining - c) * top      (first rule)
-    #   residual - c * here >= (remaining - c) * bottom   (second rule)
-    rules = []
-    for b in range(last):
-        rule = []
-        for a in range(m):
-            top = max(row[a] for row in occ[b + 1 :])
-            bottom = min(row[a] for row in occ[b + 1 :])
-            rule.append((a, top - occ[b][a], top, -1))
-            rule.append((a, occ[b][a] - bottom, -bottom, 1))
-        rules.append(rule)
-    counts = [0] * (last + 1)
-
-    def walk(b: int, remaining: int, residual: list[int]) -> Iterator[TypeVector]:
-        lo, hi = 0, remaining
-        for a, slope, scale, sign in rules[b]:
-            offset = remaining * scale + sign * residual[a]
-            if slope > 0:
-                hi = min(hi, offset // slope)
-            elif slope < 0:
-                lo = max(lo, -(offset // -slope))
-            elif offset < 0:
-                return
-        if b + 1 == last:
-            # one cell left: its bounds coincide, so every c pins a member
-            for c in range(lo, hi + 1):
-                counts[b], counts[last] = c, remaining - c
-                yield TypeVector(counts)
-            return
-        row = occ[b]
-        for c in range(lo, hi + 1):
-            counts[b] = c
-            yield from walk(b + 1, remaining - c, [residual[a] - c * row[a] for a in range(m)])
-
-    yield from walk(0, ell, targets)
+    yield from map(TypeVector, _lattice_walk(_as_pmf(q), k, ell, cap))
 
 
 @lru_cache(maxsize=2)
 def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, float], ...]:
     """(class size, H(W)) for each member W, in enumeration order.
 
-    The class size l!/prod(c!) is exact, read from a factorial table; the
+    The rows come from the members' count tuples, which the walk yields with
+    its last m cells solved, so no member is built as a TypeVector.  The
+    class size l!/prod(c!) is exact, read from a factorial table; the
     entropy is H(W) = log(l) - fsum(c*log(c))/l, read from a c*log(c) table.
     On the constraint set D(W||Q^k) = k*H(Q) - H(W) and
     D(W||U) = k*log(m) - H(W), identities divergence_decomposition certifies
@@ -218,12 +248,13 @@ def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, float]
     kept for the last two (q, k, l, cap), so the conditional mean and the
     exact tail of one lattice share a single walk.
     """
+    walk = _lattice_walk(q, k, ell, cap)
     factorial = lru_cache(maxsize=None)(math.factorial)
     c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
     rows = []
-    for member in enumerate_E_k_types(q, k, ell, cap=cap):
-        size = factorial(ell) // math.prod(map(factorial, member.counts))
-        rows.append((size, math.log(ell) - math.fsum(map(c_log_c, member.counts)) / ell))
+    for counts in walk:
+        size = factorial(ell) // math.prod(map(factorial, counts))
+        rows.append((size, math.log(ell) - math.fsum(map(c_log_c, counts)) / ell))
     return tuple(rows)
 
 
@@ -296,20 +327,22 @@ def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, 
     Raises ValueError when the set is empty.
     """
     q = _as_pmf(q)
+    walk = _lattice_walk(q, k, ell, cap)
     targets = _lattice_targets(q, k, ell)
-    members, best, unique = 0, None, True  # best: (key, member)
-    for member in enumerate_E_k_types(q, k, ell, cap=cap):
-        if any(_residuals(member.counts, _occurrence_columns(len(q), k), 1, targets)):
-            raise AssertionError(f"walk yielded {member}, off the constraint set; unreachable")
+    cols = _occurrence_columns(len(q), k)
+    members, best, unique = 0, None, True  # best: (key, counts)
+    for counts in walk:
+        if any(_residuals(counts, cols, 1, targets)):
+            raise AssertionError(f"walk yielded {counts}, off the constraint set; unreachable")
         members += 1
-        key = _entropy_key(member.counts)
+        key = _entropy_key(counts)
         if best is None or key < best[0]:
-            best, unique = (key, member), True
+            best, unique = (key, counts), True
         elif key == best[0]:
             unique = False
     if best is None:
         raise ValueError("constraint set has no lattice members at this l")
-    return members, best[1], unique
+    return members, TypeVector(best[1]), unique
 
 
 def lattice_argmin_uniform_divergence(
@@ -392,17 +425,17 @@ def max_divergence_over_E_k(
         if ell is None:
             raise ValueError("grid mode needs l")
         best_key = 0
-        best_member: TypeVector | None = None
+        best_counts: tuple[int, ...] | None = None
         candidates = 0
-        for member in enumerate_E_k_types(q, k, ell, cap=cap):
+        for counts in _lattice_walk(q, k, ell, cap):
             candidates += 1
-            key = _entropy_key(member.counts)
+            key = _entropy_key(counts)
             if key > best_key:
                 best_key = key
-                best_member = member
-        if best_member is None:
+                best_counts = counts
+        if best_counts is None:
             raise ValueError("constraint set has no lattice members at this l")
-        witness = type_to_pmf(best_member)
+        witness = type_to_pmf(TypeVector(best_counts))
         value = relative_entropy(witness, power_pmf(q, k))
         return MaxDivergenceResult(value, witness, candidates, "grid")
     if mode != "exact":
@@ -534,7 +567,7 @@ def lemma1_construct(
     rng = random.Random(seed)
     cells = m**k
 
-    accepted: tuple[int, TypeVector] | None = None
+    accepted: tuple[int, Sequence[int]] | None = None
     tries = 0
     fallback = False
     for _ in range(max_tries):
@@ -548,19 +581,19 @@ def lemma1_construct(
             counts[idx] += 1
         worst = excess(counts)
         if worst / scale <= bound:
-            accepted = (worst, TypeVector(counts))
+            accepted = (worst, counts)
             break
     if accepted is None:
         fallback = True
-        for member in enumerate_E_k_types(q, k, ell, cap=cap):
-            worst = excess(member.counts)
+        for counts in _lattice_walk(type_to_pmf(q), k, ell, cap):
+            worst = excess(counts)
             if accepted is None or worst < accepted[0]:
-                accepted = (worst, member)
+                accepted = (worst, counts)
         if accepted is None or accepted[0] / scale > bound:
             raise ExhaustedTriesError(
                 f"no member within deviation {bound} after {max_tries} shuffles"
             )
-    deviation, block_type = accepted[0] / scale, accepted[1]
+    deviation, block_type = accepted[0] / scale, TypeVector(accepted[1])
     pmf = type_to_pmf(block_type)
     l1_dev = l1_distance(pmf, qk)
     gap = abs(entropy(pmf) - entropy(qk))

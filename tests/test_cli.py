@@ -369,6 +369,31 @@ def test_lemma_rejects_k_below_one(capsys, name):
     assert (code, out, err) == (EXIT_INPUT, "", "error: k must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("name", ["dbound", "pythagoras"])
+def test_lemma_rejects_l_other_than_n_over_k(capsys, name):
+    code, out, err = run(["lemma", name, "--q", "4,4", "--k", "2", "--l", "3"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: --l 3 is not n/k = 4; {name} takes l = n/k\n"
+    code, out, _ = run(["lemma", name, "--q", "4,4", "--k", "2", "--l", "4"], capsys)
+    assert code == EXIT_OK and json.loads(out)["l"] == 4
+
+
+def test_dbound_checks_the_theorem_delta_before_the_walk(monkeypatch, capsys):
+    import finetti.marginal_sets as ms
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(ms, "_lattice_walk", no_walk)
+    ms._member_table.cache_clear()
+    code, out, err = run(["lemma", "dbound", "--q", "1,1", "--k", "1"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "delta(n, k, m)" in err and "not positive" in err and "--delta" in err
+    monkeypatch.undo()
+    code, out, _ = run(["lemma", "dbound", "--q", "1,1", "--k", "1", "--delta", "0.5"], capsys)
+    assert code == EXIT_OK and json.loads(out)["delta"] == 0.5
+
+
 def test_lemma_rejects_mismatched_shape(capsys):
     code, _, _ = run(
         ["lemma", "lemma1", "--k", "2", "--l", "10", "--q", "9,9", "--seed", "1"],

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finetti.marginal_sets as ms
 from finetti.exchangeable import all_strings, power_pmf
 from finetti.info_measures import entropy, max_abs_deviation, relative_entropy
 from finetti.marginal_sets import (
@@ -32,6 +33,7 @@ from finetti.types_core import (
     Pmf,
     TypeVector,
     enumerate_types,
+    resolve_cap,
     type_class_size,
     type_to_pmf,
 )
@@ -61,6 +63,18 @@ def test_enumeration_matches_filter_oracle(k, ell, data):
     q = TypeVector(tuple(counts))
     got = [t.counts for t in enumerate_E_k_types(q, k, ell)]
     assert got == filter_members(q, k, ell)
+    assert ms._member_table(type_to_pmf(q), k, ell, resolve_cap(None)) == oracle_member_rows(
+        q, k, ell
+    )
+
+
+def oracle_member_rows(q: TypeVector, k: int, ell: int) -> tuple[tuple[int, float], ...]:
+    """(class size, H(W)) per filtered member, each computed on its own."""
+    rows = []
+    for counts in filter_members(q, k, ell):
+        h = math.log(ell) - math.fsum(c * math.log(c) for c in counts if c) / ell
+        rows.append((type_class_size(TypeVector(counts)), h))
+    return tuple(rows)
 
 
 def test_enumeration_matches_filter_oracle_spot():
@@ -545,13 +559,36 @@ def oracle_walk(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
 
 @pytest.mark.parametrize(
     "counts, k",
-    [((120, 120), 2), ((8, 8, 8), 2), ((4, 4, 4), 3), ((0, 12, 12), 2), ((6,), 2), ((9, 3), 1)],
+    [
+        ((120, 120), 2),
+        ((8, 8, 8), 2),
+        ((4, 4, 4), 3),
+        ((0, 12, 12), 2),
+        ((6,), 2),
+        ((9, 3), 1),
+        ((6, 6, 0), 2),
+        ((2, 2, 2, 2), 2),
+        ((3, 0, 2, 5), 2),
+        ((1, 2), 2),
+    ],
 )
 def test_interval_walk_matches_oracle_walk(counts, k):
     q = TypeVector(counts)
     ell = q.n // k
     got = [t.counts for t in enumerate_E_k_types(q, k, ell)]
     assert got == oracle_walk(q, k, ell)
+    # (1, 2) at l = 1 has non-integral targets: the one empty set here
+    assert bool(got) == (q.n % k == 0)
+
+
+def test_member_table_fills_on_demand(monkeypatch):
+    # one member at l = 100,000: a dense factorial table would take 100,001 arguments
+    seen = set()
+    real = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda x: seen.add(x) or real(x))
+    ms._member_table.cache_clear()
+    assert conditional_mean_divergence(TypeVector((50000, 50000)), 1, 100000).members == 1
+    assert len(seen) <= 3
 
 
 def test_cap_fires_before_the_walk():
@@ -756,13 +793,13 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
     from finetti.cli import main
 
     walks = []
-    real = ms.enumerate_E_k_types
+    real = ms._lattice_walk
 
     def counted(*args, **kwargs):
         walks.append(args[:3])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ms, "enumerate_E_k_types", counted)
+    monkeypatch.setattr(ms, "_lattice_walk", counted)
     ms._member_table.cache_clear()
     assert main(["lemma", "dbound", "--q", "12,12", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["members"] == 49
@@ -984,15 +1021,15 @@ def test_shifted_member_fails_the_residual_check(monkeypatch, counts, k, ell):
         # the same histogram as an exact pmf takes the same integer check
         with pytest.raises(ValueError):
             divergence_decomposition(type_to_pmf(w), q)
-    real = ms.enumerate_E_k_types
+    real = ms._lattice_walk
     for w in shifted:
-        # a walk that yields the shifted histogram among true members
-        walk = lambda *a, w=w, **kw: iter([*real(*a, **kw), w])  # noqa: E731
-        monkeypatch.setattr(ms, "enumerate_E_k_types", walk)
+        # a walk that yields the shifted histogram's counts among true members
+        walk = lambda *a, w=w, **kw: iter([*real(*a, **kw), w.counts])  # noqa: E731
+        monkeypatch.setattr(ms, "_lattice_walk", walk)
         with pytest.raises(AssertionError):
             ms.pythagorean_scan(q, k, ell)
-    monkeypatch.setattr(ms, "enumerate_E_k_types", real)
-    assert ms.pythagorean_scan(q, k, ell)[0] == len(list(real(q, k, ell)))
+    monkeypatch.setattr(ms, "_lattice_walk", real)
+    assert ms.pythagorean_scan(q, k, ell)[0] == len(list(enumerate_E_k_types(q, k, ell)))
 
 
 def test_pythagoras_walks_the_lattice_once(monkeypatch, capsys):
@@ -1000,13 +1037,13 @@ def test_pythagoras_walks_the_lattice_once(monkeypatch, capsys):
     from finetti.cli import main
 
     walks = []
-    real = ms.enumerate_E_k_types
+    real = ms._lattice_walk
 
     def counted(*args, **kwargs):
         walks.append(args[:3])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ms, "enumerate_E_k_types", counted)
+    monkeypatch.setattr(ms, "_lattice_walk", counted)
     for counts, k, members in (("6,6", 2, 16), ("7,5", 3, 57), ("0,6,6", 2, 16)):
         walks.clear()
         assert main(["lemma", "pythagoras", "--q", counts, "--k", str(k)]) == 0
