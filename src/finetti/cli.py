@@ -141,30 +141,31 @@ def cmd_types(args) -> int:
 
 
 def _build_law(args, n: int):
-    from .exchangeable import delta_type_law, iid_law, polya_urn_law, random_type_weight_law
+    """The family's law: its urns where it has them, its level-n law otherwise."""
+    from .exchangeable import UrnLaw, random_type_weight_law
     from .types_core import Pmf, TypeVector
 
     fam = args.family
     if fam == "fair-coin":
-        return iid_law(Pmf.uniform(2), n)
+        return UrnLaw.iid(Pmf.uniform(2), n)
     if fam == "biased":
         if args.p is None:
             raise ValueError("--family biased needs --p")
         p = Fraction(args.p)
         if not 0 <= p <= 1:
             raise ValueError(f"--p must lie in [0, 1], got {p}")
-        return iid_law(Pmf((p, 1 - p)), n)
+        return UrnLaw.iid(Pmf((p, 1 - p)), n)
     if fam == "polya":
         if args.init is None:
             raise ValueError("--family polya needs --init")
-        return polya_urn_law(_parse_int_list(args.init), n)
+        return UrnLaw.polya(_parse_int_list(args.init), n)
     if fam == "delta-type":
         if args.counts is None:
             raise ValueError("--family delta-type needs --counts")
         t = TypeVector(_parse_int_list(args.counts))
         if t.n != n:
             raise ValueError(f"--counts sums to {t.n}, grid asks for n={n}")
-        return delta_type_law(t)
+        return UrnLaw.delta_type(t)
     if fam == "random-type-weights":
         if args.seed is None:
             raise ValueError("--family random-type-weights needs --seed")
@@ -180,7 +181,7 @@ def _verify_cell(law, k: int) -> dict:
 
 
 def cmd_verify(args) -> int:
-    from .exchangeable import law_from_json
+    from .exchangeable import read_law
 
     if (args.law is None) == (args.family is None):
         raise ValueError("give exactly one of --law FILE or --family NAME")
@@ -191,7 +192,7 @@ def cmd_verify(args) -> int:
         with open(args.law) as fh:
             payload = fh.read()
         n_values = _parse_int_list(args.n) if args.n else (None,)
-        laws = [law_from_json(payload, n=n) for n in n_values]
+        laws = [read_law(payload, n=n) for n in n_values]
     else:
         if args.n is None:
             if args.family == "delta-type" and args.counts is not None:
@@ -348,8 +349,10 @@ def cmd_lemma(args) -> int:
                 f"n={n}, k={args.k}, m={q.m}; pass --delta"
             )
         delta = args.delta if args.delta is not None else params.delta
-        mean = conditional_mean_divergence(q, args.k, ell, cap=args.cap)
+        # the tail bound checks delta before it walks the lattice, so a bad
+        # --delta exits before any walk; the mean reads the same cached walk
         tail = partition_tail_bound(q, args.k, ell, delta, cap=args.cap)
+        mean = conditional_mean_divergence(q, args.k, ell, cap=args.cap)
         ok = mean.value <= params.epsilon + 1e-12
         payload = {
             "lemma": "dbound",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exchangeable import ExchangeableLaw, block_laws, power_pmf
+from .exchangeable import ExchangeableLaw, UrnLaw, block_laws, power_pmf
 from .info_measures import relative_entropy
 from .types_core import type_to_pmf
 
@@ -117,13 +117,14 @@ class VerificationReport(NamedTuple):
     binary_reference: float | None
 
 
-def verify_theorem(law: ExchangeableLaw, k: int) -> VerificationReport:
+def verify_theorem(law: UrnLaw | ExchangeableLaw, k: int) -> VerificationReport:
     """Check D(P_k || M_k) <= epsilon for one law and block length.
 
     P_k is the k-coordinate marginal; M_k mixes i.i.d. blocks over the
     empirical histogram of the first n_eff = effective_n(n, k) draws, and the
-    constants are taken at n_eff.  Both come exactly from one pass over the
-    law (`block_laws`), and only the final divergence is a float.  For k = 1
+    constants are taken at n_eff.  Both come exactly from one kernel pass at
+    k over the law's urns (`block_laws`), and only the final divergence is a
+    float.  For k = 1
     the two sides coincide and the divergence is exactly zero.
     """
     if not 1 <= k <= law.n:

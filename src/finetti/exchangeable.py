@@ -15,6 +15,11 @@ and class law once per histogram, as integer numerators over one
 denominator, then spread over A^k in base-m index order (itertools.product
 order).  The mixture M_k of an exchangeable law is a linear function of its
 P_k (`block_laws`), so it needs no pass of its own.
+
+`UrnLaw` keeps such a law as its urns: its k-block laws cost a kernel pass at
+k, whatever n is.  `ExchangeableLaw` is the level-n view, its n-histograms as
+urns at -1; the public level-n builders build their family's `UrnLaw` out to
+it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from operator import getitem, mul
 from typing import Sequence
@@ -32,6 +37,7 @@ from .types_core import (
     TYPE_CACHE_SIZE,
     Pmf,
     TypeVector,
+    check_cap,
     count_types,
     integer_numerators,
     type_class_size,
@@ -42,6 +48,7 @@ from .types_core import (
 __all__ = [
     "ExchangeableLaw",
     "MixingMeasure",
+    "UrnLaw",
     "all_strings",
     "block_laws",
     "delta_type_law",
@@ -54,6 +61,7 @@ __all__ = [
     "polya_urn_law",
     "power_pmf",
     "random_type_weight_law",
+    "read_law",
     "urn_numerators",
 ]
 
@@ -105,11 +113,12 @@ def _block_pmf(m: int, k: int, urns, step: int) -> Pmf:
     return _spread(m, k, *urn_numerators(urns, k, step))
 
 
-def _class_law(m: int, n: int, urns, step: int) -> ExchangeableLaw:
-    """The kernel's law of all n draws: each class numerator times |T_t|."""
-    numerators, den = urn_numerators(urns, n, step)
-    classes = [type_class_size(t) * x for t, x in zip(type_list(m, n), numerators)]
-    return ExchangeableLaw(m, n, Pmf.from_numerators(classes, den))
+def _class_law(law: UrnLaw) -> ExchangeableLaw:
+    """The urn law built out to all n draws: each class numerator times |T_t|."""
+    numerators, den = urn_numerators(law.urns, law.n, law.step)
+    types = type_list(law.m, law.n)
+    classes = [type_class_size(t) * x if x else 0 for t, x in zip(types, numerators)]
+    return ExchangeableLaw(law.m, law.n, Pmf.from_numerators(classes, den))
 
 
 def power_pmf(q: Pmf, k: int) -> Pmf:
@@ -125,10 +134,13 @@ class ExchangeableLaw(namedtuple("ExchangeableLaw", "m n type_weights")):
 
     `type_weights[i]` is the probability of the i-th histogram in the shared
     enumeration order.  Zero-weight histograms keep their slot so that laws
-    with the same (m, n) live in the same index space.
+    with the same (m, n) live in the same index space.  Read as an urn law,
+    it draws without replacement (`step` -1) from its n-histograms, each
+    weighted by its integer numerator over one denominator (`urns`, computed
+    on first use and kept with the law).
     """
 
-    __slots__ = ()
+    step = -1
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, m: int, n: int, type_weights: Pmf) -> "ExchangeableLaw":
@@ -142,9 +154,17 @@ class ExchangeableLaw(namedtuple("ExchangeableLaw", "m n type_weights")):
             raise ValueError("histogram weights must be a Pmf of exact rationals")
         return tuple.__new__(cls, (m, n, type_weights))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     @property
     def types(self) -> tuple[TypeVector, ...]:
         return type_list(self.m, self.n)
+
+    @cached_property
+    def urns(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        weights, _ = integer_numerators(self.type_weights)
+        return tuple(zip((t.counts for t in self.types), weights))
 
 
 class MixingMeasure(namedtuple("MixingMeasure", "atoms")):
@@ -173,26 +193,91 @@ class MixingMeasure(namedtuple("MixingMeasure", "atoms")):
         return len(self.atoms[0][0])
 
 
-def marginal(law: ExchangeableLaw, k: int) -> Pmf:
-    """Law of the first k coordinates, as a pmf over A^k in index order."""
+class UrnLaw(namedtuple("UrnLaw", "m n urns step")):
+    """Law of n draws from a weighted mixture of urns, kept as its urns.
+
+    Each (counts, w) in `urns` holds counts[a] balls of symbol a and has
+    integer weight w; all urns hold the same number of balls, and a drawn
+    ball goes back with `step` more of its symbol (-1, 0 or +1).  Its k-block
+    laws cost one kernel pass at k, whatever n is.  The record still checks
+    the number of n-histograms against the enumeration cap, as building its
+    level-n law would.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, m: int, n: int, urns, step: int) -> "UrnLaw":
+        urns = tuple((tuple(counts), w) for counts, w in urns)
+        if step not in (-1, 0, 1):
+            raise ValueError(f"step must be -1, 0 or 1, got {step}")
+        if not urns or any(len(counts) != m or min(counts) < 0 for counts, _ in urns):
+            raise ValueError(f"urns must hold nonnegative counts of {m} symbols")
+        if len({sum(counts) for counts, _ in urns}) != 1:
+            raise ValueError("all urns must hold the same number of balls")
+        if not all(isinstance(w, int) and w >= 0 for _, w in urns) or not any(w for _, w in urns):
+            raise ValueError("urn weights must be nonnegative integers, not all zero")
+        size = sum(urns[0][0])
+        if size < (n if step < 0 else 1):
+            raise ValueError(f"urns of {size} balls cannot give {n} draws at step {step}")
+        check_cap(m, n, None)
+        return tuple.__new__(cls, (m, n, urns, step))
+
+    @classmethod
+    def mixing(cls, mix: MixingMeasure, n: int) -> "UrnLaw":
+        """n i.i.d.-given-theta draws under the mixing measure: its atoms as urns at 0.
+
+        With atoms a_j / D and weights w_j / W over common denominators, urn j
+        holds a_j and has weight w_j.
+        """
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        return cls(mix.m, n, _atom_urns(mix), 0)
+
+    @classmethod
+    def iid(cls, q: Pmf, n: int) -> "UrnLaw":
+        """n i.i.d. draws from q: the mixing measure with the one atom q."""
+        return cls.mixing(MixingMeasure(((q, Fraction(1)),)), n)
+
+    @classmethod
+    def polya(cls, initial: Sequence[int], n: int) -> "UrnLaw":
+        """n draws from a Polya urn: each drawn ball goes back with one more of its symbol.
+
+        The initial counts must be >= 1.
+        """
+        initial = tuple(int(a) for a in initial)
+        if len(initial) < 1 or any(a < 1 for a in initial):
+            raise ValueError(f"initial composition must be positive integers, got {initial}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        return cls(len(initial), n, ((initial, 1),), 1)
+
+    @classmethod
+    def delta_type(cls, t: TypeVector) -> "UrnLaw":
+        """Uniform on the class of t: every ball of the urn t, drawn without replacement."""
+        return cls(t.m, t.n, ((t.counts, 1),), -1)
+
+
+def marginal(law, k: int) -> Pmf:
+    """Law of the first k coordinates of an UrnLaw or ExchangeableLaw, over A^k in index order."""
     if not 1 <= k <= law.n:
         raise ValueError(f"k must lie in 1..{law.n}, got {k}")
-    return _block_pmf(law.m, k, _law_urns(law), -1)
+    return _block_pmf(law.m, k, law.urns, law.step)
 
 
 def mixture_iid(source, k: int) -> Pmf:
     """Mixture of i.i.d. k-block laws.
 
-    `source` is a MixingMeasure, or an ExchangeableLaw whose histogram weights
-    are read as a mixing measure over the empirical pmfs t/n (then
-    1 <= k <= n, and M_k comes from P_k by `block_laws`).  The atoms of a
-    MixingMeasure are read as urns over their common denominator.
+    `source` is a MixingMeasure, whose atoms are read as urns over their
+    common denominator, or a law (an UrnLaw or an ExchangeableLaw) whose
+    mixing measure is the empirical pmf T/n of its n draws (then
+    1 <= k <= n, and M_k comes from P_k by `block_laws`).
     """
-    if isinstance(source, ExchangeableLaw):
-        return block_laws(source, k, source.n)[1]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return _block_pmf(source.m, k, _atom_urns(source), 0)
+    if isinstance(source, MixingMeasure):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return _block_pmf(source.m, k, _atom_urns(source), 0)
+    return block_laws(source, k, source.n)[1]
 
 
 @lru_cache(maxsize=None)
@@ -203,12 +288,13 @@ def _stirling2(c: int, i: int) -> int:
     return i * _stirling2(c - 1, i) + _stirling2(c - 1, i - 1)
 
 
-def block_laws(law: ExchangeableLaw, k: int, n: int) -> tuple[Pmf, Pmf]:
+def block_laws(law, k: int, n: int) -> tuple[Pmf, Pmf]:
     """(P_k, M_k), M_k mixing i.i.d. blocks over the pmf T/n of the first n draws.
 
-    Needs 1 <= k <= n <= law.n.  One kernel pass without replacement gives P_k
-    as numerators over D.  The probability of one j-string with histogram i is
-    a margin of P_k, p_j(i) = A_j(i) / D with A_j(i) = sum_a A_{j+1}(i + e_a).
+    `law` is an UrnLaw or an ExchangeableLaw, and 1 <= k <= n <= law.n.  One
+    kernel pass at k over the law's urns gives P_k as numerators over D.  The
+    probability of one j-string with histogram i is a margin of P_k,
+    p_j(i) = A_j(i) / D with A_j(i) = sum_a A_{j+1}(i + e_a).
     With t^u = sum_{i<=u} prod_a S(u_a, i_a) (t_a)_{i_a}, S the Stirling
     numbers of the second kind, and E[prod_a (T_a)_{i_a}] = (n)_{|i|} p_{|i|}(i),
     M_k has numerators sum_{i<=u} prod_a S(u_a, i_a) (n)_{|i|} A_{|i|}(i) over
@@ -216,7 +302,7 @@ def block_laws(law: ExchangeableLaw, k: int, n: int) -> tuple[Pmf, Pmf]:
     """
     if not 1 <= k <= n <= law.n:
         raise ValueError(f"need 1 <= k <= n <= {law.n}, got k={k}, n={n}")
-    numerators, den = urn_numerators(_law_urns(law), k, -1)
+    numerators, den = urn_numerators(law.urns, k, law.step)
     blocks = [u.counts for u in type_list(law.m, k)]
     margin = dict(zip(blocks, numerators))
     for j in range(k - 1, 0, -1):
@@ -233,12 +319,6 @@ def block_laws(law: ExchangeableLaw, k: int, n: int) -> tuple[Pmf, Pmf]:
     return _spread(law.m, k, numerators, den), _spread(law.m, k, mixed, den * n**k)
 
 
-def _law_urns(law: ExchangeableLaw) -> list[tuple[tuple[int, ...], int]]:
-    """The histograms as urns, weighted by integer numerators over one denominator."""
-    weights, _ = integer_numerators(law.type_weights)
-    return [(t.counts, w) for t, w in zip(law.types, weights)]
-
-
 def _atom_urns(mix: MixingMeasure) -> list[tuple[tuple[int, ...], int]]:
     """The atoms as urns: integer numerators over common denominators D and W."""
     m = mix.m
@@ -250,37 +330,24 @@ def _atom_urns(mix: MixingMeasure) -> list[tuple[tuple[int, ...], int]]:
 def from_mixing_measure(mix: MixingMeasure, n: int) -> ExchangeableLaw:
     """Exchangeable law of n i.i.d.-given-theta draws under the mixing measure.
 
-    With atoms a_j / D and weights w_j / W over common denominators, the
-    class of t has weight |T_t| * sum_j w_j * prod_i a_j[i]^t[i] / (W * D^n),
-    n draws with replacement from the atoms as urns.
+    The class of t has weight |T_t| * sum_j w_j * prod_i a_j[i]^t[i] / (W * D^n),
+    n draws with replacement from the atoms as urns (`UrnLaw.mixing`).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _class_law(mix.m, n, _atom_urns(mix), 0)
+    return _class_law(UrnLaw.mixing(mix, n))
 
 
 def iid_law(q: Pmf, n: int) -> ExchangeableLaw:
-    return from_mixing_measure(MixingMeasure(((q, Fraction(1)),)), n)
+    return _class_law(UrnLaw.iid(q, n))
 
 
 def delta_type_law(t: TypeVector) -> ExchangeableLaw:
     """Law that is uniform on one histogram class."""
-    index = type_index_map(t.m, t.n)[t.counts]
-    return ExchangeableLaw(t.m, t.n, Pmf.point_mass(count_types(t.m, t.n), index))
+    return _class_law(UrnLaw.delta_type(t))
 
 
 def polya_urn_law(initial: Sequence[int], n: int) -> ExchangeableLaw:
-    """Law of n draws from a Polya urn with the given initial composition.
-
-    Each drawn ball goes back with one more of its symbol (the urn kernel at
-    step +1); initial counts must be >= 1.
-    """
-    initial = tuple(int(a) for a in initial)
-    if len(initial) < 1 or any(a < 1 for a in initial):
-        raise ValueError(f"initial composition must be positive integers, got {initial}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _class_law(len(initial), n, ((initial, 1),), 1)
+    """Law of n draws from a Polya urn with the given initial composition (`UrnLaw.polya`)."""
+    return _class_law(UrnLaw.polya(initial, n))
 
 
 RANDOM_WEIGHT_LIMIT = 2**30  # random histogram weights lie in 1..RANDOM_WEIGHT_LIMIT - 1
@@ -323,8 +390,8 @@ def law_to_json(law: ExchangeableLaw) -> dict:
     return {"m": law.m, "n": law.n, "typeWeights": entries}
 
 
-def law_from_json(obj, n: int | None = None) -> ExchangeableLaw:
-    """Read a law file: either histogram weights or a mixing measure.
+def read_law(obj, n: int | None = None) -> ExchangeableLaw | UrnLaw:
+    """Read a law file: histogram weights as an ExchangeableLaw, a mixing measure as an UrnLaw.
 
     A typeWeights file fixes (m, n) itself.  A mixing file needs n, from the
     file or from the caller.  When both give n they must agree, for either
@@ -357,5 +424,11 @@ def law_from_json(obj, n: int | None = None) -> ExchangeableLaw:
             raise ValueError("mixing law file needs n (in the file or from the caller)")
         if n is not None and n != use_n:
             raise ValueError(f"law file has n={use_n}, caller asked for n={n}")
-        return from_mixing_measure(mix, use_n)
+        return UrnLaw.mixing(mix, use_n)
     raise ValueError("law file needs a 'typeWeights' or 'mixing' key")
+
+
+def law_from_json(obj, n: int | None = None) -> ExchangeableLaw:
+    """`read_law`, with a mixing file's urns built out to its level-n law."""
+    law = read_law(obj, n)
+    return _class_law(law) if isinstance(law, UrnLaw) else law

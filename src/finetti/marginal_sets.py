@@ -671,6 +671,8 @@ def partition_tail_bound(
     m = len(q)
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     cells = m**k

@@ -213,12 +213,13 @@ def enumerate_types(alphabet: int, n: int, cap: int | None = None) -> Iterator[T
     exceeds the enumeration cap.
     """
     m = _alphabet_size(alphabet)
-    _check_cap(m, n, cap)
+    check_cap(m, n, cap)
     for counts in _compositions(n, m):
         yield TypeVector(counts)
 
 
-def _check_cap(m: int, n: int, cap: int | None) -> None:
+def check_cap(m: int, n: int, cap: int | None) -> None:
+    """Raise CapacityError when the n-histograms over m symbols outnumber the cap."""
     total = count_types(m, n)
     limit = resolve_cap(cap)
     if total > limit:
@@ -240,7 +241,7 @@ def type_list(m: int, n: int, cap: int | None = None) -> tuple[TypeVector, ...]:
 
     The cap is checked on every call, cached or not.
     """
-    _check_cap(m, n, cap)
+    check_cap(m, n, cap)
     return _type_tuple(m, n)
 
 

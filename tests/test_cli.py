@@ -259,6 +259,82 @@ def test_env_cap_binds_verify(monkeypatch, capsys):
     assert "capacity" in err
 
 
+# every verify source at n = 800, where the level-n law would list 801 histograms
+CAP_SOURCES = [
+    ["--family", "fair-coin"],
+    ["--family", "biased", "--p", "1/3"],
+    ["--family", "polya", "--init", "1,1"],
+    ["--family", "delta-type", "--counts", "400,400"],
+    ["--family", "random-type-weights", "--seed", "1", "--m", "2"],
+    ["--law", str(ROOT / "laws" / "mix.json")],
+]
+
+
+@pytest.mark.parametrize("source", CAP_SOURCES, ids=[s[1].rsplit("/", 1)[-1] for s in CAP_SOURCES])
+def test_env_cap_binds_every_verify_source(monkeypatch, capsys, source):
+    # urn laws never list their n-histograms, but still count them against the cap
+    monkeypatch.setenv("FINETTI_CAP", "10")
+    code, out, err = run(["verify", *source, "--n", "800", "--k", "2"], capsys)
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err == "capacity: 801 types at (m=2, n=800) exceeds cap 10\n"
+
+
+URN_SOURCES = [
+    ["--family", "fair-coin", "--n", "30,31"],
+    ["--family", "biased", "--p", "1/3", "--n", "30,31"],
+    ["--family", "polya", "--init", "2,1", "--n", "40,41"],
+    ["--family", "delta-type", "--counts", "3,2,1"],
+    ["--law", str(ROOT / "laws" / "mix.json"), "--n", "200,403"],
+]
+
+
+def _spy_on_kernel(monkeypatch):
+    """Record the (m, n) of every type_list call and the k of every urn_numerators call."""
+    import finetti.exchangeable as ex
+    import finetti.types_core as tc
+
+    calls = {"urn_numerators": [], "type_list": []}
+    picks = {"urn_numerators": lambda args: args[1], "type_list": lambda args: args[:2]}
+    for name, owner in (("urn_numerators", ex), ("type_list", tc)):
+        real = getattr(owner, name)
+
+        def spy(*args, _real=real, _seen=calls[name], _pick=picks[name], **kwargs):
+            _seen.append(_pick(args))
+            return _real(*args, **kwargs)
+
+        for mod in [mod for key, mod in sys.modules.items() if key.startswith("finetti")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("source", URN_SOURCES, ids=[s[1].rsplit("/", 1)[-1] for s in URN_SOURCES])
+def test_verify_urn_families_run_the_kernel_at_k_only(monkeypatch, capsys, source):
+    calls = _spy_on_kernel(monkeypatch)
+    code, out, _ = run(["verify", *source, "--k", "2,3"], capsys)
+    assert code == EXIT_OK and len(out.splitlines()) == 4 - 2 * ("delta-type" in source)
+    assert set(calls["urn_numerators"]) == {2, 3}
+    assert {m_n[1] for m_n in calls["type_list"]} <= {1, 2, 3}
+
+
+def test_verify_random_type_weights_still_lists_level_n(monkeypatch, capsys):
+    calls = _spy_on_kernel(monkeypatch)
+    args = ["verify", "--family", "random-type-weights", "--seed", "5", "--m", "2", "--n", "40,41"]
+    code, _, _ = run([*args, "--k", "2,3"], capsys)
+    assert code == EXIT_OK
+    assert set(calls["urn_numerators"]) == {2, 3}
+    assert {(2, 40), (2, 41)} <= set(calls["type_list"])
+
+
+def test_verify_polya_at_n_100000_runs(capsys):
+    # its level-n law would hold 100,001 class numerators of up to 4.6e5 digits
+    args = ["verify", "--family", "polya", "--init", "1,1", "--n", "100000", "--k", "2"]
+    code, out, _ = run(args, capsys)
+    rep = json.loads(out)
+    assert code == EXIT_OK and rep["holds"] and rep["effective_n"] == 100000
+    assert 0 < rep["divergence"] < 1e-9
+
+
 def test_verify_has_no_backend_or_cap_flag(capsys):
     for extra in (["--backend", "float"], ["--cap", "10"]):
         code, _, _ = run(["verify", "--family", "fair-coin", "--n", "8", "--k", "2", *extra], capsys)
@@ -449,6 +525,42 @@ def test_parallel_jobs_match_serial(capsys):
         env=_env_with_finetti(),
     )
     assert (fresh.returncode, fresh.stdout) == (0, serial), fresh.stderr
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--family", "polya", "--init", "1,1,1", "--n", "24,25"],
+        ["--law", str(ROOT / "laws" / "mix.json"), "--n", "200,403"],
+    ],
+    ids=["polya", "mix.json"],
+)
+def test_parallel_jobs_match_serial_for_urn_laws(capsys, source):
+    # the workers get urn laws by pickle
+    base = ["verify", *source, "--k", "2,3"]
+    code, serial, _ = run(base, capsys)
+    assert code == EXIT_OK and len(serial.splitlines()) == 4
+    _, parallel, _ = run(base + ["--jobs", "2"], capsys)
+    assert serial == parallel
+
+
+def test_dbound_rejects_a_bad_delta_before_the_walk(monkeypatch, capsys):
+    import finetti.marginal_sets as ms
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(ms, "_lattice_walk", no_walk)
+    ms._member_table.cache_clear()
+    for delta, message in [
+        ("-1", "delta must be positive, got -1.0"),
+        ("0", "delta must be positive, got 0.0"),
+        ("nan", "delta must be finite, got nan"),
+        ("inf", "delta must be finite, got inf"),
+        ("-inf", "delta must be finite, got -inf"),
+    ]:
+        code, out, err = run(["lemma", "dbound", "--q", "400,400", "--k", "2", f"--delta={delta}"], capsys)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n"), delta
 
 
 def test_cli_start_loads_no_pool_and_no_dataclasses():

@@ -20,6 +20,7 @@ from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
     ExchangeableLaw,
     MixingMeasure,
+    UrnLaw,
     all_strings,
     block_laws,
     delta_type_law,
@@ -32,11 +33,13 @@ from finetti.exchangeable import (
     polya_urn_law,
     power_pmf,
     random_type_weight_law,
+    read_law,
     urn_numerators,
 )
 from finetti.gibbs import conditional_block_law
 from finetti.info_measures import relative_entropy
 from finetti.types_core import (
+    CapacityError,
     Pmf,
     TypeVector,
     empirical_type,
@@ -574,3 +577,115 @@ def test_sequential_oracle_without_replacement_is_conditional_given_type():
     for t in (TypeVector((2, 0, 3)), TypeVector((1, 1, 1))):
         for s in all_strings(3, 3):
             assert urn_draw_probability(((t.counts, 1),), s, -1) == conditional_given_type(t, s)
+
+
+# ---------------------------------------------------------------------------
+# urn laws against their level-n laws
+# ---------------------------------------------------------------------------
+
+MIX_TEXT = (LAWS / "mix.json").read_text()
+THIRD = Pmf((Fraction(1, 3), Fraction(2, 3)))
+DELTAS = {6: (3, 2, 1), 7: (5, 0, 2), 10: (5, 3, 2), 60: (20, 21, 19)}
+
+# (urn law of n draws, the public level-n builder, the n to check); the n
+# include every golden verify point and n that k = 2, 3, 4 do not divide
+URN_FAMILIES = [
+    pytest.param(
+        lambda n: UrnLaw.iid(Pmf.uniform(2), n), lambda n: iid_law(Pmf.uniform(2), n),
+        (7, 30, 31, 60), id="fair-coin",
+    ),
+    pytest.param(lambda n: UrnLaw.iid(THIRD, n), lambda n: iid_law(THIRD, n), (29, 30, 31), id="biased"),
+    pytest.param(
+        lambda n: UrnLaw.polya((1, 1, 1), n), lambda n: polya_urn_law((1, 1, 1), n),
+        (12, 24, 25), id="polya",
+    ),
+    pytest.param(
+        lambda n: UrnLaw.polya((2, 1), n), lambda n: polya_urn_law((2, 1), n),
+        (40, 41, 59), id="polya-m2",
+    ),
+    pytest.param(
+        lambda n: UrnLaw.delta_type(TypeVector(DELTAS[n])),
+        lambda n: delta_type_law(TypeVector(DELTAS[n])),
+        (6, 7, 10, 60), id="delta-type",
+    ),
+    pytest.param(
+        lambda n: read_law(MIX_TEXT, n), lambda n: law_from_json(MIX_TEXT, n),
+        (30, 31, 60, 200, 403), id="mixing-file",
+    ),
+]
+
+
+@pytest.mark.parametrize("urn_law, level_law, ns", URN_FAMILIES)
+def test_urn_law_block_laws_equal_the_level_n_law(urn_law, level_law, ns):
+    # the level-n law stays the oracle: P_k and M_k agree as Fractions, so
+    # verify prints the same divergence
+    for n in ns:
+        urns, level = urn_law(n), level_law(n)
+        assert type(urns) is UrnLaw and type(level) is ExchangeableLaw
+        assert (urns.m, urns.n) == (level.m, level.n)
+        for k in range(1, min(n, 4) + 1):
+            n_eff = effective_n(n, k)
+            got, want = block_laws(urns, k, n_eff), block_laws(level, k, n_eff)
+            assert got[0].probs == want[0].probs and got[1].probs == want[1].probs, (n, k)
+            assert marginal(urns, k).probs == want[0].probs, (n, k)
+            assert verify_theorem(urns, k) == verify_theorem(level, k), (n, k)
+        assert mixture_iid(urns, 2).probs == mixture_iid(level, 2).probs, n
+
+
+def test_urn_law_cost_does_not_depend_on_n():
+    # a million Polya draws: only the k-histograms are listed, and P_k does
+    # not depend on n
+    law = UrnLaw.polya((1, 2), 10**6)
+    p_k, m_k = block_laws(law, 4, law.n)
+    assert sum(m_k) == 1
+    assert p_k.probs == block_laws(UrnLaw.polya((1, 2), 10), 4, 10)[0].probs
+
+
+def test_urn_law_records_pickle_compare_and_validate(monkeypatch):
+    import pickle
+
+    law = UrnLaw.polya((1, 2), 5)
+    assert law == UrnLaw(2, 5, [([1, 2], 1)], 1) and hash(law) == hash(UrnLaw(2, 5, (((1, 2), 1),), 1))
+    assert law != UrnLaw.polya((2, 1), 5)
+    assert repr(law) == "UrnLaw(m=2, n=5, urns=(((1, 2), 1),), step=1)"
+    assert pickle.loads(pickle.dumps(law)) == law
+    with pytest.raises(AttributeError):
+        law.step = 0
+    with pytest.raises(AttributeError):
+        law.extra = 1
+    with pytest.raises(ValueError, match="step must be -1, 0 or 1"):
+        law._replace(step=2)
+    for urns, message in [
+        ((), "nonnegative counts of 2 symbols"),
+        ((((1, 2, 3), 1),), "nonnegative counts of 2 symbols"),
+        ((((1, -1), 1),), "nonnegative counts of 2 symbols"),
+        ((((1, 2), 1), ((1, 1), 1)), "same number of balls"),
+        ((((1, 2), 0),), "not all zero"),
+        ((((1, 2), Fraction(1, 2)),), "nonnegative integers"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            UrnLaw(2, 5, urns, 1)
+    with pytest.raises(ValueError, match="urns of 3 balls cannot give 5 draws at step -1"):
+        UrnLaw(2, 5, (((1, 2), 1),), -1)
+    with pytest.raises(ValueError, match="urns of 0 balls"):
+        UrnLaw(2, 5, (((0, 0), 1),), 0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        UrnLaw.iid(THIRD, 0)
+    # the n-histograms are checked against the cap, as the level-n build checks them
+    monkeypatch.setenv("FINETTI_CAP", "5")
+    with pytest.raises(CapacityError, match=r"6 types at \(m=2, n=5\) exceeds cap 5"):
+        UrnLaw.polya((1, 2), 5)
+
+
+def test_exchangeable_law_urns_are_computed_once_and_pickle():
+    import pickle
+
+    law = random_type_weight_law(2, 9, 3)
+    assert law.step == -1
+    urns = law.urns
+    assert law.urns is urns
+    assert [counts for counts, _ in urns] == [t.counts for t in law.types]
+    weights = [w for _, w in urns]
+    assert [Fraction(w, sum(weights)) for w in weights] == list(law.type_weights)
+    back = pickle.loads(pickle.dumps(law))
+    assert back == law and back.urns == urns
