@@ -63,8 +63,14 @@ def _rational_pair(value: Fraction) -> dict:
 
 
 def cmd_types(args) -> int:
-    from .exchangeable import urn_numerators
-    from .types_core import Pmf, count_types, integer_numerators, type_class_size, type_list
+    from .types_core import (
+        Pmf,
+        count_types,
+        integer_numerators,
+        type_class_size,
+        type_list,
+        urn_numerators,
+    )
 
     m, n = args.m, args.n
     if args.q is not None:
@@ -141,31 +147,31 @@ def cmd_types(args) -> int:
 
 
 def _build_law(args, n: int):
-    """The family's law: its urns where it has them, its level-n law otherwise."""
-    from .exchangeable import UrnLaw, random_type_weight_law
+    """The family's law of n draws, an `UrnLaw`."""
+    from .exchangeable import delta_type_law, iid_law, polya_urn_law, random_type_weight_law
     from .types_core import Pmf, TypeVector
 
     fam = args.family
     if fam == "fair-coin":
-        return UrnLaw.iid(Pmf.uniform(2), n)
+        return iid_law(Pmf.uniform(2), n)
     if fam == "biased":
         if args.p is None:
             raise ValueError("--family biased needs --p")
         p = Fraction(args.p)
         if not 0 <= p <= 1:
             raise ValueError(f"--p must lie in [0, 1], got {p}")
-        return UrnLaw.iid(Pmf((p, 1 - p)), n)
+        return iid_law(Pmf((p, 1 - p)), n)
     if fam == "polya":
         if args.init is None:
             raise ValueError("--family polya needs --init")
-        return UrnLaw.polya(_parse_int_list(args.init), n)
+        return polya_urn_law(_parse_int_list(args.init), n)
     if fam == "delta-type":
         if args.counts is None:
             raise ValueError("--family delta-type needs --counts")
         t = TypeVector(_parse_int_list(args.counts))
         if t.n != n:
             raise ValueError(f"--counts sums to {t.n}, grid asks for n={n}")
-        return UrnLaw.delta_type(t)
+        return delta_type_law(t)
     if fam == "random-type-weights":
         if args.seed is None:
             raise ValueError("--family random-type-weights needs --seed")
@@ -260,7 +266,6 @@ def _lemma_q(args, n: int):
 def cmd_lemma(args) -> int:
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
-    from .exchangeable import _occurrence_matrix, urn_numerators
     from .marginal_sets import (
         conditional_mean_divergence,
         lemma1_construct,
@@ -268,7 +273,7 @@ def cmd_lemma(args) -> int:
         partition_tail_bound,
         pythagorean_scan,
     )
-    from .types_core import TypeVector, type_index_map
+    from .types_core import TypeVector, power_pmf, type_to_pmf
 
     name = args.name
     if name == "lemma1":
@@ -374,15 +379,12 @@ def cmd_lemma(args) -> int:
     if name == "pythagoras":
         # one walk: each member's integer residual certifies both identities
         members, argmin, unique = pythagorean_scan(q, args.k, ell, cap=args.cap)
-        # with counts c, Q^k gives a k-string of histogram u the mass prod_a c_a^u_a
-        # over n^k, so l*Q^k is a lattice point when n^k divides each l * prod_a c_a^u_a
-        powers, den = urn_numerators(((q.counts, 1),), args.k, 0)
-        on_lattice = all(ell * p % den == 0 for p in powers)
+        # l*Q^k is a lattice point when each of its masses is an integer
+        l_qk = [ell * p for p in power_pmf(type_to_pmf(q), args.k)]
+        on_lattice = all(x.denominator == 1 for x in l_qk)
         argmin_ok = True
         if on_lattice:
-            index = type_index_map(q.m, args.k)
-            l_qk = tuple(ell * powers[index[u]] // den for u in _occurrence_matrix(q.m, args.k))
-            argmin_ok = unique and argmin.counts == l_qk
+            argmin_ok = unique and argmin.counts == tuple(map(int, l_qk))
         payload = {
             "lemma": "pythagoras",
             "m": q.m,

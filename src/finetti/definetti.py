@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exchangeable import ExchangeableLaw, UrnLaw, block_laws, power_pmf
+from .exchangeable import UrnLaw, block_laws, histogram_law
 from .info_measures import relative_entropy
-from .types_core import type_to_pmf
+from .types_core import power_pmf, type_list, type_to_pmf
 
 __all__ = [
     "BoundParams",
@@ -117,7 +117,7 @@ class VerificationReport(NamedTuple):
     binary_reference: float | None
 
 
-def verify_theorem(law: UrnLaw | ExchangeableLaw, k: int) -> VerificationReport:
+def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
     """Check D(P_k || M_k) <= epsilon for one law and block length.
 
     P_k is the k-coordinate marginal; M_k mixes i.i.d. blocks over the
@@ -149,16 +149,15 @@ def verify_theorem(law: UrnLaw | ExchangeableLaw, k: int) -> VerificationReport:
     )
 
 
-def convexity_chain_gap(
-    law: ExchangeableLaw, k: int, cap: int | None = None
-) -> tuple[float, float, float]:
+def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[float, float, float]:
     """The three nondecreasing stages of the mixture approximation argument.
 
-    stage1 = D(P_k || M_k); stage2 averages, over histograms, the divergence
-    of the conditional block law from the i.i.d. law of the histogram's pmf;
-    stage3 averages the conditional mean divergence of a random block
-    histogram instead.  stage1 <= stage2 by joint convexity of relative
-    entropy in both arguments, stage2 <= stage3 by convexity in the first.
+    stage1 = D(P_k || M_k); stage2 averages, over the law's n-histograms
+    (`histogram_law`), the divergence of the conditional block law from the
+    i.i.d. law of the histogram's pmf; stage3 averages the conditional mean
+    divergence of a random block histogram instead.  stage1 <= stage2 by
+    joint convexity of relative entropy in both arguments, stage2 <= stage3
+    by convexity in the first.
     Requires k | n so the block decomposition is exact.
     """
     # only this chain needs the block laws and the lattice walk, so verify skips them
@@ -172,7 +171,7 @@ def convexity_chain_gap(
     stage1 = report.divergence
     stage2 = 0.0
     stage3 = 0.0
-    for t, w in zip(law.types, law.type_weights):
+    for t, w in zip(type_list(law.m, law.n), histogram_law(law)):
         if not w:
             continue
         weight = float(w)

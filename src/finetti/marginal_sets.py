@@ -23,7 +23,6 @@ from itertools import chain, combinations, repeat
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exchangeable import _occurrence_matrix, power_pmf
 from .info_measures import entropy, l1_distance, relative_entropy
 from .types_core import (
     TYPE_CACHE_SIZE,
@@ -32,6 +31,8 @@ from .types_core import (
     TypeVector,
     count_types,
     integer_numerators,
+    occurrence_matrix,
+    power_pmf,
     resolve_cap,
     type_to_pmf,
 )
@@ -67,7 +68,7 @@ class ExhaustedTriesError(RuntimeError):
 
 # col[a][b] = occ[b][a]: the occurrences of symbol a, block by block
 _occurrence_columns = lru_cache(maxsize=TYPE_CACHE_SIZE)(
-    lambda m, k: tuple(zip(*_occurrence_matrix(m, k)))
+    lambda m, k: tuple(zip(*occurrence_matrix(m, k)))
 )
 
 
@@ -154,7 +155,7 @@ def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[i
         return iter(((ell,),))
     if k == 1:  # one cell per symbol: the only member is l*q
         return iter((tuple(targets),))
-    occ = _occurrence_matrix(m, k)
+    occ = occurrence_matrix(m, k)
     split = len(occ) - m  # the walk branches on the cells before, and solves the last m
     # rules[b]: the interval conditions at cell b, each c * slope <= offset
     # with offset = remaining * scale + sign * residual[a].  For symbol a,
@@ -450,7 +451,7 @@ def max_divergence_over_E_k(
     subsets = sum(math.comb(columns, s) for s in range(1, len(active_rows) + 1))
     if subsets > MAX_VERTEX_SUBSETS:
         raise CapacityError(f"{subsets} column subsets exceed the vertex limit {MAX_VERTEX_SUBSETS}")
-    occ = _occurrence_matrix(m, k)
+    occ = occurrence_matrix(m, k)
     # support argument: any member vanishes on blocks using a zero-mass symbol
     active_cols = [b for b in range(cells) if all(occ[b][a] == 0 or q[a] > 0 for a in range(m))]
     # k*q(a) = target[a] / scale with integer targets over scale = lcm(denominators)

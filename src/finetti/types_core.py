@@ -5,7 +5,9 @@ Everything in this module is computed with unbounded integers and
 bounds can be asserted with equality instead of tolerances.  The quantities
 ``e^(n*H(P))`` and ``e^(-n*D(P||Q))`` are rational for a histogram P of
 denominator n and rational Q, which is what makes the exact checks possible;
-helpers for both are provided.
+helpers for both are provided.  The urn kernel (`urn_numerators`) gives the
+law of the first k draws from a weighted mixture of urns once per block
+histogram; every k-block law in the package comes from it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
+from operator import getitem, mul
 from typing import Iterator, Sequence, Union
 
 __all__ = [
@@ -22,18 +26,24 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "Pmf",
     "TypeVector",
+    "all_strings",
     "count_types",
     "empirical_type",
     "enumerate_types",
     "exp_n_entropy",
     "exp_neg_n_divergence",
     "integer_numerators",
+    "occurrence_matrix",
+    "power_pmf",
     "sequence_probability_identity",
+    "spread_pmf",
     "type_class_probability",
     "type_class_size",
     "type_list",
     "type_index_map",
     "type_to_pmf",
+    "urn_numerators",
+    "urn_pmf",
 ]
 
 Rational = Union[int, Fraction]
@@ -226,7 +236,7 @@ def check_cap(m: int, n: int, cap: int | None) -> None:
         raise CapacityError(f"{total} types at (m={m}, n={n}) exceeds cap {limit}")
 
 
-# Type caches keyed by (m, n), shared by laws and restriction maps; each
+# Type caches keyed by (m, n), shared by laws and the urn kernel; each
 # keeps this many entries and drops the least recently used.
 TYPE_CACHE_SIZE = 32
 
@@ -297,6 +307,66 @@ def empirical_type(x: Sequence[int], alphabet: int) -> TypeVector:
 
 def type_to_pmf(t: TypeVector) -> Pmf:
     return Pmf.from_numerators(t.counts, t.n)
+
+
+# ---------------------------------------------------------------------------
+# the urn kernel: k-block laws once per block histogram
+# ---------------------------------------------------------------------------
+
+
+def all_strings(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All k-strings over 0..m-1 in index order."""
+    if m < 1 or k < 1:
+        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+    return tuple(product(range(m), repeat=k))
+
+
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
+def occurrence_matrix(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """occ[b][a]: multiplicity of symbol a in the b-th block of A^k, its histogram."""
+    return tuple(tuple(map(s.count, range(m))) for s in all_strings(m, k))
+
+
+def urn_numerators(urns, k: int, step: int, cap: int | None = None) -> tuple[list[int], int]:
+    """First k draws from a mixture of urns: (numerator per histogram, denominator).
+
+    Each (counts, w) in `urns` holds counts[a] balls of symbol a and has
+    integer weight w; all urns hold n balls, and a drawn ball goes back with
+    `step` more of its symbol.  A draw sequence with histogram u, the i-th of
+    type_list(m, k, cap), has probability numerators[i] / denominator, with
+    numerators[i] = sum_w w * prod_a row(counts[a], u[a]) and denominator =
+    sum_w w * prod_{j<k} (n + j*step); row(c, j) = c*(c+step)*...*(c+(j-1)*step).
+    """
+    urns = [(counts, w) for counts, w in urns if w]
+    m, n = len(urns[0][0]), sum(urns[0][0])
+    blocks = type_list(m, k, cap)
+    held = {c for counts, _ in urns for c in counts}
+    rows = {c: list(accumulate((c + j * step for j in range(k)), mul, initial=1)) for c in held}
+    numerators = [0] * len(blocks)
+    for counts, w in urns:
+        draws = [rows[c] for c in counts]
+        for i, u in enumerate(blocks):
+            numerators[i] += w * math.prod(map(getitem, draws, u.counts))
+    return numerators, sum(w for _, w in urns) * math.prod(n + j * step for j in range(k))
+
+
+def spread_pmf(m: int, k: int, numerators: Sequence[int], den: int) -> Pmf:
+    """One numerator per k-histogram, spread over A^k in index order."""
+    index = type_index_map(m, k)
+    return Pmf.from_numerators([numerators[index[row]] for row in occurrence_matrix(m, k)], den)
+
+
+def urn_pmf(m: int, k: int, urns, step: int) -> Pmf:
+    """Law of the first k draws from the urns (`urn_numerators`), over A^k in index order."""
+    return spread_pmf(m, k, *urn_numerators(urns, k, step))
+
+
+def power_pmf(q: Pmf, k: int) -> Pmf:
+    """Law of k i.i.d. draws from q = a / D, the urn a drawn with replacement."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    a, _ = integer_numerators(q)
+    return urn_pmf(len(a), k, ((a, 1),), 0)
 
 
 # ---------------------------------------------------------------------------

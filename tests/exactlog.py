@@ -154,8 +154,7 @@ def prime_basis_gaps(w, q, k: int) -> tuple[LogCombination, LogCombination]:
     combinations, from the pmfs alone: both are zero for a member of the
     constraint set.  w and q are sequences of rationals, and W << Q^k.
     """
-    from finetti.exchangeable import power_pmf
-    from finetti.types_core import Pmf
+    from finetti.types_core import Pmf, power_pmf
 
     qk = power_pmf(Pmf(tuple(q)), k).probs
     uniform = [Fraction(1, len(qk))] * len(qk)

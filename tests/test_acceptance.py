@@ -16,12 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from finetti.definetti import theorem_constants, verify_theorem
-from finetti.exchangeable import (
-    iid_law,
-    polya_urn_law,
-    power_pmf,
-    random_type_weight_law,
-)
+from finetti.exchangeable import iid_law, polya_urn_law, random_type_weight_law
 from finetti.gibbs import convergence_trace
 from finetti.info_measures import entropy, pinsker_gap
 from finetti.marginal_sets import (
@@ -40,6 +35,7 @@ from finetti.types_core import (
     enumerate_types,
     exp_n_entropy,
     exp_neg_n_divergence,
+    power_pmf,
     sequence_probability_identity,
     type_class_probability,
     type_class_size,

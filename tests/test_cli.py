@@ -259,7 +259,9 @@ def test_env_cap_binds_verify(monkeypatch, capsys):
     assert "capacity" in err
 
 
-# every verify source at n = 800, where the level-n law would list 801 histograms
+# every verify source at n = 800, where the level-n law would list 801 histograms;
+# the test writes the typeWeights file
+TYPE_WEIGHTS_800 = {"m": 2, "n": 800, "typeWeights": [{"counts": [400, 400], "w": "1"}]}
 CAP_SOURCES = [
     ["--family", "fair-coin"],
     ["--family", "biased", "--p", "1/3"],
@@ -267,12 +269,16 @@ CAP_SOURCES = [
     ["--family", "delta-type", "--counts", "400,400"],
     ["--family", "random-type-weights", "--seed", "1", "--m", "2"],
     ["--law", str(ROOT / "laws" / "mix.json")],
+    ["--law", "type-weights-800.json"],
 ]
 
 
 @pytest.mark.parametrize("source", CAP_SOURCES, ids=[s[1].rsplit("/", 1)[-1] for s in CAP_SOURCES])
-def test_env_cap_binds_every_verify_source(monkeypatch, capsys, source):
+def test_env_cap_binds_every_verify_source(monkeypatch, capsys, tmp_path, source):
     # urn laws never list their n-histograms, but still count them against the cap
+    path = tmp_path / "type-weights-800.json"
+    path.write_text(json.dumps(TYPE_WEIGHTS_800))
+    source = [str(path) if a == path.name else a for a in source]
     monkeypatch.setenv("FINETTI_CAP", "10")
     code, out, err = run(["verify", *source, "--n", "800", "--k", "2"], capsys)
     assert (code, out) == (EXIT_CAPACITY, "")
@@ -290,13 +296,12 @@ URN_SOURCES = [
 
 def _spy_on_kernel(monkeypatch):
     """Record the (m, n) of every type_list call and the k of every urn_numerators call."""
-    import finetti.exchangeable as ex
     import finetti.types_core as tc
 
     calls = {"urn_numerators": [], "type_list": []}
     picks = {"urn_numerators": lambda args: args[1], "type_list": lambda args: args[:2]}
-    for name, owner in (("urn_numerators", ex), ("type_list", tc)):
-        real = getattr(owner, name)
+    for name in calls:
+        real = getattr(tc, name)
 
         def spy(*args, _real=real, _seen=calls[name], _pick=picks[name], **kwargs):
             _seen.append(_pick(args))
@@ -324,6 +329,19 @@ def test_verify_random_type_weights_still_lists_level_n(monkeypatch, capsys):
     assert code == EXIT_OK
     assert set(calls["urn_numerators"]) == {2, 3}
     assert {(2, 40), (2, 41)} <= set(calls["type_list"])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_type_weights_file_prints_its_family(capsys, tmp_path, jobs):
+    # a typeWeights file is read as its n-histograms at -1, the law the family builds
+    from finetti.exchangeable import law_to_json, random_type_weight_law
+
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law_to_json(random_type_weight_law(2, 40, 5))))
+    family = ["--family", "random-type-weights", "--seed", "5", "--m", "2", "--n", "40"]
+    want = run(["verify", *family, "--k", "2,3"], capsys)
+    assert want[0] == EXIT_OK and len(want[1].splitlines()) == 2
+    assert run(["verify", "--law", str(path), "--k", "2,3", "--jobs", jobs], capsys) == want
 
 
 def test_verify_polya_at_n_100000_runs(capsys):
@@ -600,7 +618,7 @@ def test_cli_start_loads_no_random_and_no_exactlog():
 
 
 # the finetti modules each start loads: a start compiles only what its subcommand runs
-LEMMA_MODULES = {"cli", "marginal_sets", "exchangeable", "types_core", "info_measures"}
+LEMMA_MODULES = {"cli", "marginal_sets", "types_core", "info_measures"}
 START_MODULES = [
     ("--help", {"cli"}),
     ("verify --help", {"cli"}),
@@ -610,13 +628,13 @@ START_MODULES = [
     ),
     (
         "gibbs --target 1/2,1/2 --k 2 --n 4 --threshold 1",
-        {"cli", "gibbs", "exchangeable", "types_core", "info_measures"},
+        {"cli", "gibbs", "types_core", "info_measures"},
     ),
-    ("types --m 2 --n 4", {"cli", "exchangeable", "types_core"}),
+    ("types --m 2 --n 4", {"cli", "types_core"}),
     ("lemma lemma1 --q 4,4 --k 2 --l 4 --seed 1", LEMMA_MODULES),
     ("lemma lemma3 --q 4,4 --k 2", LEMMA_MODULES),
     ("lemma pythagoras --q 4,4 --k 2", LEMMA_MODULES),
-    ("lemma dbound --q 4,4 --k 2", LEMMA_MODULES | {"definetti"}),
+    ("lemma dbound --q 4,4 --k 2", LEMMA_MODULES | {"definetti", "exchangeable"}),
 ]
 
 

@@ -18,10 +18,9 @@ from exactlog import (
     prime_basis_gaps,
     relative_entropy_combination,
 )
-from finetti.exchangeable import all_strings
 from finetti.info_measures import entropy, relative_entropy
 from finetti.marginal_sets import divergence_decomposition, enumerate_E_k_types
-from finetti.types_core import TypeVector, enumerate_types, type_to_pmf
+from finetti.types_core import TypeVector, all_strings, enumerate_types, type_to_pmf
 
 
 def test_log_laws_certified():

@@ -1,4 +1,4 @@
-"""Exchangeable laws in histogram-weight form, mixtures, and urns."""
+"""Exchangeable laws as weighted mixtures of urns, their histogram weights, and mixtures."""
 
 from __future__ import annotations
 
@@ -18,23 +18,20 @@ from oracles import conditional_given_type, string_index, urn_draw_probability
 
 from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
-    ExchangeableLaw,
     MixingMeasure,
     UrnLaw,
-    all_strings,
     block_laws,
     delta_type_law,
     from_mixing_measure,
+    histogram_law,
     iid_law,
-    law_from_json,
     law_to_json,
     marginal,
     mixture_iid,
     polya_urn_law,
-    power_pmf,
     random_type_weight_law,
     read_law,
-    urn_numerators,
+    type_weight_law,
 )
 from finetti.gibbs import conditional_block_law
 from finetti.info_measures import relative_entropy
@@ -42,20 +39,28 @@ from finetti.types_core import (
     CapacityError,
     Pmf,
     TypeVector,
+    all_strings,
     empirical_type,
+    power_pmf,
     type_class_probability,
     type_class_size,
     type_index_map,
     type_list,
+    urn_numerators,
 )
 
 LAWS = Path(__file__).resolve().parent.parent / "laws"
 
 
-def law_on_strings(law: ExchangeableLaw) -> dict[tuple[int, ...], Fraction]:
+def histograms(law: UrnLaw):
+    """(n-histogram, weight) pairs of the law, its level-n view."""
+    return zip(type_list(law.m, law.n), histogram_law(law))
+
+
+def law_on_strings(law: UrnLaw) -> dict[tuple[int, ...], Fraction]:
     """Brute-force joint law: weight of T spread uniformly over its class."""
     out: dict[tuple[int, ...], Fraction] = {}
-    for t, w in zip(law.types, law.type_weights):
+    for t, w in histograms(law):
         size = type_class_size(t)
         for s in itertools.product(range(law.m), repeat=law.n):
             if empirical_type(s, law.m).counts == t.counts:
@@ -63,7 +68,7 @@ def law_on_strings(law: ExchangeableLaw) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def brute_marginal(law: ExchangeableLaw, k: int) -> dict[tuple[int, ...], Fraction]:
+def brute_marginal(law: UrnLaw, k: int) -> dict[tuple[int, ...], Fraction]:
     joint = law_on_strings(law)
     out: dict[tuple[int, ...], Fraction] = {}
     for s, p in joint.items():
@@ -75,7 +80,7 @@ def test_marginal_matches_brute_force():
     rng = random.Random(11)
     for m, n in ((2, 5), (3, 4)):
         weights = [rng.randrange(1, 9) for _ in type_list(m, n)]
-        law = ExchangeableLaw(m, n, Pmf.from_weights(weights))
+        law = type_weight_law(m, n, Pmf.from_weights(weights))
         for k in range(1, n + 1):
             got = marginal(law, k)
             want = brute_marginal(law, k)
@@ -108,7 +113,7 @@ def test_conditional_given_type_is_sampling_without_replacement():
 def test_iid_law_weights_are_multinomial():
     q = Pmf((Fraction(1, 4), Fraction(3, 4)))
     law = iid_law(q, 3)
-    for t, w in zip(law.types, law.type_weights):
+    for t, w in histograms(law):
         want = type_class_size(t) * Fraction(1, 4) ** t.counts[0] * Fraction(
             3, 4
         ) ** t.counts[1]
@@ -125,12 +130,12 @@ def test_iid_marginal_is_product():
 def test_mixture_iid_matches_direct_integral():
     rng = random.Random(3)
     weights = [rng.randrange(1, 7) for _ in type_list(2, 5)]
-    law = ExchangeableLaw(2, 5, Pmf.from_weights(weights))
+    law = type_weight_law(2, 5, Pmf.from_weights(weights))
     k = 2
     mix = mixture_iid(law, k)
     # direct: sum_T w(T) * (T/n)^k as a product over coordinates
     want = [Fraction(0)] * 4
-    for t, w in zip(law.types, law.type_weights):
+    for t, w in histograms(law):
         p = t.pmf()
         for i, s in enumerate(all_strings(2, k)):
             term = Fraction(w)
@@ -148,9 +153,9 @@ def test_k1_marginal_equals_mixture_exactly():
 
 
 def test_polya_11_is_uniform_on_types():
-    law = polya_urn_law((1, 1), 6)
-    assert len(set(law.type_weights)) == 1
-    assert sum(law.type_weights) == 1
+    weights = histogram_law(polya_urn_law((1, 1), 6))
+    assert len(set(weights)) == 1
+    assert sum(weights) == 1
 
 
 def test_polya_matches_sequential_urn():
@@ -167,14 +172,14 @@ def test_polya_matches_sequential_urn():
             urn[a] += 1
         t = empirical_type(s, 2).counts
         want[t] = want.get(t, Fraction(0)) + p
-    for t, w in zip(law.types, law.type_weights):
+    for t, w in histograms(law):
         assert w == want.get(t.counts, Fraction(0))
 
 
 def test_delta_type_law():
     t = TypeVector((2, 2))
     law = delta_type_law(t)
-    nonzero = [(tt.counts, w) for tt, w in zip(law.types, law.type_weights) if w]
+    nonzero = [(tt.counts, w) for tt, w in histograms(law) if w]
     assert nonzero == [((2, 2), Fraction(1))]
 
 
@@ -182,8 +187,8 @@ def test_random_type_weight_law_is_seed_stable():
     a = random_type_weight_law(2, 8, 123)
     b = random_type_weight_law(2, 8, 123)
     c = random_type_weight_law(2, 8, 124)
-    assert a.type_weights.probs == b.type_weights.probs
-    assert a.type_weights.probs != c.type_weights.probs
+    assert histogram_law(a).probs == histogram_law(b).probs
+    assert histogram_law(a).probs != histogram_law(c).probs
     with pytest.raises(ValueError):
         random_type_weight_law(2, 8, None)
 
@@ -193,7 +198,7 @@ def test_restrict_law_is_marginal_consistent():
     # verify_theorem reads P_k from the unrestricted law
     rng = random.Random(99)
     weights = [rng.randrange(1, 9) for _ in type_list(2, 6)]
-    law = ExchangeableLaw(2, 6, Pmf.from_weights(weights))
+    law = type_weight_law(2, 6, Pmf.from_weights(weights))
     small = oracle_restrict_law(law, 4)
     assert small.n == 4
     for k in range(1, 5):
@@ -208,7 +213,7 @@ def test_restrict_law_weights_are_hypergeometric():
         (1, 1): Fraction(3, 6),
         (0, 2): Fraction(0),
     }
-    for t, w in zip(small.types, small.type_weights):
+    for t, w in histograms(small):
         assert w == want[t.counts]
 
 
@@ -231,7 +236,7 @@ def test_from_mixing_measure_round_trip():
     mix = MixingMeasure(((q, Fraction(1),),))
     law = from_mixing_measure(mix, 4)
     want = iid_law(q, 4)
-    assert law.type_weights.probs == want.type_weights.probs
+    assert histogram_law(law).probs == histogram_law(want).probs
 
 
 def fraction_mixture_weights(mix: MixingMeasure, n: int) -> tuple[Fraction, ...]:
@@ -265,16 +270,16 @@ def test_from_mixing_measure_matches_the_fraction_sum(name):
     mix = MIXTURES[name]
     grid = (1, 2, 7, 30, 60) + ((403,) if mix.m == 2 else ())
     for n in grid:
-        got = from_mixing_measure(mix, n).type_weights.probs
+        got = histogram_law(from_mixing_measure(mix, n)).probs
         assert got == fraction_mixture_weights(mix, n), (name, n)
 
 
 def test_law_json_round_trip():
     law = polya_urn_law((1, 3), 5)
     blob = json.dumps(law_to_json(law))
-    back = law_from_json(blob)
+    back = read_law(blob)
     assert back.m == law.m and back.n == law.n
-    assert back.type_weights.probs == law.type_weights.probs
+    assert histogram_law(back).probs == histogram_law(law).probs
 
 
 def test_law_json_mixing_needs_n():
@@ -282,19 +287,19 @@ def test_law_json_mixing_needs_n():
         {"mixing": [{"pmf": ["1/2", "1/2"], "w": "1"}]}
     )
     with pytest.raises(ValueError):
-        law_from_json(blob)
-    law = law_from_json(blob, n=3)
+        read_law(blob)
+    law = read_law(blob, n=3)
     want = iid_law(Pmf((Fraction(1, 2), Fraction(1, 2))), 3)
-    assert law.type_weights.probs == want.type_weights.probs
+    assert histogram_law(law).probs == histogram_law(want).probs
 
 
 def test_law_json_rejects_mismatched_n():
     typed = json.dumps(law_to_json(polya_urn_law((1, 1), 4)))
     mixing = json.dumps({"n": 4, "mixing": [{"pmf": ["1/2", "1/2"], "w": "1"}]})
     for blob in (typed, mixing):
-        assert law_from_json(blob, n=4).n == 4
+        assert read_law(blob, n=4).n == 4
         with pytest.raises(ValueError):
-            law_from_json(blob, n=5)
+            read_law(blob, n=5)
 
 
 def test_string_indexing_is_base_m():
@@ -321,12 +326,14 @@ def test_marginals_are_consistent(m, n, seed):
 
 def test_law_validates_weight_count():
     with pytest.raises(ValueError):
-        ExchangeableLaw(2, 3, Pmf.uniform(5))
+        type_weight_law(2, 3, Pmf.uniform(5))
 
 
 def test_law_rejects_float_weights():
     with pytest.raises(ValueError, match="must be exact rationals"):
-        ExchangeableLaw(2, 1, Pmf((0.5, 0.5)))
+        type_weight_law(2, 1, Pmf((0.5, 0.5)))
+    with pytest.raises(ValueError, match="histogram weights must be a Pmf of exact rationals"):
+        type_weight_law(2, 1, (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError, match="must be exact rationals"):
         MixingMeasure(((Pmf((0.5, 0.5)), Fraction(1)),))
     with pytest.raises(ValueError, match="must be exact rationals"):
@@ -336,7 +343,7 @@ def test_law_rejects_float_weights():
 def test_law_and_mixing_validation_messages():
     half = Pmf((Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError, match=r"3 entries, \(m=2, n=1\) has 2 types"):
-        ExchangeableLaw(m=2, n=1, type_weights=Pmf.uniform(3))
+        type_weight_law(m=2, n=1, weights=Pmf.uniform(3))
     with pytest.raises(ValueError, match="at least one atom"):
         MixingMeasure(())
     with pytest.raises(ValueError, match="share one alphabet"):
@@ -353,7 +360,7 @@ def _records():
     mix = MixingMeasure(((Pmf((Fraction(1, 3), Fraction(2, 3))), 1),))
     other_mix = MixingMeasure(((Pmf((Fraction(2, 3), Fraction(1, 3))), 1),))
     return [
-        (law, ExchangeableLaw(2, 5, law.type_weights), polya_urn_law((2, 1), 5), "m"),
+        (law, UrnLaw(2, 5, (((1, 2), 1),), 1), polya_urn_law((2, 1), 5), "m"),
         (mix, MixingMeasure(mix.atoms), other_mix, "atoms"),
         (
             verify_theorem(law, 2),
@@ -378,12 +385,12 @@ def test_records_pickle_compare_and_stay_frozen():
         with pytest.raises(AttributeError):
             record.extra = 1
     (law, *_), (mix, *_), _ = _records()
-    assert repr(law) == f"ExchangeableLaw(m=2, n=5, type_weights={law.type_weights!r})"
-    assert law.types == type_list(2, 5)
+    assert repr(law) == "UrnLaw(m=2, n=5, urns=(((1, 2), 1),), step=1)"
+    assert len(histogram_law(law)) == len(type_list(2, 5))
     assert MixingMeasure(((Pmf.uniform(3), 1),)).m == 3
     # a changed copy is validated like a new record
-    with pytest.raises(ValueError, match="has 7 types"):
-        law._replace(n=6)
+    with pytest.raises(ValueError, match="nonnegative counts of 3 symbols"):
+        law._replace(m=3)
     with pytest.raises(ValueError, match="not 1"):
         mix._replace(atoms=((Pmf.uniform(2), Fraction(1, 2)),))
 
@@ -393,12 +400,13 @@ def test_records_pickle_compare_and_stay_frozen():
 # ---------------------------------------------------------------------------
 
 
-def oracle_marginal(law: ExchangeableLaw, k: int) -> Pmf:
+def oracle_marginal(law: UrnLaw, k: int) -> Pmf:
     """P_k one string at a time: sum over T of w(T) * P(s | T)."""
+    weights = list(histograms(law))
     entries = []
     for s in all_strings(law.m, k):
         acc = Fraction(0)
-        for t, w in zip(law.types, law.type_weights):
+        for t, w in weights:
             if w:
                 acc += w * conditional_given_type(t, s)
         entries.append(acc)
@@ -407,8 +415,8 @@ def oracle_marginal(law: ExchangeableLaw, k: int) -> Pmf:
 
 def oracle_mixture_iid(source, k: int) -> Pmf:
     """M_k one string at a time: sum over atoms of w * prod q(s_i)."""
-    if isinstance(source, ExchangeableLaw):
-        atoms = [(t.pmf(), w) for t, w in zip(source.types, source.type_weights) if w]
+    if isinstance(source, UrnLaw):
+        atoms = [(t.pmf(), w) for t, w in histograms(source) if w]
     else:
         atoms = [(q, w) for q, w in source.atoms if w]
     entries = []
@@ -430,7 +438,7 @@ FAMILY_LAWS = [
     pytest.param(lambda: polya_urn_law((1, 2), 30), id="polya-m2"),
     pytest.param(lambda: delta_type_law(TypeVector((5, 3, 2))), id="delta-type"),
     pytest.param(lambda: random_type_weight_law(3, 14, 2024), id="random-type-weights"),
-    pytest.param(lambda: law_from_json((LAWS / "mix.json").read_text(), n=30), id="mixing-file"),
+    pytest.param(lambda: read_law((LAWS / "mix.json").read_text(), n=30), id="mixing-file"),
     pytest.param(
         lambda: oracle_restrict_law(random_type_weight_law(2, 23, 7), 21), id="restricted"
     ),
@@ -455,13 +463,13 @@ def test_verify_divergence_matches_oracle_bit_for_bit(build):
         assert verify_theorem(law, k).divergence == want, k
 
 
-def oracle_restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
+def oracle_restrict_law(law: UrnLaw, n_sub: int) -> UrnLaw:
     """Restriction with one Fraction per (histogram, removal) pair."""
     drop = law.n - n_sub
     idx = {t.counts: i for i, t in enumerate(type_list(law.m, n_sub))}
     out = [Fraction(0)] * len(idx)
     denom = Fraction(1, math.comb(law.n, drop))
-    for t, w in zip(law.types, law.type_weights):
+    for t, w in histograms(law):
         if not w:
             continue
         for removal in itertools.product(*(range(min(c, drop) + 1) for c in t.counts)):
@@ -471,7 +479,7 @@ def oracle_restrict_law(law: ExchangeableLaw, n_sub: int) -> ExchangeableLaw:
             for c, r in zip(t.counts, removal):
                 ways *= math.comb(c, r)
             out[idx[tuple(c - r for c, r in zip(t.counts, removal))]] += w * ways * denom
-    return ExchangeableLaw(law.m, n_sub, Pmf(tuple(out)))
+    return type_weight_law(law.m, n_sub, Pmf(tuple(out)))
 
 
 @pytest.mark.parametrize(
@@ -498,9 +506,8 @@ def test_restrict_law_matches_per_pair_oracle(build, n_sub):
 
 
 def test_verify_cell_makes_one_kernel_pass(monkeypatch):
-    # P_k and M_k come from one pass over the level-n weights, lifted to
-    # integers once, and no histogram of the first n_eff draws is listed
-    import finetti.exchangeable as ex
+    # P_k and M_k come from one pass over the urns, whose weights are
+    # integers from the start, and no histogram of the first n_eff draws is listed
     import finetti.types_core as tc
 
     def counting(real, seen):
@@ -513,14 +520,14 @@ def test_verify_cell_makes_one_kernel_pass(monkeypatch):
     law = random_type_weight_law(2, 401, 5)
     calls = {"urn_numerators": [], "integer_numerators": [], "type_list": []}
     modules = [mod for key, mod in sys.modules.items() if key.startswith("finetti")]
-    for name, owner in (("urn_numerators", ex), ("integer_numerators", tc), ("type_list", tc)):
-        real = getattr(owner, name)
+    for name in calls:
+        real = getattr(tc, name)
         for mod in modules:
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting(real, calls[name]))
     verify_theorem(law, 3)
     assert len(calls["urn_numerators"]) == 1
-    assert len(calls["integer_numerators"]) == 1
+    assert len(calls["integer_numerators"]) == 0
     assert (2, 399) not in calls["type_list"]
 
 
@@ -587,41 +594,26 @@ MIX_TEXT = (LAWS / "mix.json").read_text()
 THIRD = Pmf((Fraction(1, 3), Fraction(2, 3)))
 DELTAS = {6: (3, 2, 1), 7: (5, 0, 2), 10: (5, 3, 2), 60: (20, 21, 19)}
 
-# (urn law of n draws, the public level-n builder, the n to check); the n
-# include every golden verify point and n that k = 2, 3, 4 do not divide
+# (the family's urn law of n draws, the n to check); the n include every
+# golden verify point and n that k = 2, 3, 4 do not divide
 URN_FAMILIES = [
-    pytest.param(
-        lambda n: UrnLaw.iid(Pmf.uniform(2), n), lambda n: iid_law(Pmf.uniform(2), n),
-        (7, 30, 31, 60), id="fair-coin",
-    ),
-    pytest.param(lambda n: UrnLaw.iid(THIRD, n), lambda n: iid_law(THIRD, n), (29, 30, 31), id="biased"),
-    pytest.param(
-        lambda n: UrnLaw.polya((1, 1, 1), n), lambda n: polya_urn_law((1, 1, 1), n),
-        (12, 24, 25), id="polya",
-    ),
-    pytest.param(
-        lambda n: UrnLaw.polya((2, 1), n), lambda n: polya_urn_law((2, 1), n),
-        (40, 41, 59), id="polya-m2",
-    ),
-    pytest.param(
-        lambda n: UrnLaw.delta_type(TypeVector(DELTAS[n])),
-        lambda n: delta_type_law(TypeVector(DELTAS[n])),
-        (6, 7, 10, 60), id="delta-type",
-    ),
-    pytest.param(
-        lambda n: read_law(MIX_TEXT, n), lambda n: law_from_json(MIX_TEXT, n),
-        (30, 31, 60, 200, 403), id="mixing-file",
-    ),
+    pytest.param(lambda n: iid_law(Pmf.uniform(2), n), (7, 30, 31, 60), id="fair-coin"),
+    pytest.param(lambda n: iid_law(THIRD, n), (29, 30, 31), id="biased"),
+    pytest.param(lambda n: polya_urn_law((1, 1, 1), n), (12, 24, 25), id="polya"),
+    pytest.param(lambda n: polya_urn_law((2, 1), n), (40, 41, 59), id="polya-m2"),
+    pytest.param(lambda n: delta_type_law(TypeVector(DELTAS[n])), (6, 7, 10, 60), id="delta-type"),
+    pytest.param(lambda n: read_law(MIX_TEXT, n), (30, 31, 60, 200, 403), id="mixing-file"),
 ]
 
 
-@pytest.mark.parametrize("urn_law, level_law, ns", URN_FAMILIES)
-def test_urn_law_block_laws_equal_the_level_n_law(urn_law, level_law, ns):
-    # the level-n law stays the oracle: P_k and M_k agree as Fractions, so
-    # verify prints the same divergence
+@pytest.mark.parametrize("build, ns", URN_FAMILIES)
+def test_urn_law_block_laws_equal_the_level_n_law(build, ns):
+    # the level-n law, the n-histograms as urns at -1, stays the oracle: P_k
+    # and M_k agree as Fractions, so verify prints the same divergence
     for n in ns:
-        urns, level = urn_law(n), level_law(n)
-        assert type(urns) is UrnLaw and type(level) is ExchangeableLaw
+        urns = build(n)
+        level = type_weight_law(urns.m, n, histogram_law(urns))
+        assert type(urns) is UrnLaw and level.step == -1
         assert (urns.m, urns.n) == (level.m, level.n)
         for k in range(1, min(n, 4) + 1):
             n_eff = effective_n(n, k)
@@ -635,18 +627,18 @@ def test_urn_law_block_laws_equal_the_level_n_law(urn_law, level_law, ns):
 def test_urn_law_cost_does_not_depend_on_n():
     # a million Polya draws: only the k-histograms are listed, and P_k does
     # not depend on n
-    law = UrnLaw.polya((1, 2), 10**6)
+    law = polya_urn_law((1, 2), 10**6)
     p_k, m_k = block_laws(law, 4, law.n)
     assert sum(m_k) == 1
-    assert p_k.probs == block_laws(UrnLaw.polya((1, 2), 10), 4, 10)[0].probs
+    assert p_k.probs == block_laws(polya_urn_law((1, 2), 10), 4, 10)[0].probs
 
 
 def test_urn_law_records_pickle_compare_and_validate(monkeypatch):
     import pickle
 
-    law = UrnLaw.polya((1, 2), 5)
+    law = polya_urn_law((1, 2), 5)
     assert law == UrnLaw(2, 5, [([1, 2], 1)], 1) and hash(law) == hash(UrnLaw(2, 5, (((1, 2), 1),), 1))
-    assert law != UrnLaw.polya((2, 1), 5)
+    assert law != polya_urn_law((2, 1), 5)
     assert repr(law) == "UrnLaw(m=2, n=5, urns=(((1, 2), 1),), step=1)"
     assert pickle.loads(pickle.dumps(law)) == law
     with pytest.raises(AttributeError):
@@ -670,22 +662,30 @@ def test_urn_law_records_pickle_compare_and_validate(monkeypatch):
     with pytest.raises(ValueError, match="urns of 0 balls"):
         UrnLaw(2, 5, (((0, 0), 1),), 0)
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        UrnLaw.iid(THIRD, 0)
+        iid_law(THIRD, 0)
     # the n-histograms are checked against the cap, as the level-n build checks them
     monkeypatch.setenv("FINETTI_CAP", "5")
     with pytest.raises(CapacityError, match=r"6 types at \(m=2, n=5\) exceeds cap 5"):
-        UrnLaw.polya((1, 2), 5)
+        polya_urn_law((1, 2), 5)
 
 
-def test_exchangeable_law_urns_are_computed_once_and_pickle():
+def test_random_type_weights_are_its_histograms_at_minus_one_and_pickle():
     import pickle
 
     law = random_type_weight_law(2, 9, 3)
     assert law.step == -1
-    urns = law.urns
-    assert law.urns is urns
-    assert [counts for counts, _ in urns] == [t.counts for t in law.types]
-    weights = [w for _, w in urns]
-    assert [Fraction(w, sum(weights)) for w in weights] == list(law.type_weights)
+    assert [counts for counts, _ in law.urns] == [t.counts for t in type_list(2, 9)]
+    weights = [w for _, w in law.urns]
+    assert [Fraction(w, sum(weights)) for w in weights] == list(histogram_law(law))
     back = pickle.loads(pickle.dumps(law))
-    assert back == law and back.urns == urns
+    assert back == law and back.urns == law.urns
+
+
+def test_random_type_weights_check_the_cap_before_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("a weight was drawn before the cap check")
+
+    monkeypatch.setattr(random, "Random", no_draws)
+    monkeypatch.setenv("FINETTI_CAP", "10")
+    with pytest.raises(CapacityError, match=r"^2000001 types at \(m=2, n=2000000\) exceeds cap 10$"):
+        random_type_weight_law(2, 2_000_000, 1)

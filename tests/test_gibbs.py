@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finetti.exchangeable import all_strings, power_pmf
 from finetti.gibbs import (
     TracePoint,
     conditional_block_law,
@@ -17,7 +16,14 @@ from finetti.gibbs import (
     round_to_type,
     trace_to_csv,
 )
-from finetti.types_core import Pmf, TypeVector, enumerate_types, type_to_pmf
+from finetti.types_core import (
+    Pmf,
+    TypeVector,
+    all_strings,
+    enumerate_types,
+    power_pmf,
+    type_to_pmf,
+)
 
 
 def test_conditional_block_law_smallest():

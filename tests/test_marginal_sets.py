@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finetti.marginal_sets as ms
-from finetti.exchangeable import all_strings, power_pmf
 from finetti.info_measures import entropy, max_abs_deviation, relative_entropy
 from finetti.marginal_sets import (
     ExhaustedTriesError,
@@ -32,7 +31,10 @@ from finetti.types_core import (
     CapacityError,
     Pmf,
     TypeVector,
+    all_strings,
     enumerate_types,
+    occurrence_matrix,
+    power_pmf,
     resolve_cap,
     type_class_size,
     type_to_pmf,
@@ -240,12 +242,12 @@ def oracle_max_divergence_exact(q: TypeVector, k: int) -> tuple[float, Pmf, int]
     least entropy, up to the search's slack, and candidates counts the
     vertices over all m^k cells.
     """
-    from finetti.marginal_sets import _SLACK, _occurrence_matrix, _solve_columns
+    from finetti.marginal_sets import _SLACK, _solve_columns
 
     qp = type_to_pmf(q)
     m = len(qp)
     cells = m**k
-    occ = _occurrence_matrix(m, k)
+    occ = occurrence_matrix(m, k)
     rows = [a for a in range(m) if qp[a] > 0]
     cols = [b for b in range(cells) if all(occ[b][a] == 0 or qp[a] > 0 for a in range(m))]
     scale = math.lcm(*(qp[a].denominator for a in rows))
@@ -352,10 +354,10 @@ def oracle_solve_columns(cols, target):
     [((4, 4, 4), 2), ((6, 3, 3), 2), ((5, 5), 3), ((1, 2, 3), 2), ((0, 2, 5), 2), ((2, 1, 1, 4), 1)],
 )
 def test_integer_vertex_solve_matches_fraction_oracle(counts, k):
-    from finetti.marginal_sets import _occurrence_matrix, _solve_columns
+    from finetti.marginal_sets import _solve_columns
 
     q = type_to_pmf(TypeVector(counts))
-    occ = _occurrence_matrix(len(q), k)
+    occ = occurrence_matrix(len(q), k)
     rows = [a for a in range(len(q)) if q[a]]
     scale = math.lcm(*(q[a].denominator for a in rows))
     target = [k * q[a] * scale for a in rows]

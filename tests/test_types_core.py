@@ -25,6 +25,7 @@ from finetti.types_core import (
     exp_n_entropy,
     exp_neg_n_divergence,
     integer_numerators,
+    occurrence_matrix,
     resolve_cap,
     sequence_probability_identity,
     type_class_probability,
@@ -286,7 +287,6 @@ def test_type_list_checks_cap_on_cache_hit():
 
 def test_type_caches_stay_within_their_bound():
     from finetti import types_core
-    from finetti.exchangeable import _occurrence_matrix
     from finetti.marginal_sets import _occurrence_columns
 
     bound = types_core.TYPE_CACHE_SIZE
@@ -295,9 +295,9 @@ def test_type_caches_stay_within_their_bound():
         assert len(type_list(2, n)) == n + 1
         assert type_index_map(2, n)[(0, n)] == 0
         # the block histograms of A^1 over n symbols: one row per symbol
-        assert _occurrence_matrix(n, 1)[n - 1] == (0,) * (n - 1) + (1,)
+        assert occurrence_matrix(n, 1)[n - 1] == (0,) * (n - 1) + (1,)
         assert _occurrence_columns(n, 1)[0] == (1,) + (0,) * (n - 1)
-        for cache in (types_core._type_tuple, type_index_map, _occurrence_matrix, _occurrence_columns):
+        for cache in (types_core._type_tuple, type_index_map, occurrence_matrix, _occurrence_columns):
             assert cache.cache_info().currsize <= bound
     # an evicted entry is rebuilt equal, and the cap still binds on every call
     assert type_list(2, 1) == first
