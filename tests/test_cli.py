@@ -828,6 +828,10 @@ GOLDEN = [
         "5420d8fc6dd585f878707362c011029314a345bdb3f742206e576beecc9e412e",
     ),
     ("lemma dbound --q 8,8,8 --k 2", "92c5a35e7c8ee4b2c22a16398fed368524f387f15532d70223dd6e647ccdafa7"),
+    # lattices whose cells fall into many classes of one block histogram
+    ("lemma dbound --q 6,6,6 --k 3", "ef3c5d905426f62ac283b037fb13ea5b76c5a9a95825f883a371393b54f0463c"),
+    ("lemma pythagoras --q 6,6,6 --k 3", "6513da65745cf7e1a661502bcf686b2d4c3d3d91967b3b7bad515edaa4f3f144"),
+    ("lemma dbound --q 3,3,3,3 --k 2", "550f29da015d62cb634c4c512aefa8abe29066e456c78899148a3c2da177d59f"),
     (
         "lemma lemma1 --q 400,400 --k 2 --l 400 --seed 3",
         "0f0bb6afbb4fe1f48ba6525f35df449e594ca339e28be8920e1c02ae6977d403",
