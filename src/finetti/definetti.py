@@ -14,11 +14,13 @@ Stirling transform, so the law is never restricted.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exchangeable import UrnLaw, block_laws, histogram_law
 from .info_measures import relative_entropy
 from .types_core import power_pmf, type_list, type_to_pmf
+
+if TYPE_CHECKING:
+    from .exchangeable import UrnLaw
 
 __all__ = [
     "BoundParams",
@@ -127,6 +129,9 @@ def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
     float.  For k = 1
     the two sides coincide and the divergence is exactly zero.
     """
+    # only verify runs the urn kernel, so dbound, which reads the constants, skips it
+    from .exchangeable import block_laws
+
     if not 1 <= k <= law.n:
         raise ValueError(f"k must lie in 1..{law.n}, got {k}")
     n_eff = effective_n(law.n, k)
@@ -161,6 +166,7 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
     Requires k | n so the block decomposition is exact.
     """
     # only this chain needs the block laws and the lattice walk, so verify skips them
+    from .exchangeable import histogram_law
     from .gibbs import conditional_block_law
     from .marginal_sets import conditional_mean_divergence
 

@@ -174,11 +174,20 @@ def block_laws(law: UrnLaw, k: int, n: int) -> tuple[Pmf, Pmf]:
 
 
 def histogram_law(law: UrnLaw) -> Pmf:
-    """The law's n-histogram weights over type_list(m, n): one kernel pass at n.
+    """The law's n-histogram weights over type_list(m, n).
 
-    The class of t has weight |T_t| times the probability of one n-string
-    with histogram t.
+    At step -1, n draws empty an urn of n balls, so that urn's n-histogram
+    is its own counts, and the weights are the urns' weights summed per
+    counts, one pass over the urns.  Otherwise one kernel pass at n: the
+    class of t has weight |T_t| times the probability of one n-string with
+    histogram t.
     """
+    if law.step < 0 and sum(law.urns[0][0]) == law.n:
+        weights = [0] * len(type_list(law.m, law.n))
+        index = type_index_map(law.m, law.n)
+        for counts, w in law.urns:
+            weights[index[counts]] += w
+        return Pmf.from_numerators(weights, sum(weights))
     numerators, den = urn_numerators(law.urns, law.n, law.step)
     types = type_list(law.m, law.n)
     classes = [type_class_size(t) * x if x else 0 for t, x in zip(types, numerators)]

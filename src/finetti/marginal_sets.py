@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, product, repeat
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -70,6 +70,19 @@ class ExhaustedTriesError(RuntimeError):
 _occurrence_columns = lru_cache(maxsize=TYPE_CACHE_SIZE)(
     lambda m, k: tuple(zip(*occurrence_matrix(m, k)))
 )
+
+
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
+def _block_classes(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(k-histogram u, its cells in order) per class of cells, ordered by last cell.
+
+    The string (m-1, ..., m-1, a) is the last cell of its class, so the last
+    m classes are (k-1)*e_{m-1} + e_a for a = 0..m-1, as on the cells.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for b, u in enumerate(occurrence_matrix(m, k)):
+        classes.setdefault(u, []).append(b)
+    return tuple(sorted(((u, tuple(b)) for u, b in classes.items()), key=lambda c: c[1][-1]))
 
 
 def _residuals(counts: Sequence[int], cols, scale: int, targets: Sequence[int]) -> list[int]:
@@ -134,10 +147,21 @@ def _progression(start: int, step: int, length: int) -> Iterable[int]:
     return range(start, start + step * length, step) if step else repeat(start, length)
 
 
-def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[int, ...]]:
-    """The counts of every member of enumerate_E_k_types, in its order.
+def _lattice_walk(
+    q: Pmf, k: int, ell: int, cap: int | None, by_class: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """The counts per row of every member: on the cells, or per cell class.
 
-    Checks k, l and the cap when called, before the walk starts.
+    Checks k, l and the cap, count_types(m^k, l), when called, before any
+    walk starts.  On the m^k cells it yields the members of
+    enumerate_E_k_types, in its order.  With `by_class` a row is one
+    k-histogram u, standing for its C(k;u) cells, and the rows are ordered
+    by each class's last cell (`_block_classes`); the walk then yields the
+    class totals d_u, the sum of a member's counts over the cells of u, since
+    the constraint sum_u d_u * u = k*l*q sees a member only through them.
+    In either order the last m rows are (k-1)*e_{m-1} + e_a for a = 0..m-1,
+    the histograms of the strings (m-1, ..., m-1, a), so the walk solves
+    them as enumerate_E_k_types describes, with no check.
     """
     m = len(q)
     if k < 1 or ell < 1:
@@ -151,25 +175,34 @@ def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[i
     targets = _lattice_targets(q, k, ell)
     if targets is None:
         return iter(())
-    if m == 1:  # one symbol, one cell
-        return iter(((ell,),))
-    if k == 1:  # one cell per symbol: the only member is l*q
-        return iter((tuple(targets),))
-    occ = occurrence_matrix(m, k)
-    split = len(occ) - m  # the walk branches on the cells before, and solves the last m
-    # rules[b]: the interval conditions at cell b, each c * slope <= offset
+    rows = [u for u, _ in _block_classes(m, k)] if by_class else occurrence_matrix(m, k)
+    return _row_walk(rows, targets, ell)
+
+
+def _row_walk(
+    rows: Sequence[tuple[int, ...]], targets: Sequence[int], ell: int
+) -> Iterator[tuple[int, ...]]:
+    """Nonnegative counts c, one per row, with sum c = l and sum_r c_r * rows[r] = targets.
+
+    The last m rows must be (k-1)*e_{m-1} + e_a for a = 0..m-1.
+    """
+    m = len(targets)
+    split = len(rows) - m  # the walk branches on the rows before, and solves the last m
+    if not split:  # k = 1 (one row per symbol) or m = 1 (one row): one member
+        return iter((tuple(targets[:-1]) + (ell - sum(targets[:-1]),),))
+    # rules[b]: the interval conditions at row b, each c * slope <= offset
     # with offset = remaining * scale + sign * residual[a].  For symbol a,
-    # with occ[b][a] = here and occurrences between bottom and top after b:
+    # with rows[b][a] = here and occurrences between bottom and top after b:
     #   residual - c * here <= (remaining - c) * top      (first rule)
     #   residual - c * here >= (remaining - c) * bottom   (second rule)
     rules = []
     for b in range(split):
         rule = []
         for a in range(m):
-            top = max(row[a] for row in occ[b + 1 :])
-            bottom = min(row[a] for row in occ[b + 1 :])
-            rule.append((a, top - occ[b][a], top, -1))
-            rule.append((a, occ[b][a] - bottom, -bottom, 1))
+            top = max(row[a] for row in rows[b + 1 :])
+            bottom = min(row[a] for row in rows[b + 1 :])
+            rule.append((a, top - rows[b][a], top, -1))
+            rule.append((a, rows[b][a] - bottom, -bottom, 1))
         rules.append(rule)
 
     def batches(b: int, head: tuple[int, ...], remaining: int, residual: list[int]):
@@ -182,15 +215,15 @@ def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[i
                 lo = max(lo, -(offset // -slope))
             elif offset < 0:
                 return
-        row = occ[b]
+        row = rows[b]
         if b + 1 < split:
             for c in range(lo, hi + 1):
                 yield from batches(
                     b + 1, head + (c,), remaining - c, [residual[a] - c * row[a] for a in range(m)]
                 )
             return
-        # The solved cells: at count c here, cell split + a (a < m-1) takes the
-        # residual of a, and the last cell the blocks left; each is linear in c.
+        # The solved rows: at count c here, row split + a (a < m-1) takes the
+        # residual of a, and the last row the blocks left; each is linear in c.
         size = hi - lo + 1
         solved = [residual[a] - lo * row[a] for a in range(m - 1)]
         columns = [_progression(s, -row[a], size) for a, s in enumerate(solved)]
@@ -233,29 +266,70 @@ def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator
     yield from map(TypeVector, _lattice_walk(_as_pmf(q), k, ell, cap))
 
 
-@lru_cache(maxsize=2)
-def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, float], ...]:
-    """(class size, H(W)) for each member W, in enumeration order.
+@lru_cache(maxsize=None)
+def _fillings(d: int, cells: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(orbit, inner, parts) per way to fill `cells` cells with total d, up to order.
 
-    The rows come from the members' count tuples, which the walk yields with
-    its last m cells solved, so no member is built as a TypeVector.  The
-    class size l!/prod(c!) is exact, read from a factorial table; the
-    entropy is H(W) = log(l) - fsum(c*log(c))/l, read from a c*log(c) table.
-    On the constraint set D(W||Q^k) = k*H(Q) - H(W) and
-    D(W||U) = k*log(m) - H(W), identities divergence_decomposition certifies
-    exactly, so no member needs a pmf.  The tables fill on demand, so a
-    single-member set at a huge l costs only its own counts' factorials, and
-    nothing is computed before the walk has checked the cap.  The rows are
-    kept for the last two (q, k, l, cap), so the conditional mean and the
-    exact tail of one lattice share a single walk.
+    The parts are non-increasing, zeros included.  The orbit
+    cells!/prod_v r_v!, with r_v parts equal to v, counts the cell fillings
+    that permute them, and inner = d!/prod(parts!) is the factor each adds
+    to a class size.  A first part p before the rest of the parts
+    multiplies the rest's inner by C(d, p) and its orbit by cells/r_p; the
+    recursion is at most d + 1 deep.
     """
-    walk = _lattice_walk(q, k, ell, cap)
+    if cells == 1 or d == 0:
+        return ((1, 1, (d,) * cells),)
+    return tuple(
+        (orbit * cells // (1 + rest.count(p)), math.comb(d, p) * inner, (p,) + rest)
+        for p in range(d, -(-d // cells) - 1, -1)  # the first part is at least the mean
+        for orbit, inner, rest in _fillings(d - p, cells - 1)
+        if rest[0] <= p
+    )
+
+
+def _orbit_walk(q: Pmf, k: int, ell: int, cap: int | None):
+    """(class totals, orbit rows) per class total vector of the constraint set.
+
+    Each orbit row holds one `_fillings` entry per class, and stands for the
+    product of their orbits, members whose counts permute among the cells
+    of each class.  Checks the cap before anything is built.
+    """
+    walk = _lattice_walk(q, k, ell, cap, by_class=True)
+    sizes = [len(cells) for _, cells in _block_classes(len(q), k)]
+    return ((totals, product(*map(_fillings, totals, sizes))) for totals in walk)
+
+
+@lru_cache(maxsize=2)
+def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, int, float], ...]:
+    """(orbit, class size, H(W)) per orbit of members W, walking the cell classes.
+
+    Counts permuted among the cells of one k-histogram class keep the class
+    size and the entropy, so one row stands for its whole orbit, and the
+    orbits of the members partition them.  The class size l!/prod(c!) is
+    l!/prod_u(d_u!) times each class's inner d_u!/prod(parts!), exact, with
+    the outer factorials read from a table filled on demand; the entropy is
+    H(W) = log(l) - fsum(c*log(c))/l over the parts of all classes, which
+    are the counts of one member of the orbit.  fsum is correctly rounded
+    whatever the order of its terms, so H(W) has the bits of a cell-by-cell
+    sum, and a mean that repeats each row's term `orbit` times has the bits
+    of one summed member by member.  On the constraint set
+    D(W||Q^k) = k*H(Q) - H(W) and D(W||U) = k*log(m) - H(W), identities
+    divergence_decomposition certifies exactly, so no member needs a pmf.
+    Nothing is computed before the walk has checked the cap, and the rows
+    are kept for the last two (q, k, l, cap), so the conditional mean and
+    the exact tail of one lattice share a single walk.
+    """
+    walk = _orbit_walk(q, k, ell, cap)
     factorial = lru_cache(maxsize=None)(math.factorial)
     c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
+    log_ell = math.log(ell)
     rows = []
-    for counts in walk:
-        size = factorial(ell) // math.prod(map(factorial, counts))
-        rows.append((size, math.log(ell) - math.fsum(map(c_log_c, counts)) / ell))
+    for totals, orbit_rows in walk:
+        outer = factorial(ell) // math.prod(map(factorial, totals))
+        for fills in orbit_rows:
+            orbits, inners, parts = zip(*fills)
+            h = log_ell - math.fsum(map(c_log_c, chain.from_iterable(parts))) / ell
+            rows.append((math.prod(orbits), outer * math.prod(inners), h))
     return tuple(rows)
 
 
@@ -316,34 +390,65 @@ def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, 
     return relative_entropy(w, uniform), relative_entropy(w, qk), d_qu
 
 
+def _extreme_member(q: Pmf, k: int, ell: int, cap: int | None, largest: bool):
+    """(members, first member of least or largest key, members at that key).
+
+    The key prod_b c_b^c_b orders members exactly, larger at smaller entropy,
+    and is the same on an orbit of `_orbit_walk`.  Each class total vector's
+    integer residuals sum_u d_u * u(a) - k*l*q(a) must be zero, which
+    certifies every member of its orbits.  The cell walk yields members in
+    ascending order of their counts, so the first member of an orbit places
+    each class's parts ascending along its cells, and the first at the
+    extreme key is the smallest of those over the tied orbits.  Raises
+    ValueError when the set is empty.
+    """
+    walk = _orbit_walk(q, k, ell, cap)
+    classes = _block_classes(len(q), k)
+    cols = list(zip(*(u for u, _ in classes)))
+    targets = _lattice_targets(q, k, ell)
+    key_of = lru_cache(maxsize=None)(_entropy_key)
+    members, best, tied, at_best = 0, None, [], 0
+    for totals, rows in walk:
+        if any(_residuals(totals, cols, 1, targets)):
+            raise AssertionError(f"walk yielded {totals}, off the constraint set; unreachable")
+        for fills in rows:
+            orbits, _, parts = zip(*fills)
+            orbit = math.prod(orbits)
+            members += orbit
+            key = math.prod(map(key_of, parts))
+            if best is None or (key > best if largest else key < best):
+                best, tied, at_best = key, [parts], orbit
+            elif key == best:
+                tied.append(parts)
+                at_best += orbit
+    if best is None:
+        raise ValueError("constraint set has no lattice members at this l")
+
+    def first_counts(parts) -> tuple[int, ...]:
+        counts = [0] * len(q) ** k
+        for (_, cells), class_parts in zip(classes, parts):
+            for b, c in zip(cells, reversed(class_parts)):
+                counts[b] = c
+        return tuple(counts)
+
+    return members, min(map(first_counts, tied)), at_best
+
+
 def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, TypeVector, bool]:
     """Walk the constraint set once: (members, argmin of D(. || U), unique).
 
-    Each member's integer residuals sum_b c_b * occ[b][a] - k*l*q(a) must be
+    Every member's integer residuals sum_b c_b * occ[b][a] - k*l*q(a) are
     zero, which by the lemma of divergence_decomposition certifies both of
-    its identities for the member.  On the set D(W || U) = k*log(m) - H(W),
-    and entropies of l-block histograms compare exactly through the integer
-    keys prod_b c_b^c_b, so the argmin is the first member of least key,
-    unique unless tied; when Q^k is a lattice point it is the unique one.
-    Raises ValueError when the set is empty.
+    its identities for the member; the walk checks them once per class total
+    vector, one orbit product at a time (`_extreme_member`).  On the set
+    D(W || U) = k*log(m) - H(W), and entropies of l-block histograms compare
+    exactly through the integer keys prod_b c_b^c_b, so the argmin is the
+    first member of least key, unique when one orbit of one member reaches
+    it; when Q^k is a lattice point it is the unique one.  Raises ValueError
+    when the set is empty.
     """
-    q = _as_pmf(q)
-    walk = _lattice_walk(q, k, ell, cap)
-    targets = _lattice_targets(q, k, ell)
-    cols = _occurrence_columns(len(q), k)
-    members, best, unique = 0, None, True  # best: (key, counts)
-    for counts in walk:
-        if any(_residuals(counts, cols, 1, targets)):
-            raise AssertionError(f"walk yielded {counts}, off the constraint set; unreachable")
-        members += 1
-        key = _entropy_key(counts)
-        if best is None or key < best[0]:
-            best, unique = (key, counts), True
-        elif key == best[0]:
-            unique = False
-    if best is None:
-        raise ValueError("constraint set has no lattice members at this l")
-    return members, TypeVector(best[1]), unique
+    members, first, at_best = _extreme_member(_as_pmf(q), k, ell, cap, largest=False)
+    return members, TypeVector(first), at_best == 1
 
 
 def lattice_argmin_uniform_divergence(
@@ -425,17 +530,7 @@ def max_divergence_over_E_k(
     if mode == "grid":
         if ell is None:
             raise ValueError("grid mode needs l")
-        best_key = 0
-        best_counts: tuple[int, ...] | None = None
-        candidates = 0
-        for counts in _lattice_walk(q, k, ell, cap):
-            candidates += 1
-            key = _entropy_key(counts)
-            if key > best_key:
-                best_key = key
-                best_counts = counts
-        if best_counts is None:
-            raise ValueError("constraint set has no lattice members at this l")
+        candidates, best_counts, _ = _extreme_member(q, k, ell, cap, largest=True)
         witness = type_to_pmf(TypeVector(best_counts))
         value = relative_entropy(witness, power_pmf(q, k))
         return MaxDivergenceResult(value, witness, candidates, "grid")
@@ -637,12 +732,13 @@ def conditional_mean_divergence(
     """
     q = _as_pmf(q)
     k_entropy_q = k * entropy(q)
-    rows = [(size, k_entropy_q - h) for size, h in _member_table(q, k, ell, resolve_cap(cap))]
+    rows = _member_table(q, k, ell, resolve_cap(cap))
     if not rows:
         raise ValueError("constraint set has no lattice members at this l")
-    total = sum(size for size, _ in rows)
-    value = math.fsum(size / total * d for size, d in rows)
-    return ConditionalMeanResult(value=value, members=len(rows))
+    total = sum(orbit * size for orbit, size, _ in rows)
+    terms = (repeat(size / total * (k_entropy_q - h), orbit) for orbit, size, h in rows)
+    value = math.fsum(chain.from_iterable(terms))
+    return ConditionalMeanResult(value=value, members=sum(orbit for orbit, _, _ in rows))
 
 
 class TailBoundResult(NamedTuple):
@@ -695,10 +791,10 @@ def partition_tail_bound(
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set
-        for size, h in _member_table(q, k, ell, cap):
-            total += size
+        for orbit, size, h in _member_table(q, k, ell, cap):
+            total += orbit * size
             if log_cells - h > threshold:
-                heavy += size
+                heavy += orbit * size
         if total == 0:
             raise ValueError("constraint set has no lattice members at this l")
         exact_prob = heavy / total

@@ -634,7 +634,7 @@ START_MODULES = [
     ("lemma lemma1 --q 4,4 --k 2 --l 4 --seed 1", LEMMA_MODULES),
     ("lemma lemma3 --q 4,4 --k 2", LEMMA_MODULES),
     ("lemma pythagoras --q 4,4 --k 2", LEMMA_MODULES),
-    ("lemma dbound --q 4,4 --k 2", LEMMA_MODULES | {"definetti", "exchangeable"}),
+    ("lemma dbound --q 4,4 --k 2", LEMMA_MODULES | {"definetti"}),
 ]
 
 

@@ -689,3 +689,43 @@ def test_random_type_weights_check_the_cap_before_drawing(monkeypatch):
     monkeypatch.setenv("FINETTI_CAP", "10")
     with pytest.raises(CapacityError, match=r"^2000001 types at \(m=2, n=2000000\) exceeds cap 10$"):
         random_type_weight_law(2, 2_000_000, 1)
+
+
+def kernel_histogram_law(law: UrnLaw) -> Pmf:
+    """Reference: the n-histogram weights from one urn-kernel pass at n."""
+    numerators, den = urn_numerators(law.urns, law.n, law.step)
+    types = type_list(law.m, law.n)
+    return Pmf.from_numerators([type_class_size(t) * x for t, x in zip(types, numerators)], den)
+
+
+def test_histogram_law_of_full_urns_matches_the_kernel_pass(tmp_path):
+    typed = tmp_path / "typed.json"
+    typed.write_text(json.dumps(law_to_json(polya_urn_law((1, 2), 7))))
+    laws = [
+        random_type_weight_law(2, 400, 5),
+        random_type_weight_law(3, 40, 2),
+        delta_type_law(TypeVector((3, 0, 2))),
+        read_law(typed.read_text()),
+    ]
+    for law in laws:
+        assert law.step == -1
+        assert histogram_law(law) == kernel_histogram_law(law)
+    # urns larger than n draw a part of each urn: the kernel pass still reads them
+    part = UrnLaw(2, 3, (((2, 3), 1), ((4, 1), 2)), -1)
+    assert histogram_law(part) == kernel_histogram_law(part)
+
+
+def test_law_to_json_of_full_urns_runs_no_kernel_pass_at_n(monkeypatch):
+    import finetti.exchangeable as ex
+
+    passes = []
+    real = ex.urn_numerators
+
+    def spy(urns, k, *args, **kwargs):
+        passes.append(k)
+        return real(urns, k, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "urn_numerators", spy)
+    blob = law_to_json(random_type_weight_law(2, 400, 5))
+    assert 400 not in passes
+    assert len(blob["typeWeights"]) == 401

@@ -6,7 +6,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -52,9 +52,8 @@ def filter_members(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
     return out
 
 
-@given(st.integers(1, 3), st.integers(1, 8), st.data())
-@settings(max_examples=60, deadline=None)
-def test_enumeration_matches_filter_oracle(k, ell, data):
+def lattice_points(k: int, ell: int, data) -> TypeVector:
+    """An n-type q at n = k*l over 2 or 3 symbols (2 when k = 3)."""
     m = data.draw(st.integers(2, 3 if k < 3 else 2))
     n = k * ell
     counts = data.draw(
@@ -62,12 +61,43 @@ def test_enumeration_matches_filter_oracle(k, ell, data):
             lambda c: sum(c) == n
         )
     )
-    q = TypeVector(tuple(counts))
+    return TypeVector(tuple(counts))
+
+
+@given(st.integers(1, 3), st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_filter_oracle(k, ell, data):
+    q = lattice_points(k, ell, data)
     got = [t.counts for t in enumerate_E_k_types(q, k, ell)]
     assert got == filter_members(q, k, ell)
-    assert ms._member_table(type_to_pmf(q), k, ell, resolve_cap(None)) == oracle_member_rows(
-        q, k, ell
-    )
+    # each orbit row stands for `orbit` members with its class size and entropy
+    table = ms._member_table(type_to_pmf(q), k, ell, resolve_cap(None))
+    expanded = chain.from_iterable(repeat((size, h), orbit) for orbit, size, h in table)
+    assert sorted(expanded) == sorted(oracle_member_rows(q, k, ell))
+
+
+def class_totals(counts, m: int, k: int) -> tuple[int, ...]:
+    """A cell-level member's totals over the classes of cells, in class-row order."""
+    return tuple(sum(counts[b] for b in cells) for _, cells in ms._block_classes(m, k))
+
+
+@given(st.integers(1, 3), st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_class_walk_matches_filter_oracle(k, ell, data):
+    q = lattice_points(k, ell, data)
+    members = filter_members(q, k, ell)
+    walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None, by_class=True))
+    assert len(set(walk)) == len(walk)
+    assert sorted(walk) == sorted({class_totals(c, q.m, k) for c in members})
+    rows = [fills for _, orbits in ms._orbit_walk(type_to_pmf(q), k, ell, None) for fills in orbits]
+    assert sum(math.prod(f[0] for f in fills) for fills in rows) == len(members)
+
+
+def test_member_table_holds_one_row_per_orbit():
+    # 35,088 members of (6,6,6) at k = 3 in 319 orbits
+    table = ms._member_table(type_to_pmf(TypeVector((6, 6, 6))), 3, 6, resolve_cap(None))
+    assert len(table) == 319
+    assert sum(orbit for orbit, _, _ in table) == 35088
 
 
 def oracle_member_rows(q: TypeVector, k: int, ell: int) -> tuple[tuple[int, float], ...]:
@@ -1025,8 +1055,9 @@ def test_shifted_member_fails_the_residual_check(monkeypatch, counts, k, ell):
             divergence_decomposition(type_to_pmf(w), q)
     real = ms._lattice_walk
     for w in shifted:
-        # a walk that yields the shifted histogram's counts among true members
-        walk = lambda *a, w=w, **kw: iter([*real(*a, **kw), w.counts])  # noqa: E731
+        # a class walk that yields the shifted histogram's class totals among true ones
+        totals = class_totals(w.counts, q.m, k)
+        walk = lambda *a, totals=totals, **kw: iter([*real(*a, **kw), totals])  # noqa: E731
         monkeypatch.setattr(ms, "_lattice_walk", walk)
         with pytest.raises(AssertionError):
             ms.pythagorean_scan(q, k, ell)
@@ -1054,3 +1085,27 @@ def test_pythagoras_walks_the_lattice_once(monkeypatch, capsys):
         assert payload["identity_exact"] and payload["pass"]
         assert len(walks) == 1
 
+
+def cell_walk_pythagorean_scan(q: TypeVector, k: int, ell: int) -> tuple[int, TypeVector, bool]:
+    """Reference scan over every cell-level member: first member of least key prod c^c."""
+    members, best, unique = 0, None, True
+    for counts in ms._lattice_walk(type_to_pmf(q), k, ell, None):
+        members += 1
+        key = math.prod(c**c for c in counts)
+        if best is None or key < best[0]:
+            best, unique = (key, counts), True
+        elif key == best[0]:
+            unique = False
+    return members, TypeVector(best[1]), unique
+
+
+def test_orbit_scan_matches_cell_walk_scan():
+    seen = set()
+    for m, k, ell in SMALL_LATTICES + [(2, 2, 7), (2, 4, 2), (4, 2, 2)]:
+        for q in enumerate_types(m, k * ell):
+            want = cell_walk_pythagorean_scan(q, k, ell)
+            assert ms.pythagorean_scan(q, k, ell) == want, (q, k, ell)
+            on_lattice = all((ell * p).denominator == 1 for p in power_pmf(type_to_pmf(q), k))
+            seen.add((want[2], on_lattice))
+    # tied minima and Q^k off the lattice both occur among these points
+    assert (False, False) in seen and (True, True) in seen
