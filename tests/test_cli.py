@@ -836,6 +836,15 @@ GOLDEN = [
         "lemma lemma1 --q 400,400 --k 2 --l 400 --seed 3",
         "0f0bb6afbb4fe1f48ba6525f35df449e594ca339e28be8920e1c02ae6977d403",
     ),
+    # grid mode: the extreme member of the orbit rows, with its tie rule
+    (
+        "lemma lemma3 --m 2 --q 6,6 --k 2 --mode grid --l 6",
+        "f9cf69f17a59671e7345e7af392cc57f412d7cf015de8c42287f9eb7f23ce5d5",
+    ),
+    (
+        "lemma lemma3 --m 3 --q 6,6,6 --k 3 --mode grid --l 6",
+        "9fb345f6e2760f30571598ac709b7376646d2d8a4ac61fbfa6ea3d65960b0b92",
+    ),
 ]
 
 
