@@ -7,8 +7,9 @@ times symbol a occurs in block b,
 
     sum_b W(b) * occ[b][a] = k * Q(a)   for every a.
 
-The module enumerates the lattice points of this polytope among l-block
-histograms, maximises relative entropy over it by exact vertex search, builds
+The module walks the lattice points of this polytope among l-block
+histograms, one row per orbit of counts permuted within a k-histogram class,
+maximises relative entropy over it by exact vertex search, builds
 low-deviation lattice members by seeded random permutation, and evaluates the
 conditional mean divergence and tail bounds used by the finite mixture
 approximation argument.
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .info_measures import entropy, l1_distance, relative_entropy
 from .types_core import (
@@ -30,7 +31,6 @@ from .types_core import (
     Pmf,
     TypeVector,
     count_types,
-    integer_numerators,
     occurrence_matrix,
     power_pmf,
     resolve_cap,
@@ -43,12 +43,7 @@ __all__ = [
     "MaxDivergenceResult",
     "PermutedBlockResult",
     "TailBoundResult",
-    "average_coordinate_marginal",
     "conditional_mean_divergence",
-    "divergence_decomposition",
-    "enumerate_E_k_types",
-    "in_E_k",
-    "lattice_argmin_uniform_divergence",
     "lemma1_constant",
     "lemma1_construct",
     "max_divergence_over_E_k",
@@ -66,12 +61,6 @@ class ExhaustedTriesError(RuntimeError):
     """The randomized construction ran out of permutations and fallbacks."""
 
 
-# col[a][b] = occ[b][a]: the occurrences of symbol a, block by block
-_occurrence_columns = lru_cache(maxsize=TYPE_CACHE_SIZE)(
-    lambda m, k: tuple(zip(*occurrence_matrix(m, k)))
-)
-
-
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
 def _block_classes(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(k-histogram u, its cells in order) per class of cells, ordered by last cell.
@@ -85,48 +74,12 @@ def _block_classes(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     return tuple(sorted(((u, tuple(b)) for u, b in classes.items()), key=lambda c: c[1][-1]))
 
 
-def _residuals(counts: Sequence[int], cols, scale: int, targets: Sequence[int]) -> list[int]:
-    """scale * sum_b counts[b] * occ[b][a] - targets[a] for every symbol a.
-
-    With W = c / l, q = a / D, scale D and targets k*l*a, all are 0 iff Wbar = q.
-    """
-    return [scale * sum(map(mul, counts, col)) - t for col, t in zip(cols, targets)]
-
-
-def _infer_k(w_size: int, m: int) -> int:
-    k = 1
-    size = m
-    while size < w_size:
-        size *= m
-        k += 1
-    if size != w_size:
-        raise ValueError(f"{w_size} cells is not a power of alphabet size {m}")
-    return k
-
-
 def _as_pmf(p) -> Pmf:
     if isinstance(p, Pmf):
         return p
     if isinstance(p, TypeVector):
         return type_to_pmf(p)
     return Pmf(tuple(p))
-
-
-def average_coordinate_marginal(w, m: int) -> Pmf:
-    """Average of the k coordinate marginals of a block pmf over A^k.
-
-    With W = c / l the average is sum_b c_b * occ[b][a] / (k*l) for every a.
-    """
-    counts, ell = integer_numerators(_as_pmf(w))
-    k = _infer_k(len(counts), m)
-    sums = [sum(map(mul, counts, col)) for col in _occurrence_columns(m, k)]
-    return Pmf.from_numerators(sums, k * ell)
-
-
-def in_E_k(w, q) -> bool:
-    """Whether the averaged coordinate marginals of w equal q, exactly."""
-    q = _as_pmf(q)
-    return average_coordinate_marginal(w, len(q)) == q
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +100,14 @@ def _progression(start: int, step: int, length: int) -> Iterable[int]:
     return range(start, start + step * length, step) if step else repeat(start, length)
 
 
-def _lattice_walk(
-    q: Pmf, k: int, ell: int, cap: int | None, by_class: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """The counts per row of every member: on the cells, or per cell class.
+def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[int, ...]]:
+    """The class totals d_u of every member, one per k-histogram class u.
 
     Checks k, l and the cap, count_types(m^k, l), when called, before any
-    walk starts.  On the m^k cells it yields the members of
-    enumerate_E_k_types, in its order.  With `by_class` a row is one
-    k-histogram u, standing for its C(k;u) cells, and the rows are ordered
-    by each class's last cell (`_block_classes`); the walk then yields the
-    class totals d_u, the sum of a member's counts over the cells of u, since
+    walk starts.  A row is one k-histogram u, standing for its C(k;u) cells,
+    and the rows are ordered by each class's last cell (`_block_classes`).
+    A member's class total d_u is the sum of its counts over the cells of u;
     the constraint sum_u d_u * u = k*l*q sees a member only through them.
-    In either order the last m rows are (k-1)*e_{m-1} + e_a for a = 0..m-1,
-    the histograms of the strings (m-1, ..., m-1, a), so the walk solves
-    them as enumerate_E_k_types describes, with no check.
     """
     m = len(q)
     if k < 1 or ell < 1:
@@ -175,8 +121,7 @@ def _lattice_walk(
     targets = _lattice_targets(q, k, ell)
     if targets is None:
         return iter(())
-    rows = [u for u, _ in _block_classes(m, k)] if by_class else occurrence_matrix(m, k)
-    return _row_walk(rows, targets, ell)
+    return _row_walk([u for u, _ in _block_classes(m, k)], targets, ell)
 
 
 def _row_walk(
@@ -184,11 +129,30 @@ def _row_walk(
 ) -> Iterator[tuple[int, ...]]:
     """Nonnegative counts c, one per row, with sum c = l and sum_r c_r * rows[r] = targets.
 
-    The last m rows must be (k-1)*e_{m-1} + e_a for a = 0..m-1.
+    The rows are k-histograms, and the last m must be (k-1)*e_{m-1} + e_a
+    for a = 0..m-1.  The counts come out in ascending lexicographic order.
+
+    The walk fixes the counts in row order.  At row r, with R blocks left
+    and residual R(a) occurrences of each symbol a still to place, a count c
+    leaves R(a) - c*rows[r][a] for the R - c blocks after r, which is
+    reachable only between (R - c) times the smallest and (R - c) times the
+    largest occurrence of a in those rows.  Both conditions are linear in c,
+    so c runs over a closed-form interval [lo, hi] in ascending order, and a
+    count outside it, which can hold no member, is never visited.
+
+    The walk branches only on the rows before the last m, which it solves.
+    For a < m-1 the row (k-1)*e_{m-1} + e_a is the only one left that holds
+    a, once, so its count is R(a), and the last row, k*e_{m-1}, takes the
+    blocks left, R - sum_{a<m-1} R(a).  The interval at the last branched row
+    already puts every solved count in [0, R]: there the bounds read
+    0 <= R(a) <= R for a < m-1 and (k-1)*R <= R(m-1), and sum_a R(a) = k*R.
+    So each count of that row pins one member, and no solved count needs a
+    check.  k = 1 (one row per symbol, one member, l*q) and m = 1 (one row)
+    have no row to branch on.
     """
     m = len(targets)
     split = len(rows) - m  # the walk branches on the rows before, and solves the last m
-    if not split:  # k = 1 (one row per symbol) or m = 1 (one row): one member
+    if not split:
         return iter((tuple(targets[:-1]) + (ell - sum(targets[:-1]),),))
     # rules[b]: the interval conditions at row b, each c * slope <= offset
     # with offset = remaining * scale + sign * residual[a].  For symbol a,
@@ -236,36 +200,6 @@ def _row_walk(
     return chain.from_iterable(batches(0, (), ell, targets))
 
 
-def enumerate_E_k_types(q, k: int, ell: int, cap: int | None = None) -> Iterator[TypeVector]:
-    """l-block histograms over A^k whose averaged marginals equal q.
-
-    Yields exactly the members of the full histogram enumeration that satisfy
-    the marginal constraint, in the same order, but walks the constraint
-    lattice directly.  q must be an n-type (or a pmf with k*l*q(a) integral);
-    otherwise the set is empty.  Raises CapacityError when the full
-    enumeration exceeds the cap, before the walk starts.
-
-    The walk fixes the cell counts in block order.  At cell b, with r blocks
-    left and residual R(a) occurrences of each symbol a still to place, a
-    count c leaves R(a) - c*occ[b][a] for the r - c blocks after b, which is
-    reachable only between (r - c) times the smallest and (r - c) times the
-    largest occurrence of a in those cells.  Both conditions are linear in c,
-    so c runs over a closed-form interval [lo, hi] in ascending order, and a
-    count outside it, which can hold no member, is never visited.
-
-    The walk branches only on the first m^k - m cells; the last m cells, the
-    strings (m-1, ..., m-1, a), are solved.  For a < m-1 the cell ending in a
-    is the only one left that holds a, once, so its count is R(a), and the
-    last cell takes the blocks left, r - sum_{a<m-1} R(a).  The interval at
-    the last branched cell already puts every solved count in [0, r]: there
-    the bounds read 0 <= R(a) <= r for a < m-1 and (k-1)*r <= R(m-1), and
-    sum_a R(a) = k*r.  So each count of that cell pins one member, and no
-    solved count needs a check.  k = 1 (one member, l*q) and m = 1 (one
-    cell) have no cell to branch on.
-    """
-    yield from map(TypeVector, _lattice_walk(_as_pmf(q), k, ell, cap))
-
-
 @lru_cache(maxsize=None)
 def _fillings(d: int, cells: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(orbit, inner, parts) per way to fill `cells` cells with total d, up to order.
@@ -294,7 +228,7 @@ def _orbit_walk(q: Pmf, k: int, ell: int, cap: int | None):
     product of their orbits, members whose counts permute among the cells
     of each class.  Checks the cap before anything is built.
     """
-    walk = _lattice_walk(q, k, ell, cap, by_class=True)
+    walk = _lattice_walk(q, k, ell, cap)
     sizes = [len(cells) for _, cells in _block_classes(len(q), k)]
     return ((totals, product(*map(_fillings, totals, sizes))) for totals in walk)
 
@@ -313,8 +247,8 @@ def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, int, f
     whatever the order of its terms, so H(W) has the bits of a cell-by-cell
     sum, and a mean that repeats each row's term `orbit` times has the bits
     of one summed member by member.  On the constraint set
-    D(W||Q^k) = k*H(Q) - H(W) and D(W||U) = k*log(m) - H(W), identities
-    divergence_decomposition certifies exactly, so no member needs a pmf.
+    D(W||Q^k) = k*H(Q) - H(W) and D(W||U) = k*log(m) - H(W), exactly, by the
+    lemma in pythagorean_scan, so no member needs a pmf.
     Nothing is computed before the walk has checked the cap, and the rows
     are kept for the last two (q, k, l, cap), so the conditional mean and
     the exact tail of one lattice share a single walk.
@@ -333,92 +267,48 @@ def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, int, f
     return tuple(rows)
 
 
-def _entropy_key(counts: Sequence[int]) -> int:
-    """prod c^c: larger exactly when the l-block histogram's entropy is smaller."""
-    return math.prod(c**c for c in counts)
-
-
 # ---------------------------------------------------------------------------
-# divergence geometry
+# extreme members
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _product_terms(q: Pmf | TypeVector, k: int):
-    """The member-independent half of the decomposition for (q, k).
+def _entropy_key() -> Callable[[tuple], int]:
+    """prod c^c over the parts: larger exactly when the l-block histogram's entropy is smaller.
 
-    (Q^k, U, D(Q^k||U)) as pmfs and a float, and last q as integer numerators
-    over their common denominator, (a, D) with q = a / D, which the
-    membership residual reads; a TypeVector q is converted once.  Callers
-    read the terms, never mutate them.
+    Each class's factor is cached for the one walk that uses the key.
     """
-    q = _as_pmf(q)
-    qk = power_pmf(q, k)
-    uniform = Pmf.uniform(len(qk))
-    return qk, uniform, relative_entropy(qk, uniform), integer_numerators(q)
+    factor = lru_cache(maxsize=None)(lambda parts: math.prod(c**c for c in parts))
+    return lambda parts: math.prod(map(factor, parts))
 
 
-def divergence_decomposition(w, q, k: int | None = None) -> tuple[float, float, float]:
-    """(D(W||U), D(W||Q^k), D(Q^k||U)) for a member W of the constraint set.
+def _extreme_member(q: Pmf, k: int, ell: int, cap: int | None, key: Callable[[tuple], int]):
+    """(members, first member of least key, members at that key).
 
-    For any W on A^k with averaged coordinate marginal Wbar, and any q,
-
-        D(W||U) - D(W||Q^k) - D(Q^k||U) = k * sum_a (Wbar(a) - q(a)) * log q(a),
-
-    and D(W||Q^k) - (k*H(Q) - H(W)) is minus that sum, since log Q^k(b) =
-    sum_a occ[b][a] * log q(a).  So both identities hold exactly where
-    Wbar = q (the Pythagorean equality for linear families, Csiszar 1975).
-    That membership is decided in integers: W = c / l and q = a / D are
-    members exactly when D * sum_b c_b * occ[b][a] = k*l*a(a) for every a.
-    Raises ValueError when W is not a member.
-    """
-    if not isinstance(q, TypeVector):  # a TypeVector's pmf comes from the cache
-        q = _as_pmf(q)
-    w_counts = w.counts if isinstance(w, TypeVector) else None
-    w = _as_pmf(w)
-    m = q.m if isinstance(q, TypeVector) else len(q)
-    inferred = _infer_k(len(w), m)
-    if k is not None and k != inferred:
-        raise ValueError(f"w lives on A^{inferred}, caller says k={k}")
-    k = inferred
-    qk, uniform, d_qu, (a, den) = _product_terms(q, k)
-    if w_counts is None:
-        w_counts, _ = integer_numerators(w)
-    targets = [k * sum(w_counts) * x for x in a]
-    if any(_residuals(w_counts, _occurrence_columns(m, k), den, targets)):
-        raise ValueError("w is not in the constraint set of q")
-    return relative_entropy(w, uniform), relative_entropy(w, qk), d_qu
-
-
-def _extreme_member(q: Pmf, k: int, ell: int, cap: int | None, largest: bool):
-    """(members, first member of least or largest key, members at that key).
-
-    The key prod_b c_b^c_b orders members exactly, larger at smaller entropy,
-    and is the same on an orbit of `_orbit_walk`.  Each class total vector's
-    integer residuals sum_u d_u * u(a) - k*l*q(a) must be zero, which
-    certifies every member of its orbits.  The cell walk yields members in
-    ascending order of their counts, so the first member of an orbit places
-    each class's parts ascending along its cells, and the first at the
-    extreme key is the smallest of those over the tied orbits.  Raises
+    `key` maps an orbit row's parts, one non-increasing tuple per class, to
+    an integer that must be the same on every member of the orbit.  Each
+    class total vector's integer residuals sum_u d_u * u(a) - k*l*q(a)
+    must be zero, which certifies every member of its orbits.  Members are
+    ordered by their cell counts, ascending, so the first member of an orbit
+    places each class's parts ascending along its cells, and the first at
+    the least key is the smallest of those over the tied orbits.  Raises
     ValueError when the set is empty.
     """
     walk = _orbit_walk(q, k, ell, cap)
     classes = _block_classes(len(q), k)
     cols = list(zip(*(u for u, _ in classes)))
     targets = _lattice_targets(q, k, ell)
-    key_of = lru_cache(maxsize=None)(_entropy_key)
     members, best, tied, at_best = 0, None, [], 0
     for totals, rows in walk:
-        if any(_residuals(totals, cols, 1, targets)):
+        if any(sum(map(mul, totals, col)) != t for col, t in zip(cols, targets)):
             raise AssertionError(f"walk yielded {totals}, off the constraint set; unreachable")
         for fills in rows:
             orbits, _, parts = zip(*fills)
             orbit = math.prod(orbits)
             members += orbit
-            key = math.prod(map(key_of, parts))
-            if best is None or (key > best if largest else key < best):
-                best, tied, at_best = key, [parts], orbit
-            elif key == best:
+            value = key(parts)
+            if best is None or value < best:
+                best, tied, at_best = value, [parts], orbit
+            elif value == best:
                 tied.append(parts)
                 at_best += orbit
     if best is None:
@@ -437,25 +327,24 @@ def _extreme_member(q: Pmf, k: int, ell: int, cap: int | None, largest: bool):
 def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, TypeVector, bool]:
     """Walk the constraint set once: (members, argmin of D(. || U), unique).
 
-    Every member's integer residuals sum_b c_b * occ[b][a] - k*l*q(a) are
-    zero, which by the lemma of divergence_decomposition certifies both of
-    its identities for the member; the walk checks them once per class total
-    vector, one orbit product at a time (`_extreme_member`).  On the set
-    D(W || U) = k*log(m) - H(W), and entropies of l-block histograms compare
-    exactly through the integer keys prod_b c_b^c_b, so the argmin is the
-    first member of least key, unique when one orbit of one member reaches
-    it; when Q^k is a lattice point it is the unique one.  Raises ValueError
-    when the set is empty.
+    For any W on A^k with averaged coordinate marginal Wbar, and any q,
+
+        D(W||U) - D(W||Q^k) - D(Q^k||U) = k * sum_a (Wbar(a) - q(a)) * log q(a),
+
+    and D(W||Q^k) - (k*H(Q) - H(W)) is minus that sum, since log Q^k(b) =
+    sum_a occ[b][a] * log q(a).  So both identities hold exactly where
+    Wbar = q (the Pythagorean equality for linear families, Csiszar 1975),
+    which is decided in integers: a member's residuals
+    sum_b c_b * occ[b][a] - k*l*q(a) are zero.  The walk checks them once
+    per class total vector, one orbit product at a time (`_extreme_member`).
+    On the set D(W || U) = k*log(m) - H(W), and entropies of l-block
+    histograms compare exactly through the integer keys prod_b c_b^c_b, so
+    the argmin is the first member of least key, unique when one orbit of
+    one member reaches it; when Q^k is a lattice point it is the unique one.
+    Raises ValueError when the set is empty.
     """
-    members, first, at_best = _extreme_member(_as_pmf(q), k, ell, cap, largest=False)
+    members, first, at_best = _extreme_member(_as_pmf(q), k, ell, cap, _entropy_key())
     return members, TypeVector(first), at_best == 1
-
-
-def lattice_argmin_uniform_divergence(
-    q, k: int, ell: int, cap: int | None = None
-) -> tuple[TypeVector, bool]:
-    """Member minimising D(. || uniform) exactly, and whether it is unique."""
-    return pythagorean_scan(q, k, ell, cap=cap)[1:]
 
 
 class MaxDivergenceResult(NamedTuple):
@@ -530,7 +419,10 @@ def max_divergence_over_E_k(
     if mode == "grid":
         if ell is None:
             raise ValueError("grid mode needs l")
-        candidates, best_counts, _ = _extreme_member(q, k, ell, cap, largest=True)
+        entropy_key = _entropy_key()
+        candidates, best_counts, _ = _extreme_member(
+            q, k, ell, cap, lambda parts: -entropy_key(parts)
+        )
         witness = type_to_pmf(TypeVector(best_counts))
         value = relative_entropy(witness, power_pmf(q, k))
         return MaxDivergenceResult(value, witness, candidates, "grid")
@@ -625,9 +517,9 @@ def lemma1_construct(
     Lays out a string of histogram q, Fisher-Yates shuffles it with
     random.Random(seed), cuts it into l blocks of k, and keeps the first
     block histogram within deviation M of Q^k.  After max_tries shuffles it
-    falls back to exhaustive lattice search; if even that has no member
-    within M (not possible for valid inputs, but checked), raises
-    ExhaustedTriesError.
+    falls back to an exhaustive search of the lattice orbits for the first
+    closest member; if even that is not within M (not possible for valid
+    inputs, but checked), raises ExhaustedTriesError.
 
     Both the max-abs and the L1 deviation of the accepted member are
     recorded.  The entropy gap |H(W) - H(Q^k)| is compared against
@@ -681,11 +573,17 @@ def lemma1_construct(
             break
     if accepted is None:
         fallback = True
-        for counts in _lattice_walk(type_to_pmf(q), k, ell, cap):
-            worst = excess(counts)
-            if accepted is None or worst < accepted[0]:
-                accepted = (worst, counts)
-        if accepted is None or accepted[0] / scale > bound:
+        # Q^k(b) * n^k = prod_a q_a^{u_a} is the same on the cells of a class u,
+        # so a member's excess over the cells of u is read off the largest
+        # and the smallest of its parts there, and is the same on an orbit
+        class_targets = [targets[class_cells[0]] for _, class_cells in _block_classes(m, k)]
+
+        def orbit_excess(parts) -> int:
+            return max(max(p[0] * nk - t, t - p[-1] * nk) for p, t in zip(parts, class_targets))
+
+        _, counts, _ = _extreme_member(type_to_pmf(q), k, ell, cap, orbit_excess)
+        accepted = (excess(counts), counts)
+        if accepted[0] / scale > bound:
             raise ExhaustedTriesError(
                 f"no member within deviation {bound} after {max_tries} shuffles"
             )
@@ -787,7 +685,7 @@ def partition_tail_bound(
     within: bool | None = None
     cap = resolve_cap(cap)
     if count_types(cells, ell) <= cap:
-        threshold = _product_terms(q, k)[2] + 2 * delta  # D(Q^k||U) + 2*delta
+        threshold = relative_entropy(power_pmf(q, k), Pmf.uniform(cells)) + 2 * delta
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set

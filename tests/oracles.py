@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from finetti.types_core import TypeVector
+from finetti.types_core import TypeVector, all_strings
 
 
 def string_index(s: Sequence[int], m: int) -> int:
@@ -66,3 +66,61 @@ def urn_draw_probability(urns, prefix: Sequence[int], step: int) -> Fraction:
             held[a] += step
         prob += path
     return prob
+
+
+def marginal_residuals(counts: Sequence[int], q: TypeVector, k: int) -> list[int]:
+    """n * sum_b c_b * occ[b][a] - k*l*q_a per symbol a, occ[b][a] read off the string b.
+
+    All are zero exactly when the l-block histogram c, with l = sum c, has
+    averaged coordinate marginal q = q_a / n: a member of the constraint set.
+    """
+    ell = sum(counts)
+    sums = [0] * q.m
+    for c, block in zip(counts, all_strings(q.m, k)):
+        for a in block:
+            sums[a] += c
+    return [q.n * s - k * ell * x for s, x in zip(sums, q.counts)]
+
+
+def oracle_walk(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
+    """Slow reference walk of the constraint set over the m^k cells, in cell order.
+
+    Every count up to the largest feasible one builds its residual list and
+    is then pruned only against the largest remaining occurrences; the last
+    cell takes the blocks left and is filtered after the fact.
+    """
+    m = q.m
+    targets = [Fraction(c, q.n) * k * ell for c in q.counts]
+    if any(t.denominator != 1 for t in targets):
+        return []
+    occ = []
+    for s in all_strings(m, k):
+        occ.append(tuple(s.count(a) for a in range(m)))
+    cells = len(occ)
+    suffix_max = [[0] * (cells + 1) for _ in range(m)]
+    for a in range(m):
+        for b in range(cells - 1, -1, -1):
+            suffix_max[a][b] = max(occ[b][a], suffix_max[a][b + 1])
+    counts = [0] * cells
+    out = []
+
+    def walk(b, remaining, residual):
+        if b == cells - 1:
+            counts[b] = remaining
+            if all(occ[b][a] * remaining == residual[a] for a in range(m)):
+                out.append(tuple(counts))
+            return
+        upper = remaining
+        for a in range(m):
+            if occ[b][a]:
+                upper = min(upper, residual[a] // occ[b][a])
+        for c in range(upper + 1):
+            left = remaining - c
+            new_residual = [residual[a] - c * occ[b][a] for a in range(m)]
+            if any(new_residual[a] > left * suffix_max[a][b + 1] for a in range(m)):
+                continue
+            counts[b] = c
+            walk(b + 1, left, new_residual)
+
+    walk(0, ell, [int(t) for t in targets])
+    return out

@@ -18,15 +18,13 @@ from fractions import Fraction
 from finetti.definetti import theorem_constants, verify_theorem
 from finetti.exchangeable import iid_law, polya_urn_law, random_type_weight_law
 from finetti.gibbs import convergence_trace
-from finetti.info_measures import entropy, pinsker_gap
+from finetti.info_measures import entropy, pinsker_gap, relative_entropy
 from finetti.marginal_sets import (
     conditional_mean_divergence,
-    divergence_decomposition,
-    enumerate_E_k_types,
-    lattice_argmin_uniform_divergence,
     lemma1_constant,
     lemma1_construct,
     max_divergence_over_E_k,
+    pythagorean_scan,
 )
 from finetti.types_core import (
     Pmf,
@@ -41,6 +39,7 @@ from finetti.types_core import (
     type_class_size,
     type_to_pmf,
 )
+from oracles import marginal_residuals, oracle_walk
 
 
 @contextmanager
@@ -183,19 +182,28 @@ def test_criterion_07_pythagorean_identity():
     with criterion(7, "exact three-point divergence identity", 30.0) as info:
         members = 0
         argmin_checked = 0
+        uniform = Pmf.uniform(4)
         for ell in range(1, 21):
             n = 2 * ell
             for q in enumerate_types(2, n):
-                for w in enumerate_E_k_types(q, 2, ell):
-                    # exact inputs certify the identity on the symbolic
-                    # exponent maps; any failure raises
-                    d_wu, d_wq, d_qu = divergence_decomposition(w, q)
-                    assert abs(d_wu - (d_wq + d_qu)) <= 1e-10
-                    members += 1
                 qk = power_pmf(type_to_pmf(q), 2)
+                d_qu = relative_entropy(qk, uniform)
+                oracle = oracle_walk(q, 2, ell)
+                for counts in oracle:
+                    # the integer residual certifies membership, and on
+                    # members the identity holds exactly, so only the
+                    # float sums of the exact pmfs can differ
+                    assert marginal_residuals(counts, q, 2) == [0, 0]
+                    w = type_to_pmf(TypeVector(counts))
+                    d_wu, d_wq = relative_entropy(w, uniform), relative_entropy(w, qk)
+                    assert abs(d_wu - d_wq - d_qu) <= 1e-10
+                    members += 1
+                # the scan walks every member, and its argmin is l*Q^k when
+                # that is a lattice point
+                scanned, member, unique = pythagorean_scan(q, 2, ell)
+                assert scanned == len(oracle)
                 counts = [Fraction(p) * ell for p in qk.probs]
                 if all(c.denominator == 1 for c in counts):
-                    member, unique = lattice_argmin_uniform_divergence(q, 2, ell)
                     assert unique
                     assert member.counts == tuple(int(c) for c in counts)
                     argmin_checked += 1

@@ -16,12 +16,7 @@ import finetti.marginal_sets as ms
 from finetti.info_measures import entropy, max_abs_deviation, relative_entropy
 from finetti.marginal_sets import (
     ExhaustedTriesError,
-    average_coordinate_marginal,
     conditional_mean_divergence,
-    divergence_decomposition,
-    enumerate_E_k_types,
-    in_E_k,
-    lattice_argmin_uniform_divergence,
     lemma1_constant,
     lemma1_construct,
     max_divergence_over_E_k,
@@ -39,17 +34,13 @@ from finetti.types_core import (
     type_class_size,
     type_to_pmf,
 )
+from oracles import marginal_residuals, oracle_walk
 
 
 def filter_members(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
-    """Oracle: all block histograms, filtered by the marginal constraint."""
-    qp = type_to_pmf(q)
-    out = []
-    for t in enumerate_types(q.m**k, ell):
-        w = type_to_pmf(t)
-        if average_coordinate_marginal(w, q.m).probs == qp.probs:
-            out.append(t.counts)
-    return out
+    """Oracle: all block histograms, filtered by the integer marginal residuals."""
+    histograms = enumerate_types(q.m**k, ell)
+    return [t.counts for t in histograms if not any(marginal_residuals(t.counts, q, k))]
 
 
 def lattice_points(k: int, ell: int, data) -> TypeVector:
@@ -68,8 +59,8 @@ def lattice_points(k: int, ell: int, data) -> TypeVector:
 @settings(max_examples=60, deadline=None)
 def test_enumeration_matches_filter_oracle(k, ell, data):
     q = lattice_points(k, ell, data)
-    got = [t.counts for t in enumerate_E_k_types(q, k, ell)]
-    assert got == filter_members(q, k, ell)
+    # the cell-level reference walk the scale tests rely on
+    assert oracle_walk(q, k, ell) == filter_members(q, k, ell)
     # each orbit row stands for `orbit` members with its class size and entropy
     table = ms._member_table(type_to_pmf(q), k, ell, resolve_cap(None))
     expanded = chain.from_iterable(repeat((size, h), orbit) for orbit, size, h in table)
@@ -86,7 +77,7 @@ def class_totals(counts, m: int, k: int) -> tuple[int, ...]:
 def test_class_walk_matches_filter_oracle(k, ell, data):
     q = lattice_points(k, ell, data)
     members = filter_members(q, k, ell)
-    walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None, by_class=True))
+    walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None))
     assert len(set(walk)) == len(walk)
     assert sorted(walk) == sorted({class_totals(c, q.m, k) for c in members})
     rows = [fills for _, orbits in ms._orbit_walk(type_to_pmf(q), k, ell, None) for fills in orbits]
@@ -110,12 +101,13 @@ def oracle_member_rows(q: TypeVector, k: int, ell: int) -> tuple[tuple[int, floa
 
 
 def test_enumeration_matches_filter_oracle_spot():
-    # small deterministic sweep independent of hypothesis search
+    # small deterministic sweep independent of hypothesis search: the class
+    # walk yields each class total vector once, in ascending order
     for m, k, ell in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
         n = k * ell
         for q in enumerate_types(m, n):
-            got = [t.counts for t in enumerate_E_k_types(q, k, ell)]
-            assert got == filter_members(q, k, ell)
+            walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None))
+            assert walk == sorted({class_totals(c, m, k) for c in filter_members(q, k, ell)})
 
 
 def test_four_members_at_the_smallest_balanced_point():
@@ -125,28 +117,16 @@ def test_four_members_at_the_smallest_balanced_point():
     distinct histograms.
     """
     q = TypeVector((2, 2))
-    got = {t.counts: type_class_size(t) for t in enumerate_E_k_types(q, 2, 2)}
+    got = {c: type_class_size(TypeVector(c)) for c in oracle_walk(q, 2, 2)}
     assert got == {
         (0, 2, 0, 0): 1,
         (0, 1, 1, 0): 2,
         (1, 0, 0, 1): 2,
         (0, 0, 2, 0): 1,
     }
-
-
-def test_membership_predicate():
-    q = TypeVector((2, 2))
-    inside = Pmf((Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)))
-    outside = Pmf((Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)))
-    assert in_E_k(inside, type_to_pmf(q))
-    assert not in_E_k(outside, type_to_pmf(q))
-
-
-def test_average_coordinate_marginal():
-    w = Pmf((Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)))
-    # blocks 00 and 01 with weight 1/2 each: marginal (3/4, 1/4)
-    got = average_coordinate_marginal(w, 2)
-    assert got.probs == (Fraction(3, 4), Fraction(1, 4))
+    table = ms._member_table(type_to_pmf(q), 2, 2, resolve_cap(None))
+    expanded = chain.from_iterable(repeat(size, orbit) for orbit, size, _ in table)
+    assert sorted(expanded) == sorted(got.values())
 
 
 def test_product_histogram_is_a_member_when_integral():
@@ -154,17 +134,19 @@ def test_product_histogram_is_a_member_when_integral():
     ell = 4
     qk = power_pmf(type_to_pmf(q), 2)
     counts = tuple(int(Fraction(p) * ell) for p in qk.probs)
-    members = {t.counts for t in enumerate_E_k_types(q, 2, ell)}
-    assert counts in members
+    assert counts in oracle_walk(q, 2, ell)
+    assert class_totals(counts, 2, 2) in ms._lattice_walk(type_to_pmf(q), 2, ell, None)
 
 
 def test_nonintegral_targets_give_empty_set():
     # k*l*q(a) must be an integer for members to exist; an n-type with
     # n = k*l always satisfies this, a general pmf need not
     q = Pmf((Fraction(1, 3), Fraction(2, 3)))
-    assert list(enumerate_E_k_types(q, 2, 2)) == []
+    assert list(ms._lattice_walk(q, 2, 2, None)) == []
+    with pytest.raises(ValueError, match="no lattice members"):
+        ms.pythagorean_scan(q, 2, 2)
     # scaling l to clear the denominators makes the set nonempty
-    assert list(enumerate_E_k_types(q, 2, 3))
+    assert list(ms._lattice_walk(q, 2, 3, None))
 
 
 # ---------------------------------------------------------------------------
@@ -172,46 +154,60 @@ def test_nonintegral_targets_give_empty_set():
 # ---------------------------------------------------------------------------
 
 
-def test_decomposition_identity_exact_small():
-    q = TypeVector((2, 2))
-    for w in enumerate_E_k_types(q, 2, 2):
-        d_wu, d_wq, d_qu = divergence_decomposition(w, q)
-        assert d_wu == pytest.approx(d_wq + d_qu, abs=1e-12)
-
-
 def test_decomposition_entropy_form():
     # on members, D(W||Q^k) = k H(Q) - H(W)
     q = TypeVector((3, 1))
     qp = type_to_pmf(q)
-    for w in enumerate_E_k_types(q, 2, 2):
-        wp = type_to_pmf(w)
+    for counts in oracle_walk(q, 2, 2):
+        wp = type_to_pmf(TypeVector(counts))
         d = relative_entropy(wp.probs, power_pmf(qp, 2).probs)
         assert d == pytest.approx(2 * entropy(qp.probs) - entropy(wp.probs), abs=1e-12)
-
-
-def test_decomposition_rejects_nonmembers():
-    q = TypeVector((2, 2))
-    outside = TypeVector((2, 0, 0, 0))
-    with pytest.raises(ValueError):
-        divergence_decomposition(outside, q)
 
 
 def test_decomposition_float_path():
     # there is no float path: float inputs are refused, not compared within a tolerance
     w, q = (0.0, 0.5, 0.5, 0.0), (0.5, 0.5)
-    for args in ((w, q), (w, Pmf.uniform(2)), (Pmf.uniform(4), q)):
+    calls = (
+        lambda q: ms.pythagorean_scan(q, 2, 2),
+        lambda q: conditional_mean_divergence(q, 2, 2),
+        lambda q: partition_tail_bound(q, 2, 2, 0.5),
+        lambda q: max_divergence_over_E_k(q, 2, mode="grid", ell=2),
+    )
+    for call in calls:
         with pytest.raises(ValueError, match="must be exact rationals"):
-            divergence_decomposition(*args, k=2)
+            call(q)
     with pytest.raises(ValueError, match="must be exact rationals"):
         Pmf(w)
-    # the same pair in exact form is a member, and the identity holds
-    d_wu, d_wq, d_qu = divergence_decomposition(Pmf((0, Fraction(1, 2), Fraction(1, 2), 0)), Pmf.uniform(2))
-    assert d_wu == pytest.approx(d_wq + d_qu, abs=1e-12)
+    # the same pair in exact form: w is the scan's first argmin, and the identity holds
+    w, q, uniform = Pmf((0, Fraction(1, 2), Fraction(1, 2), 0)), Pmf.uniform(2), Pmf.uniform(4)
+    assert ms.pythagorean_scan(q, 2, 2) == (4, TypeVector((0, 1, 1, 0)), False)
+    qk = power_pmf(q, 2)
+    d_wu, d_wq = relative_entropy(w, uniform), relative_entropy(w, qk)
+    assert d_wu == pytest.approx(d_wq + relative_entropy(qk, uniform), abs=1e-12)
+
+
+def test_decomposition_of_an_exact_member_against_a_float_q():
+    # a float q is refused before any cache is read, also between calls with
+    # exact q that fill the per-(q, k, l) row cache; both exact forms agree
+    third = (1 / 3, 2 / 3)
+    ms._member_table.cache_clear()
+    results = []
+    for q in (third, TypeVector((1, 2)), third, Pmf((Fraction(1, 3), Fraction(2, 3)))):
+        if q is third:
+            for call in (ms.pythagorean_scan, conditional_mean_divergence):
+                with pytest.raises(ValueError, match="must be exact rationals"):
+                    call(q, 2, 3)
+        else:
+            results.append((ms.pythagorean_scan(q, 2, 3), conditional_mean_divergence(q, 2, 3)))
+    assert results[0] == results[1]
+    (members, _, _), mean = results[0]
+    assert members == mean.members == len(oracle_walk(TypeVector((2, 4)), 2, 3))
+    assert mean.value == pytest.approx(oracle_conditional_mean(TypeVector((2, 4)), 2, 3), rel=1e-12)
 
 
 def test_argmin_over_lattice_is_product_point():
     q = TypeVector((4, 4))
-    member, unique = lattice_argmin_uniform_divergence(q, 2, 4)
+    _, member, unique = ms.pythagorean_scan(q, 2, 4)
     assert unique
     assert member.counts == (1, 1, 1, 1)
 
@@ -219,7 +215,7 @@ def test_argmin_over_lattice_is_product_point():
 def test_argmin_balanced_large():
     # l = 16 puts the product histogram (4,4,4,4) on the lattice
     q = TypeVector((16, 16))
-    member, unique = lattice_argmin_uniform_divergence(q, 2, 16)
+    _, member, unique = ms.pythagorean_scan(q, 2, 16)
     qk = power_pmf(type_to_pmf(q), 2)
     want = tuple(int(Fraction(p) * 16) for p in qk.probs)
     assert unique and member.counts == want == (4, 4, 4, 4)
@@ -424,7 +420,7 @@ def test_lemma1_construct_accepts_and_certifies():
     assert not r.fallback
     assert r.block_type.n == 100
     # the accepted histogram is a genuine member
-    assert in_E_k(type_to_pmf(r.block_type), type_to_pmf(q))
+    assert marginal_residuals(r.block_type.counts, q, 2) == [0, 0]
 
 
 def test_lemma1_is_seed_stable():
@@ -497,7 +493,7 @@ def test_conditional_mean_brute_force():
     qk = power_pmf(type_to_pmf(q), 2)
     total = 0
     acc = 0.0
-    for w in enumerate_E_k_types(q, 2, 3):
+    for w in oracle_members(q, 2, 3):
         size = type_class_size(w)
         total += size
         acc += size * relative_entropy(type_to_pmf(w).probs, qk.probs)
@@ -546,49 +542,6 @@ def test_tail_bound_entropy_margin_certificate():
 # ---------------------------------------------------------------------------
 
 
-def oracle_walk(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
-    """Slow reference walk that filters after the fact.
-
-    Every count up to the largest feasible one builds its residual list and
-    is then pruned only against the largest remaining occurrences.
-    """
-    m = q.m
-    targets = [Fraction(c, q.n) * k * ell for c in q.counts]
-    if any(t.denominator != 1 for t in targets):
-        return []
-    occ = []
-    for s in all_strings(m, k):
-        occ.append(tuple(s.count(a) for a in range(m)))
-    cells = len(occ)
-    suffix_max = [[0] * (cells + 1) for _ in range(m)]
-    for a in range(m):
-        for b in range(cells - 1, -1, -1):
-            suffix_max[a][b] = max(occ[b][a], suffix_max[a][b + 1])
-    counts = [0] * cells
-    out = []
-
-    def walk(b, remaining, residual):
-        if b == cells - 1:
-            counts[b] = remaining
-            if all(occ[b][a] * remaining == residual[a] for a in range(m)):
-                out.append(tuple(counts))
-            return
-        upper = remaining
-        for a in range(m):
-            if occ[b][a]:
-                upper = min(upper, residual[a] // occ[b][a])
-        for c in range(upper + 1):
-            left = remaining - c
-            new_residual = [residual[a] - c * occ[b][a] for a in range(m)]
-            if any(new_residual[a] > left * suffix_max[a][b + 1] for a in range(m)):
-                continue
-            counts[b] = c
-            walk(b + 1, left, new_residual)
-
-    walk(0, ell, [int(t) for t in targets])
-    return out
-
-
 @pytest.mark.parametrize(
     "counts, k",
     [
@@ -607,10 +560,14 @@ def oracle_walk(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
 def test_interval_walk_matches_oracle_walk(counts, k):
     q = TypeVector(counts)
     ell = q.n // k
-    got = [t.counts for t in enumerate_E_k_types(q, k, ell)]
-    assert got == oracle_walk(q, k, ell)
+    want = oracle_walk(q, k, ell)
+    walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None))
+    # each class total vector once, in ascending order, and the orbits cover every member
+    assert walk == sorted({class_totals(c, q.m, k) for c in want})
+    rows = [fills for _, orbits in ms._orbit_walk(type_to_pmf(q), k, ell, None) for fills in orbits]
+    assert sum(math.prod(f[0] for f in fills) for fills in rows) == len(want)
     # (1, 2) at l = 1 has non-integral targets: the one empty set here
-    assert bool(got) == (q.n % k == 0)
+    assert bool(walk) == (q.n % k == 0)
 
 
 def test_member_table_fills_on_demand(monkeypatch):
@@ -624,11 +581,13 @@ def test_member_table_fills_on_demand(monkeypatch):
 
 
 def test_cap_fires_before_the_walk():
-    walk = enumerate_E_k_types(TypeVector((1000, 1000)), 2, 1000, cap=10)
+    q = TypeVector((1000, 1000))
     with pytest.raises(CapacityError):
-        next(walk)
+        ms._lattice_walk(type_to_pmf(q), 2, 1000, 10)
     with pytest.raises(CapacityError):
-        conditional_mean_divergence(TypeVector((1000, 1000)), 2, 1000, cap=10)
+        ms.pythagorean_scan(q, 2, 1000, cap=10)
+    with pytest.raises(CapacityError):
+        conditional_mean_divergence(q, 2, 1000, cap=10)
 
 
 def oracle_members(q: TypeVector, k: int, ell: int) -> list[TypeVector]:
@@ -745,6 +704,10 @@ def oracle_farthest_string(q: TypeVector, k: int, ell: int) -> list[int]:
         ((3, 2, 1), 2, 3),
         ((4, 3, 1), 2, 4),
         ((5, 4, 3), 3, 4),
+        ((4, 4, 4), 3, 4),
+        ((2, 2, 2, 2), 2, 4),
+        # the closest member's excess is set by a part below l * Q^k
+        ((3, 9), 2, 6),
     ],
 )
 def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell):
@@ -775,18 +738,19 @@ def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell)
 
 
 def two_walk_dbound(q: TypeVector, k: int, ell: int, delta: float):
-    """The seed's dbound path: the mean and the exact tail each walk the lattice.
+    """The seed's dbound path: the mean and the exact tail each pass over the members.
 
     (mean value, members, exact tail probability, log bound), with the
     per-member class size and H(W) of the seed's streaming helper.
     """
+    members = oracle_walk(q, k, ell)
 
     def weighted_members():
         factorial = lru_cache(maxsize=None)(math.factorial)
         c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
-        for member in enumerate_E_k_types(q, k, ell):
-            size = factorial(ell) // math.prod(map(factorial, member.counts))
-            yield size, math.log(ell) - math.fsum(map(c_log_c, member.counts)) / ell
+        for counts in members:
+            size = factorial(ell) // math.prod(map(factorial, counts))
+            yield size, math.log(ell) - math.fsum(map(c_log_c, counts)) / ell
 
     pmf = type_to_pmf(q)
     k_entropy_q = k * entropy(pmf)
@@ -843,193 +807,26 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
 
 
 def test_decomposition_builds_the_q_pmf_once(monkeypatch):
+    # the scan, the conditional mean and the exact tail build the pmf of q
+    # once each, and no member's
     import finetti.marginal_sets as ms
 
     q = TypeVector((4, 2, 6))
-    members = list(enumerate_E_k_types(q, 2, 6))
     built = []
     real = ms.type_to_pmf
     monkeypatch.setattr(ms, "type_to_pmf", lambda t: built.append(t) or real(t))
-    ms._product_terms.cache_clear()
-    for w in members:
-        divergence_decomposition(w, q)
-    assert built.count(q) == 1
-    assert len(built) == len(members) + 1
-
-
-# ---------------------------------------------------------------------------
-# the per-member Pythagorean certificate against its original form
-# ---------------------------------------------------------------------------
-
-
-def oracle_log_map(terms) -> dict:
-    """sum c*log(x) over (c, x) pairs as a prime -> Fraction exponent map."""
-    from sympy import factorint
-
-    exp: dict = {}
-    for c, x in terms:
-        c, x = Fraction(c), Fraction(x)
-        for sign, part in ((1, x.numerator), (-1, x.denominator)):
-            for p, e in factorint(part).items():
-                exp[p] = exp.get(p, 0) + sign * c * e
-    return {p: e for p, e in exp.items() if e}
-
-
-def oracle_relative_entropy_map(ps, qs) -> dict:
-    terms = []
-    for p, q in zip(ps, qs):
-        if p:
-            if not q:
-                raise ValueError("relative entropy is infinite")
-            terms.append((p, Fraction(p) / Fraction(q)))
-    return oracle_log_map(terms)
-
-
-def oracle_sum(*scaled_maps) -> dict:
-    out: dict = {}
-    for factor, exp in scaled_maps:
-        for p, e in exp.items():
-            out[p] = out.get(p, 0) + factor * e
-    return {p: e for p, e in out.items() if e}
-
-
-def oracle_divergence_decomposition(w, q):
-    """The original body: every term rebuilt per member, with Fraction exponents."""
-    q = type_to_pmf(q) if isinstance(q, TypeVector) else q
-    w = type_to_pmf(w) if isinstance(w, TypeVector) else w
-    k = round(math.log(len(w), len(q)))
-    if not in_E_k(w, q):
-        raise ValueError("w is not in the constraint set of q")
-    uniform = Pmf.uniform(len(w))
-    qk = power_pmf(q, k)
-    d_wu = relative_entropy(w, uniform)
-    d_wq = relative_entropy(w, qk)
-    d_qu = relative_entropy(qk, uniform)
-    lhs = oracle_relative_entropy_map(w.probs, uniform.probs)
-    rhs = oracle_sum(
-        (1, oracle_relative_entropy_map(w.probs, qk.probs)),
-        (1, oracle_relative_entropy_map(qk.probs, uniform.probs)),
-    )
-    if lhs != rhs:
-        raise AssertionError("exact Pythagorean identity failed")
-    entropy_form = oracle_sum(
-        (k, oracle_log_map((-p, p) for p in q.probs if p)),
-        (-1, oracle_log_map((-p, p) for p in w.probs if p)),
-    )
-    if oracle_relative_entropy_map(w.probs, qk.probs) != entropy_form:
-        raise AssertionError("entropy form of the member divergence failed")
-    return d_wu, d_wq, d_qu
-
-
-def _outcome(fn, w, q):
-    try:
-        return fn(w, q)
-    except (ValueError, AssertionError) as exc:
-        return type(exc)
-
-
-def decomposition_inputs():
-    """Members and non-members of several (q, k), interleaved across (q, k)."""
-    points = [
-        ((3, 3), 1, 6),
-        ((2, 4), 2, 3),
-        ((0, 6), 2, 3),
-        ((3, 3), 3, 2),
-        ((1, 5), 3, 2),
-        ((2, 2, 2), 1, 6),
-        ((2, 1, 3), 2, 3),
-        ((0, 3, 3), 2, 3),
-        ((1, 2, 3), 3, 2),
-    ]
-    streams = []
-    for counts, k, ell in points:
-        q = TypeVector(counts)
-        members = list(enumerate_E_k_types(q, k, ell))
-        outsiders = [t for t in enumerate_types(q.m**k, ell) if t not in members][:4]
-        streams.append([(w, q) for w in members[:12] + outsiders])
-    # float tuples, refused, and exact members of one exact q with their float forms
-    half = (0.5, 0.5)
-    streams.append([(w, half) for w in ((0.0, 0.5, 0.5, 0.0), (0.25,) * 4, (1.0, 0, 0, 0))])
-    q = TypeVector((2, 4))
-    mixed = []
-    for w in list(enumerate_E_k_types(q, 2, 3))[:3]:
-        mixed += [w, type_to_pmf(w).to_float()]
-    streams.append([(w, q) for w in mixed + [(0.25,) * 4]])
-    out = []
-    for i in range(max(map(len, streams))):
-        out.extend(s[i] for s in streams if i < len(s))
-    return out
-
-
-def _has_float(x) -> bool:
-    return any(isinstance(p, float) for p in x)
-
-
-def test_decomposition_matches_oracle_interleaved():
-    inputs = decomposition_inputs()
-    kinds = set()
-    for w, q in inputs:
-        got = _outcome(divergence_decomposition, w, q)
-        assert got == _outcome(oracle_divergence_decomposition, w, q), (w, q)
-        if _has_float(w) or _has_float(q):
-            assert got is ValueError, (w, q)
-        kinds.add(got if isinstance(got, type) else tuple)
-    assert kinds == {tuple, ValueError}
-    assert sum(_has_float(w) or _has_float(q) for w, q in inputs) == 7
-
-
-def test_decomposition_of_an_exact_member_against_a_float_q():
-    # a float q is refused before any cache is read, also between calls with
-    # exact q that fill the per-(q, k) cache
-    third = (1 / 3, 2 / 3)
-    members = (Pmf((0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))), TypeVector((1, 2, 2, 4)))
-    for q in (third, TypeVector((1, 2)), third, Pmf((Fraction(1, 3), Fraction(2, 3)))):
-        for w in members:
-            if q is third:
-                with pytest.raises(ValueError, match="must be exact rationals"):
-                    divergence_decomposition(w, q)
-            else:
-                got = divergence_decomposition(w, q)
-                assert got == oracle_divergence_decomposition(w, q), (w, q)
-
-
-def test_decomposition_certificates_still_bind(monkeypatch):
-    # the certificate reads q's integer numerators from the per-(q, k) cache
-    # and the occurrence columns; corrupting either fails a true member
-    import finetti.marginal_sets as ms
-
-    q = TypeVector((2, 4))
-    w = next(enumerate_E_k_types(q, 2, 3))
-    real_terms, real_cols = ms._product_terms, ms._occurrence_columns
-
-    def shifted_numerators(q, k):
-        *terms, (a, den) = real_terms(q, k)
-        return (*terms, ((a[0] + 1, a[1] - 1), den))
-
-    def doubled_denominator(q, k):
-        *terms, (a, den) = real_terms(q, k)
-        return (*terms, (a, 2 * den))
-
-    def swapped_columns(m, k):
-        return real_cols(m, k)[::-1]
-
-    for name, corrupted in (
-        ("_product_terms", shifted_numerators),
-        ("_product_terms", doubled_denominator),
-        ("_occurrence_columns", swapped_columns),
-    ):
-        monkeypatch.setattr(ms, name, corrupted)
-        with pytest.raises(ValueError):
-            divergence_decomposition(w, q)
-        monkeypatch.undo()
-    divergence_decomposition(w, q)
+    ms._member_table.cache_clear()
+    assert ms.pythagorean_scan(q, 2, 6)[0] == len(oracle_walk(q, 2, 6)) > 3
+    conditional_mean_divergence(q, 2, 6)
+    partition_tail_bound(q, 2, 6, 0.5)
+    assert built == [q] * 3
 
 
 def shifted_members(q: TypeVector, k: int, ell: int):
     """Each member with one count moved to the next cell of another histogram."""
     blocks = [tuple(map(s.count, range(q.m))) for s in all_strings(q.m, k)]
-    for w in enumerate_E_k_types(q, k, ell):
-        counts = list(w.counts)
+    for member in oracle_walk(q, k, ell):
+        counts = list(member)
         b = next(i for i, c in enumerate(counts) if c)
         to = next(i for i in range(b + 1, b + len(blocks)) if blocks[i % len(blocks)] != blocks[b])
         counts[b] -= 1
@@ -1048,11 +845,7 @@ def test_shifted_member_fails_the_residual_check(monkeypatch, counts, k, ell):
     shifted = list(shifted_members(q, k, ell))
     assert shifted
     for w in shifted:
-        with pytest.raises(ValueError):
-            divergence_decomposition(w, q)
-        # the same histogram as an exact pmf takes the same integer check
-        with pytest.raises(ValueError):
-            divergence_decomposition(type_to_pmf(w), q)
+        assert any(marginal_residuals(w.counts, q, k))
     real = ms._lattice_walk
     for w in shifted:
         # a class walk that yields the shifted histogram's class totals among true ones
@@ -1062,7 +855,7 @@ def test_shifted_member_fails_the_residual_check(monkeypatch, counts, k, ell):
         with pytest.raises(AssertionError):
             ms.pythagorean_scan(q, k, ell)
     monkeypatch.setattr(ms, "_lattice_walk", real)
-    assert ms.pythagorean_scan(q, k, ell)[0] == len(list(enumerate_E_k_types(q, k, ell)))
+    assert ms.pythagorean_scan(q, k, ell)[0] == len(oracle_walk(q, k, ell))
 
 
 def test_pythagoras_walks_the_lattice_once(monkeypatch, capsys):
@@ -1089,7 +882,7 @@ def test_pythagoras_walks_the_lattice_once(monkeypatch, capsys):
 def cell_walk_pythagorean_scan(q: TypeVector, k: int, ell: int) -> tuple[int, TypeVector, bool]:
     """Reference scan over every cell-level member: first member of least key prod c^c."""
     members, best, unique = 0, None, True
-    for counts in ms._lattice_walk(type_to_pmf(q), k, ell, None):
+    for counts in oracle_walk(q, k, ell):
         members += 1
         key = math.prod(c**c for c in counts)
         if best is None or key < best[0]:

@@ -287,7 +287,6 @@ def test_type_list_checks_cap_on_cache_hit():
 
 def test_type_caches_stay_within_their_bound():
     from finetti import types_core
-    from finetti.marginal_sets import _occurrence_columns
 
     bound = types_core.TYPE_CACHE_SIZE
     first = type_list(2, 1)
@@ -296,8 +295,7 @@ def test_type_caches_stay_within_their_bound():
         assert type_index_map(2, n)[(0, n)] == 0
         # the block histograms of A^1 over n symbols: one row per symbol
         assert occurrence_matrix(n, 1)[n - 1] == (0,) * (n - 1) + (1,)
-        assert _occurrence_columns(n, 1)[0] == (1,) + (0,) * (n - 1)
-        for cache in (types_core._type_tuple, type_index_map, occurrence_matrix, _occurrence_columns):
+        for cache in (types_core._type_tuple, type_index_map, occurrence_matrix):
             assert cache.cache_info().currsize <= bound
     # an evicted entry is rebuilt equal, and the cap still binds on every call
     assert type_list(2, 1) == first
@@ -328,6 +326,23 @@ def test_readme_library_tour_names_exist():
             for part in name.split("."):  # Pmf.from_numerators names an attribute of Pmf
                 assert hasattr(owner, part), f"the README tour names {module_name}.{name}"
                 owner = getattr(owner, part)
+
+
+def test_every_module_export_resolves():
+    # a deleted function must not leave its name behind in __all__
+    import importlib
+    import pkgutil
+
+    import finetti
+
+    modules = [m.name for m in pkgutil.iter_modules(finetti.__path__) if m.name != "__main__"]
+    exported = 0
+    for module_name in modules:
+        module = importlib.import_module(f"finetti.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"finetti.{module_name}.__all__ names {name}"
+            exported += 1
+    assert "marginal_sets" in modules and exported > 0
 
 
 def test_cap_env_override(monkeypatch):
