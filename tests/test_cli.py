@@ -148,6 +148,13 @@ def test_verify_law_file_n_must_match_the_grid(tmp_path, capsys):
     assert json.loads(out)["n"] == 10
 
 
+def test_verify_malformed_law_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    code, out, err = run(["verify", "--law", str(path), "--n", "4", "--k", "2"], capsys)
+    assert (code, out, err) == (EXIT_INPUT, "", "error: Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_verify_rejects_jobs_below_one(capsys):
     # refused before any law is built or any process is started
     for jobs in ("0", "-3"):
@@ -845,13 +852,59 @@ GOLDEN = [
         "lemma lemma3 --m 3 --q 6,6,6 --k 3 --mode grid --l 6",
         "9fb345f6e2760f30571598ac709b7376646d2d8a4ac61fbfa6ea3d65960b0b92",
     ),
+    # help texts, wrapped at COLUMNS=80
+    ("--help", "ab53581ded61e231d7aa9183bb21d03c1d9e99afa62824f81f50164d3d01c6a2"),
+    ("types --help", "6948192a966a8a33827bff8a0fe164a1d073b7649c9c34f2181b9187a6040bf6"),
+    ("verify --help", "8a4b80782aba0e64668c30897ac9d832839d95579e4dff3df8f6cfe872e82d4e"),
+    ("lemma --help", "5967b649eddd99e96e1fa0c262dd4d3946b62b9c7cc05bd1c364adacf16971b4"),
+    ("gibbs --help", "06aaa3f49662539ec3ebc1aea8307472907952f470e5d5bdc9be1311f294d9df"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_golden_stdout(capsys, command, digest):
-    # every row, including the per-row bound flags, is pinned byte for byte
+def test_golden_stdout(monkeypatch, capsys, command, digest):
+    # every row, including the per-row bound flags, is pinned byte for byte;
+    # argparse wraps help at the terminal width, so the width is fixed
+    monkeypatch.setenv("COLUMNS", "80")
     args = [str(ROOT / a) if a.startswith("laws/") else a for a in command.split()]
     code, out, _ = run(args, capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+LEMMA_USAGE = """\
+usage: finetti lemma [-h] [--m M] --k K [--l L] [--q Q] [--seed SEED]
+                     [--max-tries MAX_TRIES] [--mode {exact,grid}]
+                     [--delta DELTA] [--out OUT] [--cap CAP]
+                     {lemma1,lemma3,dbound,pythagoras}
+"""
+USAGE_ERRORS = [
+    (
+        "",
+        "usage: finetti [-h] {types,verify,lemma,gibbs} ...\n"
+        "finetti: error: the following arguments are required: command\n",
+    ),
+    (
+        "nope",
+        "usage: finetti [-h] {types,verify,lemma,gibbs} ...\n"
+        "finetti: error: argument command: invalid choice: 'nope' "
+        "(choose from 'types', 'verify', 'lemma', 'gibbs')\n",
+    ),
+    (
+        "lemma nope --k 2",
+        LEMMA_USAGE + "finetti lemma: error: argument name: invalid choice: 'nope' "
+        "(choose from 'lemma1', 'lemma3', 'dbound', 'pythagoras')\n",
+    ),
+    (
+        "types --m 2",
+        "usage: finetti types [-h] --m M --n N [--q Q] [--format {text,json}]\n"
+        "                     [--out OUT] [--cap CAP]\n"
+        "finetti types: error: the following arguments are required: --n\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, stderr", USAGE_ERRORS, ids=[c or "(none)" for c, _ in USAGE_ERRORS])
+def test_usage_errors_are_pinned(monkeypatch, capsys, command, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(command.split(), capsys) == (EXIT_INPUT, "", stderr)
