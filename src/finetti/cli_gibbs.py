@@ -1,0 +1,25 @@
+"""``finetti gibbs``: the block-law convergence trace, as CSV."""
+
+from __future__ import annotations
+
+from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _parse_int_list, _parse_rational_list
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("--target", required=True, help="target pmf, rationals")
+    parser.add_argument("--k", type=int, required=True, help="block length")
+    parser.add_argument("--n", required=True, help="comma separated n schedule")
+    parser.add_argument("--threshold", type=float, default=1e-2)
+    parser.add_argument("--out", help="write output to this file")
+
+
+def run(args) -> int:
+    from .gibbs import convergence_trace, trace_to_csv
+    from .types_core import Pmf
+
+    target = Pmf(_parse_rational_list(args.target))
+    n_values = _parse_int_list(args.n)
+    trace = convergence_trace(target, args.k, n_values)
+    _emit(trace_to_csv(trace).splitlines(), args.out)
+    final = trace.points[-1].divergence
+    return EXIT_OK if final < args.threshold else EXIT_VIOLATION

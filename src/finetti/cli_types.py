@@ -1,0 +1,101 @@
+"""``finetti types``: enumerate histograms and check the exact bounds."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line, _parse_rational_list
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("--m", type=int, required=True, help="alphabet size")
+    parser.add_argument("--n", type=int, required=True, help="string length")
+    parser.add_argument("--q", help="reference pmf, comma separated rationals")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--out", help="write output to this file")
+    parser.add_argument("--cap", type=int, help="enumeration cap override")
+
+
+def _rational_pair(value: Fraction) -> dict:
+    return {"rational": f"{value.numerator}/{value.denominator}", "decimal": float(value)}
+
+
+def run(args) -> int:
+    from .types_core import (
+        Pmf,
+        count_types,
+        integer_numerators,
+        type_class_size,
+        type_list,
+        urn_numerators,
+    )
+
+    m, n = args.m, args.n
+    if args.q is not None:
+        q = Pmf(_parse_rational_list(args.q))
+        if len(q) != m:
+            raise ValueError(f"--q has {len(q)} entries, expected {m}")
+    else:
+        q = Pmf.uniform(m)
+    # q = a / D gives P(T_t) = |T_t| * prod a^t / D^n.  Multiplied through by
+    # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=
+    # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
+    # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
+    # both sides of the second are 0 when q misses t's support.
+    a, _ = integer_numerators(q.probs)
+    powers, den_n = urn_numerators(((a, 1),), n, 0, cap=args.cap)  # prod a^t over D^n
+    n_n, poly = n**n, (n + 1) ** m
+    c_pow_c = lru_cache(maxsize=None)(lambda c: c**c)
+    rows = []
+    num_sum = size_sum = violations = 0
+    for t, power in zip(type_list(m, n, cap=args.cap), powers):
+        size = type_class_size(t)
+        size_sum += size
+        num = size * power
+        num_sum += num
+        cc = math.prod(map(c_pow_c, t.counts))
+        size_ok = size * cc <= n_n <= poly * size * cc
+        prob_ok = num * cc <= n_n * power <= poly * num * cc
+        if not (size_ok and prob_ok):
+            violations += 1
+        rows.append(
+            {
+                "counts": list(t.counts),
+                "size": size,
+                "probability": _rational_pair(Fraction(num, den_n)),
+                "size_bounds_ok": size_ok,
+                "probability_bounds_ok": prob_ok,
+            }
+        )
+    count = count_types(m, n)
+    checks = {
+        "count": count,
+        "count_matches_formula": count == len(rows),
+        "count_within_polynomial": count <= poly,
+        "sizes_sum_to_strings": size_sum == m**n,
+        "probabilities_sum_to_one": num_sum == den_n,
+        "bound_violations": violations,
+    }
+    ok = violations == 0 and all(v for v in checks.values() if isinstance(v, bool))
+    if args.format == "json":
+        payload = {
+            "m": m,
+            "n": n,
+            "q": [_rational_pair(p) for p in q.probs],
+            "checks": checks,
+            "types": rows,
+            "pass": ok,
+        }
+        _emit([_json_line(payload)], args.out)
+    else:
+        lines = [
+            f"types m={m} n={n}: {count} histograms",
+            f"count formula / polynomial cap / class sizes total / probability total: "
+            f"{'pass' if ok else 'FAIL'}",
+            f"per-type growth and probability bounds: "
+            f"{count - violations}/{count} pass",
+        ]
+        _emit(lines, args.out)
+    return EXIT_OK if ok else EXIT_VIOLATION

@@ -503,6 +503,31 @@ def test_lemma_rejects_mismatched_shape(capsys):
     assert code == EXIT_INPUT
 
 
+LEMMA_Q3 = {
+    "lemma1": ["--q", "4,4,4", "--k", "2", "--l", "6", "--seed", "1"],
+    "lemma3": ["--q", "4,4,4", "--k", "2"],
+    "dbound": ["--q", "4,4,4", "--k", "2"],
+    "pythagoras": ["--q", "4,4,4", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("name", LEMMA_Q3)
+def test_lemma_m_must_be_the_cell_count_of_q(capsys, name):
+    # an omitted --m is read from --q; a given one must agree with it
+    base = ["lemma", name, *LEMMA_Q3[name]]
+    code, out, err = run(base, capsys)
+    assert (code, err) == (EXIT_OK, "") and json.loads(out)["m"] == 3
+    assert run(base + ["--m", "3"], capsys) == (EXIT_OK, out, "")
+    clash = (EXIT_INPUT, "", "error: --q has 3 cells, but --m 2\n")
+    assert run(base + ["--m", "2"], capsys) == clash
+
+
+def test_lemma1_without_q_is_balanced_on_m_letters(capsys):
+    for extra, m in [([], 2), (["--m", "3"], 3)]:
+        code, out, _ = run(["lemma", "lemma1", "--k", "3", "--l", "4", "--seed", "1", *extra], capsys)
+        assert code == EXIT_OK and json.loads(out)["m"] == m
+
+
 def test_gibbs_csv(capsys):
     code, out, _ = run(
         ["gibbs", "--target", "1/2,1/2", "--k", "2", "--n", "4,16,64"], capsys
@@ -624,20 +649,21 @@ def test_cli_start_loads_no_random_and_no_exactlog():
     assert proc.stdout.strip() == "[]"
 
 
-# the finetti modules each start loads: a start compiles only what its subcommand runs
-LEMMA_MODULES = {"cli", "marginal_sets", "types_core", "info_measures"}
+# the finetti modules each start loads: a start compiles only what its subcommand
+# runs, and only its own handler module among cli_types, cli_verify, cli_lemma, cli_gibbs
+LEMMA_MODULES = {"cli", "cli_lemma", "marginal_sets", "types_core", "info_measures"}
 START_MODULES = [
     ("--help", {"cli"}),
-    ("verify --help", {"cli"}),
+    ("verify --help", {"cli", "cli_verify"}),
     (
         "verify --family fair-coin --n 8 --k 2",
-        {"cli", "definetti", "exchangeable", "types_core", "info_measures"},
+        {"cli", "cli_verify", "definetti", "exchangeable", "types_core", "info_measures"},
     ),
     (
         "gibbs --target 1/2,1/2 --k 2 --n 4 --threshold 1",
-        {"cli", "gibbs", "types_core", "info_measures"},
+        {"cli", "cli_gibbs", "gibbs", "types_core", "info_measures"},
     ),
-    ("types --m 2 --n 4", {"cli", "types_core"}),
+    ("types --m 2 --n 4", {"cli", "cli_types", "types_core"}),
     ("lemma lemma1 --q 4,4 --k 2 --l 4 --seed 1", LEMMA_MODULES),
     ("lemma lemma3 --q 4,4 --k 2", LEMMA_MODULES),
     ("lemma pythagoras --q 4,4 --k 2", LEMMA_MODULES),
@@ -662,6 +688,30 @@ def test_cli_start_loads_only_its_subcommands_modules(command, modules):
     )
     loaded = proc.stderr.strip().splitlines()[-1]
     assert loaded == f"0 {sorted(f'finetti.{name}' for name in modules)}", proc.stderr
+
+
+FRONT_STARTS = {
+    "import": "import finetti.cli",
+    "--help": (
+        "import runpy; sys.argv[1:] = ['--help']\n"
+        "try:\n    runpy.run_module('finetti', run_name='__main__')\n"
+        "except SystemExit:\n    pass"
+    ),
+}
+
+
+@pytest.mark.parametrize("start", FRONT_STARTS)
+def test_cli_front_loads_no_json_and_no_fractions(start):
+    # the front imports argparse and sys only; json and Fraction (which
+    # brings decimal) are imported by the helpers and handlers that use them
+    code = (
+        f"import sys\n{FRONT_STARTS[start]}\n"
+        "print(sorted({'json', 'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_env_with_finetti()
+    )
+    assert proc.stderr.strip().splitlines()[-1] == "[]", proc.stderr
 
 
 def test_import_finetti_loads_no_submodule():
