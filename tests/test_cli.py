@@ -902,6 +902,7 @@ GOLDEN = [
         "lemma lemma3 --m 3 --q 6,6,6 --k 3 --mode grid --l 6",
         "9fb345f6e2760f30571598ac709b7376646d2d8a4ac61fbfa6ea3d65960b0b92",
     ),
+    ("lemma dbound --q 120,120 --k 2", "f62f8b147aea4dd712118a91c9361390cf01538cf0b6c83517840506250101d3"),
     # help texts, wrapped at COLUMNS=80
     ("--help", "ab53581ded61e231d7aa9183bb21d03c1d9e99afa62824f81f50164d3d01c6a2"),
     ("types --help", "6948192a966a8a33827bff8a0fe164a1d073b7649c9c34f2181b9187a6040bf6"),
@@ -957,4 +958,16 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("command, stderr", USAGE_ERRORS, ids=[c or "(none)" for c, _ in USAGE_ERRORS])
 def test_usage_errors_are_pinned(monkeypatch, capsys, command, stderr):
     monkeypatch.setenv("COLUMNS", "80")
+    assert run(command.split(), capsys) == (EXIT_INPUT, "", stderr)
+
+
+# n-type errors of --q: their text comes from TypeVector
+Q_ERRORS = [
+    ("lemma dbound --q=-1,5 --k 2", "error: negative count in (-1, 5)\n"),
+    ("lemma pythagoras --q 0,0 --k 2", "error: a type must describe a nonempty string\n"),
+]
+
+
+@pytest.mark.parametrize("command, stderr", Q_ERRORS, ids=[c for c, _ in Q_ERRORS])
+def test_q_errors_are_pinned(capsys, command, stderr):
     assert run(command.split(), capsys) == (EXIT_INPUT, "", stderr)
