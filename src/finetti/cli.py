@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage; map to the input error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    from .types_core import CapacityError  # after parse_args, so --help loads no other module
+    from .counts import CapacityError  # after parse_args, so --help loads no other module
 
     try:
         return handler.run(args)

@@ -1,4 +1,9 @@
-"""``finetti lemma``: the supporting oracles lemma1, lemma3, dbound and pythagoras."""
+"""``finetti lemma``: the supporting oracles lemma1, lemma3, dbound and pythagoras.
+
+Each branch imports only what its lemma runs: lemma1 loads `finetti.lemma1`,
+dbound and pythagoras load `finetti.marginal_sets`, and only lemma3 loads
+the `Fraction` vertex search of `finetti.lemma3`.
+"""
 
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ def add_arguments(parser) -> None:
 
 def _n_type(args, n: int | None = None):
     """The histogram of --q, summing to n if given; a given --m must be its cell count."""
-    from .types_core import TypeVector
+    from .counts import TypeVector
 
     t = TypeVector(_parse_int_list(args.q))
     if n is not None and t.n != n:
@@ -35,7 +40,7 @@ def _n_type(args, n: int | None = None):
 
 def _lemma1_q(args, n: int):
     """The histogram of --q, else the balanced one on --m letters (2 by default)."""
-    from .types_core import TypeVector
+    from .counts import TypeVector
 
     if args.q is not None:
         return _n_type(args, n)
@@ -48,17 +53,10 @@ def _lemma1_q(args, n: int):
 def run(args) -> int:
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
-    from .marginal_sets import (
-        conditional_mean_divergence,
-        lemma1_construct,
-        max_divergence_over_E_k,
-        partition_tail_bound,
-        pythagorean_scan,
-    )
-    from .types_core import power_pmf, type_to_pmf
-
     name = args.name
     if name == "lemma1":
+        from .lemma1 import lemma1_construct
+
         if args.seed is None:
             raise ValueError("lemma1 is randomized; --seed is required")
         if args.l is None:
@@ -94,6 +92,8 @@ def run(args) -> int:
     if name == "lemma3":
         if args.q is None:
             raise ValueError("lemma3 needs --q (an n-type)")
+        from .lemma3 import max_divergence_over_E_k
+
         q = _n_type(args)
         result = max_divergence_over_E_k(
             q, args.k, mode=args.mode, ell=args.l, cap=args.cap
@@ -126,6 +126,7 @@ def run(args) -> int:
         raise ValueError(f"--l {args.l} is not n/k = {ell}; {name} takes l = n/k")
     if name == "dbound":
         from .definetti import theorem_constants  # only dbound needs the bound's constants
+        from .marginal_sets import conditional_mean_divergence, partition_tail_bound
 
         params = theorem_constants(n, args.k, q.m)
         if args.delta is None and params.delta <= 0:
@@ -157,14 +158,19 @@ def run(args) -> int:
         _emit([_json_line(payload)], args.out)
         return EXIT_OK if ok else EXIT_VIOLATION
     if name == "pythagoras":
+        from .counts import power_numerators
+        from .marginal_sets import pythagorean_scan
+
         # one walk: each member's integer residual certifies both identities
         members, argmin, unique = pythagorean_scan(q, args.k, ell, cap=args.cap)
-        # l*Q^k is a lattice point when each of its masses is an integer
-        l_qk = [ell * p for p in power_pmf(type_to_pmf(q), args.k)]
-        on_lattice = all(x.denominator == 1 for x in l_qk)
+        # l*Q^k(b) = l * prod_a t_a^{u_a} / n^k is a lattice point when n^k
+        # divides every numerator; the walk's cap check bounds the cells listed
+        nk = n**args.k
+        l_qk = [ell * t for t in power_numerators(q.counts, args.k)]
+        on_lattice = all(x % nk == 0 for x in l_qk)
         argmin_ok = True
         if on_lattice:
-            argmin_ok = unique and argmin.counts == tuple(map(int, l_qk))
+            argmin_ok = unique and argmin.counts == tuple(x // nk for x in l_qk)
         payload = {
             "lemma": "pythagoras",
             "m": q.m,

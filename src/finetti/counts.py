@@ -1,0 +1,158 @@
+"""Integer groundwork for n-types: the enumeration cap, `TypeVector` and the cells of A^k.
+
+Nothing here imports `fractions`: the lemma starts read an n-type as its
+integer counts, and a rational q as integer numerators a over a common
+denominator D (`power_numerators` gives Q^k from them, and
+`entropy_of_numerators` its entropy).  `types_core` re-exports the cap
+names, `TypeVector`, `all_strings` and `occurrence_matrix`, so library
+callers may import them from either module.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from collections import namedtuple
+from functools import lru_cache
+from itertools import product
+
+DEFAULT_ENUMERATION_CAP = 2**26
+
+
+class CapacityError(RuntimeError):
+    """An enumeration would exceed the configured cap."""
+
+
+def resolve_cap(cap: int | None) -> int:
+    """Effective enumeration cap: explicit argument, else FINETTI_CAP, else default."""
+    if cap is not None:
+        return cap
+    env = os.environ.get("FINETTI_CAP")
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise ValueError(f"FINETTI_CAP must be an integer, got {env!r}") from exc
+    return DEFAULT_ENUMERATION_CAP
+
+
+def _alphabet_size(alphabet: int) -> int:
+    m = int(alphabet)
+    if m < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {m}")
+    return m
+
+
+class TypeVector(namedtuple("TypeVector", "counts")):
+    """Histogram of an n-string: counts[a] occurrences of symbol a, sum = n."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, counts) -> "TypeVector":
+        counts = tuple(map(int, counts))
+        if not counts:
+            raise ValueError("a type needs at least one symbol cell")
+        if min(counts) < 0:
+            raise ValueError(f"negative count in {counts}")
+        if sum(counts) < 1:
+            raise ValueError("a type must describe a nonempty string")
+        return tuple.__new__(cls, (counts,))
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def m(self) -> int:
+        return len(self.counts)
+
+    def pmf(self):
+        """The `Pmf` counts / n (`types_core.type_to_pmf`)."""
+        from .types_core import type_to_pmf
+
+        return type_to_pmf(self)
+
+    def to_json(self) -> dict:
+        return {"m": self.m, "n": self.n, "counts": list(self.counts)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "TypeVector":
+        tv = cls(tuple(obj["counts"]))
+        if "n" in obj and tv.n != obj["n"]:
+            raise ValueError(f"counts sum to {tv.n}, header says n={obj['n']}")
+        if "m" in obj and tv.m != obj["m"]:
+            raise ValueError(f"counts have {tv.m} cells, header says m={obj['m']}")
+        return tv
+
+
+def count_types(alphabet: int, n: int) -> int:
+    """Number of histograms of n-strings: C(n + m - 1, m - 1)."""
+    m = _alphabet_size(alphabet)
+    if n < 1:
+        raise ValueError(f"string length must be >= 1, got {n}")
+    return math.comb(n + m - 1, m - 1)
+
+
+def check_cap(m: int, n: int, cap: int | None) -> None:
+    """Raise CapacityError when the n-histograms over m symbols outnumber the cap."""
+    total = count_types(m, n)
+    limit = resolve_cap(cap)
+    if total > limit:
+        raise CapacityError(f"{total} types at (m={m}, n={n}) exceeds cap {limit}")
+
+
+def check_cells(m: int, k: int, cap: int | None) -> None:
+    """Raise CapacityError when the m^k cells of A^k outnumber the cap.
+
+    Every caller that lists a law, a witness or a count per cell of A^k
+    checks this first.
+    """
+    cells = m**k
+    limit = resolve_cap(cap)
+    if cells > limit:
+        raise CapacityError(f"{cells} cells at (m={m}, k={k}) exceeds cap {limit}")
+
+
+# Type caches keyed by (m, n), shared by laws and the urn kernel; each
+# keeps this many entries and drops the least recently used.
+TYPE_CACHE_SIZE = 32
+
+
+def all_strings(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All k-strings over 0..m-1 in index order."""
+    if m < 1 or k < 1:
+        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+    return tuple(product(range(m), repeat=k))
+
+
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
+def occurrence_matrix(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """occ[b][a]: multiplicity of symbol a in the b-th block of A^k, its histogram."""
+    return tuple(tuple(map(s.count, range(m))) for s in all_strings(m, k))
+
+
+def power_numerators(a, k: int) -> list[int]:
+    """T_b = prod_s a_s^{u_s} per cell b of A^k in index order, u the histogram of b.
+
+    For q = a / D these are the numerators of Q^k over D^k.
+    """
+    occ = occurrence_matrix(len(a), k)
+    power = {u: math.prod(map(pow, a, u)) for u in set(occ)}
+    return [power[u] for u in occ]
+
+
+def entropy_of_numerators(nums, den: int) -> float:
+    """H(nums / den) in nats, with the bits of `info_measures.entropy` on the `Pmf`.
+
+    Each entry x/den is reduced by gcd(x, den), as `Fraction` reduces it, so
+    its log is log(x/g) - log(den/g); x/den is int/int true division, which
+    is correctly rounded, as float() of the `Fraction` is.  The terms are
+    summed in cell order.
+    """
+    total = 0.0
+    for x in nums:
+        if x:
+            g = math.gcd(x, den)
+            total -= x / den * (math.log(x // g) - math.log(den // g))
+    return total

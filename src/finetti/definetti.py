@@ -14,11 +14,9 @@ Stirling transform, so the law is never restricted.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
-from .info_measures import relative_entropy
-from .types_core import power_pmf, type_list, type_to_pmf
-
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing on a dbound start
 if TYPE_CHECKING:
     from .exchangeable import UrnLaw
 
@@ -39,17 +37,12 @@ _SLACK = 1e-12
 _EXP_MAX = 709.0
 
 
-class BoundParams(NamedTuple):
+class BoundParams(
+    namedtuple("BoundParams", "n k m alpha delta epsilon vacuous in_validity_range")
+):
     """Constants of the approximation bound at one (n, k, m) point."""
 
-    n: int
-    k: int
-    m: int
-    alpha: float
-    delta: float
-    epsilon: float
-    vacuous: bool
-    in_validity_range: bool
+    __slots__ = ()
 
 
 def theorem_constants(n: int, k: int, m: int) -> BoundParams:
@@ -107,16 +100,15 @@ def binary_reference_bound(n: int, k: int) -> float:
     return 5.0 * k * k * math.log(n) / (n - k)
 
 
-class VerificationReport(NamedTuple):
-    m: int
-    n: int
-    k: int
-    params: BoundParams
-    divergence: float
-    holds: bool
-    effective_n: int
-    remark_adjusted: bool
-    binary_reference: float | None
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "m n k params divergence holds effective_n remark_adjusted binary_reference",
+    )
+):
+    """One verified (law, k) cell: the divergence, the constants and the verdict."""
+
+    __slots__ = ()
 
 
 def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
@@ -131,6 +123,7 @@ def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
     """
     # only verify runs the urn kernel, so dbound, which reads the constants, skips it
     from .exchangeable import block_laws
+    from .info_measures import relative_entropy
 
     if not 1 <= k <= law.n:
         raise ValueError(f"k must lie in 1..{law.n}, got {k}")
@@ -168,7 +161,9 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
     # only this chain needs the block laws and the lattice walk, so verify skips them
     from .exchangeable import histogram_law
     from .gibbs import conditional_block_law
+    from .info_measures import relative_entropy
     from .marginal_sets import conditional_mean_divergence
+    from .types_core import power_pmf, type_list, type_to_pmf
 
     if law.n % k != 0:
         raise ValueError(f"k={k} must divide n={law.n}")

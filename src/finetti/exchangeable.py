@@ -309,6 +309,7 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
         m, file_n = int(obj["m"]), int(obj["n"])
         if n is not None and n != file_n:
             raise ValueError(f"law file has n={file_n}, caller asked for n={n}")
+        check_cap(m, file_n, None)  # before the weight list is sized
         weights = [Fraction(0)] * count_types(m, file_n)
         idx = type_index_map(m, file_n)
         for entry in obj["typeWeights"]:

@@ -1,0 +1,153 @@
+"""Lemma 3: the largest relative entropy D(W || Q^k) over the constraint set of q.
+
+The exact mode searches the vertices of the polytope in `Fraction`s; the
+grid mode scans the l-block lattice members of `finetti.marginal_sets`,
+which it imports only when it runs.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
+from typing import NamedTuple, Sequence
+
+from .counts import CapacityError, check_cells, count_types, occurrence_matrix
+from .info_measures import entropy, relative_entropy
+from .types_core import Pmf, TypeVector, integer_numerators, power_pmf, type_to_pmf
+
+__all__ = ["MaxDivergenceResult", "max_divergence_over_E_k"]
+
+# Most column subsets the exact vertex search solves: beyond, not desk scale.
+MAX_VERTEX_SUBSETS = 100_000
+
+_SLACK = 1e-12
+
+
+class MaxDivergenceResult(NamedTuple):
+    value: float
+    witness: Pmf
+    candidates: int
+    mode: str
+
+
+def _solve_columns(
+    cols: Sequence[tuple[int, ...]], target: Sequence[int], scale: int
+) -> tuple[Fraction, ...] | None:
+    """Unique exact solution x of cols * x = target / scale, or None.
+
+    The columns and the target are integers, and the elimination stays in
+    integers: a row is cleared by cross-multiplying with the pivot row, so
+    each pivot row ends as pivot * x_i = rhs_i / scale, and one Fraction is
+    made per coordinate.  None when the columns are dependent or the system
+    is inconsistent.
+    """
+    rows = len(target)
+    s = len(cols)
+    aug = [[col[i] for col in cols] + [target[i]] for i in range(rows)]
+    for row in range(s):
+        pivot = next((r for r in range(row, rows) if aug[r][row] != 0), None)
+        if pivot is None:
+            return None  # dependent columns
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        top = aug[row]
+        p = top[row]
+        for r in range(rows):
+            factor = aug[r][row]
+            if r != row and factor != 0:
+                aug[r] = [p * a - factor * b for a, b in zip(aug[r], top)]
+    for r in range(s, rows):
+        if aug[r][s] != 0:
+            return None  # inconsistent
+    return tuple(Fraction(aug[i][s], aug[i][i] * scale) for i in range(s))
+
+
+def max_divergence_over_E_k(
+    q,
+    k: int,
+    mode: str = "exact",
+    ell: int | None = None,
+    cap: int | None = None,
+) -> MaxDivergenceResult:
+    """Maximum of D(W || Q^k) over the constraint set of q.
+
+    Exact mode maximises over the polytope itself: on the set the divergence
+    is k*H(Q) - H(W), entropy is concave, so the maximum sits at a vertex, and
+    vertices are basic solutions of the occurrence system.  Cells with the
+    same block histogram have the same column, so a basic solution uses at
+    most one of them, and its entropy does not depend on which: the search
+    solves over one column per histogram, C(k+m-1, m-1) of them, each
+    standing for its first cell.  That cell choice is the first instance of
+    each vertex in cell order, so the witness is the one a search over all
+    cells would find, and `candidates` still counts cell-level vertices:
+    each vertex stands for the product, over its support, of the number of
+    cells sharing each column.  Before the first solve, exact mode raises
+    CapacityError when the column subsets it would solve exceed
+    MAX_VERTEX_SUBSETS or the m^k cells of the witness exceed the cap.  Grid
+    mode takes the maximum over the l-block lattice members instead, ordered
+    exactly by the entropy key prod c^c (the first of tied members wins).
+    Every member is supported inside supp(Q^k), which keeps the value finite
+    and at most k * log(n) for an n-type q.
+    """
+    q = type_to_pmf(q) if isinstance(q, TypeVector) else Pmf(tuple(q))
+    m = len(q)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if mode == "grid":
+        if ell is None:
+            raise ValueError("grid mode needs l")
+        from .marginal_sets import _entropy_key, _extreme_member
+
+        entropy_key = _entropy_key()
+        candidates, best_counts, _ = _extreme_member(
+            *integer_numerators(q), k, ell, cap, lambda parts: -entropy_key(parts)
+        )
+        witness = type_to_pmf(TypeVector(best_counts))
+        value = relative_entropy(witness, power_pmf(q, k))
+        return MaxDivergenceResult(value, witness, candidates, "grid")
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
+    cells = m**k
+    check_cells(m, k, cap)  # the witness has one entry per cell
+    active_rows = [a for a in range(m) if q[a] > 0]
+    # one column per k-histogram over the active symbols, subsets up to the rows
+    columns = count_types(len(active_rows), k)
+    subsets = sum(math.comb(columns, s) for s in range(1, len(active_rows) + 1))
+    if subsets > MAX_VERTEX_SUBSETS:
+        raise CapacityError(f"{subsets} column subsets exceed the vertex limit {MAX_VERTEX_SUBSETS}")
+    occ = occurrence_matrix(m, k)
+    # support argument: any member vanishes on blocks using a zero-mass symbol
+    active_cols = [b for b in range(cells) if all(occ[b][a] == 0 or q[a] > 0 for a in range(m))]
+    # k*q(a) = target[a] / scale with integer targets over scale = lcm(denominators)
+    scale = math.lcm(*(q[a].denominator for a in active_rows))
+    target = [k * q[a].numerator * (scale // q[a].denominator) for a in active_rows]
+    # column -> [first cell, cells sharing it], in cell order
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for b in active_cols:
+        classes.setdefault(tuple(occ[b][a] for a in active_rows), [b, 0])[1] += 1
+    # a vertex is keyed by its support and values, so only new ones are expanded
+    seen: set[tuple[tuple[int, Fraction], ...]] = set()
+    best_key: tuple[tuple[int, Fraction], ...] | None = None
+    best_h = math.inf
+    candidates = 0
+    for size in range(1, len(active_rows) + 1):
+        for subset in combinations(classes.items(), size):
+            x = _solve_columns([col for col, _ in subset], target, scale)
+            if x is None or any(v < 0 for v in x):
+                continue
+            key = tuple((first, v) for (_, (first, _)), v in zip(subset, x) if v)
+            if key in seen:
+                continue
+            seen.add(key)
+            candidates += math.prod(shared for (_, (_, shared)), v in zip(subset, x) if v)
+            h = entropy([v for _, v in key])
+            if h < best_h - _SLACK or best_key is None:
+                best_h = h
+                best_key = key
+    if best_key is None:
+        raise ValueError("constraint polytope is empty; q must be a valid pmf")
+    full = [Fraction(0)] * cells
+    for b, v in best_key:
+        full[b] = v
+    value = k * entropy(q) - best_h
+    return MaxDivergenceResult(value, Pmf(full), candidates, "exact")

@@ -9,56 +9,42 @@ times symbol a occurs in block b,
 
 The module walks the lattice points of this polytope among l-block
 histograms, one row per orbit of counts permuted within a k-histogram class,
-maximises relative entropy over it by exact vertex search, builds
-low-deviation lattice members by seeded random permutation, and evaluates the
-conditional mean divergence and tail bounds used by the finite mixture
-approximation argument.
+scans it for the argmin of D(. || U), and evaluates the conditional mean
+divergence and tail bounds used by the finite mixture approximation
+argument.  It reads q as integer numerators a over a common denominator D,
+so an n-type's start imports no `fractions`; lemma 1 (`finetti.lemma1`)
+and lemma 3 (`finetti.lemma3`) read the walk from here.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import chain, product, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .info_measures import entropy, l1_distance, relative_entropy
-from .types_core import (
+from .counts import (
     TYPE_CACHE_SIZE,
     CapacityError,
-    Pmf,
     TypeVector,
     count_types,
+    entropy_of_numerators,
     occurrence_matrix,
-    power_pmf,
+    power_numerators,
     resolve_cap,
-    type_to_pmf,
 )
 
 __all__ = [
     "ConditionalMeanResult",
-    "ExhaustedTriesError",
-    "MaxDivergenceResult",
-    "PermutedBlockResult",
     "TailBoundResult",
     "conditional_mean_divergence",
-    "lemma1_constant",
-    "lemma1_construct",
-    "max_divergence_over_E_k",
     "partition_tail_bound",
     "pythagorean_scan",
 ]
 
-# Most column subsets the exact vertex search solves: beyond, not desk scale.
-MAX_VERTEX_SUBSETS = 100_000
-
 _SLACK = 1e-12
-
-
-class ExhaustedTriesError(RuntimeError):
-    """The randomized construction ran out of permutations and fallbacks."""
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
@@ -74,12 +60,18 @@ def _block_classes(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     return tuple(sorted(((u, tuple(b)) for u, b in classes.items()), key=lambda c: c[1][-1]))
 
 
-def _as_pmf(p) -> Pmf:
-    if isinstance(p, Pmf):
-        return p
-    if isinstance(p, TypeVector):
-        return type_to_pmf(p)
-    return Pmf(tuple(p))
+def _numerators(q) -> tuple[tuple[int, ...], int]:
+    """(a, D) with q = a / D over the least common denominator D.
+
+    An n-type gives its counts over n, both divided by their gcd; any other
+    q is validated as a `Pmf` first, so a float entry is refused.
+    """
+    if isinstance(q, TypeVector):
+        g = math.gcd(*q.counts)
+        return tuple(c // g for c in q.counts), q.n // g
+    from .types_core import Pmf, integer_numerators
+
+    return integer_numerators(Pmf(tuple(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +79,12 @@ def _as_pmf(p) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_targets(q: Pmf, k: int, ell: int) -> list[int] | None:
-    """k*l*q(a) for every a, or None if one is not an integer."""
-    targets = [p * k * ell for p in q]
-    if any(t.denominator != 1 for t in targets):
+def _lattice_targets(a: Sequence[int], den: int, k: int, ell: int) -> list[int] | None:
+    """k*l*a/D for every symbol, or None if D does not divide one of them."""
+    scaled = [k * ell * x for x in a]
+    if any(t % den for t in scaled):
         return None
-    return [t.numerator for t in targets]
+    return [t // den for t in scaled]
 
 
 def _progression(start: int, step: int, length: int) -> Iterable[int]:
@@ -100,16 +92,18 @@ def _progression(start: int, step: int, length: int) -> Iterable[int]:
     return range(start, start + step * length, step) if step else repeat(start, length)
 
 
-def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[int, ...]]:
+def _lattice_walk(
+    a: Sequence[int], den: int, k: int, ell: int, cap: int | None
+) -> Iterator[tuple[int, ...]]:
     """The class totals d_u of every member, one per k-histogram class u.
 
     Checks k, l and the cap, count_types(m^k, l), when called, before any
     walk starts.  A row is one k-histogram u, standing for its C(k;u) cells,
     and the rows are ordered by each class's last cell (`_block_classes`).
     A member's class total d_u is the sum of its counts over the cells of u;
-    the constraint sum_u d_u * u = k*l*q sees a member only through them.
+    the constraint sum_u d_u * u = k*l*a/D sees a member only through them.
     """
-    m = len(q)
+    m = len(a)
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
     total = count_types(m**k, ell)
@@ -118,7 +112,7 @@ def _lattice_walk(q: Pmf, k: int, ell: int, cap: int | None) -> Iterator[tuple[i
         raise CapacityError(
             f"{total} block histograms at (cells={m ** k}, l={ell}) exceeds cap {limit}"
         )
-    targets = _lattice_targets(q, k, ell)
+    targets = _lattice_targets(a, den, k, ell)
     if targets is None:
         return iter(())
     return _row_walk([u for u, _ in _block_classes(m, k)], targets, ell)
@@ -221,20 +215,22 @@ def _fillings(d: int, cells: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
     )
 
 
-def _orbit_walk(q: Pmf, k: int, ell: int, cap: int | None):
+def _orbit_walk(a: Sequence[int], den: int, k: int, ell: int, cap: int | None):
     """(class totals, orbit rows) per class total vector of the constraint set.
 
     Each orbit row holds one `_fillings` entry per class, and stands for the
     product of their orbits, members whose counts permute among the cells
     of each class.  Checks the cap before anything is built.
     """
-    walk = _lattice_walk(q, k, ell, cap)
-    sizes = [len(cells) for _, cells in _block_classes(len(q), k)]
+    walk = _lattice_walk(a, den, k, ell, cap)
+    sizes = [len(cells) for _, cells in _block_classes(len(a), k)]
     return ((totals, product(*map(_fillings, totals, sizes))) for totals in walk)
 
 
 @lru_cache(maxsize=2)
-def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, int, float], ...]:
+def _member_table(
+    a: tuple[int, ...], den: int, k: int, ell: int, cap: int
+) -> tuple[tuple[int, int, float], ...]:
     """(orbit, class size, H(W)) per orbit of members W, walking the cell classes.
 
     Counts permuted among the cells of one k-histogram class keep the class
@@ -250,10 +246,10 @@ def _member_table(q: Pmf, k: int, ell: int, cap: int) -> tuple[tuple[int, int, f
     D(W||Q^k) = k*H(Q) - H(W) and D(W||U) = k*log(m) - H(W), exactly, by the
     lemma in pythagorean_scan, so no member needs a pmf.
     Nothing is computed before the walk has checked the cap, and the rows
-    are kept for the last two (q, k, l, cap), so the conditional mean and
+    are kept for the last two (a, D, k, l, cap), so the conditional mean and
     the exact tail of one lattice share a single walk.
     """
-    walk = _orbit_walk(q, k, ell, cap)
+    walk = _orbit_walk(a, den, k, ell, cap)
     factorial = lru_cache(maxsize=None)(math.factorial)
     c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
     log_ell = math.log(ell)
@@ -281,22 +277,24 @@ def _entropy_key() -> Callable[[tuple], int]:
     return lambda parts: math.prod(map(factor, parts))
 
 
-def _extreme_member(q: Pmf, k: int, ell: int, cap: int | None, key: Callable[[tuple], int]):
+def _extreme_member(
+    a: Sequence[int], den: int, k: int, ell: int, cap: int | None, key: Callable[[tuple], int]
+):
     """(members, first member of least key, members at that key).
 
     `key` maps an orbit row's parts, one non-increasing tuple per class, to
     an integer that must be the same on every member of the orbit.  Each
-    class total vector's integer residuals sum_u d_u * u(a) - k*l*q(a)
+    class total vector's integer residuals sum_u d_u * u(a) - k*l*a/D
     must be zero, which certifies every member of its orbits.  Members are
     ordered by their cell counts, ascending, so the first member of an orbit
     places each class's parts ascending along its cells, and the first at
     the least key is the smallest of those over the tied orbits.  Raises
     ValueError when the set is empty.
     """
-    walk = _orbit_walk(q, k, ell, cap)
-    classes = _block_classes(len(q), k)
+    walk = _orbit_walk(a, den, k, ell, cap)
+    classes = _block_classes(len(a), k)
     cols = list(zip(*(u for u, _ in classes)))
-    targets = _lattice_targets(q, k, ell)
+    targets = _lattice_targets(a, den, k, ell)
     members, best, tied, at_best = 0, None, [], 0
     for totals, rows in walk:
         if any(sum(map(mul, totals, col)) != t for col, t in zip(cols, targets)):
@@ -315,7 +313,7 @@ def _extreme_member(q: Pmf, k: int, ell: int, cap: int | None, key: Callable[[tu
         raise ValueError("constraint set has no lattice members at this l")
 
     def first_counts(parts) -> tuple[int, ...]:
-        counts = [0] * len(q) ** k
+        counts = [0] * len(a) ** k
         for (_, cells), class_parts in zip(classes, parts):
             for b, c in zip(cells, reversed(class_parts)):
                 counts[b] = c
@@ -343,269 +341,8 @@ def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, 
     one member reaches it; when Q^k is a lattice point it is the unique one.
     Raises ValueError when the set is empty.
     """
-    members, first, at_best = _extreme_member(_as_pmf(q), k, ell, cap, _entropy_key())
+    members, first, at_best = _extreme_member(*_numerators(q), k, ell, cap, _entropy_key())
     return members, TypeVector(first), at_best == 1
-
-
-class MaxDivergenceResult(NamedTuple):
-    value: float
-    witness: Pmf
-    candidates: int
-    mode: str
-
-
-def _solve_columns(
-    cols: Sequence[tuple[int, ...]], target: Sequence[int], scale: int
-) -> tuple[Fraction, ...] | None:
-    """Unique exact solution x of cols * x = target / scale, or None.
-
-    The columns and the target are integers, and the elimination stays in
-    integers: a row is cleared by cross-multiplying with the pivot row, so
-    each pivot row ends as pivot * x_i = rhs_i / scale, and one Fraction is
-    made per coordinate.  None when the columns are dependent or the system
-    is inconsistent.
-    """
-    rows = len(target)
-    s = len(cols)
-    aug = [[col[i] for col in cols] + [target[i]] for i in range(rows)]
-    for row in range(s):
-        pivot = next((r for r in range(row, rows) if aug[r][row] != 0), None)
-        if pivot is None:
-            return None  # dependent columns
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        top = aug[row]
-        p = top[row]
-        for r in range(rows):
-            factor = aug[r][row]
-            if r != row and factor != 0:
-                aug[r] = [p * a - factor * b for a, b in zip(aug[r], top)]
-    for r in range(s, rows):
-        if aug[r][s] != 0:
-            return None  # inconsistent
-    return tuple(Fraction(aug[i][s], aug[i][i] * scale) for i in range(s))
-
-
-def max_divergence_over_E_k(
-    q,
-    k: int,
-    mode: str = "exact",
-    ell: int | None = None,
-    cap: int | None = None,
-) -> MaxDivergenceResult:
-    """Maximum of D(W || Q^k) over the constraint set of q.
-
-    Exact mode maximises over the polytope itself: on the set the divergence
-    is k*H(Q) - H(W), entropy is concave, so the maximum sits at a vertex, and
-    vertices are basic solutions of the occurrence system.  Cells with the
-    same block histogram have the same column, so a basic solution uses at
-    most one of them, and its entropy does not depend on which: the search
-    solves over one column per histogram, C(k+m-1, m-1) of them, each
-    standing for its first cell.  That cell choice is the first instance of
-    each vertex in cell order, so the witness is the one a search over all
-    cells would find, and `candidates` still counts cell-level vertices:
-    each vertex stands for the product, over its support, of the number of
-    cells sharing each column.  Before the first solve, exact mode raises
-    CapacityError when the column subsets it would solve exceed
-    MAX_VERTEX_SUBSETS or the m^k cells of the witness exceed the cap.  Grid
-    mode takes the maximum over the l-block lattice members instead, ordered
-    exactly by the entropy key prod c^c (the first of tied members wins).
-    Every member is supported inside supp(Q^k), which keeps the value finite
-    and at most k * log(n) for an n-type q.
-    """
-    q = _as_pmf(q)
-    m = len(q)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if mode == "grid":
-        if ell is None:
-            raise ValueError("grid mode needs l")
-        entropy_key = _entropy_key()
-        candidates, best_counts, _ = _extreme_member(
-            q, k, ell, cap, lambda parts: -entropy_key(parts)
-        )
-        witness = type_to_pmf(TypeVector(best_counts))
-        value = relative_entropy(witness, power_pmf(q, k))
-        return MaxDivergenceResult(value, witness, candidates, "grid")
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
-    cells = m**k
-    limit = resolve_cap(cap)
-    if cells > limit:  # the witness has one entry per cell
-        raise CapacityError(f"{cells} cells at (m={m}, k={k}) exceeds cap {limit}")
-    active_rows = [a for a in range(m) if q[a] > 0]
-    # one column per k-histogram over the active symbols, subsets up to the rows
-    columns = count_types(len(active_rows), k)
-    subsets = sum(math.comb(columns, s) for s in range(1, len(active_rows) + 1))
-    if subsets > MAX_VERTEX_SUBSETS:
-        raise CapacityError(f"{subsets} column subsets exceed the vertex limit {MAX_VERTEX_SUBSETS}")
-    occ = occurrence_matrix(m, k)
-    # support argument: any member vanishes on blocks using a zero-mass symbol
-    active_cols = [b for b in range(cells) if all(occ[b][a] == 0 or q[a] > 0 for a in range(m))]
-    # k*q(a) = target[a] / scale with integer targets over scale = lcm(denominators)
-    scale = math.lcm(*(q[a].denominator for a in active_rows))
-    target = [k * q[a].numerator * (scale // q[a].denominator) for a in active_rows]
-    # column -> [first cell, cells sharing it], in cell order
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for b in active_cols:
-        classes.setdefault(tuple(occ[b][a] for a in active_rows), [b, 0])[1] += 1
-    # a vertex is keyed by its support and values, so only new ones are expanded
-    seen: set[tuple[tuple[int, Fraction], ...]] = set()
-    best_key: tuple[tuple[int, Fraction], ...] | None = None
-    best_h = math.inf
-    candidates = 0
-    for size in range(1, len(active_rows) + 1):
-        for subset in combinations(classes.items(), size):
-            x = _solve_columns([col for col, _ in subset], target, scale)
-            if x is None or any(v < 0 for v in x):
-                continue
-            key = tuple((first, v) for (_, (first, _)), v in zip(subset, x) if v)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates += math.prod(shared for (_, (_, shared)), v in zip(subset, x) if v)
-            h = entropy([v for _, v in key])
-            if h < best_h - _SLACK or best_key is None:
-                best_h = h
-                best_key = key
-    if best_key is None:
-        raise ValueError("constraint polytope is empty; q must be a valid pmf")
-    full = [Fraction(0)] * cells
-    for b, v in best_key:
-        full[b] = v
-    value = k * entropy(q) - best_h
-    return MaxDivergenceResult(value, Pmf(full), candidates, "exact")
-
-
-# ---------------------------------------------------------------------------
-# randomized low-deviation construction
-# ---------------------------------------------------------------------------
-
-
-def lemma1_constant(ell: int, k: int) -> float:
-    """Deviation budget M = sqrt(2/l + 4k/l + 2*sqrt(k/l)) for l blocks of k."""
-    if not 1 <= k < ell:
-        raise ValueError(f"need l > k >= 1, got l={ell}, k={k}")
-    return math.sqrt(2.0 / ell + 4.0 * k / ell + 2.0 * math.sqrt(k / ell))
-
-
-class PermutedBlockResult(NamedTuple):
-    """Outcome of the seeded permutation construction."""
-
-    block_type: TypeVector
-    pmf: Pmf
-    deviation: float
-    l1_deviation: float
-    bound: float
-    tries: int
-    fallback: bool
-    entropy_gap: float
-    entropy_gap_bound: float
-    certified_regime: bool
-    entropy_within_bound: bool
-
-
-def lemma1_construct(
-    q: TypeVector,
-    k: int,
-    ell: int,
-    seed: int,
-    max_tries: int = 1000,
-    cap: int | None = None,
-) -> PermutedBlockResult:
-    """Seeded search for a lattice member close to Q^k in max-abs deviation.
-
-    Lays out a string of histogram q, Fisher-Yates shuffles it with
-    random.Random(seed), cuts it into l blocks of k, and keeps the first
-    block histogram within deviation M of Q^k.  After max_tries shuffles it
-    falls back to an exhaustive search of the lattice orbits for the first
-    closest member; if even that is not within M (not possible for valid
-    inputs, but checked), raises ExhaustedTriesError.
-
-    Both the max-abs and the L1 deviation of the accepted member are
-    recorded.  The entropy gap |H(W) - H(Q^k)| is compared against
-    -M*log(M/m^k); that comparison is a guarantee only in the certified
-    regime 2 <= k <= sqrt(l)/10 (where M < 1/2), and is reported as data
-    otherwise.
-    """
-    if not isinstance(q, TypeVector):
-        raise ValueError("q must be an n-type (a TypeVector)")
-    if k < 1 or ell < 1 or k * ell != q.n:
-        raise ValueError(f"need k*l = n, got k={k}, l={ell}, n={q.n}")
-    if seed is None:
-        raise ValueError("seed is required; the construction is randomized")
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
-    import random  # only the shuffle needs it, so the CLI start skips it
-    m = q.m
-    bound = lemma1_constant(ell, k)
-    qk = power_pmf(type_to_pmf(q), k)
-    # W(b) - Q^k(b) = (c_b * n^k - l * N_b) / (l * n^k) with Q^k(b) = N_b / n^k,
-    # so histograms compare exactly by the integer numerator of the largest
-    # deviation, and only the accepted one is reduced to a float
-    nk = q.n**k
-    scale = ell * nk
-    targets = [int(p * nk) * ell for p in qk.probs]
-
-    def excess(counts: Sequence[int]) -> int:
-        return max(abs(c * nk - t) for c, t in zip(counts, targets))
-
-    base = []
-    for a, c in enumerate(q.counts):
-        base.extend([a] * c)
-    rng = random.Random(seed)
-    cells = m**k
-
-    accepted: tuple[int, Sequence[int]] | None = None
-    tries = 0
-    fallback = False
-    for _ in range(max_tries):
-        tries += 1
-        rng.shuffle(base)
-        counts = [0] * cells
-        for start in range(0, q.n, k):
-            idx = 0
-            for a in base[start : start + k]:
-                idx = idx * m + a
-            counts[idx] += 1
-        worst = excess(counts)
-        if worst / scale <= bound:
-            accepted = (worst, counts)
-            break
-    if accepted is None:
-        fallback = True
-        # Q^k(b) * n^k = prod_a q_a^{u_a} is the same on the cells of a class u,
-        # so a member's excess over the cells of u is read off the largest
-        # and the smallest of its parts there, and is the same on an orbit
-        class_targets = [targets[class_cells[0]] for _, class_cells in _block_classes(m, k)]
-
-        def orbit_excess(parts) -> int:
-            return max(max(p[0] * nk - t, t - p[-1] * nk) for p, t in zip(parts, class_targets))
-
-        _, counts, _ = _extreme_member(type_to_pmf(q), k, ell, cap, orbit_excess)
-        accepted = (excess(counts), counts)
-        if accepted[0] / scale > bound:
-            raise ExhaustedTriesError(
-                f"no member within deviation {bound} after {max_tries} shuffles"
-            )
-    deviation, block_type = accepted[0] / scale, TypeVector(accepted[1])
-    pmf = type_to_pmf(block_type)
-    l1_dev = l1_distance(pmf, qk)
-    gap = abs(entropy(pmf) - entropy(qk))
-    gap_bound = -bound * math.log(bound / cells)
-    certified = k >= 2 and 100 * k * k <= ell and bound < 0.5
-    return PermutedBlockResult(
-        block_type=block_type,
-        pmf=pmf,
-        deviation=deviation,
-        l1_deviation=l1_dev,
-        bound=bound,
-        tries=tries,
-        fallback=fallback,
-        entropy_gap=gap,
-        entropy_gap_bound=gap_bound,
-        certified_regime=certified,
-        entropy_within_bound=gap <= gap_bound + _SLACK,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +350,10 @@ def lemma1_construct(
 # ---------------------------------------------------------------------------
 
 
-class ConditionalMeanResult(NamedTuple):
-    value: float
-    members: int
+class ConditionalMeanResult(namedtuple("ConditionalMeanResult", "value members")):
+    """The conditional mean divergence and the number of members it averages."""
+
+    __slots__ = ()
 
 
 def conditional_mean_divergence(
@@ -628,9 +366,9 @@ def conditional_mean_divergence(
     weights are exact integers; each member's divergence is k*H(Q) - H(W),
     and only the weights' ratios and the final average are floats.
     """
-    q = _as_pmf(q)
-    k_entropy_q = k * entropy(q)
-    rows = _member_table(q, k, ell, resolve_cap(cap))
+    a, den = _numerators(q)
+    k_entropy_q = k * entropy_of_numerators(a, den)
+    rows = _member_table(a, den, k, ell, resolve_cap(cap))
     if not rows:
         raise ValueError("constraint set has no lattice members at this l")
     total = sum(orbit * size for orbit, size, _ in rows)
@@ -639,13 +377,33 @@ def conditional_mean_divergence(
     return ConditionalMeanResult(value=value, members=sum(orbit for orbit, _, _ in rows))
 
 
-class TailBoundResult(NamedTuple):
-    log_bound: float
-    bound: float
-    exact_probability: float | None
-    exact_within_bound: bool | None
-    deviation_constant: float
-    entropy_margin_certified: bool
+class TailBoundResult(
+    namedtuple(
+        "TailBoundResult",
+        "log_bound bound exact_probability exact_within_bound deviation_constant "
+        "entropy_margin_certified",
+    )
+):
+    """The analytic tail bound, the exact tail when the lattice fits the cap, the margin check."""
+
+    __slots__ = ()
+
+
+def _power_divergence_from_uniform(a: Sequence[int], den: int, k: int) -> float:
+    """D(Q^k || U) over the m^k cells, with the bits of `relative_entropy` on the `Pmf`s.
+
+    Q^k(b) = T_b / D^k (`power_numerators`).  Each term is
+    (T_b / D^k) * log(m^k * T_b / D^k), the ratio reduced by its gcd as
+    `Fraction` reduces it, summed in cell order.
+    """
+    cells = len(a) ** k
+    den_k = den**k
+    total = 0.0
+    for t in power_numerators(a, k):
+        if t:
+            g = math.gcd(t * cells, den_k)
+            total += t / den_k * (math.log(t * cells // g) - math.log(den_k // g))
+    return total
 
 
 def partition_tail_bound(
@@ -662,8 +420,8 @@ def partition_tail_bound(
     low-divergence cell of the partition; M >= 1/2 leaves that certification
     unavailable.
     """
-    q = _as_pmf(q)
-    m = len(q)
+    a, den = _numerators(q)
+    m = len(a)
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
     if not math.isfinite(delta):
@@ -675,6 +433,8 @@ def partition_tail_bound(
     bound = math.exp(log_bound) if log_bound <= 700 else math.inf
 
     if ell > k:
+        from .lemma1 import lemma1_constant
+
         big_m = lemma1_constant(ell, k)
         certified = big_m < 0.5 and -big_m * math.log(big_m / cells) <= delta + _SLACK
     else:
@@ -685,11 +445,11 @@ def partition_tail_bound(
     within: bool | None = None
     cap = resolve_cap(cap)
     if count_types(cells, ell) <= cap:
-        threshold = relative_entropy(power_pmf(q, k), Pmf.uniform(cells)) + 2 * delta
+        threshold = _power_divergence_from_uniform(a, den, k) + 2 * delta
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set
-        for orbit, size, h in _member_table(q, k, ell, cap):
+        for orbit, size, h in _member_table(a, den, k, ell, cap):
             total += orbit * size
             if log_cells - h > threshold:
                 heavy += orbit * size

@@ -7,19 +7,33 @@ bounds can be asserted with equality instead of tolerances.  The quantities
 denominator n and rational Q, which is what makes the exact checks possible;
 helpers for both are provided.  The urn kernel (`urn_numerators`) gives the
 law of the first k draws from a weighted mixture of urns once per block
-histogram; every k-block law in the package comes from it.
+histogram; every k-block law in the package comes from it.  The cap,
+`TypeVector` and the cells of A^k live in `finetti.counts`, which imports no
+`fractions`, and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import getitem, mul
 from typing import Iterator, Sequence, Union
+
+from .counts import (
+    DEFAULT_ENUMERATION_CAP,
+    TYPE_CACHE_SIZE,
+    CapacityError,
+    TypeVector,
+    _alphabet_size,
+    all_strings,
+    check_cap,
+    check_cells,
+    count_types,
+    occurrence_matrix,
+    resolve_cap,
+)
 
 __all__ = [
     "CapacityError",
@@ -47,72 +61,6 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
-
-DEFAULT_ENUMERATION_CAP = 2**26
-
-
-class CapacityError(RuntimeError):
-    """An enumeration would exceed the configured cap."""
-
-
-def resolve_cap(cap: int | None) -> int:
-    """Effective enumeration cap: explicit argument, else FINETTI_CAP, else default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("FINETTI_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"FINETTI_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_ENUMERATION_CAP
-
-
-def _alphabet_size(alphabet: int) -> int:
-    m = int(alphabet)
-    if m < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {m}")
-    return m
-
-
-class TypeVector(namedtuple("TypeVector", "counts")):
-    """Histogram of an n-string: counts[a] occurrences of symbol a, sum = n."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
-
-    def __new__(cls, counts) -> "TypeVector":
-        counts = tuple(map(int, counts))
-        if not counts:
-            raise ValueError("a type needs at least one symbol cell")
-        if min(counts) < 0:
-            raise ValueError(f"negative count in {counts}")
-        if sum(counts) < 1:
-            raise ValueError("a type must describe a nonempty string")
-        return tuple.__new__(cls, (counts,))
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def m(self) -> int:
-        return len(self.counts)
-
-    def pmf(self) -> "Pmf":
-        return type_to_pmf(self)
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n, "counts": list(self.counts)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TypeVector":
-        tv = cls(tuple(obj["counts"]))
-        if "n" in obj and tv.n != obj["n"]:
-            raise ValueError(f"counts sum to {tv.n}, header says n={obj['n']}")
-        if "m" in obj and tv.m != obj["m"]:
-            raise ValueError(f"counts have {tv.m} cells, header says m={obj['m']}")
-        return tv
 
 
 def _rational(p) -> Fraction:
@@ -198,14 +146,6 @@ class Pmf(tuple):
 # ---------------------------------------------------------------------------
 
 
-def count_types(alphabet: int, n: int) -> int:
-    """Number of histograms of n-strings: C(n + m - 1, m - 1)."""
-    m = _alphabet_size(alphabet)
-    if n < 1:
-        raise ValueError(f"string length must be >= 1, got {n}")
-    return math.comb(n + m - 1, m - 1)
-
-
 def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (n,)
@@ -226,19 +166,6 @@ def enumerate_types(alphabet: int, n: int, cap: int | None = None) -> Iterator[T
     check_cap(m, n, cap)
     for counts in _compositions(n, m):
         yield TypeVector(counts)
-
-
-def check_cap(m: int, n: int, cap: int | None) -> None:
-    """Raise CapacityError when the n-histograms over m symbols outnumber the cap."""
-    total = count_types(m, n)
-    limit = resolve_cap(cap)
-    if total > limit:
-        raise CapacityError(f"{total} types at (m={m}, n={n}) exceeds cap {limit}")
-
-
-# Type caches keyed by (m, n), shared by laws and the urn kernel; each
-# keeps this many entries and drops the least recently used.
-TYPE_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
@@ -314,19 +241,6 @@ def type_to_pmf(t: TypeVector) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
-def all_strings(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All k-strings over 0..m-1 in index order."""
-    if m < 1 or k < 1:
-        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    return tuple(product(range(m), repeat=k))
-
-
-@lru_cache(maxsize=TYPE_CACHE_SIZE)
-def occurrence_matrix(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """occ[b][a]: multiplicity of symbol a in the b-th block of A^k, its histogram."""
-    return tuple(tuple(map(s.count, range(m))) for s in all_strings(m, k))
-
-
 def urn_numerators(urns, k: int, step: int, cap: int | None = None) -> tuple[list[int], int]:
     """First k draws from a mixture of urns: (numerator per histogram, denominator).
 
@@ -351,7 +265,11 @@ def urn_numerators(urns, k: int, step: int, cap: int | None = None) -> tuple[lis
 
 
 def spread_pmf(m: int, k: int, numerators: Sequence[int], den: int) -> Pmf:
-    """One numerator per k-histogram, spread over A^k in index order."""
+    """One numerator per k-histogram, spread over A^k in index order.
+
+    The m^k cells count against the cap from FINETTI_CAP or the default.
+    """
+    check_cells(m, k, None)
     index = type_index_map(m, k)
     return Pmf.from_numerators([numerators[index[row]] for row in occurrence_matrix(m, k)], den)
 

@@ -19,13 +19,9 @@ from finetti.definetti import theorem_constants, verify_theorem
 from finetti.exchangeable import iid_law, polya_urn_law, random_type_weight_law
 from finetti.gibbs import convergence_trace
 from finetti.info_measures import entropy, pinsker_gap, relative_entropy
-from finetti.marginal_sets import (
-    conditional_mean_divergence,
-    lemma1_constant,
-    lemma1_construct,
-    max_divergence_over_E_k,
-    pythagorean_scan,
-)
+from finetti.lemma1 import lemma1_constant, lemma1_construct
+from finetti.lemma3 import max_divergence_over_E_k
+from finetti.marginal_sets import conditional_mean_divergence, pythagorean_scan
 from finetti.types_core import (
     Pmf,
     TypeVector,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -254,6 +255,36 @@ def test_cap_flag_overrides_env(monkeypatch, capsys):
     monkeypatch.setenv("FINETTI_CAP", "10")
     code, _, _ = run(["types", "--m", "4", "--n", "20", "--cap", "100000"], capsys)
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, env_cap",
+    [
+        ("verify --family fair-coin --n 40 --k 8", "100"),
+        ("gibbs --target 1/2,1/2 --k 8 --n 40", "100"),
+        ("lemma lemma1 --q 28,28 --k 7 --l 8 --seed 1 --cap 100", None),
+    ],
+)
+def test_the_cells_of_a_k_count_against_the_cap(monkeypatch, capsys, command, env_cap):
+    # verify and gibbs spread a law over A^k, lemma1 lists Q^k over it:
+    # m^k cells are refused before they are listed, with the message of lemma3
+    monkeypatch.delenv("FINETTI_CAP", raising=False)
+    if env_cap is not None:
+        monkeypatch.setenv("FINETTI_CAP", env_cap)
+    m, k = 2, (8 if env_cap else 7)
+    want = f"capacity: {m**k} cells at (m={m}, k={k}) exceeds cap 100\n"
+    assert run(command.split(), capsys) == (EXIT_CAPACITY, "", want)
+    code, _, err = run(["lemma", "lemma3", "--m", "2", "--q", "1,1", "--k", "8", "--cap", "100"], capsys)
+    assert (code, err) == (EXIT_CAPACITY, "capacity: 256 cells at (m=2, k=8) exceeds cap 100\n")
+
+
+def test_type_weights_file_checks_the_cap_before_sizing_its_weights(monkeypatch, tmp_path, capsys):
+    # C(1029, 29) weights cannot be listed; the cap refuses them up front
+    monkeypatch.delenv("FINETTI_CAP", raising=False)
+    law = tmp_path / "big.json"
+    law.write_text(json.dumps({"m": 30, "n": 1000, "typeWeights": [{"counts": [1000] + [0] * 29, "w": "1"}]}))
+    want = f"capacity: {math.comb(1029, 29)} types at (m=30, n=1000) exceeds cap 67108864\n"
+    assert run(["verify", "--law", str(law), "--k", "2"], capsys) == (EXIT_CAPACITY, "", want)
 
 
 def test_env_cap_binds_verify(monkeypatch, capsys):
@@ -650,24 +681,29 @@ def test_cli_start_loads_no_random_and_no_exactlog():
 
 
 # the finetti modules each start loads: a start compiles only what its subcommand
-# runs, and only its own handler module among cli_types, cli_verify, cli_lemma, cli_gibbs
-LEMMA_MODULES = {"cli", "cli_lemma", "marginal_sets", "types_core", "info_measures"}
+# runs, and only its own handler module among cli_types, cli_verify, cli_lemma, cli_gibbs;
+# each lemma start loads only its own lemma's module
+LEMMA3_MODULES = {"cli", "cli_lemma", "counts", "lemma3", "types_core", "info_measures"}
 START_MODULES = [
     ("--help", {"cli"}),
     ("verify --help", {"cli", "cli_verify"}),
     (
         "verify --family fair-coin --n 8 --k 2",
-        {"cli", "cli_verify", "definetti", "exchangeable", "types_core", "info_measures"},
+        {"cli", "cli_verify", "definetti", "exchangeable", "types_core", "info_measures", "counts"},
     ),
     (
         "gibbs --target 1/2,1/2 --k 2 --n 4 --threshold 1",
-        {"cli", "cli_gibbs", "gibbs", "types_core", "info_measures"},
+        {"cli", "cli_gibbs", "gibbs", "types_core", "info_measures", "counts"},
     ),
-    ("types --m 2 --n 4", {"cli", "cli_types", "types_core"}),
-    ("lemma lemma1 --q 4,4 --k 2 --l 4 --seed 1", LEMMA_MODULES),
-    ("lemma lemma3 --q 4,4 --k 2", LEMMA_MODULES),
-    ("lemma pythagoras --q 4,4 --k 2", LEMMA_MODULES),
-    ("lemma dbound --q 4,4 --k 2", LEMMA_MODULES | {"definetti"}),
+    ("types --m 2 --n 4", {"cli", "cli_types", "types_core", "counts"}),
+    ("lemma lemma1 --q 4,4 --k 2 --l 4 --seed 1", {"cli", "cli_lemma", "counts", "lemma1"}),
+    ("lemma lemma3 --q 4,4 --k 2", LEMMA3_MODULES),
+    ("lemma lemma3 --q 4,4 --k 2 --mode grid --l 4", LEMMA3_MODULES | {"marginal_sets"}),
+    ("lemma pythagoras --q 4,4 --k 2", {"cli", "cli_lemma", "counts", "marginal_sets"}),
+    (
+        "lemma dbound --q 4,4 --k 2",
+        {"cli", "cli_lemma", "counts", "marginal_sets", "lemma1", "definetti"},
+    ),
 ]
 
 
@@ -688,6 +724,33 @@ def test_cli_start_loads_only_its_subcommands_modules(command, modules):
     )
     loaded = proc.stderr.strip().splitlines()[-1]
     assert loaded == f"0 {sorted(f'finetti.{name}' for name in modules)}", proc.stderr
+
+
+INTEGER_STARTS = [
+    ("lemma dbound --q 120,120 --k 2", {"finetti.lemma3"}),
+    ("lemma pythagoras --q 4,4,4 --k 2", {"finetti.lemma3", "finetti.lemma1"}),
+    ("lemma lemma1 --q 40,40 --k 2 --l 40 --seed 3", {"finetti.marginal_sets", "finetti.lemma3"}),
+]
+
+
+@pytest.mark.parametrize("command, absent", INTEGER_STARTS, ids=[c for c, _ in INTEGER_STARTS])
+def test_integer_lemma_starts_load_no_fractions(command, absent):
+    # dbound, pythagoras and lemma1 read an n-type as integer counts: no
+    # Fraction (which brings decimal), no Pmf, and no other lemma's code
+    code = (
+        "import runpy, sys; sys.argv[0] = 'finetti'\n"
+        "try:\n    runpy.run_module('finetti', run_name='__main__')\n"
+        "except SystemExit as exc:\n    rc = exc.code\n"
+        "print(rc, sorted(m for m in sys.modules if m in WATCHED), file=sys.stderr)"
+    )
+    watched = {"fractions", "decimal", "finetti.types_core"} | absent
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"WATCHED = {sorted(watched)!r}\n{code}", *command.split()],
+        capture_output=True,
+        text=True,
+        env=_env_with_finetti(),
+    )
+    assert proc.stderr.strip().splitlines()[-1] == "0 []", proc.stderr
 
 
 FRONT_STARTS = {

@@ -12,22 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finetti.lemma1 as lemma1
+import finetti.lemma3 as lemma3
 import finetti.marginal_sets as ms
-from finetti.info_measures import entropy, max_abs_deviation, relative_entropy
-from finetti.marginal_sets import (
-    ExhaustedTriesError,
-    conditional_mean_divergence,
-    lemma1_constant,
-    lemma1_construct,
-    max_divergence_over_E_k,
-    partition_tail_bound,
-)
+from finetti.info_measures import entropy, l1_distance, max_abs_deviation, relative_entropy
+from finetti.lemma1 import lemma1_constant, lemma1_construct
+from finetti.lemma3 import max_divergence_over_E_k
+from finetti.marginal_sets import conditional_mean_divergence, partition_tail_bound
 from finetti.types_core import (
     CapacityError,
     Pmf,
     TypeVector,
     all_strings,
     enumerate_types,
+    integer_numerators,
     occurrence_matrix,
     power_pmf,
     resolve_cap,
@@ -35,6 +33,17 @@ from finetti.types_core import (
     type_to_pmf,
 )
 from oracles import marginal_residuals, oracle_walk
+
+
+def numerators(q) -> tuple[tuple[int, ...], int]:
+    """(a, D) with q = a / D, read off the `Pmf` of q: the walk helpers' argument.
+
+    For an n-type it must equal the integer reading of the counts.
+    """
+    a, den = integer_numerators(type_to_pmf(q) if isinstance(q, TypeVector) else q)
+    if isinstance(q, TypeVector):
+        assert ms._numerators(q) == (a, den)
+    return a, den
 
 
 def filter_members(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
@@ -62,7 +71,7 @@ def test_enumeration_matches_filter_oracle(k, ell, data):
     # the cell-level reference walk the scale tests rely on
     assert oracle_walk(q, k, ell) == filter_members(q, k, ell)
     # each orbit row stands for `orbit` members with its class size and entropy
-    table = ms._member_table(type_to_pmf(q), k, ell, resolve_cap(None))
+    table = ms._member_table(*numerators(q), k, ell, resolve_cap(None))
     expanded = chain.from_iterable(repeat((size, h), orbit) for orbit, size, h in table)
     assert sorted(expanded) == sorted(oracle_member_rows(q, k, ell))
 
@@ -77,16 +86,16 @@ def class_totals(counts, m: int, k: int) -> tuple[int, ...]:
 def test_class_walk_matches_filter_oracle(k, ell, data):
     q = lattice_points(k, ell, data)
     members = filter_members(q, k, ell)
-    walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None))
+    walk = list(ms._lattice_walk(*numerators(q), k, ell, None))
     assert len(set(walk)) == len(walk)
     assert sorted(walk) == sorted({class_totals(c, q.m, k) for c in members})
-    rows = [fills for _, orbits in ms._orbit_walk(type_to_pmf(q), k, ell, None) for fills in orbits]
+    rows = [fills for _, orbits in ms._orbit_walk(*numerators(q), k, ell, None) for fills in orbits]
     assert sum(math.prod(f[0] for f in fills) for fills in rows) == len(members)
 
 
 def test_member_table_holds_one_row_per_orbit():
     # 35,088 members of (6,6,6) at k = 3 in 319 orbits
-    table = ms._member_table(type_to_pmf(TypeVector((6, 6, 6))), 3, 6, resolve_cap(None))
+    table = ms._member_table(*numerators(TypeVector((6, 6, 6))), 3, 6, resolve_cap(None))
     assert len(table) == 319
     assert sum(orbit for orbit, _, _ in table) == 35088
 
@@ -106,7 +115,7 @@ def test_enumeration_matches_filter_oracle_spot():
     for m, k, ell in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
         n = k * ell
         for q in enumerate_types(m, n):
-            walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None))
+            walk = list(ms._lattice_walk(*numerators(q), k, ell, None))
             assert walk == sorted({class_totals(c, m, k) for c in filter_members(q, k, ell)})
 
 
@@ -124,7 +133,7 @@ def test_four_members_at_the_smallest_balanced_point():
         (1, 0, 0, 1): 2,
         (0, 0, 2, 0): 1,
     }
-    table = ms._member_table(type_to_pmf(q), 2, 2, resolve_cap(None))
+    table = ms._member_table(*numerators(q), 2, 2, resolve_cap(None))
     expanded = chain.from_iterable(repeat(size, orbit) for orbit, size, _ in table)
     assert sorted(expanded) == sorted(got.values())
 
@@ -135,18 +144,18 @@ def test_product_histogram_is_a_member_when_integral():
     qk = power_pmf(type_to_pmf(q), 2)
     counts = tuple(int(Fraction(p) * ell) for p in qk.probs)
     assert counts in oracle_walk(q, 2, ell)
-    assert class_totals(counts, 2, 2) in ms._lattice_walk(type_to_pmf(q), 2, ell, None)
+    assert class_totals(counts, 2, 2) in ms._lattice_walk(*numerators(q), 2, ell, None)
 
 
 def test_nonintegral_targets_give_empty_set():
     # k*l*q(a) must be an integer for members to exist; an n-type with
     # n = k*l always satisfies this, a general pmf need not
     q = Pmf((Fraction(1, 3), Fraction(2, 3)))
-    assert list(ms._lattice_walk(q, 2, 2, None)) == []
+    assert list(ms._lattice_walk(*numerators(q), 2, 2, None)) == []
     with pytest.raises(ValueError, match="no lattice members"):
         ms.pythagorean_scan(q, 2, 2)
     # scaling l to clear the denominators makes the set nonempty
-    assert list(ms._lattice_walk(q, 2, 3, None))
+    assert list(ms._lattice_walk(*numerators(q), 2, 3, None))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +277,7 @@ def oracle_max_divergence_exact(q: TypeVector, k: int) -> tuple[float, Pmf, int]
     least entropy, up to the search's slack, and candidates counts the
     vertices over all m^k cells.
     """
-    from finetti.marginal_sets import _SLACK, _solve_columns
+    from finetti.lemma3 import _SLACK, _solve_columns
 
     qp = type_to_pmf(q)
     m = len(qp)
@@ -315,13 +324,9 @@ def test_max_divergence_matches_cell_level_oracle(m, k, n_max):
 
 
 def test_vertex_search_solves_one_column_per_histogram(monkeypatch):
-    from finetti import marginal_sets
-
     calls = []
-    solve = marginal_sets._solve_columns
-    monkeypatch.setattr(
-        marginal_sets, "_solve_columns", lambda *args: calls.append(args) or solve(*args)
-    )
+    solve = lemma3._solve_columns
+    monkeypatch.setattr(lemma3, "_solve_columns", lambda *args: calls.append(args) or solve(*args))
     r = max_divergence_over_E_k(TypeVector((4, 4, 4)), 3)
     assert r.candidates == 187
     # 10 histograms, 3 rows: at most 175 solves; all 27 cells would give 3,303
@@ -340,10 +345,8 @@ def test_vertex_limit_admits_many_cells_with_few_columns(counts, k, candidates):
 
 
 def test_vertex_limit_refuses_before_the_first_solve(monkeypatch):
-    from finetti import marginal_sets
-
     calls = []
-    monkeypatch.setattr(marginal_sets, "_solve_columns", lambda *args: calls.append(args))
+    monkeypatch.setattr(lemma3, "_solve_columns", lambda *args: calls.append(args))
     # 49 cells, but 28 columns over 7 rows: 1,683,217 column subsets
     with pytest.raises(CapacityError, match="1683217 column subsets"):
         max_divergence_over_E_k(TypeVector((1,) * 7), 2)
@@ -380,7 +383,7 @@ def oracle_solve_columns(cols, target):
     [((4, 4, 4), 2), ((6, 3, 3), 2), ((5, 5), 3), ((1, 2, 3), 2), ((0, 2, 5), 2), ((2, 1, 1, 4), 1)],
 )
 def test_integer_vertex_solve_matches_fraction_oracle(counts, k):
-    from finetti.marginal_sets import _solve_columns
+    from finetti.lemma3 import _solve_columns
 
     q = type_to_pmf(TypeVector(counts))
     occ = occurrence_matrix(len(q), k)
@@ -561,10 +564,10 @@ def test_interval_walk_matches_oracle_walk(counts, k):
     q = TypeVector(counts)
     ell = q.n // k
     want = oracle_walk(q, k, ell)
-    walk = list(ms._lattice_walk(type_to_pmf(q), k, ell, None))
+    walk = list(ms._lattice_walk(*numerators(q), k, ell, None))
     # each class total vector once, in ascending order, and the orbits cover every member
     assert walk == sorted({class_totals(c, q.m, k) for c in want})
-    rows = [fills for _, orbits in ms._orbit_walk(type_to_pmf(q), k, ell, None) for fills in orbits]
+    rows = [fills for _, orbits in ms._orbit_walk(*numerators(q), k, ell, None) for fills in orbits]
     assert sum(math.prod(f[0] for f in fills) for fills in rows) == len(want)
     # (1, 2) at l = 1 has non-integral targets: the one empty set here
     assert bool(walk) == (q.n % k == 0)
@@ -583,7 +586,7 @@ def test_member_table_fills_on_demand(monkeypatch):
 def test_cap_fires_before_the_walk():
     q = TypeVector((1000, 1000))
     with pytest.raises(CapacityError):
-        ms._lattice_walk(type_to_pmf(q), 2, 1000, 10)
+        ms._lattice_walk(*numerators(q), 2, 1000, 10)
     with pytest.raises(CapacityError):
         ms.pythagorean_scan(q, 2, 1000, cap=10)
     with pytest.raises(CapacityError):
@@ -716,8 +719,6 @@ def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell)
     # first closest member
     import random
 
-    import finetti.marginal_sets as ms
-
     q = TypeVector(counts)
     far = oracle_farthest_string(q, k, ell)
 
@@ -730,7 +731,7 @@ def test_lemma1_fallback_member_matches_oracle_path(monkeypatch, counts, k, ell)
 
     dev, member = oracle_closest_member(q, k, ell)
     monkeypatch.setattr(random, "Random", Rigged)
-    monkeypatch.setattr(ms, "lemma1_constant", lambda ell, k: dev)
+    monkeypatch.setattr(lemma1, "lemma1_constant", lambda ell, k: dev)
     r = lemma1_construct(q, k, ell, seed=0, max_tries=1)
     assert r.fallback
     assert r.block_type.counts == member
@@ -806,20 +807,30 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
     assert main(["lemma", "dbound", "--q", "12,12", "--k", "2", "--cap", "10"]) == 2
 
 
-def test_decomposition_builds_the_q_pmf_once(monkeypatch):
-    # the scan, the conditional mean and the exact tail build the pmf of q
-    # once each, and no member's
-    import finetti.marginal_sets as ms
+def test_decomposition_builds_no_pmf(monkeypatch):
+    # the scan, the conditional mean and the exact tail read an n-type q as
+    # integer numerators: with types_core unimportable (the home of `Pmf`,
+    # `type_to_pmf` and `power_pmf`) they give the same answers
+    import sys
 
     q = TypeVector((4, 2, 6))
-    built = []
-    real = ms.type_to_pmf
-    monkeypatch.setattr(ms, "type_to_pmf", lambda t: built.append(t) or real(t))
+    want = (
+        ms.pythagorean_scan(q, 2, 6),
+        conditional_mean_divergence(q, 2, 6),
+        partition_tail_bound(q, 2, 6, 0.5),
+    )
+    assert want[0][0] == len(oracle_walk(q, 2, 6)) > 3
+    monkeypatch.setitem(sys.modules, "finetti.types_core", None)
     ms._member_table.cache_clear()
-    assert ms.pythagorean_scan(q, 2, 6)[0] == len(oracle_walk(q, 2, 6)) > 3
-    conditional_mean_divergence(q, 2, 6)
-    partition_tail_bound(q, 2, 6, 0.5)
-    assert built == [q] * 3
+    got = (
+        ms.pythagorean_scan(q, 2, 6),
+        conditional_mean_divergence(q, 2, 6),
+        partition_tail_bound(q, 2, 6, 0.5),
+    )
+    assert got == want
+    # a Pmf q still goes through its validation there
+    with pytest.raises(ImportError):
+        conditional_mean_divergence(Pmf.uniform(2), 2, 2)
 
 
 def shifted_members(q: TypeVector, k: int, ell: int):
@@ -902,3 +913,54 @@ def test_orbit_scan_matches_cell_walk_scan():
             seen.add((want[2], on_lattice))
     # tied minima and Q^k off the lattice both occur among these points
     assert (False, False) in seen and (True, True) in seen
+
+
+# ---------------------------------------------------------------------------
+# the integer forms against the Fraction forms, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def oracle_sweep_types(m: int, k: int):
+    """n-types at n = k*l, l > k: near-balanced, with zero cells, skewed, and gcd above 1."""
+    for ell in (k + m, 2 * k + m + 1, 2 * (k + m)):
+        n = k * ell
+        yield tuple(n // m + (i < n % m) for i in range(m))
+        yield (0,) + tuple((n // (m - 1)) + (i < n % (m - 1)) for i in range(m - 1))
+        yield (n - m + 1,) + (1,) * (m - 1)
+        if n % 2 == 0:
+            half = n // 2
+            yield tuple(2 * (half // m + (i < half % m)) for i in range(m))
+
+
+RATIONAL_PMFS = [
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)),
+    (Fraction(1, 10), Fraction(0), Fraction(3, 10), Fraction(3, 5)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(1, 4),) * 4,
+]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_integer_forms_have_the_bits_of_the_fraction_forms(m, k):
+    from finetti.counts import entropy_of_numerators
+
+    qs = [TypeVector(c) for c in oracle_sweep_types(m, k)]
+    pmfs = [Pmf(p) for p in RATIONAL_PMFS if len(p) == m]
+    assert any(0 in q.counts for q in qs) and any(math.gcd(*q.counts) > 1 for q in qs)
+    for q in qs + pmfs:
+        pmf = type_to_pmf(q) if isinstance(q, TypeVector) else q
+        a, den = ms._numerators(q)
+        # k*H(q) of the conditional mean, D(Q^k||U) of the tail threshold
+        assert k * entropy_of_numerators(a, den) == k * entropy(pmf), q
+        d_star = relative_entropy(power_pmf(pmf, k), Pmf.uniform(m**k))
+        assert ms._power_divergence_from_uniform(a, den, k) == d_star, (q, k)
+    for q in qs:
+        r = lemma1_construct(q, k, q.n // k, seed=7)
+        qk = power_pmf(type_to_pmf(q), k)
+        w = type_to_pmf(r.block_type)
+        assert r.deviation == max_abs_deviation(w, qk), (q, k)
+        assert r.l1_deviation == l1_distance(w, qk), (q, k)
+        assert r.entropy_gap == abs(entropy(w) - entropy(qk)), (q, k)

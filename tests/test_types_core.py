@@ -317,7 +317,7 @@ def test_readme_library_tour_names_exist():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
     bullets = re.findall(r"^\* `(finetti\.\w+)`(.*?)(?=^\* |^$)", tour, re.M | re.S)
-    assert len(bullets) == 6
+    assert len(bullets) == 9
     for module_name, text in bullets:
         module = importlib.import_module(module_name)
         for name in re.findall(r"`([^`]+)`", text):
