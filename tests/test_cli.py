@@ -966,6 +966,26 @@ GOLDEN = [
         "9fb345f6e2760f30571598ac709b7376646d2d8a4ac61fbfa6ea3d65960b0b92",
     ),
     ("lemma dbound --q 120,120 --k 2", "f62f8b147aea4dd712118a91c9361390cf01538cf0b6c83517840506250101d3"),
+    # zero numerators: block histograms of probability 0 on one side or both
+    (
+        "verify --family delta-type --counts 5,0,3 --k 1,2,3,4",
+        "b811c8c1fb71187e06e69926e1d915376618c92d03a95148ae4dfe52bbc01cc6",
+    ),
+    (
+        "gibbs --target 0,1/3,2/3 --k 3 --n 6,60,600",
+        "407b1956d3f85fe8a28c6ed1016342369dfacf4a72e6aedc3be04c944119303e",
+    ),
+    (
+        "lemma lemma3 --q 0,6,6 --k 2 --mode grid --l 6",
+        "f6cb22572410270319b47bdf721413b7a6e742fa2d6be7af0da2bb5f38953c37",
+    ),
+    ("lemma lemma3 --q 0,4 --k 2", "2973afc521f50450a84a64797dd3063103fb137b9d6dc6adad9355c2941cafd9"),
+    ("lemma dbound --q 0,6,6 --k 2", "01b1f89adfd4478de12c1d610daa1f7afbebee486efb33da8252f43bc4bab5d7"),
+    # 4,096 cells of A^12
+    (
+        "verify --family fair-coin --n 1000 --k 12",
+        "ec0f39f648a6c0cf47d7b97286a233bb84581a6f2c2c3904927f568216c9db2b",
+    ),
     # help texts, wrapped at COLUMNS=80
     ("--help", "ab53581ded61e231d7aa9183bb21d03c1d9e99afa62824f81f50164d3d01c6a2"),
     ("types --help", "6948192a966a8a33827bff8a0fe164a1d073b7649c9c34f2181b9187a6040bf6"),
