@@ -38,6 +38,7 @@ def run(args) -> int:
         if len(q) != m:
             raise ValueError(f"--q has {len(q)} entries, expected {m}")
     else:
+        count_types(m, n)  # so that an --m below 1 reads count_types' message
         q = Pmf.uniform(m)
     # q = a / D gives P(T_t) = |T_t| * prod a^t / D^n.  Multiplied through by
     # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=

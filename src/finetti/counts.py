@@ -1,11 +1,12 @@
 """Integer groundwork for n-types: the enumeration cap, `TypeVector` and the cells of A^k.
 
-Nothing here imports `fractions`: the lemma starts read an n-type as its
-integer counts, and a rational q as integer numerators a over a common
-denominator D (`power_numerators` gives Q^k from them, and
-`entropy_of_numerators` its entropy).  `types_core` re-exports the cap
-names, `TypeVector`, `all_strings` and `occurrence_matrix`, so library
-callers may import them from either module.
+Nothing here imports `fractions`: a rational q is read as integer numerators
+a over a common denominator D (`power_numerators` gives Q^k from them), and
+every entropy, divergence and max-deviation the command line prints comes
+from integer numerators by one rule (`divergence_of_numerators`), one per
+block histogram where a law is constant on them (`types_core.cell_index`).
+`types_core` re-exports the cap names, `TypeVector`, `all_strings` and
+`occurrence_matrix`, so library callers may import them from either module.
 """
 
 from __future__ import annotations
@@ -145,14 +146,36 @@ def power_numerators(a, k: int) -> list[int]:
 def entropy_of_numerators(nums, den: int) -> float:
     """H(nums / den) in nats, with the bits of `info_measures.entropy` on the `Pmf`.
 
-    Each entry x/den is reduced by gcd(x, den), as `Fraction` reduces it, so
-    its log is log(x/g) - log(den/g); x/den is int/int true division, which
-    is correctly rounded, as float() of the `Fraction` is.  The terms are
-    summed in cell order.
+    H is minus the divergence from one per entry, term by term, and IEEE
+    negation is exact, so the rule of `divergence_of_numerators` gives the
+    bits of a sum of -p*log(p); 0.0 - D keeps a zero entropy positive.
     """
-    total = 0.0
-    for x in nums:
+    return 0.0 - divergence_of_numerators(nums, den, [1] * len(nums), 1, range(len(nums)))
+
+
+def divergence_of_numerators(xs, p_den: int, ys, q_den: int, index) -> float:
+    """D(x/P || y/Q) in nats, +inf if some x > 0 has y = 0, with the bits of `relative_entropy`.
+
+    xs and ys hold one numerator per class of cells (a k-histogram, or one
+    cell), and index[b] is the class of cell b.  Each class's term is taken
+    once: x/P, int/int true division and so correctly rounded as float() of
+    the `Fraction` is, times log(num/g) - log(den/g) for x*Q / (y*P) = num/den
+    reduced by g = gcd(num, den), as `Fraction` reduces it.  The terms are
+    summed cell by cell in cell order.
+    """
+    terms = [0.0] * len(xs)
+    for i, (x, y) in enumerate(zip(xs, ys)):
         if x:
-            g = math.gcd(x, den)
-            total -= x / den * (math.log(x // g) - math.log(den // g))
+            if not y:
+                return math.inf
+            g = math.gcd(x * q_den, y * p_den)
+            terms[i] = x / p_den * (math.log(x * q_den // g) - math.log(y * p_den // g))
+    total = 0.0
+    for i in index:
+        total += terms[i]
     return total
+
+
+def max_deviation_of_numerators(xs, p_den: int, ys, q_den: int) -> float:
+    """max |x/P - y/Q| over the classes: max |x*Q - y*P| / (P*Q), correctly rounded."""
+    return max(abs(x * q_den - y * p_den) for x, y in zip(xs, ys)) / (p_den * q_den)

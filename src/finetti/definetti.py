@@ -16,10 +16,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing on a dbound start
-if TYPE_CHECKING:
-    from .exchangeable import UrnLaw
-
 __all__ = [
     "BoundParams",
     "VerificationReport",
@@ -117,18 +113,20 @@ def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
     P_k is the k-coordinate marginal; M_k mixes i.i.d. blocks over the
     empirical histogram of the first n_eff = effective_n(n, k) draws, and the
     constants are taken at n_eff.  Both come exactly from one kernel pass at
-    k over the law's urns (`block_laws`), and only the final divergence is a
-    float.  For k = 1
-    the two sides coincide and the divergence is exactly zero.
+    k over the law's urns (`block_laws`), one numerator per k-histogram, and
+    only the divergence over the m^k cells, which count against the cap, is
+    a float.  For k = 1 the two sides coincide and the divergence is zero.
     """
     # only verify runs the urn kernel, so dbound, which reads the constants, skips it
+    from .counts import divergence_of_numerators
     from .exchangeable import block_laws
-    from .info_measures import relative_entropy
+    from .types_core import cell_index
 
     if not 1 <= k <= law.n:
         raise ValueError(f"k must lie in 1..{law.n}, got {k}")
     n_eff = effective_n(law.n, k)
-    divergence = relative_entropy(*block_laws(law, k, n_eff))
+    p_k, m_k = block_laws(law, k, n_eff)
+    divergence = divergence_of_numerators(*p_k, *m_k, cell_index(law.m, k))
     params = theorem_constants(n_eff, k, law.m)
     holds = divergence <= params.epsilon + _SLACK
     reference = (
@@ -159,11 +157,11 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
     Requires k | n so the block decomposition is exact.
     """
     # only this chain needs the block laws and the lattice walk, so verify skips them
+    from .counts import divergence_of_numerators
     from .exchangeable import histogram_law
     from .gibbs import conditional_block_law
-    from .info_measures import relative_entropy
     from .marginal_sets import conditional_mean_divergence
-    from .types_core import power_pmf, type_list, type_to_pmf
+    from .types_core import cell_index, type_list, urn_numerators
 
     if law.n % k != 0:
         raise ValueError(f"k={k} must divide n={law.n}")
@@ -172,13 +170,14 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
     stage1 = report.divergence
     stage2 = 0.0
     stage3 = 0.0
+    cells = cell_index(law.m, k)
     for t, w in zip(type_list(law.m, law.n), histogram_law(law)):
         if not w:
             continue
         weight = float(w)
-        q = type_to_pmf(t)
-        block = conditional_block_law(t, k)
-        stage2 += weight * relative_entropy(block, power_pmf(q, k))
+        # the block law given t, the urn t at -1, against the i.i.d. law of t/n, at 0
+        product = urn_numerators(((t.counts, 1),), k, 0)
+        stage2 += weight * divergence_of_numerators(*conditional_block_law(t, k), *product, cells)
         stage3 += weight * conditional_mean_divergence(t, k, ell, cap=cap).value
     if not (stage1 <= stage2 + _SLACK and stage2 <= stage3 + _SLACK):
         raise AssertionError(

@@ -8,8 +8,9 @@ histogram weights is its n-histograms at -1, a delta-type law one of them),
 `UrnLaw(m, n, urns, step)` is the one law record.  The urn kernel
 (`types_core.urn_numerators`) gives its k-block law P_k from the urns at a
 cost in m and k, not in n, and the mixture M_k is a linear function of P_k
-(`block_laws`), so it needs no pass of its own.  `histogram_law` builds a
-law out to its n-histogram weights.
+(`block_laws`), so it needs no pass of its own; both come as one integer
+numerator per k-histogram, never spread over the m^k strings.
+`histogram_law` builds a law out to its n-histogram weights.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
-from typing import Sequence
 
 from .types_core import (
     Pmf,
@@ -29,12 +29,10 @@ from .types_core import (
     check_cap,
     count_types,
     integer_numerators,
-    spread_pmf,
     type_class_size,
     type_index_map,
     type_list,
     urn_numerators,
-    urn_pmf,
 )
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "histogram_law",
     "iid_law",
     "law_to_json",
-    "marginal",
-    "mixture_iid",
     "polya_urn_law",
     "random_type_weight_law",
     "read_law",
@@ -112,28 +108,6 @@ class UrnLaw(namedtuple("UrnLaw", "m n urns step")):
         return tuple.__new__(cls, (m, n, urns, step))
 
 
-def marginal(law: UrnLaw, k: int) -> Pmf:
-    """Law of the first k coordinates, over A^k in index order."""
-    if not 1 <= k <= law.n:
-        raise ValueError(f"k must lie in 1..{law.n}, got {k}")
-    return urn_pmf(law.m, k, law.urns, law.step)
-
-
-def mixture_iid(source: UrnLaw | MixingMeasure, k: int) -> Pmf:
-    """Mixture of i.i.d. k-block laws.
-
-    `source` is a MixingMeasure, whose atoms are read as urns over their
-    common denominator, or an UrnLaw whose mixing measure is the empirical
-    pmf T/n of its n draws (then 1 <= k <= n, and M_k comes from P_k by
-    `block_laws`).
-    """
-    if isinstance(source, MixingMeasure):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return urn_pmf(source.m, k, _atom_urns(source), 0)
-    return block_laws(source, k, source.n)[1]
-
-
 @lru_cache(maxsize=None)
 def _stirling2(c: int, i: int) -> int:
     """Stirling number of the second kind: partitions of c items into i blocks."""
@@ -142,12 +116,14 @@ def _stirling2(c: int, i: int) -> int:
     return i * _stirling2(c - 1, i) + _stirling2(c - 1, i - 1)
 
 
-def block_laws(law: UrnLaw, k: int, n: int) -> tuple[Pmf, Pmf]:
-    """(P_k, M_k), M_k mixing i.i.d. blocks over the pmf T/n of the first n draws.
+def block_laws(law: UrnLaw, k: int, n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """((P_k numerators, D), (M_k numerators, D * n^k)), one per k-histogram.
 
-    1 <= k <= n <= law.n.  One kernel pass at k over the law's urns gives
-    P_k as numerators over D.  The probability of one j-string with
-    histogram i is a margin of P_k,
+    M_k mixes i.i.d. blocks over the pmf T/n of the first n draws.  Both laws
+    are constant on k-histogram classes, so each gives one numerator per
+    histogram, in type_list(m, k) order.  1 <= k <= n <= law.n.  One kernel
+    pass at k over the law's urns gives P_k as numerators over D.  The
+    probability of one j-string with histogram i is a margin of P_k,
     p_j(i) = A_j(i) / D with A_j(i) = sum_a A_{j+1}(i + e_a).
     With t^u = sum_{i<=u} prod_a S(u_a, i_a) (t_a)_{i_a}, S the Stirling
     numbers of the second kind, and E[prod_a (T_a)_{i_a}] = (n)_{|i|} p_{|i|}(i),
@@ -170,7 +146,7 @@ def block_laws(law: UrnLaw, k: int, n: int) -> tuple[Pmf, Pmf]:
         )
         for u in blocks
     ]
-    return spread_pmf(law.m, k, numerators, den), spread_pmf(law.m, k, mixed, den * n**k)
+    return (numerators, den), (mixed, den * n**k)
 
 
 def histogram_law(law: UrnLaw) -> Pmf:

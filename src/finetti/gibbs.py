@@ -4,15 +4,16 @@ Conditioning n draws on an exact histogram couples the coordinates; as n
 grows with the histogram tracking a fixed target pmf, the law of a k-block
 drifts to the i.i.d. product of the target.  This module computes the block
 law exactly, rounds targets to nearby histograms, and traces the divergence
-decay along a schedule of n values.
+decay along a schedule of n values.  Both laws are constant on k-histogram
+classes, so each is kept as one integer numerator per class.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .info_measures import max_abs_deviation, relative_entropy
-from .types_core import Pmf, TypeVector, power_pmf, urn_pmf
+from .counts import divergence_of_numerators, max_deviation_of_numerators
+from .types_core import TypeVector, cell_index, integer_numerators, urn_numerators
 
 __all__ = [
     "ConvergenceTrace",
@@ -24,11 +25,14 @@ __all__ = [
 ]
 
 
-def conditional_block_law(t: TypeVector, k: int) -> Pmf:
-    """Law of the first k draws given that all n draws have histogram t."""
+def conditional_block_law(t: TypeVector, k: int) -> tuple[list[int], int]:
+    """Law of the first k draws given that all n draws have histogram t: the urn t at -1.
+
+    One numerator per k-histogram over a common denominator (`urn_numerators`).
+    """
     if not 1 <= k <= t.n:
         raise ValueError(f"k must lie in 1..{t.n}, got {k}")
-    return urn_pmf(t.m, k, ((t.counts, 1),), -1)
+    return urn_numerators(((t.counts, 1),), k, -1)
 
 
 def round_to_type(target: Pmf, n: int) -> TypeVector:
@@ -47,32 +51,37 @@ def round_to_type(target: Pmf, n: int) -> TypeVector:
     return TypeVector(tuple(floors))
 
 
-class TracePoint(NamedTuple):
-    n: int
-    rounded: TypeVector
-    divergence: float
-    max_deviation: float
+class TracePoint(namedtuple("TracePoint", "n rounded divergence max_deviation")):
+    """One n of the trace: its rounded histogram, the divergence and the max deviation."""
+
+    __slots__ = ()
 
 
-class ConvergenceTrace(NamedTuple):
-    target: Pmf
-    k: int
-    points: tuple[TracePoint, ...]
+class ConvergenceTrace(namedtuple("ConvergenceTrace", "target k points")):
+    """The target pmf, the block length and one `TracePoint` per n."""
+
+    __slots__ = ()
 
 
 def convergence_trace(target: Pmf, k: int, n_values) -> ConvergenceTrace:
     """Divergence of the conditional block law from target^k along n_values.
 
     Each n is rounded to a histogram first; the divergence is
-    D(block law of the rounded histogram || target^k) in nats.  The block
-    law is exact at every n; only the divergence and deviation are floats.
+    D(block law of the rounded histogram || target^k) in nats, target^k the
+    urn a at 0 for target = a / D.  The block law is exact at every n; only
+    the divergence and deviation are floats, read from the numerators over
+    the m^k cells, which count against the cap.
     """
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ValueError("need at least one n")
     if any(n < k for n in n_values):
         raise ValueError(f"every n must be >= k={k}")
-    reference = power_pmf(target, k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    a, _ = integer_numerators(target)
+    reference = urn_numerators(((a, 1),), k, 0)
+    cells = cell_index(len(a), k)
     points = []
     for n in n_values:
         rounded = round_to_type(target, n)
@@ -81,8 +90,8 @@ def convergence_trace(target: Pmf, k: int, n_values) -> ConvergenceTrace:
             TracePoint(
                 n=n,
                 rounded=rounded,
-                divergence=relative_entropy(block, reference),
-                max_deviation=max_abs_deviation(block, reference),
+                divergence=divergence_of_numerators(*block, *reference, cells),
+                max_deviation=max_deviation_of_numerators(*block, *reference),
             )
         )
     return ConvergenceTrace(target=target, k=k, points=tuple(points))

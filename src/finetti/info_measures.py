@@ -2,14 +2,16 @@
 
 All logarithms are natural, so every quantity is in nats.  Relative entropy
 returns math.inf when absolute continuity fails.  Functions accept `Pmf`
-instances or plain sequences of Fractions/floats.
+instances or plain sequences of Fractions/floats.  No command line start
+loads this module: what the CLI prints is read from integer numerators
+(`finetti.counts`), with the bits these functions give on the same `Pmf`s,
+and the tests keep them as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 __all__ = [
     "entropy",

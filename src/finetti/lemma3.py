@@ -2,19 +2,27 @@
 
 The exact mode searches the vertices of the polytope in `Fraction`s; the
 grid mode scans the l-block lattice members of `finetti.marginal_sets`,
-which it imports only when it runs.
+which it imports only when it runs.  Both read their entropies and
+divergences from integer numerators (`finetti.counts`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Sequence
 
-from .counts import CapacityError, check_cells, count_types, occurrence_matrix
-from .info_measures import entropy, relative_entropy
-from .types_core import Pmf, TypeVector, integer_numerators, power_pmf, type_to_pmf
+from .counts import (
+    CapacityError,
+    check_cells,
+    count_types,
+    divergence_of_numerators,
+    entropy_of_numerators,
+    occurrence_matrix,
+    power_numerators,
+)
+from .types_core import Pmf, TypeVector, integer_numerators, type_to_pmf
 
 __all__ = ["MaxDivergenceResult", "max_divergence_over_E_k"]
 
@@ -24,11 +32,10 @@ MAX_VERTEX_SUBSETS = 100_000
 _SLACK = 1e-12
 
 
-class MaxDivergenceResult(NamedTuple):
-    value: float
-    witness: Pmf
-    candidates: int
-    mode: str
+class MaxDivergenceResult(namedtuple("MaxDivergenceResult", "value witness candidates mode")):
+    """The largest divergence, its witness pmf on A^k, the vertices or members searched."""
+
+    __slots__ = ()
 
 
 def _solve_columns(
@@ -99,11 +106,14 @@ def max_divergence_over_E_k(
         from .marginal_sets import _entropy_key, _extreme_member
 
         entropy_key = _entropy_key()
+        a, den = integer_numerators(q)
         candidates, best_counts, _ = _extreme_member(
-            *integer_numerators(q), k, ell, cap, lambda parts: -entropy_key(parts)
+            a, den, k, ell, cap, lambda parts: -entropy_key(parts)
         )
+        # the member's counts over l against Q^k = T / D^k, cell by cell
+        cells = range(len(best_counts))
+        value = divergence_of_numerators(best_counts, ell, power_numerators(a, k), den**k, cells)
         witness = type_to_pmf(TypeVector(best_counts))
-        value = relative_entropy(witness, power_pmf(q, k))
         return MaxDivergenceResult(value, witness, candidates, "grid")
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
@@ -140,7 +150,7 @@ def max_divergence_over_E_k(
                 continue
             seen.add(key)
             candidates += math.prod(shared for (_, (_, shared)), v in zip(subset, x) if v)
-            h = entropy([v for _, v in key])
+            h = entropy_of_numerators(*integer_numerators([v for _, v in key]))
             if h < best_h - _SLACK or best_key is None:
                 best_h = h
                 best_key = key
@@ -149,5 +159,5 @@ def max_divergence_over_E_k(
     full = [Fraction(0)] * cells
     for b, v in best_key:
         full[b] = v
-    value = k * entropy(q) - best_h
+    value = k * entropy_of_numerators(*integer_numerators(q)) - best_h
     return MaxDivergenceResult(value, Pmf(full), candidates, "exact")

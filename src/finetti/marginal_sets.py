@@ -30,6 +30,7 @@ from .counts import (
     CapacityError,
     TypeVector,
     count_types,
+    divergence_of_numerators,
     entropy_of_numerators,
     occurrence_matrix,
     power_numerators,
@@ -389,23 +390,6 @@ class TailBoundResult(
     __slots__ = ()
 
 
-def _power_divergence_from_uniform(a: Sequence[int], den: int, k: int) -> float:
-    """D(Q^k || U) over the m^k cells, with the bits of `relative_entropy` on the `Pmf`s.
-
-    Q^k(b) = T_b / D^k (`power_numerators`).  Each term is
-    (T_b / D^k) * log(m^k * T_b / D^k), the ratio reduced by its gcd as
-    `Fraction` reduces it, summed in cell order.
-    """
-    cells = len(a) ** k
-    den_k = den**k
-    total = 0.0
-    for t in power_numerators(a, k):
-        if t:
-            g = math.gcd(t * cells, den_k)
-            total += t / den_k * (math.log(t * cells // g) - math.log(den_k // g))
-    return total
-
-
 def partition_tail_bound(
     q, k: int, ell: int, delta: float, cap: int | None = None
 ) -> TailBoundResult:
@@ -445,7 +429,11 @@ def partition_tail_bound(
     within: bool | None = None
     cap = resolve_cap(cap)
     if count_types(cells, ell) <= cap:
-        threshold = _power_divergence_from_uniform(a, den, k) + 2 * delta
+        # D(Q^k || U): Q^k = T / D^k against all-ones over m^k, cell by cell
+        d_star = divergence_of_numerators(
+            power_numerators(a, k), den**k, [1] * cells, cells, range(cells)
+        )
+        threshold = d_star + 2 * delta
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set

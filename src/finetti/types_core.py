@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import getitem, mul
-from typing import Iterator, Sequence, Union
 
 from .counts import (
     DEFAULT_ENUMERATION_CAP,
@@ -41,6 +40,7 @@ __all__ = [
     "Pmf",
     "TypeVector",
     "all_strings",
+    "cell_index",
     "count_types",
     "empirical_type",
     "enumerate_types",
@@ -48,19 +48,14 @@ __all__ = [
     "exp_neg_n_divergence",
     "integer_numerators",
     "occurrence_matrix",
-    "power_pmf",
     "sequence_probability_identity",
-    "spread_pmf",
     "type_class_probability",
     "type_class_size",
     "type_list",
     "type_index_map",
     "type_to_pmf",
     "urn_numerators",
-    "urn_pmf",
 ]
-
-Rational = Union[int, Fraction]
 
 
 def _rational(p) -> Fraction:
@@ -79,7 +74,7 @@ class Pmf(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, probs: Sequence[Rational]) -> "Pmf":
+    def __new__(cls, probs: Sequence[int | Fraction]) -> "Pmf":
         entries = tuple(map(_rational, probs))
         if not entries:
             raise ValueError("empty probability vector")
@@ -135,7 +130,7 @@ class Pmf(tuple):
         return cls.from_numerators([int(i == index) for i in range(size)], 1)
 
     @classmethod
-    def from_weights(cls, weights: Sequence[Rational]) -> "Pmf":
+    def from_weights(cls, weights: Sequence[int | Fraction]) -> "Pmf":
         """Nonnegative exact weights scaled to sum to 1."""
         nums, _ = integer_numerators(tuple(map(_rational, weights)))
         return cls.from_numerators(nums, sum(nums))
@@ -187,6 +182,20 @@ def type_index_map(m: int, n: int) -> dict[tuple[int, ...], int]:
     return {t.counts: i for i, t in enumerate(type_list(m, n))}
 
 
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
+def _cell_index(m: int, k: int) -> tuple[int, ...]:
+    return tuple(map(type_index_map(m, k).__getitem__, occurrence_matrix(m, k)))
+
+
+def cell_index(m: int, k: int, cap: int | None = None) -> tuple[int, ...]:
+    """Per cell of A^k, its k-histogram's position in type_list(m, k).
+
+    The m^k cells count against the cap on every call, cached or not.
+    """
+    check_cells(m, k, cap)
+    return _cell_index(m, k)
+
+
 # ---------------------------------------------------------------------------
 # class sizes and probabilities
 # ---------------------------------------------------------------------------
@@ -213,7 +222,7 @@ def type_class_probability(t: TypeVector, q: Pmf) -> Fraction:
     return prob
 
 
-def integer_numerators(probs: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
+def integer_numerators(probs: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
     """(a, D) with probs = a / D, over the least common denominator D."""
     den = math.lcm(*(p.denominator for p in probs))
     return tuple(p.numerator * (den // p.denominator) for p in probs), den
@@ -262,29 +271,6 @@ def urn_numerators(urns, k: int, step: int, cap: int | None = None) -> tuple[lis
         for i, u in enumerate(blocks):
             numerators[i] += w * math.prod(map(getitem, draws, u.counts))
     return numerators, sum(w for _, w in urns) * math.prod(n + j * step for j in range(k))
-
-
-def spread_pmf(m: int, k: int, numerators: Sequence[int], den: int) -> Pmf:
-    """One numerator per k-histogram, spread over A^k in index order.
-
-    The m^k cells count against the cap from FINETTI_CAP or the default.
-    """
-    check_cells(m, k, None)
-    index = type_index_map(m, k)
-    return Pmf.from_numerators([numerators[index[row]] for row in occurrence_matrix(m, k)], den)
-
-
-def urn_pmf(m: int, k: int, urns, step: int) -> Pmf:
-    """Law of the first k draws from the urns (`urn_numerators`), over A^k in index order."""
-    return spread_pmf(m, k, *urn_numerators(urns, k, step))
-
-
-def power_pmf(q: Pmf, k: int) -> Pmf:
-    """Law of k i.i.d. draws from q = a / D, the urn a drawn with replacement."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    a, _ = integer_numerators(q)
-    return urn_pmf(len(a), k, ((a, 1),), 0)
 
 
 # ---------------------------------------------------------------------------

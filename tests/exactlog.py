@@ -154,9 +154,10 @@ def prime_basis_gaps(w, q, k: int) -> tuple[LogCombination, LogCombination]:
     combinations, from the pmfs alone: both are zero for a member of the
     constraint set.  w and q are sequences of rationals, and W << Q^k.
     """
-    from finetti.types_core import Pmf, power_pmf
+    from finetti.types_core import Pmf
+    from oracles import oracle_power_pmf
 
-    qk = power_pmf(Pmf(tuple(q)), k).probs
+    qk = oracle_power_pmf(Pmf(tuple(q)), k).probs
     uniform = [Fraction(1, len(qk))] * len(qk)
     pythagoras = relative_entropy_combination(w, uniform)
     pythagoras.add_combination(relative_entropy_combination(w, qk), -1)

@@ -9,7 +9,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from finetti.types_core import TypeVector, all_strings
+from finetti.types_core import Pmf, TypeVector, all_strings, occurrence_matrix, type_index_map
+
+
+def spread(m: int, k: int, numerators: Sequence[int], den: int) -> Pmf:
+    """One numerator per k-histogram, in type_list(m, k) order, spread over A^k in index order."""
+    index = type_index_map(m, k)
+    return Pmf.from_numerators([numerators[index[u]] for u in occurrence_matrix(m, k)], den)
+
+
+def oracle_power_pmf(q: Sequence[Fraction], k: int) -> Pmf:
+    """Q^k one string at a time: the product of q over the symbols of each k-string."""
+    entries = []
+    for s in all_strings(len(q), k):
+        prob = Fraction(1)
+        for a in s:
+            prob *= q[a]
+        entries.append(prob)
+    return Pmf(tuple(entries))
 
 
 def string_index(s: Sequence[int], m: int) -> int:

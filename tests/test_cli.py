@@ -85,6 +85,12 @@ def test_types_rejects_bad_pmf(capsys):
     assert "error" in err
 
 
+def test_types_checks_m_before_the_uniform_pmf(capsys):
+    # the message is count_types', not Pmf.uniform's "size must be >= 1"
+    want = (EXIT_INPUT, "", "error: alphabet size must be >= 1, got 0\n")
+    assert run(["types", "--m", "0", "--n", "3"], capsys) == want
+
+
 def test_missing_required_flag_is_input_error(capsys):
     code = main(["types", "--m", "2"])
     capsys.readouterr()
@@ -266,7 +272,7 @@ def test_cap_flag_overrides_env(monkeypatch, capsys):
     ],
 )
 def test_the_cells_of_a_k_count_against_the_cap(monkeypatch, capsys, command, env_cap):
-    # verify and gibbs spread a law over A^k, lemma1 lists Q^k over it:
+    # verify and gibbs sum a divergence over A^k, lemma1 lists Q^k over it:
     # m^k cells are refused before they are listed, with the message of lemma3
     monkeypatch.delenv("FINETTI_CAP", raising=False)
     if env_cap is not None:
@@ -682,18 +688,18 @@ def test_cli_start_loads_no_random_and_no_exactlog():
 
 # the finetti modules each start loads: a start compiles only what its subcommand
 # runs, and only its own handler module among cli_types, cli_verify, cli_lemma, cli_gibbs;
-# each lemma start loads only its own lemma's module
-LEMMA3_MODULES = {"cli", "cli_lemma", "counts", "lemma3", "types_core", "info_measures"}
+# each lemma start loads only its own lemma's module, and no start loads info_measures
+LEMMA3_MODULES = {"cli", "cli_lemma", "counts", "lemma3", "types_core"}
 START_MODULES = [
     ("--help", {"cli"}),
     ("verify --help", {"cli", "cli_verify"}),
     (
         "verify --family fair-coin --n 8 --k 2",
-        {"cli", "cli_verify", "definetti", "exchangeable", "types_core", "info_measures", "counts"},
+        {"cli", "cli_verify", "definetti", "exchangeable", "types_core", "counts"},
     ),
     (
         "gibbs --target 1/2,1/2 --k 2 --n 4 --threshold 1",
-        {"cli", "cli_gibbs", "gibbs", "types_core", "info_measures", "counts"},
+        {"cli", "cli_gibbs", "gibbs", "types_core", "counts"},
     ),
     ("types --m 2 --n 4", {"cli", "cli_types", "types_core", "counts"}),
     ("lemma lemma1 --q 4,4 --k 2 --l 4 --seed 1", {"cli", "cli_lemma", "counts", "lemma1"}),
@@ -709,12 +715,14 @@ START_MODULES = [
 
 @pytest.mark.parametrize("command, modules", START_MODULES, ids=[c for c, _ in START_MODULES])
 def test_cli_start_loads_only_its_subcommands_modules(command, modules):
-    # run as `python -m finetti`; -S keeps site hooks out of the module set
+    # run as `python -m finetti`; -S keeps site hooks out of the module set,
+    # and no start loads typing
     code = (
         "import runpy, sys; sys.argv[0] = 'finetti'\n"
         "try:\n    runpy.run_module('finetti', run_name='__main__')\n"
         "except SystemExit as exc:\n    rc = exc.code\n"
-        "print(rc, sorted(m for m in sys.modules if m.startswith('finetti.')), file=sys.stderr)"
+        "print(rc, 'typing' in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('finetti.')), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, *command.split()],
@@ -723,7 +731,7 @@ def test_cli_start_loads_only_its_subcommands_modules(command, modules):
         env=_env_with_finetti(),
     )
     loaded = proc.stderr.strip().splitlines()[-1]
-    assert loaded == f"0 {sorted(f'finetti.{name}' for name in modules)}", proc.stderr
+    assert loaded == f"0 False {sorted(f'finetti.{name}' for name in modules)}", proc.stderr
 
 
 INTEGER_STARTS = [

@@ -14,8 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conditional_given_type, string_index, urn_draw_probability
+from oracles import (
+    conditional_given_type,
+    oracle_power_pmf,
+    spread,
+    string_index,
+    urn_draw_probability,
+)
 
+from finetti.counts import divergence_of_numerators, max_deviation_of_numerators
 from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
     MixingMeasure,
@@ -26,22 +33,20 @@ from finetti.exchangeable import (
     histogram_law,
     iid_law,
     law_to_json,
-    marginal,
-    mixture_iid,
     polya_urn_law,
     random_type_weight_law,
     read_law,
     type_weight_law,
 )
 from finetti.gibbs import conditional_block_law
-from finetti.info_measures import relative_entropy
+from finetti.info_measures import max_abs_deviation, relative_entropy
 from finetti.types_core import (
     CapacityError,
     Pmf,
     TypeVector,
     all_strings,
+    cell_index,
     empirical_type,
-    power_pmf,
     type_class_probability,
     type_class_size,
     type_index_map,
@@ -50,6 +55,17 @@ from finetti.types_core import (
 )
 
 LAWS = Path(__file__).resolve().parent.parent / "laws"
+
+
+def spread_block_laws(law: UrnLaw, k: int, n: int | None = None) -> tuple[Pmf, Pmf]:
+    """(P_k, M_k) of `block_laws` at n (law.n by default), each spread over A^k."""
+    (p, p_den), (q, q_den) = block_laws(law, k, law.n if n is None else n)
+    return spread(law.m, k, p, p_den), spread(law.m, k, q, q_den)
+
+
+def marginal(law: UrnLaw, k: int) -> Pmf:
+    """P_k of `block_laws`, spread over A^k."""
+    return spread_block_laws(law, k)[0]
 
 
 def histograms(law: UrnLaw):
@@ -124,7 +140,7 @@ def test_iid_marginal_is_product():
     q = Pmf((Fraction(1, 3), Fraction(2, 3)))
     law = iid_law(q, 6)
     got = marginal(law, 2)
-    assert got.probs == power_pmf(q, 2).probs
+    assert got.probs == oracle_power_pmf(q, 2).probs
 
 
 def test_mixture_iid_matches_direct_integral():
@@ -132,7 +148,7 @@ def test_mixture_iid_matches_direct_integral():
     weights = [rng.randrange(1, 7) for _ in type_list(2, 5)]
     law = type_weight_law(2, 5, Pmf.from_weights(weights))
     k = 2
-    mix = mixture_iid(law, k)
+    mix = spread_block_laws(law, k)[1]
     # direct: sum_T w(T) * (T/n)^k as a product over coordinates
     want = [Fraction(0)] * 4
     for t, w in histograms(law):
@@ -149,7 +165,8 @@ def test_k1_marginal_equals_mixture_exactly():
     # sampling one coordinate from a histogram is the histogram itself
     for seed in (0, 1, 2):
         law = random_type_weight_law(3, 5, seed)
-        assert marginal(law, 1).probs == mixture_iid(law, 1).probs
+        (p_1, p_den), (m_1, m_den) = block_laws(law, 1, law.n)
+        assert [x * m_den for x in p_1] == [y * p_den for y in m_1]
 
 
 def test_polya_11_is_uniform_on_types():
@@ -221,7 +238,8 @@ def test_mixing_measure_mixture():
     q1 = Pmf((Fraction(3, 4), Fraction(1, 4)))
     q2 = Pmf((Fraction(1, 4), Fraction(3, 4)))
     mix = MixingMeasure(((q1, Fraction(1, 2)), (q2, Fraction(1, 2))))
-    got = mixture_iid(mix, 2)
+    # k draws of the mixing law are the mixture of i.i.d. k-blocks
+    got = marginal(from_mixing_measure(mix, 2), 2)
     want = tuple(
         (a * b + c * d) / 2
         for (a, b), (c, d) in zip(
@@ -449,8 +467,9 @@ FAMILY_LAWS = [
 def test_kernel_matches_per_string_oracle(build):
     law = build()
     for k in range(1, 5):
-        assert marginal(law, k).probs == oracle_marginal(law, k).probs, k
-        assert mixture_iid(law, k).probs == oracle_mixture_iid(law, k).probs, k
+        p_k, m_k = spread_block_laws(law, k)
+        assert p_k.probs == oracle_marginal(law, k).probs, k
+        assert m_k.probs == oracle_mixture_iid(law, k).probs, k
 
 
 @pytest.mark.parametrize("build", FAMILY_LAWS)
@@ -461,6 +480,28 @@ def test_verify_divergence_matches_oracle_bit_for_bit(build):
         work = law if n_eff == law.n else oracle_restrict_law(law, n_eff)
         want = relative_entropy(oracle_marginal(work, k), oracle_mixture_iid(work, k))
         assert verify_theorem(law, k).divergence == want, k
+
+
+@pytest.mark.parametrize("build", FAMILY_LAWS)
+def test_integer_rule_has_the_bits_of_the_spread_pmfs(build):
+    # both directions: D(M_k || P_k) is +inf where P_k has zero numerators
+    law = build()
+    infinite = 0
+    for k in range(1, 6):
+        (p, p_den), (q, q_den) = block_laws(law, k, law.n)
+        p_pmf, q_pmf = spread(law.m, k, p, p_den), spread(law.m, k, q, q_den)
+        cells = cell_index(law.m, k)
+        for xs, x_den, ys, y_den, x_pmf, y_pmf in (
+            (p, p_den, q, q_den, p_pmf, q_pmf),
+            (q, q_den, p, p_den, q_pmf, p_pmf),
+        ):
+            got = divergence_of_numerators(xs, x_den, ys, y_den, cells)
+            assert got == relative_entropy(x_pmf, y_pmf), k
+            infinite += got == math.inf
+        got = max_deviation_of_numerators(p, p_den, q, q_den)
+        assert got == max_abs_deviation(p_pmf, q_pmf), k
+    # the delta type (5, 3, 2) has no 3 * e_2 block at k >= 3; every other law is positive
+    assert infinite == (3 if law.urns == (((5, 3, 2), 1),) else 0)
 
 
 def oracle_restrict_law(law: UrnLaw, n_sub: int) -> UrnLaw:
@@ -498,8 +539,8 @@ def test_restrict_law_matches_per_pair_oracle(build, n_sub):
     law = build()
     work = oracle_restrict_law(law, n_sub)
     for k in range(1, 4):
-        p_k, m_k = block_laws(law, k, n_sub)
-        assert p_k.probs == marginal(law, k).probs, k
+        p_k, m_k = spread_block_laws(law, k, n_sub)
+        assert p_k.probs == oracle_marginal(law, k).probs, k
         assert m_k.probs == oracle_mixture_iid(work, k).probs, k
     with pytest.raises(ValueError):
         block_laws(law, 1, law.n + 1)
@@ -540,16 +581,17 @@ def test_mixing_measure_mixture_matches_oracle():
         )
     )
     for k in range(1, 5):
-        assert mixture_iid(mix, k).probs == oracle_mixture_iid(mix, k).probs
+        got = marginal(from_mixing_measure(mix, k), k)
+        assert got.probs == oracle_mixture_iid(mix, k).probs
 
 
 def test_conditional_block_law_exact_beyond_512():
     t = TypeVector((301, 200, 99))
     for k in (1, 3):
-        got = conditional_block_law(t, k)
-        assert type(got) is Pmf and all(type(p) is Fraction for p in got)
+        numerators, den = conditional_block_law(t, k)
+        assert all(type(x) is int for x in numerators) and type(den) is int
         want = tuple(conditional_given_type(t, s) for s in all_strings(3, k))
-        assert got.probs == want
+        assert spread(3, k, numerators, den).probs == want
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +659,19 @@ def test_urn_law_block_laws_equal_the_level_n_law(build, ns):
         assert (urns.m, urns.n) == (level.m, level.n)
         for k in range(1, min(n, 4) + 1):
             n_eff = effective_n(n, k)
-            got, want = block_laws(urns, k, n_eff), block_laws(level, k, n_eff)
-            assert got[0].probs == want[0].probs and got[1].probs == want[1].probs, (n, k)
-            assert marginal(urns, k).probs == want[0].probs, (n, k)
+            got, want = spread_block_laws(urns, k, n_eff), spread_block_laws(level, k, n_eff)
+            assert got == want, (n, k)
             assert verify_theorem(urns, k) == verify_theorem(level, k), (n, k)
-        assert mixture_iid(urns, 2).probs == mixture_iid(level, 2).probs, n
+        assert spread_block_laws(urns, 2)[1] == spread_block_laws(level, 2)[1], n
 
 
 def test_urn_law_cost_does_not_depend_on_n():
     # a million Polya draws: only the k-histograms are listed, and P_k does
     # not depend on n
     law = polya_urn_law((1, 2), 10**6)
-    p_k, m_k = block_laws(law, 4, law.n)
+    p_k, m_k = spread_block_laws(law, 4)
     assert sum(m_k) == 1
-    assert p_k.probs == block_laws(polya_urn_law((1, 2), 10), 4, 10)[0].probs
+    assert p_k == spread_block_laws(polya_urn_law((1, 2), 10), 4)[0]
 
 
 def test_urn_law_records_pickle_compare_and_validate(monkeypatch):

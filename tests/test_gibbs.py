@@ -16,20 +16,26 @@ from finetti.gibbs import (
     round_to_type,
     trace_to_csv,
 )
+from finetti.info_measures import max_abs_deviation, relative_entropy
 from finetti.types_core import (
     Pmf,
     TypeVector,
     all_strings,
     enumerate_types,
-    power_pmf,
     type_to_pmf,
 )
+from oracles import oracle_power_pmf, spread
+
+
+def block_pmf(t: TypeVector, k: int) -> Pmf:
+    """The conditional block law's numerators, spread over A^k."""
+    return spread(t.m, k, *conditional_block_law(t, k))
 
 
 def test_conditional_block_law_smallest():
     # blocks of 2 drawn without replacement from the bag {0,0,1,1}
     t = TypeVector((2, 2))
-    law = conditional_block_law(t, 2)
+    law = block_pmf(t, 2)
     assert law.probs == (
         Fraction(1, 6),
         Fraction(1, 3),
@@ -40,7 +46,7 @@ def test_conditional_block_law_smallest():
 
 def test_conditional_block_law_sums_to_one():
     t = TypeVector((3, 2, 1))
-    law = conditional_block_law(t, 2)
+    law = block_pmf(t, 2)
     assert sum(law.probs) == 1
 
 
@@ -48,8 +54,7 @@ def test_conditional_block_law_matches_direct_count():
     # count ordered k-tuples drawn from the bag directly
     t = TypeVector((3, 1))
     k = 2
-    law = conditional_block_law(t, k)
-    n = t.n
+    law = block_pmf(t, k)
     for i, s in enumerate(all_strings(t.m, k)):
         remaining = list(t.counts)
         p = Fraction(1)
@@ -113,7 +118,7 @@ def test_block_law_k1_is_type_pmf():
     for m in (2, 3):
         for n in range(1, 13):
             for t in enumerate_types(m, n):
-                assert conditional_block_law(t, 1).probs == type_to_pmf(t).probs
+                assert block_pmf(t, 1).probs == type_to_pmf(t).probs
 
 
 def test_degenerate_target_gives_zero_trace():
@@ -170,3 +175,25 @@ def test_block_law_nonnegative_divergence(m, k, seed):
     target = Pmf(tuple(Fraction(x, sum(w)) for x in w))
     tr = convergence_trace(target, k, (n,))
     assert tr.points[0].divergence >= -1e-12
+
+
+GIBBS_TRACES = [
+    ("1/2,1/3,1/6", 3, (6, 60, 600, 6000)),
+    ("1/5,4/5", 4, (8, 80, 800)),
+    ("0,1/3,2/3", 3, (6, 60, 600)),
+    ("1/2,1/2", 2, (4, 16, 64, 256)),
+    ("1,0", 3, (6, 12)),
+    ("1/4,1/4,1/4,1/4", 5, (5, 9, 40)),
+]
+
+
+@pytest.mark.parametrize("target, k, ns", GIBBS_TRACES, ids=[t for t, _, _ in GIBBS_TRACES])
+def test_trace_has_the_bits_of_the_fraction_pmfs(target, k, ns):
+    # the integer rule against relative_entropy and max_abs_deviation on the
+    # spread block law and the per-string product oracle, bit for bit
+    pmf = Pmf(tuple(Fraction(p) for p in target.split(",")))
+    product = oracle_power_pmf(pmf, k)
+    for point in convergence_trace(pmf, k, ns).points:
+        block = block_pmf(point.rounded, k)
+        assert point.divergence == relative_entropy(block, product), point.n
+        assert point.max_deviation == max_abs_deviation(block, product), point.n

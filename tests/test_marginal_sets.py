@@ -27,12 +27,11 @@ from finetti.types_core import (
     enumerate_types,
     integer_numerators,
     occurrence_matrix,
-    power_pmf,
     resolve_cap,
     type_class_size,
     type_to_pmf,
 )
-from oracles import marginal_residuals, oracle_walk
+from oracles import marginal_residuals, oracle_power_pmf, oracle_walk
 
 
 def numerators(q) -> tuple[tuple[int, ...], int]:
@@ -141,7 +140,7 @@ def test_four_members_at_the_smallest_balanced_point():
 def test_product_histogram_is_a_member_when_integral():
     q = TypeVector((4, 4))
     ell = 4
-    qk = power_pmf(type_to_pmf(q), 2)
+    qk = oracle_power_pmf(type_to_pmf(q), 2)
     counts = tuple(int(Fraction(p) * ell) for p in qk.probs)
     assert counts in oracle_walk(q, 2, ell)
     assert class_totals(counts, 2, 2) in ms._lattice_walk(*numerators(q), 2, ell, None)
@@ -169,7 +168,7 @@ def test_decomposition_entropy_form():
     qp = type_to_pmf(q)
     for counts in oracle_walk(q, 2, 2):
         wp = type_to_pmf(TypeVector(counts))
-        d = relative_entropy(wp.probs, power_pmf(qp, 2).probs)
+        d = relative_entropy(wp.probs, oracle_power_pmf(qp, 2).probs)
         assert d == pytest.approx(2 * entropy(qp.probs) - entropy(wp.probs), abs=1e-12)
 
 
@@ -190,7 +189,7 @@ def test_decomposition_float_path():
     # the same pair in exact form: w is the scan's first argmin, and the identity holds
     w, q, uniform = Pmf((0, Fraction(1, 2), Fraction(1, 2), 0)), Pmf.uniform(2), Pmf.uniform(4)
     assert ms.pythagorean_scan(q, 2, 2) == (4, TypeVector((0, 1, 1, 0)), False)
-    qk = power_pmf(q, 2)
+    qk = oracle_power_pmf(q, 2)
     d_wu, d_wq = relative_entropy(w, uniform), relative_entropy(w, qk)
     assert d_wu == pytest.approx(d_wq + relative_entropy(qk, uniform), abs=1e-12)
 
@@ -225,7 +224,7 @@ def test_argmin_balanced_large():
     # l = 16 puts the product histogram (4,4,4,4) on the lattice
     q = TypeVector((16, 16))
     _, member, unique = ms.pythagorean_scan(q, 2, 16)
-    qk = power_pmf(type_to_pmf(q), 2)
+    qk = oracle_power_pmf(type_to_pmf(q), 2)
     want = tuple(int(Fraction(p) * 16) for p in qk.probs)
     assert unique and member.counts == want == (4, 4, 4, 4)
 
@@ -493,7 +492,7 @@ def test_conditional_mean_smallest_case():
 
 def test_conditional_mean_brute_force():
     q = TypeVector((4, 2))
-    qk = power_pmf(type_to_pmf(q), 2)
+    qk = oracle_power_pmf(type_to_pmf(q), 2)
     total = 0
     acc = 0.0
     for w in oracle_members(q, 2, 3):
@@ -598,7 +597,7 @@ def oracle_members(q: TypeVector, k: int, ell: int) -> list[TypeVector]:
 
 
 def oracle_conditional_mean(q: TypeVector, k: int, ell: int) -> float:
-    qk = power_pmf(type_to_pmf(q), k)
+    qk = oracle_power_pmf(type_to_pmf(q), k)
     rows = [
         (type_class_size(w), relative_entropy(type_to_pmf(w), qk))
         for w in oracle_members(q, k, ell)
@@ -610,7 +609,7 @@ def oracle_conditional_mean(q: TypeVector, k: int, ell: int) -> float:
 def oracle_tail_rows(q: TypeVector, k: int, ell: int) -> tuple[float, list[tuple[int, float]]]:
     """D(Q^k||U) and (class size, D(W||U)) per member, from pmfs."""
     uniform = Pmf.uniform(q.m**k)
-    d_star = relative_entropy(power_pmf(type_to_pmf(q), k), uniform)
+    d_star = relative_entropy(oracle_power_pmf(type_to_pmf(q), k), uniform)
     rows = [
         (type_class_size(w), relative_entropy(type_to_pmf(w), uniform))
         for w in oracle_members(q, k, ell)
@@ -619,7 +618,7 @@ def oracle_tail_rows(q: TypeVector, k: int, ell: int) -> tuple[float, list[tuple
 
 
 def oracle_grid_witness(q: TypeVector, k: int, ell: int) -> tuple[float, Pmf]:
-    qk = power_pmf(type_to_pmf(q), k)
+    qk = oracle_power_pmf(type_to_pmf(q), k)
     best = None
     for w in oracle_members(q, k, ell):
         d = relative_entropy(type_to_pmf(w), qk)
@@ -629,7 +628,7 @@ def oracle_grid_witness(q: TypeVector, k: int, ell: int) -> tuple[float, Pmf]:
 
 
 def oracle_closest_member(q: TypeVector, k: int, ell: int) -> tuple[float, tuple[int, ...]]:
-    qk = power_pmf(type_to_pmf(q), k)
+    qk = oracle_power_pmf(type_to_pmf(q), k)
     best = None
     for w in oracle_members(q, k, ell):
         dev = max_abs_deviation(type_to_pmf(w), qk)
@@ -690,7 +689,7 @@ def test_grid_witness_matches_oracle_path():
 
 def oracle_farthest_string(q: TypeVector, k: int, ell: int) -> list[int]:
     """A string of histogram q whose l blocks form the member farthest from Q^k."""
-    qk = power_pmf(type_to_pmf(q), k)
+    qk = oracle_power_pmf(type_to_pmf(q), k)
     far = max(oracle_members(q, k, ell), key=lambda w: max_abs_deviation(type_to_pmf(w), qk))
     out = []
     for block, c in zip(all_strings(q.m, k), far.counts):
@@ -759,7 +758,7 @@ def two_walk_dbound(q: TypeVector, k: int, ell: int, delta: float):
     total = sum(size for size, _ in rows)
     value = math.fsum(size / total * d for size, d in rows)
     cells = q.m**k
-    d_star = relative_entropy(power_pmf(pmf, k), Pmf.uniform(cells))
+    d_star = relative_entropy(oracle_power_pmf(pmf, k), Pmf.uniform(cells))
     total = heavy = 0
     for size, h in weighted_members():
         total += size
@@ -809,8 +808,8 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
 
 def test_decomposition_builds_no_pmf(monkeypatch):
     # the scan, the conditional mean and the exact tail read an n-type q as
-    # integer numerators: with types_core unimportable (the home of `Pmf`,
-    # `type_to_pmf` and `power_pmf`) they give the same answers
+    # integer numerators: with types_core unimportable (the home of `Pmf`
+    # and `type_to_pmf`) they give the same answers
     import sys
 
     q = TypeVector((4, 2, 6))
@@ -909,7 +908,7 @@ def test_orbit_scan_matches_cell_walk_scan():
         for q in enumerate_types(m, k * ell):
             want = cell_walk_pythagorean_scan(q, k, ell)
             assert ms.pythagorean_scan(q, k, ell) == want, (q, k, ell)
-            on_lattice = all((ell * p).denominator == 1 for p in power_pmf(type_to_pmf(q), k))
+            on_lattice = all((ell * p).denominator == 1 for p in oracle_power_pmf(type_to_pmf(q), k))
             seen.add((want[2], on_lattice))
     # tied minima and Q^k off the lattice both occur among these points
     assert (False, False) in seen and (True, True) in seen
@@ -945,7 +944,7 @@ RATIONAL_PMFS = [
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_integer_forms_have_the_bits_of_the_fraction_forms(m, k):
-    from finetti.counts import entropy_of_numerators
+    from finetti.counts import divergence_of_numerators, entropy_of_numerators, power_numerators
 
     qs = [TypeVector(c) for c in oracle_sweep_types(m, k)]
     pmfs = [Pmf(p) for p in RATIONAL_PMFS if len(p) == m]
@@ -955,11 +954,15 @@ def test_integer_forms_have_the_bits_of_the_fraction_forms(m, k):
         a, den = ms._numerators(q)
         # k*H(q) of the conditional mean, D(Q^k||U) of the tail threshold
         assert k * entropy_of_numerators(a, den) == k * entropy(pmf), q
-        d_star = relative_entropy(power_pmf(pmf, k), Pmf.uniform(m**k))
-        assert ms._power_divergence_from_uniform(a, den, k) == d_star, (q, k)
+        d_star = relative_entropy(oracle_power_pmf(pmf, k), Pmf.uniform(m**k))
+        cells = m**k
+        d_rule = divergence_of_numerators(
+            power_numerators(a, k), den**k, [1] * cells, cells, range(cells)
+        )
+        assert d_rule == d_star, (q, k)
     for q in qs:
         r = lemma1_construct(q, k, q.n // k, seed=7)
-        qk = power_pmf(type_to_pmf(q), k)
+        qk = oracle_power_pmf(type_to_pmf(q), k)
         w = type_to_pmf(r.block_type)
         assert r.deviation == max_abs_deviation(w, qk), (q, k)
         assert r.l1_deviation == l1_distance(w, qk), (q, k)

@@ -19,6 +19,7 @@ from finetti.types_core import (
     CapacityError,
     Pmf,
     TypeVector,
+    cell_index,
     count_types,
     empirical_type,
     enumerate_types,
@@ -283,6 +284,15 @@ def test_type_list_checks_cap_on_cache_hit():
     assert len(type_list(3, 100)) == 5151
     with pytest.raises(CapacityError):
         type_list(3, 100, cap=10)
+
+
+def test_cell_index_checks_the_cells_on_cache_hit():
+    # each cell's histogram, by its position in type_list order
+    index = cell_index(3, 4)
+    blocks = [t.counts for t in type_list(3, 4)]
+    assert [blocks[i] for i in index] == list(occurrence_matrix(3, 4))
+    with pytest.raises(CapacityError, match=r"^81 cells at \(m=3, k=4\) exceeds cap 80$"):
+        cell_index(3, 4, cap=80)
 
 
 def test_type_caches_stay_within_their_bound():
