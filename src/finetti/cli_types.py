@@ -37,8 +37,8 @@ def run(args) -> int:
         q = Pmf(_parse_rational_list(args.q))
         if len(q) != m:
             raise ValueError(f"--q has {len(q)} entries, expected {m}")
-    else:
-        count_types(m, n)  # so that an --m below 1 reads count_types' message
+    count = count_types(m, n)  # before Pmf.uniform, so an --m below 1 reads its message
+    if args.q is None:
         q = Pmf.uniform(m)
     # q = a / D gives P(T_t) = |T_t| * prod a^t / D^n.  Multiplied through by
     # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=
@@ -70,7 +70,6 @@ def run(args) -> int:
                 "probability_bounds_ok": prob_ok,
             }
         )
-    count = count_types(m, n)
     checks = {
         "count": count,
         "count_matches_formula": count == len(rows),

@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .counts import (
     CapacityError,
+    check_cap,
     check_cells,
     count_types,
     divergence_of_numerators,
@@ -110,6 +111,10 @@ def max_divergence_over_E_k(
         candidates, best_counts, _ = _extreme_member(
             a, den, k, ell, cap, lambda parts: -entropy_key(parts)
         )
+        # Q^k lists its k-histograms and m^k cells under the FINETTI_CAP or
+        # default cap, whatever --cap the walk took
+        check_cap(m, k, None)
+        check_cells(m, k, None)
         # the member's counts over l against Q^k = T / D^k, cell by cell
         cells = range(len(best_counts))
         value = divergence_of_numerators(best_counts, ell, power_numerators(a, k), den**k, cells)

@@ -187,12 +187,13 @@ def _cell_index(m: int, k: int) -> tuple[int, ...]:
     return tuple(map(type_index_map(m, k).__getitem__, occurrence_matrix(m, k)))
 
 
-def cell_index(m: int, k: int, cap: int | None = None) -> tuple[int, ...]:
+def cell_index(m: int, k: int) -> tuple[int, ...]:
     """Per cell of A^k, its k-histogram's position in type_list(m, k).
 
-    The m^k cells count against the cap on every call, cached or not.
+    The m^k cells count against the FINETTI_CAP or default cap on every
+    call, cached or not.
     """
-    check_cells(m, k, cap)
+    check_cells(m, k, None)
     return _cell_index(m, k)
 
 

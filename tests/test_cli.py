@@ -284,6 +284,16 @@ def test_the_cells_of_a_k_count_against_the_cap(monkeypatch, capsys, command, en
     assert (code, err) == (EXIT_CAPACITY, "capacity: 256 cells at (m=2, k=8) exceeds cap 100\n")
 
 
+def test_lemma3_grid_lists_q_k_under_the_env_cap(monkeypatch, capsys):
+    # --cap binds the lattice walk; the k-histograms and m^k cells of Q^k
+    # count against FINETTI_CAP or the default, after the walk
+    args = "lemma lemma3 --q 8,8 --k 8 --mode grid --l 2 --cap 100000".split()
+    monkeypatch.setenv("FINETTI_CAP", "100")
+    assert run(args, capsys) == (EXIT_CAPACITY, "", "capacity: 256 cells at (m=2, k=8) exceeds cap 100\n")
+    monkeypatch.setenv("FINETTI_CAP", "5")
+    assert run(args, capsys) == (EXIT_CAPACITY, "", "capacity: 9 types at (m=2, n=8) exceeds cap 5\n")
+
+
 def test_type_weights_file_checks_the_cap_before_sizing_its_weights(monkeypatch, tmp_path, capsys):
     # C(1029, 29) weights cannot be listed; the cap refuses them up front
     monkeypatch.delenv("FINETTI_CAP", raising=False)

@@ -286,13 +286,14 @@ def test_type_list_checks_cap_on_cache_hit():
         type_list(3, 100, cap=10)
 
 
-def test_cell_index_checks_the_cells_on_cache_hit():
+def test_cell_index_checks_the_cells_on_cache_hit(monkeypatch):
     # each cell's histogram, by its position in type_list order
     index = cell_index(3, 4)
     blocks = [t.counts for t in type_list(3, 4)]
     assert [blocks[i] for i in index] == list(occurrence_matrix(3, 4))
+    monkeypatch.setenv("FINETTI_CAP", "80")
     with pytest.raises(CapacityError, match=r"^81 cells at \(m=3, k=4\) exceeds cap 80$"):
-        cell_index(3, 4, cap=80)
+        cell_index(3, 4)
 
 
 def test_type_caches_stay_within_their_bound():
