@@ -111,10 +111,8 @@ def max_divergence_over_E_k(
         candidates, best_counts, _ = _extreme_member(
             a, den, k, ell, cap, lambda parts: -entropy_key(parts)
         )
-        # Q^k lists its k-histograms and m^k cells under the FINETTI_CAP or
-        # default cap, whatever --cap the walk took
-        check_cap(m, k, None)
-        check_cells(m, k, None)
+        check_cap(m, k, None)  # Q^k's histograms and cells: the env or default cap,
+        check_cells(m, k, None)  # whatever cap the walk took
         # the member's counts over l against Q^k = T / D^k, cell by cell
         cells = range(len(best_counts))
         value = divergence_of_numerators(best_counts, ell, power_numerators(a, k), den**k, cells)

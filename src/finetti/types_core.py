@@ -190,8 +190,7 @@ def _cell_index(m: int, k: int) -> tuple[int, ...]:
 def cell_index(m: int, k: int) -> tuple[int, ...]:
     """Per cell of A^k, its k-histogram's position in type_list(m, k).
 
-    The m^k cells count against the FINETTI_CAP or default cap on every
-    call, cached or not.
+    The m^k cells count against the env or default cap on every call, cached or not.
     """
     check_cells(m, k, None)
     return _cell_index(m, k)
