@@ -999,6 +999,28 @@ GOLDEN = [
     ),
     ("lemma lemma3 --q 0,4 --k 2", "2973afc521f50450a84a64797dd3063103fb137b9d6dc6adad9355c2941cafd9"),
     ("lemma dbound --q 0,6,6 --k 2", "01b1f89adfd4478de12c1d610daa1f7afbebee486efb33da8252f43bc4bab5d7"),
+    # k grids out of order, with repeats, k = n and k not dividing n
+    (
+        "verify --family polya --init 2,1,1 --n 12 --k 4,1,3,3",
+        "50e0c18a9b440d99319507e9edfb6a5a537e1853f5e16141b2d5352ef4c711ac",
+    ),
+    (
+        "verify --family biased --p 1/3 --n 10,11 --k 3,2,1 --format csv",
+        "b5d163e908a672d1c1fda14d3d1e4c276576f115597d5c171d2bd0f6f4cb5ec2",
+    ),
+    (
+        "verify --family delta-type --counts 5,0,3 --k 4,1,3",
+        "985cc0f9642ea2aba290804105a2aeaca60d6647290401ba8f64ad901aeca549",
+    ),
+    (
+        "verify --family random-type-weights --seed 3 --m 3 --n 30,31 --k 1,2,3,4",
+        "2bf6081e60acb03c4c5f8a3ae202748ea05e28b98cc8e8e59fbb4024d845edfa",
+    ),
+    ("verify --family polya --init 1,1 --n 6 --k 6,2", "fc62a2e67d21133db43f851a1b288e0ba19d4eee9febc6a48e2214d9f8bef5e3"),
+    (
+        "verify --family polya --init 1,1,1 --n 24,25 --k 2,3",
+        "af7395a4778c80e8b3046acf4ef4d034c17703f4e8a9c8499c4d6cf07e2f1dbc",
+    ),
     # 4,096 cells of A^12
     (
         "verify --family fair-coin --n 1000 --k 12",
@@ -1060,6 +1082,34 @@ USAGE_ERRORS = [
 def test_usage_errors_are_pinned(monkeypatch, capsys, command, stderr):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(command.split(), capsys) == (EXIT_INPUT, "", stderr)
+
+
+# errors of a verify k grid: the first k in grid order that fails names the message
+VERIFY_GRID_ERRORS = [
+    ("verify --family polya --init 1,1 --n 5 --k 2,9", None, EXIT_INPUT, "error: k must lie in 1..5, got 9\n"),
+    (
+        "verify --family fair-coin --n 8 --k 4,8",
+        "10",
+        EXIT_CAPACITY,
+        "capacity: 16 cells at (m=2, k=4) exceeds cap 10\n",
+    ),
+    (
+        "verify --family fair-coin --n 8 --k 8,4",
+        "10",
+        EXIT_CAPACITY,
+        "capacity: 256 cells at (m=2, k=8) exceeds cap 10\n",
+    ),
+    # one letter: the constants refuse m = 1 unless an earlier k is out of range
+    ("verify --family delta-type --counts 5 --k 2,9", None, EXIT_INPUT, "error: alphabet size must be >= 2, got 1\n"),
+    ("verify --family delta-type --counts 5 --k 9,2", None, EXIT_INPUT, "error: k must lie in 1..5, got 9\n"),
+]
+
+
+@pytest.mark.parametrize("command, cap, code, stderr", VERIFY_GRID_ERRORS, ids=[c[0] for c in VERIFY_GRID_ERRORS])
+def test_verify_grid_errors_are_pinned(monkeypatch, capsys, command, cap, code, stderr):
+    if cap is not None:
+        monkeypatch.setenv("FINETTI_CAP", cap)
+    assert run(command.split(), capsys) == (code, "", stderr)
 
 
 # n-type errors of --q: their text comes from TypeVector
