@@ -1,8 +1,4 @@
-"""``finetti verify``: mixture approximation reports over an (n, k) grid.
-
-`_verify_cell` stays at module level, so that ``--jobs`` workers unpickle
-it by its import path.
-"""
+"""``finetti verify``: mixture approximation reports over an (n, k) grid."""
 
 from __future__ import annotations
 
@@ -24,7 +20,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--counts", help="histogram for --family delta-type")
     parser.add_argument("--seed", type=int, help="seed for randomized families")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     parser.add_argument("--out", help="write output to this file")
 
 
@@ -62,19 +57,12 @@ def _build_law(args, n: int):
     raise ValueError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")
 
 
-def _verify_cell(law, k: int) -> dict:
-    from .definetti import report_to_dict, verify_theorem
-
-    return report_to_dict(verify_theorem(law, k))
-
-
 def run(args) -> int:
+    from .definetti import report_to_dict, verify_grid
     from .exchangeable import read_law
 
     if (args.law is None) == (args.family is None):
         raise ValueError("give exactly one of --law FILE or --family NAME")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     k_values = _parse_int_list(args.k)
     if args.law is not None:
         with open(args.law) as fh:
@@ -90,31 +78,9 @@ def run(args) -> int:
         else:
             n_values = _parse_int_list(args.n)
         laws = [_build_law(args, n) for n in n_values]
-    cells = [(law, k) for law in laws for k in k_values]
-    if args.jobs > 1:
-        # importing the process pool is a large share of start-up, so only --jobs > 1 pays it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_verify_cell, law, k) for law, k in cells]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [_verify_cell(law, k) for law, k in cells]
+    reports = [report_to_dict(rep) for law in laws for rep in verify_grid(law, k_values)]
     if args.format == "csv":
-        cols = [
-            "n",
-            "k",
-            "m",
-            "alpha",
-            "delta",
-            "epsilon",
-            "divergence",
-            "holds",
-            "valid_range",
-            "effective_n",
-            "binary_reference",
-            "vacuous",
-        ]
+        cols = list(reports[0])  # the keys of report_to_dict, in its order
         lines = [",".join(cols)]
         for rep in reports:
             lines.append(",".join("" if rep[c] is None else repr(rep[c]) for c in cols))

@@ -143,6 +143,16 @@ def power_numerators(a, k: int) -> list[int]:
     return [power[u] for u in occ]
 
 
+def lemma1_constant(ell: int, k: int) -> float:
+    """Lemma 1's deviation budget M = sqrt(2/l + 4k/l + 2*sqrt(k/l)) for l blocks of k.
+
+    It lives here, and `finetti.lemma1` binds it, so dbound reads it without lemma 1.
+    """
+    if not 1 <= k < ell:
+        raise ValueError(f"need l > k >= 1, got l={ell}, k={k}")
+    return math.sqrt(2.0 / ell + 4.0 * k / ell + 2.0 * math.sqrt(k / ell))
+
+
 def entropy_of_numerators(nums, den: int) -> float:
     """H(nums / den) in nats, with the bits of `info_measures.entropy` on the `Pmf`.
 

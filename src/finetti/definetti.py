@@ -24,6 +24,7 @@ __all__ = [
     "effective_n",
     "report_to_dict",
     "theorem_constants",
+    "verify_grid",
     "verify_theorem",
 ]
 
@@ -107,42 +108,53 @@ class VerificationReport(
     __slots__ = ()
 
 
-def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
-    """Check D(P_k || M_k) <= epsilon for one law and block length.
+def verify_grid(law: UrnLaw, ks) -> list[VerificationReport]:
+    """Check D(P_k || M_k) <= epsilon for one law at each block length of ks, in order.
 
     P_k is the k-coordinate marginal; M_k mixes i.i.d. blocks over the
     empirical histogram of the first n_eff = effective_n(n, k) draws, and the
-    constants are taken at n_eff.  Both come exactly from one kernel pass at
-    k over the law's urns (`block_laws`), one numerator per k-histogram, and
-    only the divergence over the m^k cells, which count against the cap, is
-    a float.  For k = 1 the two sides coincide and the divergence is zero.
+    constants are taken at n_eff.  Each k is checked in grid order first, so
+    the first k that fails names the error: its range, its m^k cells against
+    the cap, its constants.  Then one kernel pass at the largest k over the
+    law's urns gives every P_k and M_k exactly (`block_laws`), one numerator
+    per k-histogram, and only the divergence over the m^k cells is a float.
+    For k = 1 the two sides coincide and the divergence is zero.
     """
     # only verify runs the urn kernel, so dbound, which reads the constants, skips it
     from .counts import divergence_of_numerators
     from .exchangeable import block_laws
     from .types_core import cell_index
 
-    if not 1 <= k <= law.n:
-        raise ValueError(f"k must lie in 1..{law.n}, got {k}")
-    n_eff = effective_n(law.n, k)
-    p_k, m_k = block_laws(law, k, n_eff)
-    divergence = divergence_of_numerators(*p_k, *m_k, cell_index(law.m, k))
-    params = theorem_constants(n_eff, k, law.m)
-    holds = divergence <= params.epsilon + _SLACK
-    reference = (
-        binary_reference_bound(n_eff, k) if law.m == 2 and k < n_eff else None
-    )
-    return VerificationReport(
-        m=law.m,
-        n=law.n,
-        k=k,
-        params=params,
-        divergence=divergence,
-        holds=holds,
-        effective_n=n_eff,
-        remark_adjusted=n_eff != law.n,
-        binary_reference=reference,
-    )
+    cells = []
+    for k in ks:
+        if not 1 <= k <= law.n:
+            raise ValueError(f"k must lie in 1..{law.n}, got {k}")
+        n_eff = effective_n(law.n, k)
+        cells.append((k, n_eff, cell_index(law.m, k), theorem_constants(n_eff, k, law.m)))
+    laws = block_laws(law, [(k, n_eff) for k, n_eff, _, _ in cells])
+    reports = []
+    for (k, n_eff, index, params), (p_k, m_k) in zip(cells, laws):
+        divergence = divergence_of_numerators(*p_k, *m_k, index)
+        reference = binary_reference_bound(n_eff, k) if law.m == 2 and k < n_eff else None
+        reports.append(
+            VerificationReport(
+                m=law.m,
+                n=law.n,
+                k=k,
+                params=params,
+                divergence=divergence,
+                holds=divergence <= params.epsilon + _SLACK,
+                effective_n=n_eff,
+                remark_adjusted=n_eff != law.n,
+                binary_reference=reference,
+            )
+        )
+    return reports
+
+
+def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
+    """`verify_grid` at the one block length k."""
+    return verify_grid(law, (k,))[0]
 
 
 def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[float, float, float]:
@@ -188,7 +200,7 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
 
 def report_to_dict(report: VerificationReport) -> dict:
     """Flat JSON-ready view of a verification report."""
-    out = {
+    return {
         "n": report.n,
         "k": report.k,
         "m": report.m,
@@ -202,4 +214,3 @@ def report_to_dict(report: VerificationReport) -> dict:
         "binary_reference": report.binary_reference,
         "vacuous": report.params.vacuous,
     }
-    return out

@@ -7,9 +7,10 @@ histogram weights is its n-histograms at -1, a delta-type law one of them),
 0 with replacement (i.i.d. and mixing laws), +1 is the Polya urn.
 `UrnLaw(m, n, urns, step)` is the one law record.  The urn kernel
 (`types_core.urn_numerators`) gives its k-block law P_k from the urns at a
-cost in m and k, not in n, and the mixture M_k is a linear function of P_k
-(`block_laws`), so it needs no pass of its own; both come as one integer
-numerator per k-histogram, never spread over the m^k strings.
+cost in m and k, not in n.  P_j for j < k is a margin of P_k, and the
+mixture M_k is a linear function of P_k (`block_laws`), so one pass at the
+largest k of a grid serves every k; all come as one integer numerator per
+k-histogram, never spread over the m^k strings.
 `histogram_law` builds a law out to its n-histogram weights.
 """
 
@@ -116,37 +117,43 @@ def _stirling2(c: int, i: int) -> int:
     return i * _stirling2(c - 1, i) + _stirling2(c - 1, i - 1)
 
 
-def block_laws(law: UrnLaw, k: int, n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
-    """((P_k numerators, D), (M_k numerators, D * n^k)), one per k-histogram.
+def block_laws(law: UrnLaw, cells) -> list[tuple[tuple[list[int], int], tuple[list[int], int]]]:
+    """Per (k, n) of `cells`: ((P_k numerators, D), (M_k numerators, D * n^k)).
 
     M_k mixes i.i.d. blocks over the pmf T/n of the first n draws.  Both laws
     are constant on k-histogram classes, so each gives one numerator per
     histogram, in type_list(m, k) order.  1 <= k <= n <= law.n.  One kernel
-    pass at k over the law's urns gives P_k as numerators over D.  The
-    probability of one j-string with histogram i is a margin of P_k,
-    p_j(i) = A_j(i) / D with A_j(i) = sum_a A_{j+1}(i + e_a).
+    pass over the law's urns at the largest k, K, gives P_K as numerators
+    over D.  The probability of one j-string with histogram i is a margin of
+    P_K, p_j(i) = A_j(i) / D with A_j(i) = sum_a A_{j+1}(i + e_a), so every
+    P_k of the cells is read off that pass.
     With t^u = sum_{i<=u} prod_a S(u_a, i_a) (t_a)_{i_a}, S the Stirling
     numbers of the second kind, and E[prod_a (T_a)_{i_a}] = (n)_{|i|} p_{|i|}(i),
     M_k has numerators sum_{i<=u} prod_a S(u_a, i_a) (n)_{|i|} A_{|i|}(i) over
     D * n^k (Diaconis & Freedman 1980); no law of the first n draws is built.
     """
-    if not 1 <= k <= n <= law.n:
-        raise ValueError(f"need 1 <= k <= n <= {law.n}, got k={k}, n={n}")
-    numerators, den = urn_numerators(law.urns, k, law.step)
-    blocks = [u.counts for u in type_list(law.m, k)]
-    margin = dict(zip(blocks, numerators))
-    for j in range(k - 1, 0, -1):
+    for k, n in cells:
+        if not 1 <= k <= n <= law.n:
+            raise ValueError(f"need 1 <= k <= n <= {law.n}, got k={k}, n={n}")
+    top = max(k for k, _ in cells)
+    numerators, den = urn_numerators(law.urns, top, law.step)
+    margin = dict(zip((u.counts for u in type_list(law.m, top)), numerators))
+    for j in range(top - 1, 0, -1):
         for i in (t.counts for t in type_list(law.m, j)):
             margin[i] = sum(margin[i[:a] + (c + 1,) + i[a + 1 :]] for a, c in enumerate(i))
-    falling = list(accumulate((n - j for j in range(k)), mul, initial=1))
-    mixed = [
-        sum(
-            math.prod(map(_stirling2, u, i)) * falling[sum(i)] * margin[i]
-            for i in product(*(range(1 if c else 0, c + 1) for c in u))
-        )
-        for u in blocks
-    ]
-    return (numerators, den), (mixed, den * n**k)
+    laws = []
+    for k, n in cells:
+        blocks = [u.counts for u in type_list(law.m, k)]
+        falling = list(accumulate((n - j for j in range(k)), mul, initial=1))
+        mixed = [
+            sum(
+                math.prod(map(_stirling2, u, i)) * falling[sum(i)] * margin[i]
+                for i in product(*(range(1 if c else 0, c + 1) for c in u))
+            )
+            for u in blocks
+        ]
+        laws.append((([margin[u] for u in blocks], den), (mixed, den * n**k)))
+    return laws
 
 
 def histogram_law(law: UrnLaw) -> Pmf:

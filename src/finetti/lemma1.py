@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .counts import TypeVector, check_cells, entropy_of_numerators, power_numerators
+from .counts import TypeVector, check_cells, entropy_of_numerators, lemma1_constant, power_numerators
 
 __all__ = [
     "ExhaustedTriesError",
@@ -26,13 +26,6 @@ _SLACK = 1e-12
 
 class ExhaustedTriesError(RuntimeError):
     """The randomized construction ran out of permutations and fallbacks."""
-
-
-def lemma1_constant(ell: int, k: int) -> float:
-    """Deviation budget M = sqrt(2/l + 4k/l + 2*sqrt(k/l)) for l blocks of k."""
-    if not 1 <= k < ell:
-        raise ValueError(f"need l > k >= 1, got l={ell}, k={k}")
-    return math.sqrt(2.0 / ell + 4.0 * k / ell + 2.0 * math.sqrt(k / ell))
 
 
 class PermutedBlockResult(

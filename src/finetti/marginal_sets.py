@@ -32,6 +32,7 @@ from .counts import (
     count_types,
     divergence_of_numerators,
     entropy_of_numerators,
+    lemma1_constant,
     occurrence_matrix,
     power_numerators,
     resolve_cap,
@@ -417,8 +418,6 @@ def partition_tail_bound(
     bound = math.exp(log_bound) if log_bound <= 700 else math.inf
 
     if ell > k:
-        from .lemma1 import lemma1_constant
-
         big_m = lemma1_constant(ell, k)
         certified = big_m < 0.5 and -big_m * math.log(big_m / cells) <= delta + _SLACK
     else:

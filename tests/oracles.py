@@ -6,10 +6,22 @@ string at a time, straight from the definitions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, product
+from operator import mul
 from typing import Sequence
 
-from finetti.types_core import Pmf, TypeVector, all_strings, occurrence_matrix, type_index_map
+from finetti.types_core import (
+    Pmf,
+    TypeVector,
+    all_strings,
+    occurrence_matrix,
+    type_index_map,
+    type_list,
+    urn_numerators,
+)
 
 
 def spread(m: int, k: int, numerators: Sequence[int], den: int) -> Pmf:
@@ -83,6 +95,38 @@ def urn_draw_probability(urns, prefix: Sequence[int], step: int) -> Fraction:
             held[a] += step
         prob += path
     return prob
+
+
+@lru_cache(maxsize=None)
+def _stirling2(c: int, i: int) -> int:
+    """Stirling number of the second kind: partitions of c items into i blocks."""
+    if c == 0 or i == 0:
+        return int(c == i)
+    return i * _stirling2(c - 1, i) + _stirling2(c - 1, i - 1)
+
+
+def oracle_block_laws(law, k: int, n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """((P_k numerators, D), (M_k numerators, D * n^k)) from a kernel pass at k itself.
+
+    One pass per block length: P_k straight from the urns, its margins down
+    to length 1, and M_k over the first n draws as their Stirling transform,
+    sum_{i<=u} prod_a S(u_a, i_a) (n)_{|i|} A_{|i|}(i).
+    """
+    numerators, den = urn_numerators(law.urns, k, law.step)
+    blocks = [u.counts for u in type_list(law.m, k)]
+    margin = dict(zip(blocks, numerators))
+    for j in range(k - 1, 0, -1):
+        for i in (t.counts for t in type_list(law.m, j)):
+            margin[i] = sum(margin[i[:a] + (c + 1,) + i[a + 1 :]] for a, c in enumerate(i))
+    falling = list(accumulate((n - j for j in range(k)), mul, initial=1))
+    mixed = [
+        sum(
+            math.prod(map(_stirling2, u, i)) * falling[sum(i)] * margin[i]
+            for i in product(*(range(1 if c else 0, c + 1) for c in u))
+        )
+        for u in blocks
+    ]
+    return (numerators, den), (mixed, den * n**k)
 
 
 def marginal_residuals(counts: Sequence[int], q: TypeVector, k: int) -> list[int]:

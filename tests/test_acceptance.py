@@ -115,7 +115,7 @@ def test_criterion_03_single_coordinate_exactness():
             for seed in range(100):
                 law = random_type_weight_law(m, n, seed)
                 # P_1 and M_1 agree on every histogram, as exact rationals
-                (p_1, p_den), (m_1, m_den) = block_laws(law, 1, law.n)
+                [((p_1, p_den), (m_1, m_den))] = block_laws(law, [(1, law.n)])
                 assert [x * m_den for x in p_1] == [y * p_den for y in m_1]
                 rep = verify_theorem(law, 1)
                 assert rep.divergence == 0.0 and rep.holds

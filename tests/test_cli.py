@@ -162,16 +162,6 @@ def test_verify_malformed_law_file_is_an_input_error(tmp_path, capsys):
     assert (code, out, err) == (EXIT_INPUT, "", "error: Expecting value: line 1 column 1 (char 0)\n")
 
 
-def test_verify_rejects_jobs_below_one(capsys):
-    # refused before any law is built or any process is started
-    for jobs in ("0", "-3"):
-        code, out, err = run(
-            ["verify", "--family", "fair-coin", "--n", "8", "--k", "2", "--jobs", jobs], capsys
-        )
-        assert code == EXIT_INPUT and out == ""
-        assert "--jobs" in err
-
-
 def test_verify_needs_exactly_one_source(capsys):
     code, _, err = run(["verify", "--k", "2"], capsys)
     assert code == EXIT_INPUT
@@ -372,7 +362,8 @@ def test_verify_urn_families_run_the_kernel_at_k_only(monkeypatch, capsys, sourc
     calls = _spy_on_kernel(monkeypatch)
     code, out, _ = run(["verify", *source, "--k", "2,3"], capsys)
     assert code == EXIT_OK and len(out.splitlines()) == 4 - 2 * ("delta-type" in source)
-    assert set(calls["urn_numerators"]) == {2, 3}
+    # one pass per law, at the grid's largest k
+    assert calls["urn_numerators"] == [3] * (len(out.splitlines()) // 2)
     assert {m_n[1] for m_n in calls["type_list"]} <= {1, 2, 3}
 
 
@@ -381,12 +372,34 @@ def test_verify_random_type_weights_still_lists_level_n(monkeypatch, capsys):
     args = ["verify", "--family", "random-type-weights", "--seed", "5", "--m", "2", "--n", "40,41"]
     code, _, _ = run([*args, "--k", "2,3"], capsys)
     assert code == EXIT_OK
-    assert set(calls["urn_numerators"]) == {2, 3}
+    assert calls["urn_numerators"] == [3, 3]
     assert {(2, 40), (2, 41)} <= set(calls["type_list"])
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_type_weights_file_prints_its_family(capsys, tmp_path, jobs):
+def test_verify_grid_makes_one_kernel_pass_per_law_at_its_largest_k(monkeypatch, capsys):
+    import finetti.exchangeable as ex
+
+    seen = []
+
+    def spy(urns, k, step, *args, _real=ex.urn_numerators, **kwargs):
+        seen.append(k)
+        return _real(urns, k, step, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "urn_numerators", spy)
+    args = ["verify", "--family", "polya", "--init", "2,1,1", "--n", "12,13,14", "--k", "2,4,1,3,3"]
+    code, out, _ = run(args, capsys)
+    assert code == EXIT_OK and len(out.splitlines()) == 15
+    assert seen == [4, 4, 4]
+
+
+def test_verify_has_no_jobs_option(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(["verify", "--family", "fair-coin", "--n", "8", "--k", "2", "--jobs", "2"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.splitlines()[-1] == "finetti: error: unrecognized arguments: --jobs 2"
+
+
+def test_verify_type_weights_file_prints_its_family(capsys, tmp_path):
     # a typeWeights file is read as its n-histograms at -1, the law the family builds
     from finetti.exchangeable import law_to_json, random_type_weight_law
 
@@ -395,7 +408,7 @@ def test_verify_type_weights_file_prints_its_family(capsys, tmp_path, jobs):
     family = ["--family", "random-type-weights", "--seed", "5", "--m", "2", "--n", "40"]
     want = run(["verify", *family, "--k", "2,3"], capsys)
     assert want[0] == EXIT_OK and len(want[1].splitlines()) == 2
-    assert run(["verify", "--law", str(path), "--k", "2,3", "--jobs", jobs], capsys) == want
+    assert run(["verify", "--law", str(path), "--k", "2,3"], capsys) == want
 
 
 def test_verify_polya_at_n_100000_runs(capsys):
@@ -609,38 +622,6 @@ def test_module_entry_point():
     assert "5 histograms" in proc.stdout
 
 
-def test_parallel_jobs_match_serial(capsys):
-    base = ["verify", "--family", "fair-coin", "--n", "8,10", "--k", "1,2"]
-    _, serial, _ = run(base, capsys)
-    _, parallel, _ = run(base + ["--jobs", "2"], capsys)
-    assert serial == parallel
-    # from a fresh start the main process never imports definetti; the workers do
-    fresh = subprocess.run(
-        [sys.executable, "-m", "finetti", *base, "--jobs", "2"],
-        capture_output=True,
-        text=True,
-        env=_env_with_finetti(),
-    )
-    assert (fresh.returncode, fresh.stdout) == (0, serial), fresh.stderr
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        ["--family", "polya", "--init", "1,1,1", "--n", "24,25"],
-        ["--law", str(ROOT / "laws" / "mix.json"), "--n", "200,403"],
-    ],
-    ids=["polya", "mix.json"],
-)
-def test_parallel_jobs_match_serial_for_urn_laws(capsys, source):
-    # the workers get urn laws by pickle
-    base = ["verify", *source, "--k", "2,3"]
-    code, serial, _ = run(base, capsys)
-    assert code == EXIT_OK and len(serial.splitlines()) == 4
-    _, parallel, _ = run(base + ["--jobs", "2"], capsys)
-    assert serial == parallel
-
-
 def test_dbound_rejects_a_bad_delta_before_the_walk(monkeypatch, capsys):
     import finetti.marginal_sets as ms
 
@@ -661,11 +642,11 @@ def test_dbound_rejects_a_bad_delta_before_the_walk(monkeypatch, capsys):
 
 
 def test_cli_start_loads_no_pool_and_no_dataclasses():
-    # import cost is paid by every CLI call: the process pool machinery is
-    # loaded only for --jobs > 1, and the records are tuples, not dataclasses
+    # import cost is paid by every CLI call: no process pool machinery is
+    # loaded, and the records are tuples, not dataclasses
     code = (
         "import sys; from finetti.cli import main; "
-        "rc = main(['verify', '--family', 'fair-coin', '--n', '8', '--k', '2', '--jobs', '1']); "
+        "rc = main(['verify', '--family', 'fair-coin', '--n', '8', '--k', '2']); "
         "heavy = {'dataclasses', 'concurrent.futures', 'multiprocessing'}; "
         "print(sorted(heavy & set(sys.modules)), rc)"
     )
@@ -718,7 +699,7 @@ START_MODULES = [
     ("lemma pythagoras --q 4,4 --k 2", {"cli", "cli_lemma", "counts", "marginal_sets"}),
     (
         "lemma dbound --q 4,4 --k 2",
-        {"cli", "cli_lemma", "counts", "marginal_sets", "lemma1", "definetti"},
+        {"cli", "cli_lemma", "counts", "marginal_sets", "definetti"},
     ),
 ]
 

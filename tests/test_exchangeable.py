@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     conditional_given_type,
+    oracle_block_laws,
     oracle_power_pmf,
     spread,
     string_index,
@@ -59,7 +60,7 @@ LAWS = Path(__file__).resolve().parent.parent / "laws"
 
 def spread_block_laws(law: UrnLaw, k: int, n: int | None = None) -> tuple[Pmf, Pmf]:
     """(P_k, M_k) of `block_laws` at n (law.n by default), each spread over A^k."""
-    (p, p_den), (q, q_den) = block_laws(law, k, law.n if n is None else n)
+    [((p, p_den), (q, q_den))] = block_laws(law, [(k, law.n if n is None else n)])
     return spread(law.m, k, p, p_den), spread(law.m, k, q, q_den)
 
 
@@ -165,7 +166,7 @@ def test_k1_marginal_equals_mixture_exactly():
     # sampling one coordinate from a histogram is the histogram itself
     for seed in (0, 1, 2):
         law = random_type_weight_law(3, 5, seed)
-        (p_1, p_den), (m_1, m_den) = block_laws(law, 1, law.n)
+        [((p_1, p_den), (m_1, m_den))] = block_laws(law, [(1, law.n)])
         assert [x * m_den for x in p_1] == [y * p_den for y in m_1]
 
 
@@ -393,7 +394,7 @@ def test_records_pickle_compare_and_stay_frozen():
     import pickle
 
     for record, same, different, field in _records():
-        # the verify --jobs pool ships laws and reports between processes
+        # records survive a pickle round trip
         back = pickle.loads(pickle.dumps(record))
         assert back == record and type(back) is type(record)
         assert record == same and hash(record) == hash(same)
@@ -483,12 +484,26 @@ def test_verify_divergence_matches_oracle_bit_for_bit(build):
 
 
 @pytest.mark.parametrize("build", FAMILY_LAWS)
+def test_one_pass_grid_matches_a_kernel_pass_per_k(build):
+    # every k grid drawn from 1..5, in both orders: the margins of one pass at
+    # the grid's largest k give the P_k and M_k of a pass at each k itself
+    law = build()
+    want = {k: oracle_block_laws(law, k, effective_n(law.n, k)) for k in range(1, 6)}
+    grids = [g for size in range(1, 6) for g in itertools.combinations(range(1, 6), size)]
+    for grid in grids + [g[::-1] for g in grids]:
+        got = block_laws(law, [(k, effective_n(law.n, k)) for k in grid])
+        for k, pair in zip(grid, got):
+            for (xs, x_den), (ys, y_den) in zip(pair, want[k]):
+                assert [x * y_den for x in xs] == [y * x_den for y in ys], (grid, k)
+
+
+@pytest.mark.parametrize("build", FAMILY_LAWS)
 def test_integer_rule_has_the_bits_of_the_spread_pmfs(build):
     # both directions: D(M_k || P_k) is +inf where P_k has zero numerators
     law = build()
     infinite = 0
     for k in range(1, 6):
-        (p, p_den), (q, q_den) = block_laws(law, k, law.n)
+        [((p, p_den), (q, q_den))] = block_laws(law, [(k, law.n)])
         p_pmf, q_pmf = spread(law.m, k, p, p_den), spread(law.m, k, q, q_den)
         cells = cell_index(law.m, k)
         for xs, x_den, ys, y_den, x_pmf, y_pmf in (
@@ -543,7 +558,7 @@ def test_restrict_law_matches_per_pair_oracle(build, n_sub):
         assert p_k.probs == oracle_marginal(law, k).probs, k
         assert m_k.probs == oracle_mixture_iid(work, k).probs, k
     with pytest.raises(ValueError):
-        block_laws(law, 1, law.n + 1)
+        block_laws(law, [(1, law.n + 1)])
 
 
 def test_verify_cell_makes_one_kernel_pass(monkeypatch):
