@@ -1010,7 +1010,7 @@ GOLDEN = [
     # help texts, wrapped at COLUMNS=80
     ("--help", "ab53581ded61e231d7aa9183bb21d03c1d9e99afa62824f81f50164d3d01c6a2"),
     ("types --help", "6948192a966a8a33827bff8a0fe164a1d073b7649c9c34f2181b9187a6040bf6"),
-    ("verify --help", "8a4b80782aba0e64668c30897ac9d832839d95579e4dff3df8f6cfe872e82d4e"),
+    ("verify --help", "539834fff3eb0632b34d340c871f05a39b52a15bc4acf4bda129933aff865730"),
     ("lemma --help", "5967b649eddd99e96e1fa0c262dd4d3946b62b9c7cc05bd1c364adacf16971b4"),
     ("gibbs --help", "06aaa3f49662539ec3ebc1aea8307472907952f470e5d5bdc9be1311f294d9df"),
 ]
