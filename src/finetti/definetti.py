@@ -200,7 +200,7 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
 
 def report_to_dict(report: VerificationReport) -> dict:
     """Flat JSON-ready view of a verification report."""
-    return {
+    out = {
         "n": report.n,
         "k": report.k,
         "m": report.m,
@@ -214,3 +214,4 @@ def report_to_dict(report: VerificationReport) -> dict:
         "binary_reference": report.binary_reference,
         "vacuous": report.params.vacuous,
     }
+    return out
