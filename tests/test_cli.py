@@ -392,8 +392,7 @@ def test_verify_grid_makes_one_kernel_pass_per_law_at_its_largest_k(monkeypatch,
     assert seen == [4, 4, 4]
 
 
-def test_verify_has_no_jobs_option(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_verify_has_no_jobs_option(capsys):
     code, out, err = run(["verify", "--family", "fair-coin", "--n", "8", "--k", "2", "--jobs", "2"], capsys)
     assert (code, out) == (EXIT_INPUT, "")
     assert err.splitlines()[-1] == "finetti: error: unrecognized arguments: --jobs 2"
