@@ -398,13 +398,14 @@ def test_verify_has_no_jobs_option(capsys):
     assert err.splitlines()[-1] == "finetti: error: unrecognized arguments: --jobs 2"
 
 
-def test_verify_type_weights_file_prints_its_family(capsys, tmp_path):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_type_weights_file_prints_its_family(capsys, tmp_path, seed):
     # a typeWeights file is read as its n-histograms at -1, the law the family builds
     from finetti.exchangeable import law_to_json, random_type_weight_law
 
     path = tmp_path / "law.json"
-    path.write_text(json.dumps(law_to_json(random_type_weight_law(2, 40, 5))))
-    family = ["--family", "random-type-weights", "--seed", "5", "--m", "2", "--n", "40"]
+    path.write_text(json.dumps(law_to_json(random_type_weight_law(2, 40, seed))))
+    family = ["--family", "random-type-weights", "--seed", str(seed), "--m", "2", "--n", "40"]
     want = run(["verify", *family, "--k", "2,3"], capsys)
     assert want[0] == EXIT_OK and len(want[1].splitlines()) == 2
     assert run(["verify", "--law", str(path), "--k", "2,3"], capsys) == want
@@ -619,6 +620,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "5 histograms" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "source, ns",
+    [
+        (["--family", "polya", "--init", "1,1,1"], ["24", "25"]),
+        (["--law", str(ROOT / "laws" / "mix.json")], ["200", "403"]),
+    ],
+    ids=["polya", "mix.json"],
+)
+def test_parallel_jobs_match_serial_for_urn_laws(capsys, source, ns):
+    # the grid reads every k of a law from one kernel pass; each (n, k) cell
+    # run alone must print the same line, in the grid's n-major order
+    code, grid, _ = run(["verify", *source, "--n", ",".join(ns), "--k", "2,3"], capsys)
+    assert code == EXIT_OK and len(grid.splitlines()) == 4
+    cells = [run(["verify", *source, "--n", n, "--k", k], capsys) for n in ns for k in ("2", "3")]
+    assert all(c == EXIT_OK for c, _, _ in cells)
+    assert "".join(out for _, out, _ in cells) == grid
 
 
 def test_dbound_rejects_a_bad_delta_before_the_walk(monkeypatch, capsys):
