@@ -927,6 +927,7 @@ GOLDEN = [
         "8afe43e884eee037514b5088e71e09e4af70e0d24fb693bc01112c950cb0f325",
     ),
     ("types --m 4 --n 12", "b4184004e6303c8409e44bd24e03f711d99df60145a236f1247e345cabc56a11"),
+    ("types --m 3 --n 20 --q 0,1/3,2/3", "f5d2e1e688af690c397de40aa1f37e281365e89c1f7eaed1965ae1ceeaf3caa9"),
     (
         "verify --law laws/mix.json --n 200,403 --k 2,3",
         "143d107c71ffb452bf7637a1065f0bf7f334b7c5b146007decae58f5db00954e",
