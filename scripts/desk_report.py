@@ -18,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
+from finetti.counts import TypeVector
 from finetti.definetti import (
     binary_reference_bound,
     convexity_chain_gap,
@@ -29,7 +30,7 @@ from finetti.gibbs import convergence_trace
 from finetti.lemma1 import lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
 from finetti.marginal_sets import conditional_mean_divergence
-from finetti.types_core import Pmf, TypeVector
+from finetti.types_core import Pmf
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,8 @@ def add_arguments(parser) -> None:
 def _build_law(args, n: int):
     """The family's law of n draws, an `UrnLaw`."""
     from .exchangeable import delta_type_law, iid_law, polya_urn_law, random_type_weight_law
-    from .types_core import Pmf, TypeVector
+    from .counts import TypeVector
+    from .types_core import Pmf
 
     fam = args.family
     if fam == "fair-coin":

@@ -5,8 +5,8 @@ a over a common denominator D (`power_numerators` gives Q^k from them), and
 every entropy, divergence and max-deviation the command line prints comes
 from integer numerators by one rule (`divergence_of_numerators`), one per
 block histogram where a law is constant on them (`types_core.cell_index`).
-`types_core` re-exports the cap names, `TypeVector`, `all_strings` and
-`occurrence_matrix`, so library callers may import them from either module.
+This module is the one home of the cap names, `TypeVector`, `count_types`,
+`all_strings` and `occurrence_matrix`.
 """
 
 from __future__ import annotations
@@ -67,24 +67,6 @@ class TypeVector(namedtuple("TypeVector", "counts")):
     @property
     def m(self) -> int:
         return len(self.counts)
-
-    def pmf(self):
-        """The `Pmf` counts / n (`types_core.type_to_pmf`)."""
-        from .types_core import type_to_pmf
-
-        return type_to_pmf(self)
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n, "counts": list(self.counts)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TypeVector":
-        tv = cls(tuple(obj["counts"]))
-        if "n" in obj and tv.n != obj["n"]:
-            raise ValueError(f"counts sum to {tv.n}, header says n={obj['n']}")
-        if "m" in obj and tv.m != obj["m"]:
-            raise ValueError(f"counts have {tv.m} cells, header says m={obj['m']}")
-        return tv
 
 
 def count_types(alphabet: int, n: int) -> int:

@@ -24,11 +24,9 @@ from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
 
+from .counts import TypeVector, check_cap, count_types
 from .types_core import (
     Pmf,
-    TypeVector,
-    check_cap,
-    count_types,
     integer_numerators,
     type_class_size,
     type_index_map,
@@ -44,7 +42,6 @@ __all__ = [
     "from_mixing_measure",
     "histogram_law",
     "iid_law",
-    "law_to_json",
     "polya_urn_law",
     "random_type_weight_law",
     "read_law",
@@ -261,20 +258,6 @@ def _parse_rational(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise ValueError(f"rationals must be integers or strings like '3/4', got {value!r}")
-
-
-def _format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
-def law_to_json(law: UrnLaw) -> dict:
-    """Serialisable form: nonzero histogram weights (`histogram_law`) as 'p/q' strings."""
-    entries = [
-        {"counts": list(t.counts), "w": _format_rational(w)}
-        for t, w in zip(type_list(law.m, law.n), histogram_law(law))
-        if w
-    ]
-    return {"m": law.m, "n": law.n, "typeWeights": entries}
 
 
 def read_law(obj, n: int | None = None) -> UrnLaw:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .counts import divergence_of_numerators, max_deviation_of_numerators
-from .types_core import TypeVector, cell_index, integer_numerators, urn_numerators
+from .counts import TypeVector, divergence_of_numerators, max_deviation_of_numerators
+from .types_core import cell_index, integer_numerators, urn_numerators
 
 __all__ = [
     "ConvergenceTrace",

@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .counts import (
     CapacityError,
+    TypeVector,
     check_cap,
     check_cells,
     count_types,
@@ -23,7 +24,7 @@ from .counts import (
     occurrence_matrix,
     power_numerators,
 )
-from .types_core import Pmf, TypeVector, integer_numerators, type_to_pmf
+from .types_core import Pmf, integer_numerators, type_to_pmf
 
 __all__ = ["MaxDivergenceResult", "max_divergence_over_E_k"]
 

@@ -1,15 +1,12 @@
 """Exact combinatorics of symbol histograms over finite alphabets.
 
 Everything in this module is computed with unbounded integers and
-`fractions.Fraction`, so counting identities and the classical histogram
-bounds can be asserted with equality instead of tolerances.  The quantities
-``e^(n*H(P))`` and ``e^(-n*D(P||Q))`` are rational for a histogram P of
-denominator n and rational Q, which is what makes the exact checks possible;
-helpers for both are provided.  The urn kernel (`urn_numerators`) gives the
+`fractions.Fraction`, so counting identities can be asserted with equality
+instead of tolerances.  The urn kernel (`urn_numerators`) gives the
 law of the first k draws from a weighted mixture of urns once per block
 histogram; every k-block law in the package comes from it.  The cap,
 `TypeVector` and the cells of A^k live in `finetti.counts`, which imports no
-`fractions`, and are re-exported here.
+`fractions`.
 """
 
 from __future__ import annotations
@@ -21,35 +18,20 @@ from itertools import accumulate
 from operator import getitem, mul
 
 from .counts import (
-    DEFAULT_ENUMERATION_CAP,
     TYPE_CACHE_SIZE,
-    CapacityError,
     TypeVector,
     _alphabet_size,
-    all_strings,
     check_cap,
     check_cells,
-    count_types,
     occurrence_matrix,
-    resolve_cap,
 )
 
 __all__ = [
-    "CapacityError",
-    "DEFAULT_ENUMERATION_CAP",
     "Pmf",
-    "TypeVector",
-    "all_strings",
     "cell_index",
-    "count_types",
     "empirical_type",
-    "enumerate_types",
-    "exp_n_entropy",
-    "exp_neg_n_divergence",
     "integer_numerators",
-    "occurrence_matrix",
     "sequence_probability_identity",
-    "type_class_probability",
     "type_class_size",
     "type_list",
     "type_index_map",
@@ -95,12 +77,6 @@ class Pmf(tuple):
     def __repr__(self) -> str:
         return f"Pmf({list(self)!r})"
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self) if p > 0)
-
-    def to_float(self) -> tuple[float, ...]:
-        return tuple(map(float, self))
-
     @classmethod
     def from_numerators(cls, nums: Sequence[int], den: int) -> "Pmf":
         """The pmf nums / den, checked in integers: nonnegative ints summing to den.
@@ -123,18 +99,6 @@ class Pmf(tuple):
             raise ValueError("size must be >= 1")
         return cls.from_numerators((1,) * size, size)
 
-    @classmethod
-    def point_mass(cls, size: int, index: int) -> "Pmf":
-        if not 0 <= index < size:
-            raise ValueError(f"index {index} outside 0..{size - 1}")
-        return cls.from_numerators([int(i == index) for i in range(size)], 1)
-
-    @classmethod
-    def from_weights(cls, weights: Sequence[int | Fraction]) -> "Pmf":
-        """Nonnegative exact weights scaled to sum to 1."""
-        nums, _ = integer_numerators(tuple(map(_rational, weights)))
-        return cls.from_numerators(nums, sum(nums))
-
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -148,19 +112,6 @@ def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(n + 1):
         for rest in _compositions(n - first, parts - 1):
             yield (first,) + rest
-
-
-def enumerate_types(alphabet: int, n: int, cap: int | None = None) -> Iterator[TypeVector]:
-    """All histograms of n-strings over the alphabet, in ascending count order.
-
-    The order is lexicographic on the count tuple, so (m=2, n=2) yields
-    (0,2), (1,1), (2,0).  Raises CapacityError up front if the total count
-    exceeds the enumeration cap.
-    """
-    m = _alphabet_size(alphabet)
-    check_cap(m, n, cap)
-    for counts in _compositions(n, m):
-        yield TypeVector(counts)
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
@@ -197,7 +148,7 @@ def cell_index(m: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# class sizes and probabilities
+# class sizes and histograms
 # ---------------------------------------------------------------------------
 
 
@@ -209,17 +160,6 @@ def type_class_size(t: TypeVector) -> int:
         size *= math.comb(remaining, c)
         remaining -= c
     return size
-
-
-def type_class_probability(t: TypeVector, q: Pmf) -> Fraction:
-    """Probability that n i.i.d. draws from q land in the class of t, exactly."""
-    if len(q) != t.m:
-        raise ValueError(f"pmf has {len(q)} entries, type has {t.m} cells")
-    prob = Fraction(type_class_size(t))
-    for c, p in zip(t.counts, q):
-        if c:
-            prob *= p**c
-    return prob
 
 
 def integer_numerators(probs: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
@@ -239,6 +179,34 @@ def empirical_type(x: Sequence[int], alphabet: int) -> TypeVector:
             raise ValueError(f"symbol {a!r} outside alphabet of size {m}")
         counts[a] += 1
     return TypeVector(tuple(counts))
+
+
+def sequence_probability_identity(x: Sequence[int], q) -> tuple:
+    """Both sides of the product-form identity for i.i.d. string probabilities.
+
+    Returns (lhs, rhs) where lhs is the direct per-symbol product q(x_1)...q(x_n)
+    and rhs re-expresses it through the histogram of x.  For a `Pmf` q, rhs is
+    the log-free rearrangement prod_a q(a)^counts[a] and the two agree as exact
+    rationals.  For any other sequence of probabilities, such as a tuple of
+    floats, rhs is exp(-n*(H + D)) evaluated through logarithms; a zero q(a)
+    hit by x raises ValueError there.
+    """
+    t = empirical_type(x, len(q))
+    lhs = math.prod(q[a] for a in x)
+    if isinstance(q, Pmf):
+        return lhs, math.prod(p**c for c, p in zip(t.counts, q) if c)
+    n = t.n
+    ent = 0.0
+    div = 0.0
+    for c, p in zip(t.counts, q):
+        if not c:
+            continue
+        if p <= 0.0:
+            raise ValueError("zero probability symbol occurs in x; log form undefined")
+        frac = c / n
+        ent -= frac * math.log(frac)
+        div += frac * math.log(frac / p)
+    return lhs, math.exp(-n * (ent + div))
 
 
 def type_to_pmf(t: TypeVector) -> Pmf:
@@ -271,61 +239,3 @@ def urn_numerators(urns, k: int, step: int, cap: int | None = None) -> tuple[lis
         for i, u in enumerate(blocks):
             numerators[i] += w * math.prod(map(getitem, draws, u.counts))
     return numerators, sum(w for _, w in urns) * math.prod(n + j * step for j in range(k))
-
-
-# ---------------------------------------------------------------------------
-# exact exponential-scale helpers
-# ---------------------------------------------------------------------------
-
-
-def exp_n_entropy(t: TypeVector) -> Fraction:
-    """e^(n*H(t/n)) as an exact rational: n^n / prod_a counts[a]^counts[a]."""
-    n = t.n
-    denom = 1
-    for c in t.counts:
-        if c:
-            denom *= c**c
-    return Fraction(n**n, denom)
-
-
-def exp_neg_n_divergence(t: TypeVector, q: Pmf) -> Fraction:
-    """e^(-n*D(t/n || q)) as an exact rational; 0 when q misses support of t."""
-    if len(q) != t.m:
-        raise ValueError(f"pmf has {len(q)} entries, type has {t.m} cells")
-    n = t.n
-    out = Fraction(1)
-    for c, p in zip(t.counts, q):
-        if not c:
-            continue
-        if p == 0:
-            return Fraction(0)
-        out *= (Fraction(n) * p / c) ** c
-    return out
-
-
-def sequence_probability_identity(x: Sequence[int], q) -> tuple:
-    """Both sides of the product-form identity for i.i.d. string probabilities.
-
-    Returns (lhs, rhs) where lhs is the direct per-symbol product q(x_1)...q(x_n)
-    and rhs re-expresses it through the histogram of x.  For a `Pmf` q, rhs is
-    the log-free rearrangement prod_a q(a)^counts[a] and the two agree as exact
-    rationals.  For any other sequence of probabilities, such as
-    `Pmf.to_float()`, rhs is exp(-n*(H + D)) evaluated through logarithms; a
-    zero q(a) hit by x raises ValueError there.
-    """
-    t = empirical_type(x, len(q))
-    lhs = math.prod(q[a] for a in x)
-    if isinstance(q, Pmf):
-        return lhs, math.prod(p**c for c, p in zip(t.counts, q) if c)
-    n = t.n
-    ent = 0.0
-    div = 0.0
-    for c, p in zip(t.counts, q):
-        if not c:
-            continue
-        if p <= 0.0:
-            raise ValueError("zero probability symbol occurs in x; log form undefined")
-        frac = c / n
-        ent -= frac * math.log(frac)
-        div += frac * math.log(frac / p)
-    return lhs, math.exp(-n * (ent + div))

@@ -1,7 +1,10 @@
 """Per-string reference functions that the kernels are checked against.
 
 The package evaluates k-block laws once per block histogram; these work one
-string at a time, straight from the definitions.
+string at a time, straight from the definitions.  The method-of-types
+bounds as exact rationals, the reference for `finetti types`, live here
+too, with two builders the tests use: a `Pmf` from weights and a
+typeWeights law file.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from itertools import accumulate, product
 from operator import mul
 from typing import Sequence
 
+from finetti.counts import TypeVector, all_strings, occurrence_matrix
+from finetti.exchangeable import histogram_law
 from finetti.types_core import (
     Pmf,
-    TypeVector,
-    all_strings,
-    occurrence_matrix,
+    integer_numerators,
+    type_class_size,
     type_index_map,
     type_list,
     urn_numerators,
@@ -39,6 +43,50 @@ def oracle_power_pmf(q: Sequence[Fraction], k: int) -> Pmf:
             prob *= q[a]
         entries.append(prob)
     return Pmf(tuple(entries))
+
+
+def pmf_from_weights(weights: Sequence[int | Fraction]) -> Pmf:
+    """Nonnegative exact weights scaled to sum to 1."""
+    nums, _ = integer_numerators(weights)
+    return Pmf.from_numerators(nums, sum(nums))
+
+
+def type_weights_file(law) -> dict:
+    """A law as a typeWeights law file: its nonzero n-histogram weights as 'p/q' strings."""
+    entries = [
+        {"counts": list(t.counts), "w": f"{w.numerator}/{w.denominator}"}
+        for t, w in zip(type_list(law.m, law.n), histogram_law(law))
+        if w
+    ]
+    return {"m": law.m, "n": law.n, "typeWeights": entries}
+
+
+# ---------------------------------------------------------------------------
+# the method of types as exact rationals: the reference for `finetti types`
+# ---------------------------------------------------------------------------
+
+
+def type_class_probability(t: TypeVector, q: Pmf) -> Fraction:
+    """Probability that n i.i.d. draws from q land in the class of t, exactly."""
+    prob = Fraction(type_class_size(t))
+    for c, p in zip(t.counts, q):
+        if c:
+            prob *= p**c
+    return prob
+
+
+def exp_n_entropy(t: TypeVector) -> Fraction:
+    """e^(n*H(t/n)) as an exact rational: n^n / prod_a counts[a]^counts[a]."""
+    return Fraction(t.n**t.n, math.prod(c**c for c in t.counts))
+
+
+def exp_neg_n_divergence(t: TypeVector, q: Pmf) -> Fraction:
+    """e^(-n*D(t/n || q)) as an exact rational; 0 when q misses the support of t."""
+    out = Fraction(1)
+    for c, p in zip(t.counts, q):
+        if c:
+            out *= (Fraction(t.n) * p / c) ** c
+    return out
 
 
 def string_index(s: Sequence[int], m: int) -> int:

@@ -8,33 +8,33 @@ evaluation of the closed forms) and are asserted at the stated tolerances.
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 import math
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
+from finetti.cli import EXIT_OK, main
+from finetti.counts import TypeVector, count_types
 from finetti.definetti import theorem_constants, verify_theorem
 from finetti.exchangeable import iid_law, polya_urn_law, random_type_weight_law
 from finetti.gibbs import convergence_trace
-from finetti.info_measures import entropy, pinsker_gap, relative_entropy
+from finetti.info_measures import pinsker_gap, relative_entropy
 from finetti.lemma1 import lemma1_constant, lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
 from finetti.marginal_sets import conditional_mean_divergence, pythagorean_scan
-from finetti.types_core import (
-    Pmf,
-    TypeVector,
-    count_types,
-    enumerate_types,
+from finetti.types_core import Pmf, sequence_probability_identity, type_list, type_to_pmf
+from oracles import (
     exp_n_entropy,
     exp_neg_n_divergence,
-    sequence_probability_identity,
+    marginal_residuals,
+    oracle_power_pmf,
+    oracle_walk,
     type_class_probability,
-    type_class_size,
-    type_to_pmf,
 )
-from oracles import marginal_residuals, oracle_power_pmf, oracle_walk
 
 
 @contextmanager
@@ -61,6 +61,17 @@ def random_rational_pmf(rng: random.Random, m: int) -> Pmf:
     return Pmf(tuple(Fraction(x, sum(w)) for x in w))
 
 
+def types_rows(m: int, n: int, q: Pmf | None) -> dict:
+    """The payload `finetti types --format json` prints for (m, n) and q, uniform when None."""
+    args = ["types", "--m", str(m), "--n", str(n), "--format", "json"]
+    if q is not None:
+        args += ["--q", ",".join(f"{p.numerator}/{p.denominator}" for p in q)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(args) == EXIT_OK
+    return json.loads(out.getvalue())
+
+
 def test_criterion_01_exact_type_suite():
     with criterion(1, "exact histogram bounds and normalization", 10.0) as info:
         checked = 0
@@ -69,21 +80,29 @@ def test_criterion_01_exact_type_suite():
             for n in range(1, 13):
                 qs = [Pmf.uniform(m)] + [random_rational_pmf(rng, m) for _ in range(2)]
                 assert count_types(m, n) <= (n + 1) ** m
-                totals = [Fraction(0) for _ in qs]
-                for t in enumerate_types(m, n):
-                    size = type_class_size(t)
-                    growth = exp_n_entropy(t)
-                    assert size <= growth
-                    assert growth <= size * (n + 1) ** m
-                    for j, q in enumerate(qs):
-                        p = type_class_probability(t, q)
+                for j, q in enumerate(qs):
+                    payload = types_rows(m, n, q if j else None)
+                    assert payload["pass"]
+                    assert [Fraction(p["rational"]) for p in payload["q"]] == list(q)
+                    rows = payload["types"]
+                    assert len({tuple(r["counts"]) for r in rows}) == len(rows) == count_types(m, n)
+                    total = Fraction(0)
+                    for row in rows:
+                        # the printed size and probability, against the exact bounds
+                        t = TypeVector(row["counts"])
+                        assert (t.m, t.n) == (m, n)
+                        size, p = row["size"], Fraction(row["probability"]["rational"])
+                        growth = exp_n_entropy(t)
+                        assert size <= growth <= size * (n + 1) ** m
                         scale = exp_neg_n_divergence(t, q)
-                        assert p <= scale
-                        assert scale <= p * (n + 1) ** m
-                        totals[j] += p
-                    checked += 1
-                assert all(total == 1 for total in totals)
-        info["note"] = f"{checked} histograms, all bounds exact"
+                        assert p == type_class_probability(t, q)
+                        assert p <= scale <= p * (n + 1) ** m
+                        assert row["size_bounds_ok"] and row["probability_bounds_ok"]
+                        total += p
+                        checked += 1
+                    assert total == 1
+                    assert sum(r["size"] for r in rows) == m**n
+        info["note"] = f"{checked} printed rows of finetti types, all bounds exact"
 
 
 def test_criterion_02_sequence_probability_identity():
@@ -95,7 +114,7 @@ def test_criterion_02_sequence_probability_identity():
             for n in range(1, 9):
                 for _ in range(20):
                     q = random_rational_pmf(rng, m)
-                    qf = q.to_float()
+                    qf = tuple(map(float, q))
                     for x in itertools.product(range(m), repeat=n):
                         lhs, rhs = sequence_probability_identity(x, q)
                         assert lhs == rhs
@@ -165,7 +184,7 @@ def test_criterion_06_max_divergence_oracle():
     with criterion(6, "vertex maximum within k log n", 60.0) as info:
         cells = 0
         for n in range(1, 13):
-            for t in enumerate_types(2, n):
+            for t in type_list(2, n):
                 for k in (1, 2, 3):
                     r = max_divergence_over_E_k(t, k)
                     assert r.value <= k * math.log(n) + 1e-12
@@ -182,7 +201,7 @@ def test_criterion_07_pythagorean_identity():
         uniform = Pmf.uniform(4)
         for ell in range(1, 21):
             n = 2 * ell
-            for q in enumerate_types(2, n):
+            for q in type_list(2, n):
                 qk = oracle_power_pmf(type_to_pmf(q), 2)
                 d_qu = relative_entropy(qk, uniform)
                 oracle = oracle_walk(q, 2, ell)

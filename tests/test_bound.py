@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finetti.counts import TypeVector
 from finetti.definetti import (
     BoundParams,
     binary_reference_bound,
@@ -24,7 +25,7 @@ from finetti.exchangeable import (
     polya_urn_law,
     random_type_weight_law,
 )
-from finetti.types_core import Pmf, TypeVector
+from finetti.types_core import Pmf
 
 
 def test_constants_frozen_point_k1():

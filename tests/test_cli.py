@@ -20,14 +20,13 @@ from finetti.cli import (
     EXIT_VIOLATION,
     main,
 )
-from finetti.types_core import (
-    Pmf,
-    count_types,
-    enumerate_types,
+from finetti.counts import count_types
+from finetti.types_core import Pmf, type_class_size, type_list
+from oracles import (
     exp_n_entropy,
     exp_neg_n_divergence,
     type_class_probability,
-    type_class_size,
+    type_weights_file,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -401,10 +400,10 @@ def test_verify_has_no_jobs_option(capsys):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_verify_type_weights_file_prints_its_family(capsys, tmp_path, seed):
     # a typeWeights file is read as its n-histograms at -1, the law the family builds
-    from finetti.exchangeable import law_to_json, random_type_weight_law
+    from finetti.exchangeable import random_type_weight_law
 
     path = tmp_path / "law.json"
-    path.write_text(json.dumps(law_to_json(random_type_weight_law(2, 40, seed))))
+    path.write_text(json.dumps(type_weights_file(random_type_weight_law(2, 40, seed))))
     family = ["--family", "random-type-weights", "--seed", str(seed), "--m", "2", "--n", "40"]
     want = run(["verify", *family, "--k", "2,3"], capsys)
     assert want[0] == EXIT_OK and len(want[1].splitlines()) == 2
@@ -842,7 +841,7 @@ def fraction_types_payload(m: int, n: int, q: Pmf) -> dict:
         return {"rational": f"{value.numerator}/{value.denominator}", "decimal": float(value)}
 
     rows, total, size_sum, violations = [], Fraction(0), 0, 0
-    for t in enumerate_types(m, n):
+    for t in type_list(m, n):
         size = type_class_size(t)
         prob = type_class_probability(t, q)
         growth = exp_n_entropy(t)
@@ -899,6 +898,25 @@ def test_types_rows_match_the_fraction_form(capsys, m, n, q):
         missed = [r for r in want["types"] if r["probability"]["rational"] == "0/1"]
         assert missed and all(r["probability_bounds_ok"] for r in missed)
     assert all(r["size_bounds_ok"] for r in want["types"])
+
+
+def test_types_text_builds_no_rows(monkeypatch, capsys):
+    # only JSON prints the per-histogram rows, so a text run makes none of them
+    import finetti.cli_types as cli_types
+
+    calls = []
+    real = cli_types._rational_pair
+
+    def spy(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(cli_types, "_rational_pair", spy)
+    code, out, _ = run(["types", "--m", "3", "--n", "20", "--q", "0,1/3,2/3"], capsys)
+    assert code == EXIT_OK and out.startswith("types m=3 n=20: 231 histograms\n")
+    assert calls == []
+    code, out, _ = run(["types", "--m", "3", "--n", "20", "--q", "0,1/3,2/3", "--format", "json"], capsys)
+    assert code == EXIT_OK and len(calls) == 3 + 231
 
 
 # ---------------------------------------------------------------------------

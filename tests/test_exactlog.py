@@ -18,8 +18,9 @@ from exactlog import (
     prime_basis_gaps,
     relative_entropy_combination,
 )
+from finetti.counts import TypeVector, all_strings
 from finetti.info_measures import entropy, relative_entropy
-from finetti.types_core import TypeVector, all_strings, enumerate_types, type_to_pmf
+from finetti.types_core import type_list, type_to_pmf
 from oracles import marginal_residuals, oracle_walk
 
 
@@ -245,7 +246,7 @@ def test_prime_basis_certifies_every_member_at_the_criterion_07_points():
     # term by term, with no use of the lemma behind the residual
     members = 0
     for ell in range(1, 21):
-        for q in enumerate_types(2, 2 * ell):
+        for q in type_list(2, 2 * ell):
             qp = type_to_pmf(q).probs
             for counts in oracle_walk(q, 2, ell):
                 assert not any(marginal_residuals(counts, q, 2))
@@ -283,7 +284,7 @@ def test_prime_basis_gap_off_the_set_is_the_lemma(q, k, ell):
     # k * sum (Wbar - q) log q and its negative: the lemma itself
     m = len(q)
     offset = 0
-    for t in enumerate_types(m**k, ell):
+    for t in type_list(m**k, ell):
         w = type_to_pmf(t).probs
         pythagoras, entropy_form = prime_basis_gaps(w, q, k)
         lemma = lemma_sum(w, q, k)

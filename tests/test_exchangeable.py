@@ -18,12 +18,21 @@ from oracles import (
     conditional_given_type,
     oracle_block_laws,
     oracle_power_pmf,
+    pmf_from_weights,
     spread,
     string_index,
+    type_class_probability,
+    type_weights_file,
     urn_draw_probability,
 )
 
-from finetti.counts import divergence_of_numerators, max_deviation_of_numerators
+from finetti.counts import (
+    CapacityError,
+    TypeVector,
+    all_strings,
+    divergence_of_numerators,
+    max_deviation_of_numerators,
+)
 from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
     MixingMeasure,
@@ -33,7 +42,6 @@ from finetti.exchangeable import (
     from_mixing_measure,
     histogram_law,
     iid_law,
-    law_to_json,
     polya_urn_law,
     random_type_weight_law,
     read_law,
@@ -42,16 +50,13 @@ from finetti.exchangeable import (
 from finetti.gibbs import conditional_block_law
 from finetti.info_measures import max_abs_deviation, relative_entropy
 from finetti.types_core import (
-    CapacityError,
     Pmf,
-    TypeVector,
-    all_strings,
     cell_index,
     empirical_type,
-    type_class_probability,
     type_class_size,
     type_index_map,
     type_list,
+    type_to_pmf,
     urn_numerators,
 )
 
@@ -97,7 +102,7 @@ def test_marginal_matches_brute_force():
     rng = random.Random(11)
     for m, n in ((2, 5), (3, 4)):
         weights = [rng.randrange(1, 9) for _ in type_list(m, n)]
-        law = type_weight_law(m, n, Pmf.from_weights(weights))
+        law = type_weight_law(m, n, pmf_from_weights(weights))
         for k in range(1, n + 1):
             got = marginal(law, k)
             want = brute_marginal(law, k)
@@ -147,13 +152,13 @@ def test_iid_marginal_is_product():
 def test_mixture_iid_matches_direct_integral():
     rng = random.Random(3)
     weights = [rng.randrange(1, 7) for _ in type_list(2, 5)]
-    law = type_weight_law(2, 5, Pmf.from_weights(weights))
+    law = type_weight_law(2, 5, pmf_from_weights(weights))
     k = 2
     mix = spread_block_laws(law, k)[1]
     # direct: sum_T w(T) * (T/n)^k as a product over coordinates
     want = [Fraction(0)] * 4
     for t, w in histograms(law):
-        p = t.pmf()
+        p = type_to_pmf(t)
         for i, s in enumerate(all_strings(2, k)):
             term = Fraction(w)
             for a in s:
@@ -216,7 +221,7 @@ def test_restrict_law_is_marginal_consistent():
     # verify_theorem reads P_k from the unrestricted law
     rng = random.Random(99)
     weights = [rng.randrange(1, 9) for _ in type_list(2, 6)]
-    law = type_weight_law(2, 6, Pmf.from_weights(weights))
+    law = type_weight_law(2, 6, pmf_from_weights(weights))
     small = oracle_restrict_law(law, 4)
     assert small.n == 4
     for k in range(1, 5):
@@ -295,7 +300,7 @@ def test_from_mixing_measure_matches_the_fraction_sum(name):
 
 def test_law_json_round_trip():
     law = polya_urn_law((1, 3), 5)
-    blob = json.dumps(law_to_json(law))
+    blob = json.dumps(type_weights_file(law))
     back = read_law(blob)
     assert back.m == law.m and back.n == law.n
     assert histogram_law(back).probs == histogram_law(law).probs
@@ -313,7 +318,7 @@ def test_law_json_mixing_needs_n():
 
 
 def test_law_json_rejects_mismatched_n():
-    typed = json.dumps(law_to_json(polya_urn_law((1, 1), 4)))
+    typed = json.dumps(type_weights_file(polya_urn_law((1, 1), 4)))
     mixing = json.dumps({"n": 4, "mixing": [{"pmf": ["1/2", "1/2"], "w": "1"}]})
     for blob in (typed, mixing):
         assert read_law(blob, n=4).n == 4
@@ -435,7 +440,7 @@ def oracle_marginal(law: UrnLaw, k: int) -> Pmf:
 def oracle_mixture_iid(source, k: int) -> Pmf:
     """M_k one string at a time: sum over atoms of w * prod q(s_i)."""
     if isinstance(source, UrnLaw):
-        atoms = [(t.pmf(), w) for t, w in histograms(source) if w]
+        atoms = [(type_to_pmf(t), w) for t, w in histograms(source) if w]
     else:
         atoms = [(q, w) for q, w in source.atoms if w]
     entries = []
@@ -756,7 +761,7 @@ def kernel_histogram_law(law: UrnLaw) -> Pmf:
 
 def test_histogram_law_of_full_urns_matches_the_kernel_pass(tmp_path):
     typed = tmp_path / "typed.json"
-    typed.write_text(json.dumps(law_to_json(polya_urn_law((1, 2), 7))))
+    typed.write_text(json.dumps(type_weights_file(polya_urn_law((1, 2), 7))))
     laws = [
         random_type_weight_law(2, 400, 5),
         random_type_weight_law(3, 40, 2),
@@ -771,7 +776,7 @@ def test_histogram_law_of_full_urns_matches_the_kernel_pass(tmp_path):
     assert histogram_law(part) == kernel_histogram_law(part)
 
 
-def test_law_to_json_of_full_urns_runs_no_kernel_pass_at_n(monkeypatch):
+def test_histogram_law_of_full_urns_runs_no_kernel_pass_at_n(monkeypatch):
     import finetti.exchangeable as ex
 
     passes = []
@@ -782,6 +787,9 @@ def test_law_to_json_of_full_urns_runs_no_kernel_pass_at_n(monkeypatch):
         return real(urns, k, *args, **kwargs)
 
     monkeypatch.setattr(ex, "urn_numerators", spy)
-    blob = law_to_json(random_type_weight_law(2, 400, 5))
-    assert 400 not in passes
-    assert len(blob["typeWeights"]) == 401
+    law = random_type_weight_law(2, 400, 5)
+    weights = histogram_law(law)
+    assert passes == []
+    # each of the 401 urns is its own n-histogram, in type order, with its seeded weight
+    nums = [w for _, w in law.urns]
+    assert len(nums) == 401 and weights == Pmf.from_numerators(nums, sum(nums))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finetti.counts import TypeVector, all_strings
 from finetti.gibbs import (
     TracePoint,
     conditional_block_law,
@@ -17,13 +18,7 @@ from finetti.gibbs import (
     trace_to_csv,
 )
 from finetti.info_measures import max_abs_deviation, relative_entropy
-from finetti.types_core import (
-    Pmf,
-    TypeVector,
-    all_strings,
-    enumerate_types,
-    type_to_pmf,
-)
+from finetti.types_core import Pmf, type_list, type_to_pmf
 from oracles import oracle_power_pmf, spread
 
 
@@ -117,7 +112,7 @@ def test_trace_max_deviation_tracks_rounding():
 def test_block_law_k1_is_type_pmf():
     for m in (2, 3):
         for n in range(1, 13):
-            for t in enumerate_types(m, n):
+            for t in type_list(m, n):
                 assert block_pmf(t, 1).probs == type_to_pmf(t).probs
 
 

@@ -15,22 +15,12 @@ from hypothesis import strategies as st
 import finetti.lemma1 as lemma1
 import finetti.lemma3 as lemma3
 import finetti.marginal_sets as ms
+from finetti.counts import CapacityError, TypeVector, all_strings, occurrence_matrix, resolve_cap
 from finetti.info_measures import entropy, l1_distance, max_abs_deviation, relative_entropy
 from finetti.lemma1 import lemma1_constant, lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
 from finetti.marginal_sets import conditional_mean_divergence, partition_tail_bound
-from finetti.types_core import (
-    CapacityError,
-    Pmf,
-    TypeVector,
-    all_strings,
-    enumerate_types,
-    integer_numerators,
-    occurrence_matrix,
-    resolve_cap,
-    type_class_size,
-    type_to_pmf,
-)
+from finetti.types_core import Pmf, integer_numerators, type_class_size, type_list, type_to_pmf
 from oracles import marginal_residuals, oracle_power_pmf, oracle_walk
 
 
@@ -47,7 +37,7 @@ def numerators(q) -> tuple[tuple[int, ...], int]:
 
 def filter_members(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
     """Oracle: all block histograms, filtered by the integer marginal residuals."""
-    histograms = enumerate_types(q.m**k, ell)
+    histograms = type_list(q.m**k, ell)
     return [t.counts for t in histograms if not any(marginal_residuals(t.counts, q, k))]
 
 
@@ -113,7 +103,7 @@ def test_enumeration_matches_filter_oracle_spot():
     # walk yields each class total vector once, in ascending order
     for m, k, ell in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
         n = k * ell
-        for q in enumerate_types(m, n):
+        for q in type_list(m, n):
             walk = list(ms._lattice_walk(*numerators(q), k, ell, None))
             assert walk == sorted({class_totals(c, m, k) for c in filter_members(q, k, ell)})
 
@@ -314,7 +304,7 @@ def oracle_max_divergence_exact(q: TypeVector, k: int) -> tuple[float, Pmf, int]
 def test_max_divergence_matches_cell_level_oracle(m, k, n_max):
     # one column per block histogram finds the same vertices as every cell
     for n in range(1, n_max + 1):
-        for q in enumerate_types(m, n):
+        for q in type_list(m, n):
             r = max_divergence_over_E_k(q, k)
             value, witness, candidates = oracle_max_divergence_exact(q, k)
             assert r.value.hex() == value.hex(), q
@@ -643,7 +633,7 @@ SMALL_LATTICES = [(2, 1, 7), (2, 2, 6), (2, 3, 4), (3, 1, 4), (3, 2, 3), (3, 3, 
 
 def small_lattice_types():
     for m, k, ell in SMALL_LATTICES:
-        for q in enumerate_types(m, k * ell):
+        for q in type_list(m, k * ell):
             yield q, k, ell
 
 
@@ -905,7 +895,7 @@ def cell_walk_pythagorean_scan(q: TypeVector, k: int, ell: int) -> tuple[int, Ty
 def test_orbit_scan_matches_cell_walk_scan():
     seen = set()
     for m, k, ell in SMALL_LATTICES + [(2, 2, 7), (2, 4, 2), (4, 2, 2)]:
-        for q in enumerate_types(m, k * ell):
+        for q in type_list(m, k * ell):
             want = cell_walk_pythagorean_scan(q, k, ell)
             assert ms.pythagorean_scan(q, k, ell) == want, (q, k, ell)
             on_lattice = all((ell * p).denominator == 1 for p in oracle_power_pmf(type_to_pmf(q), k))
