@@ -1044,6 +1044,32 @@ GOLDEN = [
         "verify --family fair-coin --n 1000 --k 12",
         "ec0f39f648a6c0cf47d7b97286a233bb84581a6f2c2c3904927f568216c9db2b",
     ),
+    # rational spellings: Fraction(str) reads decimals, exponents and underscores
+    (
+        "types --m 2 --n 3 --q 0.25,0.75 --format json",
+        "32f2c36e3de5cd79d191dd51b9805862564930ddedffa81823e53820ed932d84",
+    ),
+    (
+        "types --m 2 --n 3 --q 1_0/2_0,1/2 --format json",
+        "0c4122c281eee1c6342c4faff1bae9a45e9d29d3a8bad024f81d828863888d29",
+    ),
+    (
+        "gibbs --target 5e-1,0.5 --k 2 --n 4,8 --threshold 0.1",
+        "ed11c1cb9a575575d6b40727ad4595cd43d7e7ebcddd471366f9397a0a2ca7b3",
+    ),
+    (
+        "verify --family biased --p 0.3 --n 20 --k 2",
+        "72aa9965d00bf3962b6f1afd33977569f852e515a66a1f9da49eb59db6626a41",
+    ),
+    # laws/mix.json with its entries written as decimals: the same law, the same bytes
+    (
+        "verify --law laws/mix_decimal.json --n 40,41 --k 2,3",
+        "72ce89ba7051287376628db4a425f7d011ef32e8964a5c4669ba5b518b56ba7c",
+    ),
+    (
+        "verify --law laws/mix.json --n 40,41 --k 2,3",
+        "72ce89ba7051287376628db4a425f7d011ef32e8964a5c4669ba5b518b56ba7c",
+    ),
     # help texts, wrapped at COLUMNS=80
     ("--help", "ab53581ded61e231d7aa9183bb21d03c1d9e99afa62824f81f50164d3d01c6a2"),
     ("types --help", "6948192a966a8a33827bff8a0fe164a1d073b7649c9c34f2181b9187a6040bf6"),
@@ -1140,3 +1166,34 @@ Q_ERRORS = [
 @pytest.mark.parametrize("command, stderr", Q_ERRORS, ids=[c for c, _ in Q_ERRORS])
 def test_q_errors_are_pinned(capsys, command, stderr):
     assert run(command.split(), capsys) == (EXIT_INPUT, "", stderr)
+
+
+# pmf errors: each pmf is checked where it enters, with these messages
+PMF_ERRORS = [
+    ("types --m 2 --n 4 --q 1/2,1/3", "error: pmf sums to 5/6, not 1\n"),
+    ("types --m 2 --n 4 --q=-1/2,3/2", "error: negative probability\n"),
+    ("gibbs --target 0.5,0.6 --k 2 --n 4", "error: pmf sums to 11/10, not 1\n"),
+    ("gibbs --target 3/2,-1/2 --k 2 --n 4", "error: negative probability\n"),
+    ("verify --family biased --p 3/2 --n 4 --k 2", "error: --p must lie in [0, 1], got 3/2\n"),
+    (
+        "verify --law {mixing} --n 4 --k 2",
+        "error: pmf sums to 5/6, not 1\n",
+    ),
+    (
+        "verify --law {negative} --n 4 --k 2",
+        "error: negative probability\n",
+    ),
+]
+PMF_ERROR_FILES = {
+    "mixing": {"mixing": [{"pmf": ["1/2", "1/3"], "w": "1"}]},
+    "negative": {"mixing": [{"pmf": ["0.5", "0.5"], "w": "1/2"}, {"pmf": ["-1", "2"], "w": "1/2"}]},
+}
+
+
+@pytest.mark.parametrize("command, stderr", PMF_ERRORS, ids=[c for c, _ in PMF_ERRORS])
+def test_pmf_errors_are_pinned(tmp_path, capsys, command, stderr):
+    files = {}
+    for name, law in PMF_ERROR_FILES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(law))
+    assert run(command.format(**files).split(), capsys) == (EXIT_INPUT, "", stderr)
