@@ -16,9 +16,8 @@ import argparse
 import math
 import sys
 import time
-from fractions import Fraction
 
-from finetti.counts import TypeVector
+from finetti.counts import TypeVector, pmf_numerators
 from finetti.definetti import (
     binary_reference_bound,
     convexity_chain_gap,
@@ -30,7 +29,6 @@ from finetti.gibbs import convergence_trace
 from finetti.lemma1 import lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
 from finetti.marginal_sets import conditional_mean_divergence
-from finetti.types_core import Pmf
 
 
 def main(argv=None) -> int:
@@ -50,7 +48,7 @@ def main(argv=None) -> int:
     print(f"  two-symbol reference bound = {binary_reference_bound(n, k):.9f}")
     print()
 
-    fair = Pmf((Fraction(1, 2), Fraction(1, 2)))
+    fair = TypeVector((1, 1))
     families = [("fair-coin iid", iid_law(fair, n)), ("polya(1,1)", polya_urn_law((1, 1), n))]
     families += [
         (f"random weights seed={s}", random_type_weight_law(2, n, s))
@@ -109,7 +107,7 @@ def main(argv=None) -> int:
         )
     print()
 
-    trace = convergence_trace(fair, k, tuple(k * 2**j for j in (1, 3, 5, 7)))
+    trace = convergence_trace(pmf_numerators(fair), k, tuple(k * 2**j for j in (1, 3, 5, 7)))
     print("block-law trace toward the product (n, divergence):")
     for point in trace.points:
         print(f"  n={point.n:>4}  D = {point.divergence:.3e}")

@@ -1,10 +1,11 @@
 """Exact type-class machinery and finite mixture approximation for exchangeable laws.
 
 The package namespace is empty: import from the submodules (``finetti.counts``,
-``finetti.types_core``, ``finetti.exchangeable``, ``finetti.info_measures``,
-``finetti.definetti``, ``finetti.marginal_sets``, ``finetti.lemma1``,
-``finetti.lemma3``, ``finetti.gibbs``, ``finetti.cli``), so that a command
-line start loads only what its subcommand runs.
+``finetti.types_core``, ``finetti.exchangeable``, ``finetti.definetti``,
+``finetti.marginal_sets``, ``finetti.lemma1``, ``finetti.lemma3``,
+``finetti.gibbs``, ``finetti.cli``), so that a command line start loads only
+what its subcommand runs.  A pmf is one record throughout: integer
+numerators over their least common denominator (``counts.pmf_numerators``).
 """
 
 __version__ = "0.1.0"

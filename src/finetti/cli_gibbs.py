@@ -14,10 +14,10 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> int:
+    from .counts import pmf_numerators
     from .gibbs import convergence_trace, trace_to_csv
-    from .types_core import Pmf
 
-    target = Pmf(_parse_rational_list(args.target))
+    target = pmf_numerators(_parse_rational_list(args.target))
     n_values = _parse_int_list(args.n)
     trace = convergence_trace(target, args.k, n_values)
     _emit(trace_to_csv(trace).splitlines(), args.out)

@@ -1,8 +1,9 @@
 """``finetti lemma``: the supporting oracles lemma1, lemma3, dbound and pythagoras.
 
 Each branch imports only what its lemma runs: lemma1 loads `finetti.lemma1`,
-dbound and pythagoras load `finetti.marginal_sets`, and only lemma3 loads
-the `Fraction` vertex search of `finetti.lemma3`.
+dbound and pythagoras load `finetti.marginal_sets`, and lemma3 loads the
+vertex search of `finetti.lemma3`.  Every branch reads --q as integer counts,
+so no lemma start loads `fractions`.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ def run(args) -> int:
         )
         limit = args.k * math.log(q.n)
         ok = result.value <= limit + 1e-12
+        nums, den = result.witness
         payload = {
             "lemma": "lemma3",
             "m": q.m,
@@ -108,7 +110,7 @@ def run(args) -> int:
             "mode": result.mode,
             "max_divergence": result.value,
             "bound": limit,
-            "witness": [float(p) for p in result.witness.probs],
+            "witness": [x / den for x in nums],
             "candidates": result.candidates,
             "pass": ok,
         }

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line, _parse_rational_list
@@ -18,28 +17,29 @@ def add_arguments(parser) -> None:
     parser.add_argument("--cap", type=int, help="enumeration cap override")
 
 
-def _rational_pair(value: Fraction) -> dict:
-    return {"rational": f"{value.numerator}/{value.denominator}", "decimal": float(value)}
+def _rational_pair(num: int, den: int) -> dict:
+    """num / den in lowest terms and as a float: int/int division rounds correctly."""
+    g = math.gcd(num, den)
+    return {"rational": f"{num // g}/{den // g}", "decimal": num / den}
 
 
 def run(args) -> int:
-    from .counts import count_types
-    from .types_core import Pmf, integer_numerators, type_class_size, type_list, urn_numerators
+    from .counts import TypeVector, count_types, pmf_numerators
+    from .types_core import type_class_size, type_list, urn_numerators
 
     m, n = args.m, args.n
     if args.q is not None:
-        q = Pmf(_parse_rational_list(args.q))
-        if len(q) != m:
-            raise ValueError(f"--q has {len(q)} entries, expected {m}")
-    count = count_types(m, n)  # before Pmf.uniform, so an --m below 1 reads its message
+        a, den = pmf_numerators(_parse_rational_list(args.q))
+        if len(a) != m:
+            raise ValueError(f"--q has {len(a)} entries, expected {m}")
+    count = count_types(m, n)  # before the uniform q, so an --m below 1 reads its message
     if args.q is None:
-        q = Pmf.uniform(m)
+        a, den = pmf_numerators(TypeVector((1,) * m))
     # q = a / D gives P(T_t) = |T_t| * prod a^t / D^n.  Multiplied through by
     # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=
     # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
     # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
     # both sides of the second are 0 when q misses t's support.
-    a, _ = integer_numerators(q.probs)
     powers, den_n = urn_numerators(((a, 1),), n, 0, cap=args.cap)  # prod a^t over D^n
     n_n, poly = n**n, (n + 1) ** m
     c_pow_c = lru_cache(maxsize=None)(lambda c: c**c)
@@ -61,7 +61,7 @@ def run(args) -> int:
                 {
                     "counts": list(t.counts),
                     "size": size,
-                    "probability": _rational_pair(Fraction(num, den_n)),
+                    "probability": _rational_pair(num, den_n),
                     "size_bounds_ok": size_ok,
                     "probability_bounds_ok": prob_ok,
                 }
@@ -79,7 +79,7 @@ def run(args) -> int:
         payload = {
             "m": m,
             "n": n,
-            "q": [_rational_pair(p) for p in q.probs],
+            "q": [_rational_pair(x, den) for x in a],
             "checks": checks,
             "types": rows,
             "pass": ok,

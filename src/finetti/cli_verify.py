@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line, _parse_int_list
 
 FAMILIES = ("fair-coin", "biased", "polya", "delta-type", "random-type-weights")
@@ -27,18 +25,19 @@ def _build_law(args, n: int):
     """The family's law of n draws, an `UrnLaw`."""
     from .exchangeable import delta_type_law, iid_law, polya_urn_law, random_type_weight_law
     from .counts import TypeVector
-    from .types_core import Pmf
 
     fam = args.family
     if fam == "fair-coin":
-        return iid_law(Pmf.uniform(2), n)
+        return iid_law(TypeVector((1, 1)), n)
     if fam == "biased":
         if args.p is None:
             raise ValueError("--family biased needs --p")
+        from fractions import Fraction  # only --p is parsed from text here
+
         p = Fraction(args.p)
         if not 0 <= p <= 1:
             raise ValueError(f"--p must lie in [0, 1], got {p}")
-        return iid_law(Pmf((p, 1 - p)), n)
+        return iid_law((p, 1 - p), n)
     if fam == "polya":
         if args.init is None:
             raise ValueError("--family polya needs --init")

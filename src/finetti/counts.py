@@ -1,12 +1,14 @@
-"""Integer groundwork for n-types: the enumeration cap, `TypeVector` and the cells of A^k.
+"""Integer groundwork for n-types: the enumeration cap, `TypeVector`, pmfs and the cells of A^k.
 
-Nothing here imports `fractions`: a rational q is read as integer numerators
-a over a common denominator D (`power_numerators` gives Q^k from them), and
-every entropy, divergence and max-deviation the command line prints comes
-from integer numerators by one rule (`divergence_of_numerators`), one per
-block histogram where a law is constant on them (`types_core.cell_index`).
-This module is the one home of the cap names, `TypeVector`, `count_types`,
-`all_strings` and `occurrence_matrix`.
+Nothing here imports `fractions`.  A pmf is one record, integer numerators a
+over their least common denominator D: `pmf_numerators` is the one reader
+that validates a pmf and returns (a, D), and every law, witness and weight
+vector the package builds is such a pair.  `power_numerators` gives Q^k from
+a, and every entropy, divergence and max-deviation the command line prints
+comes from integer numerators by one rule (`divergence_of_numerators`), one
+per block histogram where a law is constant on them
+(`types_core.cell_index`).  This module is the one home of the cap names,
+`TypeVector`, `count_types`, `all_strings` and `occurrence_matrix`.
 """
 
 from __future__ import annotations
@@ -69,6 +71,45 @@ class TypeVector(namedtuple("TypeVector", "counts")):
         return len(self.counts)
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms as `str` of a `Fraction` writes it: "5/6", or "2" when whole."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"
+
+
+def _exact_numerators(values) -> tuple[tuple[int, ...], int]:
+    """(a, D) with values = a / D over their least common denominator D.
+
+    Each value must be exact: an int, or a rational with int numerator and
+    denominator, such as a `Fraction`.  A float is refused.
+    """
+    for p in values:
+        if not all(isinstance(getattr(p, part, None), int) for part in ("numerator", "denominator")):
+            raise ValueError(f"pmf entries and weights must be exact rationals, got {p!r}")
+    den = math.lcm(*(p.denominator for p in values))
+    return tuple(p.numerator * (den // p.denominator) for p in values), den
+
+
+def pmf_numerators(q) -> tuple[tuple[int, ...], int]:
+    """(a, D) with q = a / D over the least common denominator D: the one reader of a pmf.
+
+    An n-type gives its counts over n, both divided by their gcd.  Any other
+    q is a sequence of exact rationals (`_exact_numerators`), nonnegative and
+    summing to 1.
+    """
+    if isinstance(q, TypeVector):
+        g = math.gcd(*q.counts)
+        return tuple(c // g for c in q.counts), q.n // g
+    a, den = _exact_numerators(tuple(q))
+    if not a:
+        raise ValueError("empty probability vector")
+    if min(a) < 0:
+        raise ValueError("negative probability")
+    if sum(a) != den:
+        raise ValueError(f"pmf sums to {_ratio_text(sum(a), den)}, not 1")
+    return a, den
+
+
 def count_types(alphabet: int, n: int) -> int:
     """Number of histograms of n-strings: C(n + m - 1, m - 1)."""
     m = _alphabet_size(alphabet)
@@ -96,6 +137,9 @@ def check_cells(m: int, k: int, cap: int | None) -> None:
     if cells > limit:
         raise CapacityError(f"{cells} cells at (m={m}, k={k}) exceeds cap {limit}")
 
+
+# largest exponent whose math.exp is finite: a log bound above it reads as inf
+_EXP_MAX = 709.0
 
 # Type caches keyed by (m, n), shared by laws and the urn kernel; each
 # keeps this many entries and drops the least recently used.
@@ -136,7 +180,7 @@ def lemma1_constant(ell: int, k: int) -> float:
 
 
 def entropy_of_numerators(nums, den: int) -> float:
-    """H(nums / den) in nats, with the bits of `info_measures.entropy` on the `Pmf`.
+    """H(nums / den) in nats, with the bits of a sum of -p*log(p) over the `Fraction`s nums / den.
 
     H is minus the divergence from one per entry, term by term, and IEEE
     negation is exact, so the rule of `divergence_of_numerators` gives the
@@ -146,7 +190,7 @@ def entropy_of_numerators(nums, den: int) -> float:
 
 
 def divergence_of_numerators(xs, p_den: int, ys, q_den: int, index) -> float:
-    """D(x/P || y/Q) in nats, +inf if some x > 0 has y = 0, with the bits of `relative_entropy`.
+    """D(x/P || y/Q) in nats, +inf if some x > 0 has y = 0, correctly rounded term by term.
 
     xs and ys hold one numerator per class of cells (a k-histogram, or one
     cell), and index[b] is the class of cell b.  Each class's term is taken

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .counts import _EXP_MAX
+
 __all__ = [
     "BoundParams",
     "VerificationReport",
@@ -29,9 +31,6 @@ __all__ = [
 ]
 
 _SLACK = 1e-12
-
-# largest finite exponent for math.exp
-_EXP_MAX = 709.0
 
 
 class BoundParams(
@@ -183,10 +182,11 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
     stage2 = 0.0
     stage3 = 0.0
     cells = cell_index(law.m, k)
-    for t, w in zip(type_list(law.m, law.n), histogram_law(law)):
+    weights, den = histogram_law(law)
+    for t, w in zip(type_list(law.m, law.n), weights):
         if not w:
             continue
-        weight = float(w)
+        weight = w / den
         # the block law given t, the urn t at -1, against the i.i.d. law of t/n, at 0
         product = urn_numerators(((t.counts, 1),), k, 0)
         stage2 += weight * divergence_of_numerators(*conditional_block_law(t, k), *product, cells)

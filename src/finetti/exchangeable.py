@@ -11,7 +11,10 @@ cost in m and k, not in n.  P_j for j < k is a margin of P_k, and the
 mixture M_k is a linear function of P_k (`block_laws`), so one pass at the
 largest k of a grid serves every k; all come as one integer numerator per
 k-histogram, never spread over the m^k strings.
-`histogram_law` builds a law out to its n-histogram weights.
+`histogram_law` builds a law out to its n-histogram weights.  A pmf, an
+atom or a weight vector is read once, into integer numerators over a common
+denominator (`counts.pmf_numerators`); only a law file's rationals are
+parsed from text.
 """
 
 from __future__ import annotations
@@ -19,20 +22,19 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
 
-from .counts import TypeVector, check_cap, count_types
-from .types_core import (
-    Pmf,
-    integer_numerators,
-    type_class_size,
-    type_index_map,
-    type_list,
-    urn_numerators,
+from .counts import (
+    TypeVector,
+    _exact_numerators,
+    _ratio_text,
+    check_cap,
+    count_types,
+    pmf_numerators,
 )
+from .types_core import type_class_size, type_index_map, type_list, urn_numerators
 
 __all__ = [
     "MixingMeasure",
@@ -50,24 +52,27 @@ __all__ = [
 
 
 class MixingMeasure(namedtuple("MixingMeasure", "atoms")):
-    """Finitely supported measure on the simplex: ((pmf, weight), ...)."""
+    """Finitely supported measure on the simplex: ((pmf, weight), ...) of exact rationals.
+
+    Each atom is read as a pmf (`pmf_numerators`), in order, when the record is made.
+    """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __new__(cls, atoms: tuple[tuple[Pmf, object], ...]) -> "MixingMeasure":
+    def __new__(cls, atoms) -> "MixingMeasure":
+        atoms = tuple((tuple(q), w) for q, w in atoms)
         if not atoms:
             raise ValueError("mixing measure needs at least one atom")
-        m = len(atoms[0][0])
-        if any(len(q) != m for q, _ in atoms):
+        for q, _ in atoms:
+            pmf_numerators(q)
+        if any(len(q) != len(atoms[0][0]) for q, _ in atoms):
             raise ValueError("all atoms must share one alphabet")
-        if not all(isinstance(q, Pmf) and isinstance(w, (int, Fraction)) for q, w in atoms):
-            raise ValueError("mixing atoms and weights must be exact rationals")
-        if any(w < 0 for _, w in atoms):
+        weights, den = _exact_numerators([w for _, w in atoms])
+        if min(weights) < 0:
             raise ValueError("negative mixing weight")
-        total = sum(w for _, w in atoms)
-        if total != 1:
-            raise ValueError(f"mixing weights sum to {total}, not 1")
+        if sum(weights) != den:
+            raise ValueError(f"mixing weights sum to {_ratio_text(sum(weights), den)}, not 1")
         return tuple.__new__(cls, (atoms,))
 
     @property
@@ -153,8 +158,8 @@ def block_laws(law: UrnLaw, cells) -> list[tuple[tuple[list[int], int], tuple[li
     return laws
 
 
-def histogram_law(law: UrnLaw) -> Pmf:
-    """The law's n-histogram weights over type_list(m, n).
+def histogram_law(law: UrnLaw) -> tuple[list[int], int]:
+    """The law's n-histogram weights over type_list(m, n), as (numerators, denominator).
 
     At step -1, n draws empty an urn of n balls, so that urn's n-histogram
     is its own counts, and the weights are the urns' weights summed per
@@ -167,18 +172,18 @@ def histogram_law(law: UrnLaw) -> Pmf:
         index = type_index_map(law.m, law.n)
         for counts, w in law.urns:
             weights[index[counts]] += w
-        return Pmf.from_numerators(weights, sum(weights))
+        return weights, sum(weights)
     numerators, den = urn_numerators(law.urns, law.n, law.step)
     types = type_list(law.m, law.n)
     classes = [type_class_size(t) * x if x else 0 for t, x in zip(types, numerators)]
-    return Pmf.from_numerators(classes, den)
+    return classes, den
 
 
 def _atom_urns(mix: MixingMeasure) -> list[tuple[tuple[int, ...], int]]:
     """The atoms as urns: integer numerators over common denominators D and W."""
     m = mix.m
-    nums, _ = integer_numerators([p for q, _ in mix.atoms for p in q])
-    weights, _ = integer_numerators([w for _, w in mix.atoms])
+    nums, _ = _exact_numerators([p for q, _ in mix.atoms for p in q])
+    weights, _ = _exact_numerators([w for _, w in mix.atoms])
     return [(nums[j * m : j * m + m], w) for j, w in enumerate(weights)]
 
 
@@ -193,9 +198,12 @@ def from_mixing_measure(mix: MixingMeasure, n: int) -> UrnLaw:
     return UrnLaw(mix.m, n, _atom_urns(mix), 0)
 
 
-def iid_law(q: Pmf, n: int) -> UrnLaw:
-    """n i.i.d. draws from q: the mixing measure with the one atom q."""
-    return from_mixing_measure(MixingMeasure(((q, Fraction(1)),)), n)
+def iid_law(q, n: int) -> UrnLaw:
+    """n i.i.d. draws from the pmf or n-type q = a / D: the one urn a at 0."""
+    a, _ = pmf_numerators(q)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return UrnLaw(len(a), n, ((a, 1),), 0)
 
 
 def delta_type_law(t: TypeVector) -> UrnLaw:
@@ -216,20 +224,18 @@ def polya_urn_law(initial: Sequence[int], n: int) -> UrnLaw:
     return UrnLaw(len(initial), n, ((initial, 1),), 1)
 
 
-def type_weight_law(m: int, n: int, weights: Pmf) -> UrnLaw:
+def type_weight_law(m: int, n: int, weights) -> UrnLaw:
     """The law with histogram weights `weights` over type_list(m, n): those urns at -1.
 
-    The weights become integer numerators over their common denominator, and
-    zero-weight histograms are left out.
+    The weights, a pmf of exact rationals, become integer numerators over
+    their common denominator, and zero-weight histograms are left out.
     """
     expected = count_types(m, n)
     if len(weights) != expected:
         raise ValueError(
             f"weight vector has {len(weights)} entries, (m={m}, n={n}) has {expected} types"
         )
-    if not isinstance(weights, Pmf):
-        raise ValueError("histogram weights must be a Pmf of exact rationals")
-    nums, _ = integer_numerators(weights)
+    nums, _ = pmf_numerators(weights)
     return UrnLaw(m, n, [(t.counts, w) for t, w in zip(type_list(m, n), nums) if w], -1)
 
 
@@ -252,7 +258,10 @@ def random_type_weight_law(m: int, n: int, seed: int) -> UrnLaw:
 # ---------------------------------------------------------------------------
 
 
-def _parse_rational(value) -> Fraction:
+def _parse_rational(value):
+    """A law file's int or rational string as a `Fraction`, the one parser of its tokens."""
+    from fractions import Fraction  # only a law file's start parses rationals from text
+
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
@@ -276,20 +285,20 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
         if n is not None and n != file_n:
             raise ValueError(f"law file has n={file_n}, caller asked for n={n}")
         check_cap(m, file_n, None)  # before the weight list is sized
-        weights = [Fraction(0)] * count_types(m, file_n)
+        weights = [0] * count_types(m, file_n)
         idx = type_index_map(m, file_n)
         for entry in obj["typeWeights"]:
             counts = tuple(int(c) for c in entry["counts"])
             if counts not in idx:
                 raise ValueError(f"counts {counts} are not a histogram at (m={m}, n={file_n})")
             weights[idx[counts]] += _parse_rational(entry["w"])
-        return type_weight_law(m, file_n, Pmf(tuple(weights)))
+        return type_weight_law(m, file_n, weights)
     if "mixing" in obj:
-        atoms = []
-        for entry in obj["mixing"]:
-            q = Pmf(tuple(_parse_rational(v) for v in entry["pmf"]))
-            atoms.append((q, _parse_rational(entry["w"])))
-        mix = MixingMeasure(tuple(atoms))
+        atoms = [
+            ([_parse_rational(v) for v in entry["pmf"]], _parse_rational(entry["w"]))
+            for entry in obj["mixing"]
+        ]
+        mix = MixingMeasure(atoms)
         use_n = int(obj["n"]) if "n" in obj else n
         if use_n is None:
             raise ValueError("mixing law file needs n (in the file or from the caller)")

@@ -5,7 +5,8 @@ grows with the histogram tracking a fixed target pmf, the law of a k-block
 drifts to the i.i.d. product of the target.  This module computes the block
 law exactly, rounds targets to nearby histograms, and traces the divergence
 decay along a schedule of n values.  Both laws are constant on k-histogram
-classes, so each is kept as one integer numerator per class.
+classes, so each is kept as one integer numerator per class.  The target is
+the pmf a / D as the pair (a, D) that `counts.pmf_numerators` reads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .counts import TypeVector, divergence_of_numerators, max_deviation_of_numerators
-from .types_core import cell_index, integer_numerators, urn_numerators
+from .types_core import cell_index, urn_numerators
 
 __all__ = [
     "ConvergenceTrace",
@@ -35,20 +36,21 @@ def conditional_block_law(t: TypeVector, k: int) -> tuple[list[int], int]:
     return urn_numerators(((t.counts, 1),), k, -1)
 
 
-def round_to_type(target: Pmf, n: int) -> TypeVector:
-    """Nearest histogram by largest remainder; ties go to the lowest index."""
+def round_to_type(target: tuple[tuple[int, ...], int], n: int) -> TypeVector:
+    """Nearest n-histogram to the pmf a / D by largest remainder; ties go to the lowest index.
+
+    Symbol i gets floor(a_i * n / D), and the n left over go one each to the
+    largest remainders a_i * n mod D, all in integers.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    scaled = [p * n for p in target]
-    floors = [int(s) for s in scaled]
-    leftover = n - sum(floors)
-    remainders = sorted(
-        range(len(scaled)),
-        key=lambda i: (-(scaled[i] - floors[i]), i),
-    )
-    for i in remainders[:leftover]:
-        floors[i] += 1
-    return TypeVector(tuple(floors))
+    a, den = target
+    floors, remainders = zip(*(divmod(x * n, den) for x in a))
+    counts = list(floors)
+    order = sorted(range(len(a)), key=lambda i: (-remainders[i], i))
+    for i in order[: n - sum(floors)]:
+        counts[i] += 1
+    return TypeVector(tuple(counts))
 
 
 class TracePoint(namedtuple("TracePoint", "n rounded divergence max_deviation")):
@@ -58,17 +60,17 @@ class TracePoint(namedtuple("TracePoint", "n rounded divergence max_deviation"))
 
 
 class ConvergenceTrace(namedtuple("ConvergenceTrace", "target k points")):
-    """The target pmf, the block length and one `TracePoint` per n."""
+    """The target pmf as (a, D), the block length and one `TracePoint` per n."""
 
     __slots__ = ()
 
 
-def convergence_trace(target: Pmf, k: int, n_values) -> ConvergenceTrace:
+def convergence_trace(target: tuple[tuple[int, ...], int], k: int, n_values) -> ConvergenceTrace:
     """Divergence of the conditional block law from target^k along n_values.
 
     Each n is rounded to a histogram first; the divergence is
     D(block law of the rounded histogram || target^k) in nats, target^k the
-    urn a at 0 for target = a / D.  The block law is exact at every n; only
+    urn a at 0 for target = (a, D).  The block law is exact at every n; only
     the divergence and deviation are floats, read from the numerators over
     the m^k cells, which count against the cap.
     """
@@ -79,7 +81,7 @@ def convergence_trace(target: Pmf, k: int, n_values) -> ConvergenceTrace:
         raise ValueError(f"every n must be >= k={k}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    a, _ = integer_numerators(target)
+    a, _ = target
     reference = urn_numerators(((a, 1),), k, 0)
     cells = cell_index(len(a), k)
     points = []

@@ -1,30 +1,29 @@
 """Lemma 3: the largest relative entropy D(W || Q^k) over the constraint set of q.
 
-The exact mode searches the vertices of the polytope in `Fraction`s; the
-grid mode scans the l-block lattice members of `finetti.marginal_sets`,
-which it imports only when it runs.  Both read their entropies and
-divergences from integer numerators (`finetti.counts`).
+The exact mode searches the vertices of the polytope by fraction-free
+elimination, each vertex integer numerators over one denominator; the grid
+mode scans the l-block lattice members of `finetti.marginal_sets`, which it
+imports only when it runs.  Both read their entropies and divergences from
+integer numerators (`finetti.counts`), and the witness is one such pair.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .counts import (
     CapacityError,
-    TypeVector,
     check_cap,
     check_cells,
     count_types,
     divergence_of_numerators,
     entropy_of_numerators,
     occurrence_matrix,
+    pmf_numerators,
     power_numerators,
 )
-from .types_core import Pmf, integer_numerators, type_to_pmf
 
 __all__ = ["MaxDivergenceResult", "max_divergence_over_E_k"]
 
@@ -35,21 +34,24 @@ _SLACK = 1e-12
 
 
 class MaxDivergenceResult(namedtuple("MaxDivergenceResult", "value witness candidates mode")):
-    """The largest divergence, its witness pmf on A^k, the vertices or members searched."""
+    """The largest divergence, its witness on A^k, the vertices or members searched.
+
+    The witness is integer numerators over one denominator, one per cell of A^k.
+    """
 
     __slots__ = ()
 
 
 def _solve_columns(
     cols: Sequence[tuple[int, ...]], target: Sequence[int], scale: int
-) -> tuple[Fraction, ...] | None:
-    """Unique exact solution x of cols * x = target / scale, or None.
+) -> tuple[tuple[int, ...], int] | None:
+    """Unique exact solution x of cols * x = target / scale as (numerators, denominator), or None.
 
     The columns and the target are integers, and the elimination stays in
     integers: a row is cleared by cross-multiplying with the pivot row, so
-    each pivot row ends as pivot * x_i = rhs_i / scale, and one Fraction is
-    made per coordinate.  None when the columns are dependent or the system
-    is inconsistent.
+    each pivot row ends as pivot * x_i = rhs_i / scale.  Each x_i is reduced
+    by its gcd, and x comes out over the least common denominator.  None
+    when the columns are dependent or the system is inconsistent.
     """
     rows = len(target)
     s = len(cols)
@@ -68,7 +70,13 @@ def _solve_columns(
     for r in range(s, rows):
         if aug[r][s] != 0:
             return None  # inconsistent
-    return tuple(Fraction(aug[i][s], aug[i][i] * scale) for i in range(s))
+    reduced = []
+    for i in range(s):
+        num, den = aug[i][s], aug[i][i] * scale
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        reduced.append((num // g, den // g))
+    den = math.lcm(*(d for _, d in reduced))
+    return tuple(num * (den // d) for num, d in reduced), den
 
 
 def max_divergence_over_E_k(
@@ -98,8 +106,8 @@ def max_divergence_over_E_k(
     Every member is supported inside supp(Q^k), which keeps the value finite
     and at most k * log(n) for an n-type q.
     """
-    q = type_to_pmf(q) if isinstance(q, TypeVector) else Pmf(tuple(q))
-    m = len(q)
+    a, den = pmf_numerators(q)
+    m = len(a)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if mode == "grid":
@@ -108,7 +116,6 @@ def max_divergence_over_E_k(
         from .marginal_sets import _entropy_key, _extreme_member
 
         entropy_key = _entropy_key()
-        a, den = integer_numerators(q)
         candidates, best_counts, _ = _extreme_member(
             a, den, k, ell, cap, lambda parts: -entropy_key(parts)
         )
@@ -117,13 +124,12 @@ def max_divergence_over_E_k(
         # the member's counts over l against Q^k = T / D^k, cell by cell
         cells = range(len(best_counts))
         value = divergence_of_numerators(best_counts, ell, power_numerators(a, k), den**k, cells)
-        witness = type_to_pmf(TypeVector(best_counts))
-        return MaxDivergenceResult(value, witness, candidates, "grid")
+        return MaxDivergenceResult(value, (best_counts, ell), candidates, "grid")
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
     cells = m**k
     check_cells(m, k, cap)  # the witness has one entry per cell
-    active_rows = [a for a in range(m) if q[a] > 0]
+    active_rows = [s for s in range(m) if a[s] > 0]
     # one column per k-histogram over the active symbols, subsets up to the rows
     columns = count_types(len(active_rows), k)
     subsets = sum(math.comb(columns, s) for s in range(1, len(active_rows) + 1))
@@ -131,37 +137,39 @@ def max_divergence_over_E_k(
         raise CapacityError(f"{subsets} column subsets exceed the vertex limit {MAX_VERTEX_SUBSETS}")
     occ = occurrence_matrix(m, k)
     # support argument: any member vanishes on blocks using a zero-mass symbol
-    active_cols = [b for b in range(cells) if all(occ[b][a] == 0 or q[a] > 0 for a in range(m))]
-    # k*q(a) = target[a] / scale with integer targets over scale = lcm(denominators)
-    scale = math.lcm(*(q[a].denominator for a in active_rows))
-    target = [k * q[a].numerator * (scale // q[a].denominator) for a in active_rows]
+    active_cols = [b for b in range(cells) if all(occ[b][s] == 0 or a[s] > 0 for s in range(m))]
+    # k*q(s) = target[s] / den with integer targets over q's denominator
+    target = [k * a[s] for s in active_rows]
     # column -> [first cell, cells sharing it], in cell order
     classes: dict[tuple[int, ...], list[int]] = {}
     for b in active_cols:
-        classes.setdefault(tuple(occ[b][a] for a in active_rows), [b, 0])[1] += 1
-    # a vertex is keyed by its support and values, so only new ones are expanded
-    seen: set[tuple[tuple[int, Fraction], ...]] = set()
-    best_key: tuple[tuple[int, Fraction], ...] | None = None
+        classes.setdefault(tuple(occ[b][s] for s in active_rows), [b, 0])[1] += 1
+    # a vertex is keyed by its support, its numerators and their least common
+    # denominator, so only new ones are expanded
+    seen: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
+    best_key: tuple[int, tuple[tuple[int, int], ...]] | None = None
     best_h = math.inf
     candidates = 0
     for size in range(1, len(active_rows) + 1):
         for subset in combinations(classes.items(), size):
-            x = _solve_columns([col for col, _ in subset], target, scale)
-            if x is None or any(v < 0 for v in x):
+            x = _solve_columns([col for col, _ in subset], target, den)
+            if x is None or min(x[0]) < 0:
                 continue
-            key = tuple((first, v) for (_, (first, _)), v in zip(subset, x) if v)
+            nums, x_den = x
+            key = (x_den, tuple((first, v) for (_, (first, _)), v in zip(subset, nums) if v))
             if key in seen:
                 continue
             seen.add(key)
-            candidates += math.prod(shared for (_, (_, shared)), v in zip(subset, x) if v)
-            h = entropy_of_numerators(*integer_numerators([v for _, v in key]))
+            candidates += math.prod(shared for (_, (_, shared)), v in zip(subset, nums) if v)
+            h = entropy_of_numerators([v for _, v in key[1]], x_den)
             if h < best_h - _SLACK or best_key is None:
                 best_h = h
                 best_key = key
     if best_key is None:
         raise ValueError("constraint polytope is empty; q must be a valid pmf")
-    full = [Fraction(0)] * cells
-    for b, v in best_key:
+    x_den, support = best_key
+    full = [0] * cells
+    for b, v in support:
         full[b] = v
-    value = k * entropy_of_numerators(*integer_numerators(q)) - best_h
-    return MaxDivergenceResult(value, Pmf(full), candidates, "exact")
+    value = k * entropy_of_numerators(a, den) - best_h
+    return MaxDivergenceResult(value, (tuple(full), x_den), candidates, "exact")

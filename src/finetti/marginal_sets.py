@@ -11,9 +11,10 @@ The module walks the lattice points of this polytope among l-block
 histograms, one row per orbit of counts permuted within a k-histogram class,
 scans it for the argmin of D(. || U), and evaluates the conditional mean
 divergence and tail bounds used by the finite mixture approximation
-argument.  It reads q as integer numerators a over a common denominator D,
-so an n-type's start imports no `fractions`; lemma 1 (`finetti.lemma1`)
-and lemma 3 (`finetti.lemma3`) read the walk from here.
+argument.  It reads q once as integer numerators a over their least common
+denominator D (`counts.pmf_numerators`), so an n-type's start imports no
+`fractions`; lemma 1 (`finetti.lemma1`) and lemma 3 (`finetti.lemma3`) read
+the walk from here.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from itertools import chain, product, repeat
 from operator import mul
 
 from .counts import (
+    _EXP_MAX,
     TYPE_CACHE_SIZE,
     CapacityError,
     TypeVector,
@@ -34,6 +36,7 @@ from .counts import (
     entropy_of_numerators,
     lemma1_constant,
     occurrence_matrix,
+    pmf_numerators,
     power_numerators,
     resolve_cap,
 )
@@ -60,20 +63,6 @@ def _block_classes(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     for b, u in enumerate(occurrence_matrix(m, k)):
         classes.setdefault(u, []).append(b)
     return tuple(sorted(((u, tuple(b)) for u, b in classes.items()), key=lambda c: c[1][-1]))
-
-
-def _numerators(q) -> tuple[tuple[int, ...], int]:
-    """(a, D) with q = a / D over the least common denominator D.
-
-    An n-type gives its counts over n, both divided by their gcd; any other
-    q is validated as a `Pmf` first, so a float entry is refused.
-    """
-    if isinstance(q, TypeVector):
-        g = math.gcd(*q.counts)
-        return tuple(c // g for c in q.counts), q.n // g
-    from .types_core import Pmf, integer_numerators
-
-    return integer_numerators(Pmf(tuple(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +332,7 @@ def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, 
     one member reaches it; when Q^k is a lattice point it is the unique one.
     Raises ValueError when the set is empty.
     """
-    members, first, at_best = _extreme_member(*_numerators(q), k, ell, cap, _entropy_key())
+    members, first, at_best = _extreme_member(*pmf_numerators(q), k, ell, cap, _entropy_key())
     return members, TypeVector(first), at_best == 1
 
 
@@ -368,7 +357,7 @@ def conditional_mean_divergence(
     weights are exact integers; each member's divergence is k*H(Q) - H(W),
     and only the weights' ratios and the final average are floats.
     """
-    a, den = _numerators(q)
+    a, den = pmf_numerators(q)
     k_entropy_q = k * entropy_of_numerators(a, den)
     rows = _member_table(a, den, k, ell, resolve_cap(cap))
     if not rows:
@@ -405,7 +394,7 @@ def partition_tail_bound(
     low-divergence cell of the partition; M >= 1/2 leaves that certification
     unavailable.
     """
-    a, den = _numerators(q)
+    a, den = pmf_numerators(q)
     m = len(a)
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
@@ -415,7 +404,7 @@ def partition_tail_bound(
         raise ValueError(f"delta must be positive, got {delta}")
     cells = m**k
     log_bound = 2 * cells * math.log(ell + 1) - ell * delta
-    bound = math.exp(log_bound) if log_bound <= 700 else math.inf
+    bound = math.exp(log_bound) if log_bound <= _EXP_MAX else math.inf
 
     if ell > k:
         big_m = lemma1_constant(ell, k)

@@ -154,8 +154,7 @@ def prime_basis_gaps(w, q, k: int) -> tuple[LogCombination, LogCombination]:
     combinations, from the pmfs alone: both are zero for a member of the
     constraint set.  w and q are sequences of rationals, and W << Q^k.
     """
-    from finetti.types_core import Pmf
-    from oracles import oracle_power_pmf
+    from oracles import Pmf, oracle_power_pmf
 
     qk = oracle_power_pmf(Pmf(tuple(q)), k).probs
     uniform = [Fraction(1, len(qk))] * len(qk)

@@ -1,10 +1,12 @@
 """Per-string reference functions that the kernels are checked against.
 
-The package evaluates k-block laws once per block histogram; these work one
-string at a time, straight from the definitions.  The method-of-types
-bounds as exact rationals, the reference for `finetti types`, live here
-too, with two builders the tests use: a `Pmf` from weights and a
-typeWeights law file.
+The package evaluates k-block laws once per block histogram, and keeps a pmf
+as integer numerators over one denominator; these work one string at a
+time, straight from the definitions, on `Pmf`, a tuple of `Fraction`s.  The
+method-of-types bounds as exact rationals, the reference for `finetti
+types`, live here too, with the entropy and distance functionals the
+integer rules of `finetti.counts` are checked against, and two builders the
+tests use: a `Pmf` from weights and a typeWeights law file.
 """
 
 from __future__ import annotations
@@ -14,18 +16,46 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from finetti.counts import TypeVector, all_strings, occurrence_matrix
-from finetti.exchangeable import histogram_law
-from finetti.types_core import (
-    Pmf,
-    integer_numerators,
-    type_class_size,
-    type_index_map,
-    type_list,
-    urn_numerators,
+from finetti.counts import (
+    TypeVector,
+    _alphabet_size,
+    all_strings,
+    occurrence_matrix,
+    pmf_numerators,
 )
+from finetti.exchangeable import histogram_law
+from finetti.types_core import type_class_size, type_index_map, type_list, urn_numerators
+
+
+class Pmf(tuple):
+    """The tests' exact pmf: a tuple of `Fraction`s, nonnegative and summing to 1.
+
+    It is read by `pmf_numerators`, so it refuses what the package refuses.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, probs: Iterable[int | Fraction]) -> "Pmf":
+        nums, den = pmf_numerators(tuple(probs))
+        return tuple.__new__(cls, (Fraction(x, den) for x in nums))
+
+    @property
+    def probs(self) -> "Pmf":
+        return self
+
+    @classmethod
+    def from_numerators(cls, nums: Sequence[int], den: int) -> "Pmf":
+        return cls(Fraction(x, den) for x in nums)
+
+    @classmethod
+    def uniform(cls, size: int) -> "Pmf":
+        return cls.from_numerators((1,) * size, size)
+
+
+def type_to_pmf(t: TypeVector) -> Pmf:
+    return Pmf.from_numerators(t.counts, t.n)
 
 
 def spread(m: int, k: int, numerators: Sequence[int], den: int) -> Pmf:
@@ -47,18 +77,139 @@ def oracle_power_pmf(q: Sequence[Fraction], k: int) -> Pmf:
 
 def pmf_from_weights(weights: Sequence[int | Fraction]) -> Pmf:
     """Nonnegative exact weights scaled to sum to 1."""
-    nums, _ = integer_numerators(weights)
-    return Pmf.from_numerators(nums, sum(nums))
+    total = sum(map(Fraction, weights))
+    return Pmf(Fraction(w) / total for w in weights)
 
 
 def type_weights_file(law) -> dict:
     """A law as a typeWeights law file: its nonzero n-histogram weights as 'p/q' strings."""
-    entries = [
-        {"counts": list(t.counts), "w": f"{w.numerator}/{w.denominator}"}
-        for t, w in zip(type_list(law.m, law.n), histogram_law(law))
-        if w
-    ]
+    weights, den = histogram_law(law)
+    entries = []
+    for t, w in zip(type_list(law.m, law.n), weights):
+        if w:
+            r = Fraction(w, den)
+            entries.append({"counts": list(t.counts), "w": f"{r.numerator}/{r.denominator}"})
     return {"m": law.m, "n": law.n, "typeWeights": entries}
+
+
+# ---------------------------------------------------------------------------
+# strings and their histograms
+# ---------------------------------------------------------------------------
+
+
+def empirical_type(x: Sequence[int], alphabet: int) -> TypeVector:
+    """Histogram of the string x; symbols must lie in 0..m-1."""
+    m = _alphabet_size(alphabet)
+    if len(x) < 1:
+        raise ValueError("empty string has no histogram")
+    counts = [0] * m
+    for a in x:
+        if not 0 <= a < m:
+            raise ValueError(f"symbol {a!r} outside alphabet of size {m}")
+        counts[a] += 1
+    return TypeVector(tuple(counts))
+
+
+def sequence_probability_identity(x: Sequence[int], q) -> tuple:
+    """Both sides of the product-form identity for i.i.d. string probabilities.
+
+    Returns (lhs, rhs) where lhs is the direct per-symbol product q(x_1)...q(x_n)
+    and rhs re-expresses it through the histogram of x.  For a `Pmf` q, rhs is
+    the log-free rearrangement prod_a q(a)^counts[a] and the two agree as exact
+    rationals.  For any other sequence of probabilities, such as a tuple of
+    floats, rhs is exp(-n*(H + D)) evaluated through logarithms; a zero q(a)
+    hit by x raises ValueError there.
+    """
+    t = empirical_type(x, len(q))
+    lhs = math.prod(q[a] for a in x)
+    if isinstance(q, Pmf):
+        return lhs, math.prod(p**c for c, p in zip(t.counts, q) if c)
+    return lhs, math.exp(-t.n * log_form_exponent(t, q))
+
+
+def log_form_exponent(t: TypeVector, q: Sequence[float]) -> float:
+    """H(t/n) + D(t/n || q) in nats through logarithms, so that q^n(x) = exp(-n * it).
+
+    A zero q(a) that t uses raises ValueError.
+    """
+    n = t.n
+    ent = 0.0
+    div = 0.0
+    for c, p in zip(t.counts, q):
+        if not c:
+            continue
+        if p <= 0.0:
+            raise ValueError("zero probability symbol occurs in x; log form undefined")
+        frac = c / n
+        ent -= frac * math.log(frac)
+        div += frac * math.log(frac / p)
+    return ent + div
+
+
+# ---------------------------------------------------------------------------
+# entropy, relative entropy and distances: the references for the integer rules
+# ---------------------------------------------------------------------------
+
+
+def _log(x) -> float:
+    # math.log handles arbitrarily large ints, so exact entries never overflow
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
+
+
+def entropy(p: Iterable) -> float:
+    """Shannon entropy in nats, with the 0*log(0) = 0 convention."""
+    total = 0.0
+    for prob in tuple(p):
+        if prob > 0:
+            total -= float(prob) * _log(prob)
+    return total
+
+
+def relative_entropy(p: Iterable, q: Iterable) -> float:
+    """D(P || Q) in nats; +inf when some P(a) > 0 has Q(a) = 0."""
+    ps, qs = tuple(p), tuple(q)
+    if len(ps) != len(qs):
+        raise ValueError(f"mismatched supports: {len(ps)} vs {len(qs)}")
+    total = 0.0
+    for pa, qa in zip(ps, qs):
+        if pa == 0:
+            continue
+        if qa == 0:
+            return math.inf
+        if isinstance(pa, Fraction) and isinstance(qa, Fraction):
+            total += float(pa) * _log(pa / qa)
+        else:
+            total += float(pa) * (_log(pa) - _log(qa))
+    return total
+
+
+def l1_distance(p: Iterable, q: Iterable) -> float:
+    ps, qs = tuple(p), tuple(q)
+    if len(ps) != len(qs):
+        raise ValueError(f"mismatched supports: {len(ps)} vs {len(qs)}")
+    return float(sum(abs(pa - qa) for pa, qa in zip(ps, qs)))
+
+
+def max_abs_deviation(p: Iterable, q: Iterable) -> float:
+    ps, qs = tuple(p), tuple(q)
+    if len(ps) != len(qs):
+        raise ValueError(f"mismatched supports: {len(ps)} vs {len(qs)}")
+    return float(max(abs(pa - qa) for pa, qa in zip(ps, qs)))
+
+
+def pinsker_gap(p: Iterable, q: Iterable) -> float:
+    """D(P || Q) - 0.5 * ||P - Q||_1^2, nonnegative for every pair.
+
+    The 1/2 constant is the correct one in nats; dividing by 2*log(2) instead
+    belongs to the bits convention and fails here (point mass vs uniform on
+    two symbols already violates it).
+    """
+    d = relative_entropy(p, q)
+    if math.isinf(d):
+        return d
+    return d - 0.5 * l1_distance(p, q) ** 2
 
 
 # ---------------------------------------------------------------------------

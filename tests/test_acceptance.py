@@ -22,18 +22,22 @@ from finetti.counts import TypeVector, count_types
 from finetti.definetti import theorem_constants, verify_theorem
 from finetti.exchangeable import iid_law, polya_urn_law, random_type_weight_law
 from finetti.gibbs import convergence_trace
-from finetti.info_measures import pinsker_gap, relative_entropy
 from finetti.lemma1 import lemma1_constant, lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
 from finetti.marginal_sets import conditional_mean_divergence, pythagorean_scan
-from finetti.types_core import Pmf, sequence_probability_identity, type_list, type_to_pmf
+from finetti.types_core import type_list
 from oracles import (
+    Pmf,
+    empirical_type,
     exp_n_entropy,
     exp_neg_n_divergence,
+    log_form_exponent,
     marginal_residuals,
     oracle_power_pmf,
     oracle_walk,
+    relative_entropy,
     type_class_probability,
+    type_to_pmf,
 )
 
 
@@ -105,6 +109,13 @@ def test_criterion_01_exact_type_suite():
         info["note"] = f"{checked} printed rows of finetti types, all bounds exact"
 
 
+# The log form exp(-n*(H + D)) = exp(sum_a c_a*log q_a) sums at most six
+# terms c*log(c/n)/n and c*log(c/(n*q))/n, each within a few ulps, and
+# n*(H + D) is below 8*log(117) < 40 for q = w / sum(w), 1 <= w < 40; so the
+# exponent is off by less than 1e-13, and exp by less than 1e-13 relative.
+LOG_FORM_RTOL = 1e-12
+
+
 def test_criterion_02_sequence_probability_identity():
     with criterion(2, "product-form identity on all strings", 30.0) as info:
         rng = random.Random(202)
@@ -114,16 +125,22 @@ def test_criterion_02_sequence_probability_identity():
             for n in range(1, 9):
                 for _ in range(20):
                     q = random_rational_pmf(rng, m)
-                    qf = tuple(map(float, q))
+                    # one string's probability, as `finetti types` prints it:
+                    # its class's probability over the class size
+                    printed = {}
+                    for row in types_rows(m, n, q)["types"]:
+                        t = TypeVector(row["counts"])
+                        p = Fraction(row["probability"]["rational"]) / row["size"]
+                        printed[t.counts] = p
+                        # its float against exp(-n*(H + D)) through logarithms
+                        want = math.exp(-n * log_form_exponent(t, tuple(map(float, q))))
+                        assert abs(float(p) - want) <= LOG_FORM_RTOL * want
+                        float_checks += 1
+                    # against the per-symbol product q(x_1)...q(x_n) of every string
                     for x in itertools.product(range(m), repeat=n):
-                        lhs, rhs = sequence_probability_identity(x, q)
-                        assert lhs == rhs
+                        assert printed[empirical_type(x, m).counts] == math.prod(q[a] for a in x)
                         exact_checks += 1
-                    x = tuple(rng.randrange(m) for _ in range(n))
-                    lf, rf = sequence_probability_identity(x, qf)
-                    assert abs(lf - rf) <= 1e-12 * max(abs(lf), abs(rf), 1e-300)
-                    float_checks += 1
-        info["note"] = f"{exact_checks} exact + {float_checks} float checks"
+        info["note"] = f"{exact_checks} strings exact + {float_checks} printed rows in log form"
 
 
 def test_criterion_03_single_coordinate_exactness():
@@ -258,8 +275,7 @@ def test_criterion_09_conditional_mean_within_bound():
 
 def test_criterion_10_block_law_trace():
     with criterion(10, "conditional block law converges to the product", 10.0) as info:
-        target = Pmf((Fraction(1, 2), Fraction(1, 2)))
-        trace = convergence_trace(target, 2, (4, 16, 64, 256))
+        trace = convergence_trace(((1, 1), 2), 2, (4, 16, 64, 256))
         values = [p.divergence for p in trace.points]
         assert abs(values[0] - 0.056633) <= 1e-6
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -269,18 +285,36 @@ def test_criterion_10_block_law_trace():
         )
 
 
+# gibbs runs whose rows criterion 11 reads: the workload trace and targets
+# with a zero entry, a point mass and four symbols
+GIBBS_RUNS = [
+    ("1/2,1/3,1/6", "3", "6,60,600,6000"),
+    ("1/5,4/5", "4", "8,80,800"),
+    ("0,1/3,2/3", "3", "6,60,600"),
+    ("1/2,1/2", "2", "4,16,64,256"),
+    ("1,0", "3", "6,12"),
+    ("1/4,1/4,1/4,1/4", "5", "5,9,40"),
+    ("1/3,2/3", "2", "6,12,48,192"),
+]
+
+
 def test_criterion_11_pinsker_gap():
     with criterion(11, "quadratic distance lower bound on divergence", 5.0) as info:
-        rng = random.Random(1111)
+        # Pinsker: D >= 1/2 ||P - M||_1^2, and ||P - M||_1 >= 2 max|P - M|
+        # because P - M sums to zero, so every printed row has D >= 2 * dev^2
+        rows = 0
         worst = math.inf
-        for _ in range(10_000):
-            m = rng.randrange(2, 17)
-            p = [rng.random() + 1e-12 for _ in range(m)]
-            q = [rng.random() + 1e-12 for _ in range(m)]
-            sp, sq = sum(p), sum(q)
-            gap = pinsker_gap(
-                tuple(x / sp for x in p), tuple(x / sq for x in q)
-            )
-            worst = min(worst, gap)
-            assert gap >= -1e-12
-        info["note"] = f"10000 pairs, min gap {worst:.3e}"
+        for target, k, ns in GIBBS_RUNS:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                main(["gibbs", "--target", target, "--k", k, "--n", ns])
+            header, *lines = out.getvalue().splitlines()
+            assert header == "n,divergence_nats,max_abs_deviation"
+            assert len(lines) == len(ns.split(","))
+            for line in lines:
+                _, d, dev = map(float, line.split(","))
+                assert d >= 2 * dev**2, (target, line)
+                if dev:
+                    worst = min(worst, d / (2 * dev**2))
+                rows += 1
+        info["note"] = f"{rows} printed gibbs rows, min D / (2 dev^2) = {worst:.2f}"

@@ -25,7 +25,7 @@ from finetti.exchangeable import (
     polya_urn_law,
     random_type_weight_law,
 )
-from finetti.types_core import Pmf
+from oracles import Pmf
 
 
 def test_constants_frozen_point_k1():

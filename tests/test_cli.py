@@ -21,8 +21,9 @@ from finetti.cli import (
     main,
 )
 from finetti.counts import count_types
-from finetti.types_core import Pmf, type_class_size, type_list
+from finetti.types_core import type_class_size, type_list
 from oracles import (
+    Pmf,
     exp_n_entropy,
     exp_neg_n_divergence,
     type_class_probability,
@@ -85,7 +86,7 @@ def test_types_rejects_bad_pmf(capsys):
 
 
 def test_types_checks_m_before_the_uniform_pmf(capsys):
-    # the message is count_types', not Pmf.uniform's "size must be >= 1"
+    # the message is count_types', read before the uniform q is built
     want = (EXIT_INPUT, "", "error: alphabet size must be >= 1, got 0\n")
     assert run(["types", "--m", "0", "--n", "3"], capsys) == want
 
@@ -696,8 +697,8 @@ def test_cli_start_loads_no_random_and_no_exactlog():
 
 # the finetti modules each start loads: a start compiles only what its subcommand
 # runs, and only its own handler module among cli_types, cli_verify, cli_lemma, cli_gibbs;
-# each lemma start loads only its own lemma's module, and no start loads info_measures
-LEMMA3_MODULES = {"cli", "cli_lemma", "counts", "lemma3", "types_core"}
+# each lemma start loads only its own lemma's module
+LEMMA3_MODULES = {"cli", "cli_lemma", "counts", "lemma3"}
 START_MODULES = [
     ("--help", {"cli"}),
     ("verify --help", {"cli", "cli_verify"}),
@@ -742,24 +743,35 @@ def test_cli_start_loads_only_its_subcommands_modules(command, modules):
     assert loaded == f"0 False {sorted(f'finetti.{name}' for name in modules)}", proc.stderr
 
 
+# (start, modules it must not load besides fractions and decimal)
 INTEGER_STARTS = [
-    ("lemma dbound --q 120,120 --k 2", {"finetti.lemma3"}),
-    ("lemma pythagoras --q 4,4,4 --k 2", {"finetti.lemma3", "finetti.lemma1"}),
-    ("lemma lemma1 --q 40,40 --k 2 --l 40 --seed 3", {"finetti.marginal_sets", "finetti.lemma3"}),
+    ("lemma dbound --q 120,120 --k 2", {"finetti.lemma3", "finetti.types_core"}),
+    ("lemma pythagoras --q 4,4,4 --k 2", {"finetti.lemma3", "finetti.lemma1", "finetti.types_core"}),
+    (
+        "lemma lemma1 --q 40,40 --k 2 --l 40 --seed 3",
+        {"finetti.marginal_sets", "finetti.lemma3", "finetti.types_core"},
+    ),
+    ("lemma lemma3 --q 4,4,4 --k 2", {"finetti.marginal_sets", "finetti.types_core"}),
+    ("lemma lemma3 --q 6,6 --k 2 --mode grid --l 6", {"finetti.lemma1", "finetti.types_core"}),
+    ("verify --family fair-coin --n 8 --k 2", set()),
+    ("verify --family polya --init 1,2 --n 9 --k 2,3", set()),
+    ("verify --family delta-type --counts 3,2,1 --k 2", set()),
+    ("verify --family random-type-weights --seed 5 --m 2 --n 12 --k 2", set()),
+    ("types --m 2 --n 4", set()),
 ]
 
 
 @pytest.mark.parametrize("command, absent", INTEGER_STARTS, ids=[c for c, _ in INTEGER_STARTS])
 def test_integer_lemma_starts_load_no_fractions(command, absent):
-    # dbound, pythagoras and lemma1 read an n-type as integer counts: no
-    # Fraction (which brings decimal), no Pmf, and no other lemma's code
+    # a start that parses no rational from text reads its pmfs as integer
+    # counts: no Fraction (which brings decimal), and no other lemma's code
     code = (
         "import runpy, sys; sys.argv[0] = 'finetti'\n"
         "try:\n    runpy.run_module('finetti', run_name='__main__')\n"
         "except SystemExit as exc:\n    rc = exc.code\n"
         "print(rc, sorted(m for m in sys.modules if m in WATCHED), file=sys.stderr)"
     )
-    watched = {"fractions", "decimal", "finetti.types_core"} | absent
+    watched = {"fractions", "decimal"} | absent
     proc = subprocess.run(
         [sys.executable, "-S", "-c", f"WATCHED = {sorted(watched)!r}\n{code}", *command.split()],
         capture_output=True,
@@ -907,9 +919,9 @@ def test_types_text_builds_no_rows(monkeypatch, capsys):
     calls = []
     real = cli_types._rational_pair
 
-    def spy(value):
-        calls.append(value)
-        return real(value)
+    def spy(num, den):
+        calls.append((num, den))
+        return real(num, den)
 
     monkeypatch.setattr(cli_types, "_rational_pair", spy)
     code, out, _ = run(["types", "--m", "3", "--n", "20", "--q", "0,1/3,2/3"], capsys)

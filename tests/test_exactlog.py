@@ -19,9 +19,8 @@ from exactlog import (
     relative_entropy_combination,
 )
 from finetti.counts import TypeVector, all_strings
-from finetti.info_measures import entropy, relative_entropy
-from finetti.types_core import type_list, type_to_pmf
-from oracles import marginal_residuals, oracle_walk
+from finetti.types_core import type_list
+from oracles import entropy, marginal_residuals, oracle_walk, relative_entropy, type_to_pmf
 
 
 def test_log_laws_certified():

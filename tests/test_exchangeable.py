@@ -15,13 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Pmf,
     conditional_given_type,
+    empirical_type,
+    max_abs_deviation,
     oracle_block_laws,
     oracle_power_pmf,
     pmf_from_weights,
+    relative_entropy,
     spread,
     string_index,
     type_class_probability,
+    type_to_pmf,
     type_weights_file,
     urn_draw_probability,
 )
@@ -48,15 +53,11 @@ from finetti.exchangeable import (
     type_weight_law,
 )
 from finetti.gibbs import conditional_block_law
-from finetti.info_measures import max_abs_deviation, relative_entropy
 from finetti.types_core import (
-    Pmf,
     cell_index,
-    empirical_type,
     type_class_size,
     type_index_map,
     type_list,
-    type_to_pmf,
     urn_numerators,
 )
 
@@ -74,9 +75,14 @@ def marginal(law: UrnLaw, k: int) -> Pmf:
     return spread_block_laws(law, k)[0]
 
 
+def histogram_pmf(law: UrnLaw) -> Pmf:
+    """`histogram_law`'s (weights, denominator) as a pmf of Fractions."""
+    return Pmf.from_numerators(*histogram_law(law))
+
+
 def histograms(law: UrnLaw):
     """(n-histogram, weight) pairs of the law, its level-n view."""
-    return zip(type_list(law.m, law.n), histogram_law(law))
+    return zip(type_list(law.m, law.n), histogram_pmf(law))
 
 
 def law_on_strings(law: UrnLaw) -> dict[tuple[int, ...], Fraction]:
@@ -176,7 +182,7 @@ def test_k1_marginal_equals_mixture_exactly():
 
 
 def test_polya_11_is_uniform_on_types():
-    weights = histogram_law(polya_urn_law((1, 1), 6))
+    weights = histogram_pmf(polya_urn_law((1, 1), 6))
     assert len(set(weights)) == 1
     assert sum(weights) == 1
 
@@ -210,8 +216,8 @@ def test_random_type_weight_law_is_seed_stable():
     a = random_type_weight_law(2, 8, 123)
     b = random_type_weight_law(2, 8, 123)
     c = random_type_weight_law(2, 8, 124)
-    assert histogram_law(a).probs == histogram_law(b).probs
-    assert histogram_law(a).probs != histogram_law(c).probs
+    assert histogram_pmf(a).probs == histogram_pmf(b).probs
+    assert histogram_pmf(a).probs != histogram_pmf(c).probs
     with pytest.raises(ValueError):
         random_type_weight_law(2, 8, None)
 
@@ -260,7 +266,7 @@ def test_from_mixing_measure_round_trip():
     mix = MixingMeasure(((q, Fraction(1),),))
     law = from_mixing_measure(mix, 4)
     want = iid_law(q, 4)
-    assert histogram_law(law).probs == histogram_law(want).probs
+    assert histogram_pmf(law).probs == histogram_pmf(want).probs
 
 
 def fraction_mixture_weights(mix: MixingMeasure, n: int) -> tuple[Fraction, ...]:
@@ -294,7 +300,7 @@ def test_from_mixing_measure_matches_the_fraction_sum(name):
     mix = MIXTURES[name]
     grid = (1, 2, 7, 30, 60) + ((403,) if mix.m == 2 else ())
     for n in grid:
-        got = histogram_law(from_mixing_measure(mix, n)).probs
+        got = histogram_pmf(from_mixing_measure(mix, n)).probs
         assert got == fraction_mixture_weights(mix, n), (name, n)
 
 
@@ -303,7 +309,7 @@ def test_law_json_round_trip():
     blob = json.dumps(type_weights_file(law))
     back = read_law(blob)
     assert back.m == law.m and back.n == law.n
-    assert histogram_law(back).probs == histogram_law(law).probs
+    assert histogram_pmf(back).probs == histogram_pmf(law).probs
 
 
 def test_law_json_mixing_needs_n():
@@ -314,7 +320,7 @@ def test_law_json_mixing_needs_n():
         read_law(blob)
     law = read_law(blob, n=3)
     want = iid_law(Pmf((Fraction(1, 2), Fraction(1, 2))), 3)
-    assert histogram_law(law).probs == histogram_law(want).probs
+    assert histogram_pmf(law).probs == histogram_pmf(want).probs
 
 
 def test_law_json_rejects_mismatched_n():
@@ -355,13 +361,14 @@ def test_law_validates_weight_count():
 
 def test_law_rejects_float_weights():
     with pytest.raises(ValueError, match="must be exact rationals"):
-        type_weight_law(2, 1, Pmf((0.5, 0.5)))
-    with pytest.raises(ValueError, match="histogram weights must be a Pmf of exact rationals"):
-        type_weight_law(2, 1, (Fraction(1, 2), Fraction(1, 2)))
+        type_weight_law(2, 1, (0.5, 0.5))
+    # a plain tuple of Fractions is a pmf: its weights are read, not its type
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert type_weight_law(2, 1, half) == type_weight_law(2, 1, Pmf(half))
     with pytest.raises(ValueError, match="must be exact rationals"):
-        MixingMeasure(((Pmf((0.5, 0.5)), Fraction(1)),))
+        MixingMeasure((((0.5, 0.5), Fraction(1)),))
     with pytest.raises(ValueError, match="must be exact rationals"):
-        MixingMeasure(((Pmf((Fraction(1, 2), Fraction(1, 2))), 1.0),))
+        MixingMeasure(((half, 1.0),))
 
 
 def test_law_and_mixing_validation_messages():
@@ -410,7 +417,7 @@ def test_records_pickle_compare_and_stay_frozen():
             record.extra = 1
     (law, *_), (mix, *_), _ = _records()
     assert repr(law) == "UrnLaw(m=2, n=5, urns=(((1, 2), 1),), step=1)"
-    assert len(histogram_law(law)) == len(type_list(2, 5))
+    assert len(histogram_pmf(law)) == len(type_list(2, 5))
     assert MixingMeasure(((Pmf.uniform(3), 1),)).m == 3
     # a changed copy is validated like a new record
     with pytest.raises(ValueError, match="nonnegative counts of 3 symbols"):
@@ -569,6 +576,7 @@ def test_restrict_law_matches_per_pair_oracle(build, n_sub):
 def test_verify_cell_makes_one_kernel_pass(monkeypatch):
     # P_k and M_k come from one pass over the urns, whose weights are
     # integers from the start, and no histogram of the first n_eff draws is listed
+    import finetti.counts as counts
     import finetti.types_core as tc
 
     def counting(real, seen):
@@ -579,16 +587,16 @@ def test_verify_cell_makes_one_kernel_pass(monkeypatch):
         return counted
 
     law = random_type_weight_law(2, 401, 5)
-    calls = {"urn_numerators": [], "integer_numerators": [], "type_list": []}
+    calls = {"urn_numerators": [], "pmf_numerators": [], "type_list": []}
     modules = [mod for key, mod in sys.modules.items() if key.startswith("finetti")]
     for name in calls:
-        real = getattr(tc, name)
+        real = getattr(tc, name, None) or getattr(counts, name)
         for mod in modules:
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting(real, calls[name]))
     verify_theorem(law, 3)
     assert len(calls["urn_numerators"]) == 1
-    assert len(calls["integer_numerators"]) == 0
+    assert len(calls["pmf_numerators"]) == 0
     assert (2, 399) not in calls["type_list"]
 
 
@@ -674,7 +682,7 @@ def test_urn_law_block_laws_equal_the_level_n_law(build, ns):
     # and M_k agree as Fractions, so verify prints the same divergence
     for n in ns:
         urns = build(n)
-        level = type_weight_law(urns.m, n, histogram_law(urns))
+        level = type_weight_law(urns.m, n, histogram_pmf(urns))
         assert type(urns) is UrnLaw and level.step == -1
         assert (urns.m, urns.n) == (level.m, level.n)
         for k in range(1, min(n, 4) + 1):
@@ -737,7 +745,7 @@ def test_random_type_weights_are_its_histograms_at_minus_one_and_pickle():
     assert law.step == -1
     assert [counts for counts, _ in law.urns] == [t.counts for t in type_list(2, 9)]
     weights = [w for _, w in law.urns]
-    assert [Fraction(w, sum(weights)) for w in weights] == list(histogram_law(law))
+    assert [Fraction(w, sum(weights)) for w in weights] == list(histogram_pmf(law))
     back = pickle.loads(pickle.dumps(law))
     assert back == law and back.urns == law.urns
 
@@ -770,10 +778,10 @@ def test_histogram_law_of_full_urns_matches_the_kernel_pass(tmp_path):
     ]
     for law in laws:
         assert law.step == -1
-        assert histogram_law(law) == kernel_histogram_law(law)
+        assert histogram_pmf(law) == kernel_histogram_law(law)
     # urns larger than n draw a part of each urn: the kernel pass still reads them
     part = UrnLaw(2, 3, (((2, 3), 1), ((4, 1), 2)), -1)
-    assert histogram_law(part) == kernel_histogram_law(part)
+    assert histogram_pmf(part) == kernel_histogram_law(part)
 
 
 def test_histogram_law_of_full_urns_runs_no_kernel_pass_at_n(monkeypatch):
@@ -792,4 +800,4 @@ def test_histogram_law_of_full_urns_runs_no_kernel_pass_at_n(monkeypatch):
     assert passes == []
     # each of the 401 urns is its own n-histogram, in type order, with its seeded weight
     nums = [w for _, w in law.urns]
-    assert len(nums) == 401 and weights == Pmf.from_numerators(nums, sum(nums))
+    assert len(nums) == 401 and weights == (nums, sum(nums))

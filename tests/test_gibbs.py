@@ -17,9 +17,9 @@ from finetti.gibbs import (
     round_to_type,
     trace_to_csv,
 )
-from finetti.info_measures import max_abs_deviation, relative_entropy
-from finetti.types_core import Pmf, type_list, type_to_pmf
-from oracles import oracle_power_pmf, spread
+from finetti.counts import pmf_numerators
+from finetti.types_core import type_list
+from oracles import Pmf, max_abs_deviation, oracle_power_pmf, relative_entropy, spread, type_to_pmf
 
 
 def block_pmf(t: TypeVector, k: int) -> Pmf:
@@ -59,25 +59,39 @@ def test_conditional_block_law_matches_direct_count():
         assert law.probs[i] == p
 
 
+def oracle_round_to_type(p: Pmf, n: int) -> tuple[int, ...]:
+    """Largest remainder in Fractions: floors of p*n, the rest to the largest fractional parts."""
+    scaled = [x * n for x in p]
+    floors = [int(x) for x in scaled]
+    order = sorted(range(len(p)), key=lambda i: (-(scaled[i] - floors[i]), i))
+    for i in order[: n - sum(floors)]:
+        floors[i] += 1
+    return tuple(floors)
+
+
 def test_round_to_type_largest_remainder():
     p = Pmf((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-    t = round_to_type(p, 4)
+    t = round_to_type(pmf_numerators(p), 4)
     assert t.counts == (2, 1, 1)  # ties broken toward the lowest index
     assert t.n == 4
     with pytest.raises(ValueError, match="must be exact rationals"):
-        Pmf((0.5, 0.3, 0.2))
+        pmf_numerators((0.5, 0.3, 0.2))
     q = Pmf((Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
-    assert round_to_type(q, 10).counts == (5, 3, 2)
+    assert round_to_type(pmf_numerators(q), 10).counts == (5, 3, 2)
+    # the integer rule against the Fraction one, ties and zeros included
+    for p in (q, Pmf((0, Fraction(1, 7), Fraction(6, 7))), Pmf((Fraction(1, 4),) * 4)):
+        for n in range(1, 30):
+            assert round_to_type(pmf_numerators(p), n).counts == oracle_round_to_type(p, n), (p, n)
 
 
 def test_round_to_type_is_exact_on_lattice_points():
     p = Pmf((Fraction(3, 8), Fraction(5, 8)))
-    assert round_to_type(p, 8).counts == (3, 5)
+    assert round_to_type(pmf_numerators(p), 8).counts == (3, 5)
 
 
 def test_trace_frozen_values():
     target = Pmf((Fraction(1, 2), Fraction(1, 2)))
-    tr = convergence_trace(target, 2, (4, 16, 64, 256))
+    tr = convergence_trace(pmf_numerators(target), 2, (4, 16, 64, 256))
     got = {p.n: p.divergence for p in tr.points}
     assert got[4] == pytest.approx(0.05663301226513234, abs=1e-12)
     assert got[16] == pytest.approx(0.002223871246127135, abs=1e-12)
@@ -89,13 +103,13 @@ def test_trace_value_closed_form_smallest():
     # n=4: D( block law of (2,2) || (1/2,1/2)^2 )
     want = (1 / 3) * math.log(2 / 3) + (2 / 3) * math.log(4 / 3)
     target = Pmf((Fraction(1, 2), Fraction(1, 2)))
-    tr = convergence_trace(target, 2, (4,))
+    tr = convergence_trace(pmf_numerators(target), 2, (4,))
     assert tr.points[0].divergence == pytest.approx(want, abs=1e-12)
 
 
 def test_trace_is_decreasing_toward_zero():
     target = Pmf((Fraction(1, 3), Fraction(2, 3)))
-    tr = convergence_trace(target, 2, (6, 12, 48, 192))
+    tr = convergence_trace(pmf_numerators(target), 2, (6, 12, 48, 192))
     ds = [p.divergence for p in tr.points]
     assert all(a > b for a, b in zip(ds, ds[1:]))
     assert ds[-1] < 0.01
@@ -103,7 +117,7 @@ def test_trace_is_decreasing_toward_zero():
 
 def test_trace_max_deviation_tracks_rounding():
     target = Pmf((Fraction(1, 2), Fraction(1, 2)))
-    tr = convergence_trace(target, 2, (4,))
+    tr = convergence_trace(pmf_numerators(target), 2, (4,))
     # rounded histogram is exactly (2,2): deviation of the block law
     # from the product is 1/4 - 1/6 = 1/12
     assert tr.points[0].max_deviation == pytest.approx(1 / 12, abs=1e-12)
@@ -118,7 +132,7 @@ def test_block_law_k1_is_type_pmf():
 
 def test_degenerate_target_gives_zero_trace():
     target = Pmf((Fraction(1), Fraction(0)))
-    tr = convergence_trace(target, 3, (6, 12))
+    tr = convergence_trace(pmf_numerators(target), 3, (6, 12))
     assert [p.divergence for p in tr.points] == [0.0, 0.0]
 
 
@@ -126,7 +140,7 @@ def test_trace_decay_rate_regression():
     # D(n) <= C/n with C fitted on the small-n half of the grid; the
     # without-replacement vs with-replacement gap decays at least that fast
     target = Pmf((Fraction(1, 3), Fraction(2, 3)))
-    tr = convergence_trace(target, 2, (8, 16, 32, 64, 128, 256))
+    tr = convergence_trace(pmf_numerators(target), 2, (8, 16, 32, 64, 128, 256))
     ds = {p.n: p.divergence for p in tr.points}
     c = max(ds[8] * 8, ds[16] * 16)
     for n in (32, 64, 128, 256):
@@ -136,12 +150,12 @@ def test_trace_decay_rate_regression():
 def test_trace_rejects_n_below_k():
     target = Pmf((Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError):
-        convergence_trace(target, 4, (2,))
+        convergence_trace(pmf_numerators(target), 4, (2,))
 
 
 def test_trace_csv_shape():
     target = Pmf((Fraction(1, 2), Fraction(1, 2)))
-    tr = convergence_trace(target, 2, (4, 8))
+    tr = convergence_trace(pmf_numerators(target), 2, (4, 8))
     text = trace_to_csv(tr)
     lines = text.strip().splitlines()
     assert lines[0] == "n,divergence_nats,max_abs_deviation"
@@ -153,8 +167,8 @@ def test_trace_csv_shape():
 
 def test_csv_is_deterministic():
     target = Pmf((Fraction(1, 4), Fraction(3, 4)))
-    a = trace_to_csv(convergence_trace(target, 2, (8, 16)))
-    b = trace_to_csv(convergence_trace(target, 2, (8, 16)))
+    a = trace_to_csv(convergence_trace(pmf_numerators(target), 2, (8, 16)))
+    b = trace_to_csv(convergence_trace(pmf_numerators(target), 2, (8, 16)))
     assert a == b
 
 
@@ -168,7 +182,7 @@ def test_block_law_nonnegative_divergence(m, k, seed):
     n = max(n, k)
     w = [rng.randrange(1, 8) for _ in range(m)]
     target = Pmf(tuple(Fraction(x, sum(w)) for x in w))
-    tr = convergence_trace(target, k, (n,))
+    tr = convergence_trace(pmf_numerators(target), k, (n,))
     assert tr.points[0].divergence >= -1e-12
 
 
@@ -188,7 +202,7 @@ def test_trace_has_the_bits_of_the_fraction_pmfs(target, k, ns):
     # spread block law and the per-string product oracle, bit for bit
     pmf = Pmf(tuple(Fraction(p) for p in target.split(",")))
     product = oracle_power_pmf(pmf, k)
-    for point in convergence_trace(pmf, k, ns).points:
+    for point in convergence_trace(pmf_numerators(pmf), k, ns).points:
         block = block_pmf(point.rounded, k)
         assert point.divergence == relative_entropy(block, product), point.n
         assert point.max_deviation == max_abs_deviation(block, product), point.n

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finetti.info_measures import (
+from oracles import (
     entropy,
     l1_distance,
     max_abs_deviation,
@@ -69,6 +69,17 @@ def test_pinsker_gap_nonnegative(m, seed):
     rng = random.Random(seed)
     p, q = random_pmf(rng, m), random_pmf(rng, m)
     assert pinsker_gap(p, q) >= -1e-12
+
+
+def test_pinsker_gap_on_random_pairs():
+    # 10,000 random float pairs, m up to 16: D >= 1/2 ||P - Q||_1^2 to 1e-12
+    rng = random.Random(1111)
+    for _ in range(10_000):
+        m = rng.randrange(2, 17)
+        p = [rng.random() + 1e-12 for _ in range(m)]
+        q = [rng.random() + 1e-12 for _ in range(m)]
+        sp, sq = sum(p), sum(q)
+        assert pinsker_gap(tuple(x / sp for x in p), tuple(x / sq for x in q)) >= -1e-12
 
 
 def test_pinsker_tight_case_is_still_nonnegative():

@@ -15,13 +15,29 @@ from hypothesis import strategies as st
 import finetti.lemma1 as lemma1
 import finetti.lemma3 as lemma3
 import finetti.marginal_sets as ms
-from finetti.counts import CapacityError, TypeVector, all_strings, occurrence_matrix, resolve_cap
-from finetti.info_measures import entropy, l1_distance, max_abs_deviation, relative_entropy
+from finetti.counts import (
+    CapacityError,
+    TypeVector,
+    all_strings,
+    occurrence_matrix,
+    pmf_numerators,
+    resolve_cap,
+)
 from finetti.lemma1 import lemma1_constant, lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
 from finetti.marginal_sets import conditional_mean_divergence, partition_tail_bound
-from finetti.types_core import Pmf, integer_numerators, type_class_size, type_list, type_to_pmf
-from oracles import marginal_residuals, oracle_power_pmf, oracle_walk
+from finetti.types_core import type_class_size, type_list
+from oracles import (
+    Pmf,
+    entropy,
+    l1_distance,
+    marginal_residuals,
+    max_abs_deviation,
+    oracle_power_pmf,
+    oracle_walk,
+    relative_entropy,
+    type_to_pmf,
+)
 
 
 def numerators(q) -> tuple[tuple[int, ...], int]:
@@ -29,10 +45,19 @@ def numerators(q) -> tuple[tuple[int, ...], int]:
 
     For an n-type it must equal the integer reading of the counts.
     """
-    a, den = integer_numerators(type_to_pmf(q) if isinstance(q, TypeVector) else q)
+    a, den = pmf_numerators(type_to_pmf(q) if isinstance(q, TypeVector) else q)
     if isinstance(q, TypeVector):
-        assert ms._numerators(q) == (a, den)
+        assert pmf_numerators(q) == (a, den)
     return a, den
+
+
+def vertex_fractions(x) -> tuple[Fraction, ...] | None:
+    """A vertex solve's (numerators, least common denominator) as Fractions, checking the LCD."""
+    if x is None:
+        return None
+    nums, den = x
+    assert math.gcd(den, *nums) == 1
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def filter_members(q: TypeVector, k: int, ell: int) -> list[tuple[int, ...]]:
@@ -280,7 +305,8 @@ def oracle_max_divergence_exact(q: TypeVector, k: int) -> tuple[float, Pmf, int]
     best, best_h, candidates = None, math.inf, 0
     for size in range(1, len(rows) + 1):
         for subset in combinations(cols, size):
-            x = _solve_columns([tuple(occ[b][a] for a in rows) for b in subset], target, scale)
+            cols_b = [tuple(occ[b][a] for a in rows) for b in subset]
+            x = vertex_fractions(_solve_columns(cols_b, target, scale))
             if x is None or any(v < 0 for v in x):
                 continue
             key = tuple((b, v) for b, v in zip(subset, x) if v)
@@ -308,7 +334,7 @@ def test_max_divergence_matches_cell_level_oracle(m, k, n_max):
             r = max_divergence_over_E_k(q, k)
             value, witness, candidates = oracle_max_divergence_exact(q, k)
             assert r.value.hex() == value.hex(), q
-            assert r.witness == witness, q
+            assert Pmf.from_numerators(*r.witness) == witness, q
             assert r.candidates == candidates, q
 
 
@@ -329,7 +355,7 @@ def test_vertex_limit_admits_many_cells_with_few_columns(counts, k, candidates):
     r = max_divergence_over_E_k(q, k)
     value, witness, oracle_candidates = oracle_max_divergence_exact(q, k)
     assert r.value.hex() == value.hex()
-    assert r.witness == witness
+    assert Pmf.from_numerators(*r.witness) == witness
     assert r.candidates == oracle_candidates == candidates
 
 
@@ -385,7 +411,7 @@ def test_integer_vertex_solve_matches_fraction_oracle(counts, k):
     for size in range(1, len(rows) + 1):
         for subset in combinations(cols, size):
             want = oracle_solve_columns(subset, [k * q[a] for a in rows])
-            assert _solve_columns(subset, [int(t) for t in target], scale) == want
+            assert vertex_fractions(_solve_columns(subset, [int(t) for t in target], scale)) == want
             solved += want is not None
     assert solved
 
@@ -518,6 +544,22 @@ def test_tail_bound_saturates_gracefully():
     assert r.exact_probability == 0.0
 
 
+def test_tail_bound_is_finite_up_to_the_float_exponent_limit():
+    # the bound reads inf only where math.exp overflows, as epsilon's tail term does:
+    # at log_bound = 705, q = (1/2, 1/2), k = 6, l = 300 it is e^705 = 1.5e306
+    from finetti.counts import _EXP_MAX
+
+    cells, ell = 2**6, 300
+    delta = (2 * cells * math.log(ell + 1) - 705.0) / ell
+    r = partition_tail_bound(TypeVector((1, 1)), 6, ell, delta)
+    assert r.log_bound == pytest.approx(705.0, abs=1e-9)
+    assert r.bound == math.exp(r.log_bound) and 1.5e306 < r.bound < 1.51e306
+    assert r.exact_probability is None  # count_types(64, 300) exceeds the cap
+    # above the limit the bound saturates
+    over = partition_tail_bound(TypeVector((1, 1)), 6, ell, delta - 5.0 / ell)
+    assert over.log_bound > _EXP_MAX and over.bound == math.inf
+
+
 def test_tail_bound_entropy_margin_certificate():
     # alpha(n, k) equals the construction constant at l = n/k, so the
     # entropy-margin check holds with equality in the certified regime
@@ -607,13 +649,13 @@ def oracle_tail_rows(q: TypeVector, k: int, ell: int) -> tuple[float, list[tuple
     return d_star, rows
 
 
-def oracle_grid_witness(q: TypeVector, k: int, ell: int) -> tuple[float, Pmf]:
+def oracle_grid_witness(q: TypeVector, k: int, ell: int) -> tuple[float, tuple[int, ...]]:
     qk = oracle_power_pmf(type_to_pmf(q), k)
     best = None
     for w in oracle_members(q, k, ell):
         d = relative_entropy(type_to_pmf(w), qk)
         if best is None or d > best[0]:
-            best = (d, type_to_pmf(w))
+            best = (d, w.counts)
     return best
 
 
@@ -670,9 +712,9 @@ def test_tail_probability_matches_oracle_path():
 
 def test_grid_witness_matches_oracle_path():
     for q, k, ell in small_lattice_types():
-        value, witness = oracle_grid_witness(q, k, ell)
+        value, witness_counts = oracle_grid_witness(q, k, ell)
         r = max_divergence_over_E_k(q, k, mode="grid", ell=ell)
-        assert r.witness == witness, (q, k, ell)
+        assert r.witness == (witness_counts, ell), (q, k, ell)
         assert r.value == value
         assert r.candidates == len(oracle_walk(q, k, ell))
 
@@ -797,9 +839,9 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
 
 
 def test_decomposition_builds_no_pmf(monkeypatch):
-    # the scan, the conditional mean and the exact tail read an n-type q as
-    # integer numerators: with types_core unimportable (the home of `Pmf`
-    # and `type_to_pmf`) they give the same answers
+    # the scan, the conditional mean and the exact tail read q as integer
+    # numerators (`counts.pmf_numerators`): with types_core and fractions
+    # unimportable they give the same answers
     import sys
 
     q = TypeVector((4, 2, 6))
@@ -810,6 +852,7 @@ def test_decomposition_builds_no_pmf(monkeypatch):
     )
     assert want[0][0] == len(oracle_walk(q, 2, 6)) > 3
     monkeypatch.setitem(sys.modules, "finetti.types_core", None)
+    monkeypatch.setitem(sys.modules, "fractions", None)
     ms._member_table.cache_clear()
     got = (
         ms.pythagorean_scan(q, 2, 6),
@@ -817,9 +860,11 @@ def test_decomposition_builds_no_pmf(monkeypatch):
         partition_tail_bound(q, 2, 6, 0.5),
     )
     assert got == want
-    # a Pmf q still goes through its validation there
-    with pytest.raises(ImportError):
-        conditional_mean_divergence(Pmf.uniform(2), 2, 2)
+    # a pmf q of Fractions is read by the same function, to the same numerators
+    uniform = Pmf.uniform(2)
+    assert conditional_mean_divergence(uniform, 2, 2) == conditional_mean_divergence(
+        TypeVector((2, 2)), 2, 2
+    )
 
 
 def shifted_members(q: TypeVector, k: int, ell: int):
@@ -941,7 +986,7 @@ def test_integer_forms_have_the_bits_of_the_fraction_forms(m, k):
     assert any(0 in q.counts for q in qs) and any(math.gcd(*q.counts) > 1 for q in qs)
     for q in qs + pmfs:
         pmf = type_to_pmf(q) if isinstance(q, TypeVector) else q
-        a, den = ms._numerators(q)
+        a, den = pmf_numerators(q)
         # k*H(q) of the conditional mean, D(Q^k||U) of the tail threshold
         assert k * entropy_of_numerators(a, den) == k * entropy(pmf), q
         d_star = relative_entropy(oracle_power_pmf(pmf, k), Pmf.uniform(m**k))

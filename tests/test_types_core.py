@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exp_n_entropy, exp_neg_n_divergence, type_class_probability
+from oracles import (
+    Pmf,
+    empirical_type,
+    exp_n_entropy,
+    exp_neg_n_divergence,
+    sequence_probability_identity,
+    type_class_probability,
+)
 
 from finetti.counts import (
     DEFAULT_ENUMERATION_CAP,
@@ -24,19 +31,10 @@ from finetti.counts import (
     TypeVector,
     count_types,
     occurrence_matrix,
+    pmf_numerators,
     resolve_cap,
 )
-from finetti.types_core import (
-    Pmf,
-    cell_index,
-    empirical_type,
-    integer_numerators,
-    sequence_probability_identity,
-    type_class_size,
-    type_index_map,
-    type_list,
-    type_to_pmf,
-)
+from finetti.types_core import cell_index, type_class_size, type_index_map, type_list
 
 
 def brute_types(m: int, n: int) -> set[tuple[int, ...]]:
@@ -146,10 +144,12 @@ def test_empirical_type():
 
 
 def test_type_pmf_round_trip():
-    t = TypeVector((2, 3, 5))
-    p = type_to_pmf(t)
-    assert p.probs == (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
-    assert sum(p.probs) == 1
+    # an n-type is read as its counts over n, both divided by their gcd
+    assert pmf_numerators(TypeVector((2, 3, 5))) == ((2, 3, 5), 10)
+    assert pmf_numerators(TypeVector((2, 4, 6))) == ((1, 2, 3), 6)
+    assert pmf_numerators(TypeVector((0, 4))) == ((0, 1), 1)
+    # and the same pair as its pmf in Fractions
+    assert pmf_numerators((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))) == ((1, 2, 3), 6)
 
 
 @given(st.integers(2, 3), st.integers(1, 7), st.data())
@@ -179,73 +179,30 @@ def test_sequence_identity_rejects_bad_symbol():
 
 
 # ---------------------------------------------------------------------------
-# Pmf plumbing
+# the pmf reader
 # ---------------------------------------------------------------------------
 
 
 def test_pmf_exactness_detection():
-    # every pmf is exact: integer entries become Fractions, floats are refused
-    p = Pmf((Fraction(1, 2), Fraction(1, 2)))
-    assert all(type(x) is Fraction for x in Pmf((1, 0)))
+    # every pmf is exact: integer and Fraction entries are read, floats are refused
+    assert pmf_numerators((1, 0)) == ((1, 0), 1)
+    with pytest.raises(ValueError, match=r"^pmf entries and weights must be exact rationals, got 0.5$"):
+        pmf_numerators((0.5, 0.5))
     with pytest.raises(ValueError, match="must be exact rationals"):
-        Pmf((0.5, 0.5))
+        pmf_numerators((Fraction(1, 2), 0.5))
+    with pytest.raises(ValueError, match=r"^pmf sums to 5/6, not 1$"):
+        pmf_numerators((Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ValueError, match=r"^pmf sums to 2, not 1$"):
+        pmf_numerators((1, 1))
     with pytest.raises(ValueError, match="must be exact rationals"):
-        Pmf((p[0], 0.5))
-    with pytest.raises(ValueError):
-        Pmf((Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        Pmf((0.5, 0.6))
-    with pytest.raises(ValueError):
-        Pmf((Fraction(3, 2), Fraction(-1, 2)))
-
-
-def test_pmf_is_immutable():
-    p = Pmf.uniform(3)
-    with pytest.raises(AttributeError):
-        p.probs = (1,)
-
-
-def test_pmf_pickles():
-    import pickle
-
-    p = Pmf((Fraction(1, 4), Fraction(3, 4)))
-    q = pickle.loads(pickle.dumps(p))
-    assert q.probs == p.probs and type(q) is Pmf
-
-
-def test_pmf_record_behaviour():
-    import pickle
-
-    p = Pmf((Fraction(1, 4), 0, Fraction(3, 4)))
-    assert p.probs is p and all(type(x) is Fraction for x in p)
-    assert repr(p) == "Pmf([Fraction(1, 4), Fraction(0, 1), Fraction(3, 4)])"
-    same = Pmf.from_numerators((1, 0, 3), 4)
-    assert p == same and hash(p) == hash(same) and type(same) is Pmf
-    assert p != Pmf((Fraction(3, 4), 0, Fraction(1, 4)))
-    # unpickling validates again, so a record that skipped validation does not come back
-    bad = tuple.__new__(Pmf, (Fraction(1, 2), Fraction(1, 3)))
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(p, protocol))
-        assert back == p and type(back) is Pmf
-        with pytest.raises(ValueError, match="not 1"):
-            pickle.loads(pickle.dumps(bad, protocol))
-    with pytest.raises(AttributeError):
-        p.probs = (1,)
-    with pytest.raises(AttributeError):
-        p.extra = 1
+        pmf_numerators((0.5, 0.6))
+    with pytest.raises(ValueError, match=r"^negative probability$"):
+        pmf_numerators((Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError, match=r"^empty probability vector$"):
+        pmf_numerators(())
+    # the test-side Pmf is read by the same function, so it refuses the same
     with pytest.raises(ValueError, match="must be exact rationals"):
         Pmf((0.25, 0, 0.75))
-    # from_numerators checks in integers: nonnegative ints summing to den
-    with pytest.raises(ValueError, match="nonnegative integers"):
-        Pmf.from_numerators((5, -1), 4)
-    with pytest.raises(ValueError, match="nonnegative integers"):
-        Pmf.from_numerators((1, Fraction(3)), 4)
-    with pytest.raises(ValueError, match="nonnegative integers"):
-        Pmf.from_numerators((1.0, 3), 4)
-    with pytest.raises(ValueError, match="not to the denominator"):
-        Pmf.from_numerators((1, 2), 4)
-    with pytest.raises(ValueError, match="not to the denominator"):
-        Pmf.from_numerators((1, 4), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +263,13 @@ def test_readme_library_tour_names_exist():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
     bullets = re.findall(r"^\* `(finetti\.\w+)`(.*?)(?=^\* |^$)", tour, re.M | re.S)
-    assert len(bullets) == 9
+    assert len(bullets) == 8
     for module_name, text in bullets:
         module = importlib.import_module(module_name)
         for name in re.findall(r"`([^`]+)`", text):
             name = re.sub(r"\(.*\)$", "", name)  # theorem_constants(n, k, m) names theorem_constants
             owner = module
-            for part in name.split("."):  # Pmf.from_numerators names an attribute of Pmf
+            for part in name.split("."):  # a dotted name names an attribute of its owner
                 assert hasattr(owner, part), f"the README tour names {module_name}.{name}"
                 owner = getattr(owner, part)
 
@@ -334,13 +291,9 @@ def test_every_module_export_resolves():
     assert "marginal_sets" in modules and exported > 0
 
 
-# Exported names that no code in src/ or scripts/ calls, each kept for what checks it.
-UNCALLED_EXPORTS = {
-    "sequence_probability_identity": "criterion 02",
-    "pinsker_gap": "criterion 11",
-    "entropy": "the tests' reference for counts.entropy_of_numerators",
-    "max_abs_deviation": "the tests' reference for counts.max_deviation_of_numerators",
-}
+# Exported names that no code in src/ or scripts/ calls, each kept for what checks it:
+# none, since the references the tests check against live in tests/oracles.py.
+UNCALLED_EXPORTS: dict[str, str] = {}
 
 
 def _program_files() -> list[Path]:
@@ -397,6 +350,23 @@ def test_the_program_imports_only_the_standard_library():
                 assert top == "finetti" or top in sys.stdlib_module_names, (path.name, top)
 
 
+def test_only_the_text_parsers_import_fractions():
+    # a pmf is integer numerators over one denominator; Fraction(str) parses a
+    # rational token, and only the modules that read rationals from text import it
+    importers = set()
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module]
+            else:
+                continue
+            if "fractions" in tops:
+                importers.add(path.relative_to(path.parent.parent).as_posix())
+    assert importers == {"finetti/cli.py", "finetti/cli_verify.py", "finetti/exchangeable.py"}
+
+
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("FINETTI_CAP", "5")
     assert resolve_cap(None) == 5
@@ -449,11 +419,10 @@ def test_type_vector_record_behaviour():
         t._replace(counts=(-1, 4))
 
 
-def test_integer_numerators_use_the_least_common_denominator():
-    assert integer_numerators([3, 0, 5]) == ((3, 0, 5), 1)
-    assert integer_numerators([0, 0]) == ((0, 0), 1)
-    mixed = [Fraction(1, 6), Fraction(1, 4), 0, Fraction(7, 12), 2]
-    assert integer_numerators(mixed) == ((2, 3, 0, 7, 24), 12)
-    assert integer_numerators(Pmf((Fraction(2, 4), Fraction(1, 3), Fraction(1, 6)))) == ((3, 2, 1), 6)
-    nums, _ = integer_numerators(mixed)
-    assert all(type(x) is int for x in nums)
+def test_pmf_numerators_use_the_least_common_denominator():
+    assert pmf_numerators([1, 0, 0]) == ((1, 0, 0), 1)
+    mixed = [Fraction(1, 6), Fraction(1, 4), 0, Fraction(7, 12)]
+    assert pmf_numerators(mixed) == ((2, 3, 0, 7), 12)
+    assert pmf_numerators(Pmf((Fraction(2, 4), Fraction(1, 3), Fraction(1, 6)))) == ((3, 2, 1), 6)
+    nums, den = pmf_numerators(iter(mixed))
+    assert all(type(x) is int for x in nums) and type(den) is int
