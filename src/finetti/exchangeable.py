@@ -294,10 +294,11 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
             weights[idx[counts]] += _parse_rational(entry["w"])
         return type_weight_law(m, file_n, weights)
     if "mixing" in obj:
-        atoms = [
-            ([_parse_rational(v) for v in entry["pmf"]], _parse_rational(entry["w"]))
-            for entry in obj["mixing"]
-        ]
+        atoms = []
+        for entry in obj["mixing"]:
+            q = [_parse_rational(v) for v in entry["pmf"]]
+            pmf_numerators(q)  # before the next token is parsed, so the first error is reported
+            atoms.append((q, _parse_rational(entry["w"])))
         mix = MixingMeasure(atoms)
         use_n = int(obj["n"]) if "n" in obj else n
         if use_n is None:

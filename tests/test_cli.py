@@ -1195,10 +1195,16 @@ PMF_ERRORS = [
         "verify --law {negative} --n 4 --k 2",
         "error: negative probability\n",
     ),
+    # a law file's first error is reported: each atom is checked before the next token is read
+    (
+        "verify --law {first_error} --k 2",
+        "error: pmf sums to 5/6, not 1\n",
+    ),
 ]
 PMF_ERROR_FILES = {
     "mixing": {"mixing": [{"pmf": ["1/2", "1/3"], "w": "1"}]},
     "negative": {"mixing": [{"pmf": ["0.5", "0.5"], "w": "1/2"}, {"pmf": ["-1", "2"], "w": "1/2"}]},
+    "first_error": {"mixing": [{"pmf": ["1/2", "1/3"], "w": "1/2"}, {"pmf": ["1/2", "1/2"], "w": 0.5}], "n": 4},
 }
 
 
