@@ -24,7 +24,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--mode", choices=("exact", "grid"), default="exact")
     parser.add_argument("--delta", type=float, help="margin override for dbound")
     parser.add_argument("--out", help="write output to this file")
-    parser.add_argument("--cap", type=int, help="enumeration cap override")
 
 
 def _n_type(args, n: int | None = None):
@@ -64,9 +63,7 @@ def run(args) -> int:
             raise ValueError("lemma1 needs --l")
         n = args.k * args.l
         q = _lemma1_q(args, n)
-        result = lemma1_construct(
-            q, args.k, args.l, seed=args.seed, max_tries=args.max_tries, cap=args.cap
-        )
+        result = lemma1_construct(q, args.k, args.l, seed=args.seed, max_tries=args.max_tries)
         ok = result.deviation <= result.bound
         if result.certified_regime and not result.entropy_within_bound:
             ok = False
@@ -96,9 +93,7 @@ def run(args) -> int:
         from .lemma3 import max_divergence_over_E_k
 
         q = _n_type(args)
-        result = max_divergence_over_E_k(
-            q, args.k, mode=args.mode, ell=args.l, cap=args.cap
-        )
+        result = max_divergence_over_E_k(q, args.k, mode=args.mode, ell=args.l)
         limit = args.k * math.log(q.n)
         ok = result.value <= limit + 1e-12
         nums, den = result.witness
@@ -139,8 +134,8 @@ def run(args) -> int:
         delta = args.delta if args.delta is not None else params.delta
         # the tail bound checks delta before it walks the lattice, so a bad
         # --delta exits before any walk; the mean reads the same cached walk
-        tail = partition_tail_bound(q, args.k, ell, delta, cap=args.cap)
-        mean = conditional_mean_divergence(q, args.k, ell, cap=args.cap)
+        tail = partition_tail_bound(q, args.k, ell, delta)
+        mean = conditional_mean_divergence(q, args.k, ell)
         ok = mean.value <= params.epsilon + 1e-12
         payload = {
             "lemma": "dbound",
@@ -164,7 +159,7 @@ def run(args) -> int:
         from .marginal_sets import pythagorean_scan
 
         # one walk: each member's integer residual certifies both identities
-        members, argmin, unique = pythagorean_scan(q, args.k, ell, cap=args.cap)
+        members, argmin, unique = pythagorean_scan(q, args.k, ell)
         # l*Q^k(b) = l * prod_a t_a^{u_a} / n^k is a lattice point when n^k
         # divides every numerator; the walk's cap check bounds the cells listed
         nk = n**args.k

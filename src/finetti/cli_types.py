@@ -14,7 +14,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--q", help="reference pmf, comma separated rationals")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", help="write output to this file")
-    parser.add_argument("--cap", type=int, help="enumeration cap override")
 
 
 def _rational_pair(num: int, den: int) -> dict:
@@ -40,12 +39,12 @@ def run(args) -> int:
     # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
     # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
     # both sides of the second are 0 when q misses t's support.
-    powers, den_n = urn_numerators(((a, 1),), n, 0, cap=args.cap)  # prod a^t over D^n
+    powers, den_n = urn_numerators(((a, 1),), n, 0)  # prod a^t over D^n
     n_n, poly = n**n, (n + 1) ** m
     c_pow_c = lru_cache(maxsize=None)(lambda c: c**c)
     rows = []  # only JSON prints the rows, so a text run builds none
     visited = num_sum = size_sum = violations = 0
-    for t, power in zip(type_list(m, n, cap=args.cap), powers):
+    for t, power in zip(type_list(m, n), powers):
         visited += 1
         size = type_class_size(t)
         size_sum += size

@@ -7,8 +7,8 @@ vector the package builds is such a pair.  `power_numerators` gives Q^k from
 a, and every entropy, divergence and max-deviation the command line prints
 comes from integer numerators by one rule (`divergence_of_numerators`), one
 per block histogram where a law is constant on them
-(`types_core.cell_index`).  This module is the one home of the cap names,
-`TypeVector`, `count_types`, `all_strings` and `occurrence_matrix`.
+(`types_core.cell_index`).  This module is the one reader of the cap (`check_count`)
+and the home of `TypeVector`, `count_types`, `all_strings` and `occurrence_matrix`.
 """
 
 from __future__ import annotations
@@ -26,17 +26,22 @@ class CapacityError(RuntimeError):
     """An enumeration would exceed the configured cap."""
 
 
-def resolve_cap(cap: int | None) -> int:
-    """Effective enumeration cap: explicit argument, else FINETTI_CAP, else default."""
-    if cap is not None:
-        return cap
+def resolve_cap() -> int:
+    """The one enumeration cap: FINETTI_CAP, else the default, read at every check."""
     env = os.environ.get("FINETTI_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"FINETTI_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_ENUMERATION_CAP
+    if env is None:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ValueError(f"FINETTI_CAP must be an integer, got {env!r}") from exc
+
+
+def check_count(total: int, what: str) -> None:
+    """Raise CapacityError, "<total> <what> exceeds cap <cap>", when total is over the cap."""
+    limit = resolve_cap()
+    if total > limit:
+        raise CapacityError(f"{total} {what} exceeds cap {limit}")
 
 
 def _alphabet_size(alphabet: int) -> int:
@@ -118,24 +123,18 @@ def count_types(alphabet: int, n: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
 
-def check_cap(m: int, n: int, cap: int | None) -> None:
+def check_cap(m: int, n: int) -> None:
     """Raise CapacityError when the n-histograms over m symbols outnumber the cap."""
-    total = count_types(m, n)
-    limit = resolve_cap(cap)
-    if total > limit:
-        raise CapacityError(f"{total} types at (m={m}, n={n}) exceeds cap {limit}")
+    check_count(count_types(m, n), f"types at (m={m}, n={n})")
 
 
-def check_cells(m: int, k: int, cap: int | None) -> None:
+def check_cells(m: int, k: int) -> None:
     """Raise CapacityError when the m^k cells of A^k outnumber the cap.
 
     Every caller that lists a law, a witness or a count per cell of A^k
     checks this first.
     """
-    cells = m**k
-    limit = resolve_cap(cap)
-    if cells > limit:
-        raise CapacityError(f"{cells} cells at (m={m}, k={k}) exceeds cap {limit}")
+    check_count(m**k, f"cells at (m={m}, k={k})")
 
 
 # largest exponent whose math.exp is finite: a log bound above it reads as inf

@@ -156,7 +156,7 @@ def verify_theorem(law: UrnLaw, k: int) -> VerificationReport:
     return verify_grid(law, (k,))[0]
 
 
-def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[float, float, float]:
+def convexity_chain_gap(law: UrnLaw, k: int) -> tuple[float, float, float]:
     """The three nondecreasing stages of the mixture approximation argument.
 
     stage1 = D(P_k || M_k); stage2 averages, over the law's n-histograms
@@ -190,7 +190,7 @@ def convexity_chain_gap(law: UrnLaw, k: int, cap: int | None = None) -> tuple[fl
         # the block law given t, the urn t at -1, against the i.i.d. law of t/n, at 0
         product = urn_numerators(((t.counts, 1),), k, 0)
         stage2 += weight * divergence_of_numerators(*conditional_block_law(t, k), *product, cells)
-        stage3 += weight * conditional_mean_divergence(t, k, ell, cap=cap).value
+        stage3 += weight * conditional_mean_divergence(t, k, ell).value
     if not (stage1 <= stage2 + _SLACK and stage2 <= stage3 + _SLACK):
         raise AssertionError(
             f"convexity chain violated: {stage1} <= {stage2} <= {stage3} expected"

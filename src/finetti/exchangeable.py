@@ -107,7 +107,7 @@ class UrnLaw(namedtuple("UrnLaw", "m n urns step")):
         size = sum(urns[0][0])
         if size < (n if step < 0 else 1):
             raise ValueError(f"urns of {size} balls cannot give {n} draws at step {step}")
-        check_cap(m, n, None)
+        check_cap(m, n)
         return tuple.__new__(cls, (m, n, urns, step))
 
 
@@ -284,7 +284,7 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
         m, file_n = int(obj["m"]), int(obj["n"])
         if n is not None and n != file_n:
             raise ValueError(f"law file has n={file_n}, caller asked for n={n}")
-        check_cap(m, file_n, None)  # before the weight list is sized
+        check_cap(m, file_n)  # before the weight list is sized
         weights = [0] * count_types(m, file_n)
         idx = type_index_map(m, file_n)
         for entry in obj["typeWeights"]:

@@ -41,12 +41,7 @@ class PermutedBlockResult(
 
 
 def lemma1_construct(
-    q: TypeVector,
-    k: int,
-    ell: int,
-    seed: int,
-    max_tries: int = 1000,
-    cap: int | None = None,
+    q: TypeVector, k: int, ell: int, seed: int, max_tries: int = 1000
 ) -> PermutedBlockResult:
     """Seeded search for a lattice member close to Q^k in max-abs deviation.
 
@@ -75,7 +70,7 @@ def lemma1_construct(
     import random  # only the shuffle needs it, so the CLI start skips it
     m = q.m
     bound = lemma1_constant(ell, k)
-    check_cells(m, k, cap)
+    check_cells(m, k)
     # Q^k(b) = T_b / n^k, so W(b) - Q^k(b) = (c_b * n^k - l * T_b) / (l * n^k):
     # histograms compare exactly by the integer numerator of the largest
     # deviation, and only the accepted one is reduced to a float
@@ -121,7 +116,7 @@ def lemma1_construct(
         def orbit_excess(parts) -> int:
             return max(max(p[0] * nk - t, t - p[-1] * nk) for p, t in zip(parts, class_targets))
 
-        _, counts, _ = _extreme_member(q.counts, q.n, k, ell, cap, orbit_excess)
+        _, counts, _ = _extreme_member(q.counts, q.n, k, ell, orbit_excess)
         accepted = (excess(counts), counts)
         if accepted[0] / scale > bound:
             raise ExhaustedTriesError(

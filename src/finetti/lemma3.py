@@ -15,7 +15,6 @@ from itertools import combinations
 
 from .counts import (
     CapacityError,
-    check_cap,
     check_cells,
     count_types,
     divergence_of_numerators,
@@ -80,11 +79,7 @@ def _solve_columns(
 
 
 def max_divergence_over_E_k(
-    q,
-    k: int,
-    mode: str = "exact",
-    ell: int | None = None,
-    cap: int | None = None,
+    q, k: int, mode: str = "exact", ell: int | None = None
 ) -> MaxDivergenceResult:
     """Maximum of D(W || Q^k) over the constraint set of q.
 
@@ -116,11 +111,10 @@ def max_divergence_over_E_k(
         from .marginal_sets import _entropy_key, _extreme_member
 
         entropy_key = _entropy_key()
+        # the walk's cap check on C(m^k + l - 1, l) >= m^k bounds the cells of Q^k too
         candidates, best_counts, _ = _extreme_member(
-            a, den, k, ell, cap, lambda parts: -entropy_key(parts)
+            a, den, k, ell, lambda parts: -entropy_key(parts)
         )
-        check_cap(m, k, None)  # Q^k's histograms and cells: the env or default cap,
-        check_cells(m, k, None)  # whatever cap the walk took
         # the member's counts over l against Q^k = T / D^k, cell by cell
         cells = range(len(best_counts))
         value = divergence_of_numerators(best_counts, ell, power_numerators(a, k), den**k, cells)
@@ -128,7 +122,7 @@ def max_divergence_over_E_k(
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
     cells = m**k
-    check_cells(m, k, cap)  # the witness has one entry per cell
+    check_cells(m, k)  # the witness has one entry per cell
     active_rows = [s for s in range(m) if a[s] > 0]
     # one column per k-histogram over the active symbols, subsets up to the rows
     columns = count_types(len(active_rows), k)

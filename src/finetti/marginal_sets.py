@@ -31,6 +31,7 @@ from .counts import (
     TYPE_CACHE_SIZE,
     CapacityError,
     TypeVector,
+    check_count,
     count_types,
     divergence_of_numerators,
     entropy_of_numerators,
@@ -38,7 +39,6 @@ from .counts import (
     occurrence_matrix,
     pmf_numerators,
     power_numerators,
-    resolve_cap,
 )
 
 __all__ = [
@@ -83,30 +83,27 @@ def _progression(start: int, step: int, length: int) -> Iterable[int]:
     return range(start, start + step * length, step) if step else repeat(start, length)
 
 
-def _lattice_walk(
-    a: Sequence[int], den: int, k: int, ell: int, cap: int | None
-) -> Iterator[tuple[int, ...]]:
+def _check_lattice(m: int, k: int, ell: int) -> None:
+    """Check k, l and the cap on the l-block histograms over m^k cells, count_types(m^k, l)."""
+    if k < 1 or ell < 1:
+        raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
+    check_count(count_types(m**k, ell), f"block histograms at (cells={m ** k}, l={ell})")
+
+
+def _lattice_walk(a: Sequence[int], den: int, k: int, ell: int) -> Iterator[tuple[int, ...]]:
     """The class totals d_u of every member, one per k-histogram class u.
 
-    Checks k, l and the cap, count_types(m^k, l), when called, before any
-    walk starts.  A row is one k-histogram u, standing for its C(k;u) cells,
+    Checks k, l and the cap (`_check_lattice`) when called, before any walk
+    starts.  A row is one k-histogram u, standing for its C(k;u) cells,
     and the rows are ordered by each class's last cell (`_block_classes`).
     A member's class total d_u is the sum of its counts over the cells of u;
     the constraint sum_u d_u * u = k*l*a/D sees a member only through them.
     """
-    m = len(a)
-    if k < 1 or ell < 1:
-        raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
-    total = count_types(m**k, ell)
-    limit = resolve_cap(cap)
-    if total > limit:
-        raise CapacityError(
-            f"{total} block histograms at (cells={m ** k}, l={ell}) exceeds cap {limit}"
-        )
+    _check_lattice(len(a), k, ell)
     targets = _lattice_targets(a, den, k, ell)
     if targets is None:
         return iter(())
-    return _row_walk([u for u, _ in _block_classes(m, k)], targets, ell)
+    return _row_walk([u for u, _ in _block_classes(len(a), k)], targets, ell)
 
 
 def _row_walk(
@@ -206,22 +203,19 @@ def _fillings(d: int, cells: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
     )
 
 
-def _orbit_walk(a: Sequence[int], den: int, k: int, ell: int, cap: int | None):
+def _orbit_walk(a: Sequence[int], den: int, k: int, ell: int):
     """(class totals, orbit rows) per class total vector of the constraint set.
 
     Each orbit row holds one `_fillings` entry per class, and stands for the
     product of their orbits, members whose counts permute among the cells
     of each class.  Checks the cap before anything is built.
     """
-    walk = _lattice_walk(a, den, k, ell, cap)
+    walk = _lattice_walk(a, den, k, ell)
     sizes = [len(cells) for _, cells in _block_classes(len(a), k)]
     return ((totals, product(*map(_fillings, totals, sizes))) for totals in walk)
 
 
-@lru_cache(maxsize=2)
-def _member_table(
-    a: tuple[int, ...], den: int, k: int, ell: int, cap: int
-) -> tuple[tuple[int, int, float], ...]:
+def _member_table(a: tuple[int, ...], den: int, k: int, ell: int) -> tuple[tuple, ...]:
     """(orbit, class size, H(W)) per orbit of members W, walking the cell classes.
 
     Counts permuted among the cells of one k-histogram class keep the class
@@ -236,11 +230,17 @@ def _member_table(
     of one summed member by member.  On the constraint set
     D(W||Q^k) = k*H(Q) - H(W) and D(W||U) = k*log(m) - H(W), exactly, by the
     lemma in pythagorean_scan, so no member needs a pmf.
-    Nothing is computed before the walk has checked the cap, and the rows
-    are kept for the last two (a, D, k, l, cap), so the conditional mean and
-    the exact tail of one lattice share a single walk.
+    The cap is checked on every call, cached or not, and the rows are kept
+    for the last two (a, D, k, l), so the conditional mean and the exact
+    tail of one lattice share a single walk.
     """
-    walk = _orbit_walk(a, den, k, ell, cap)
+    _check_lattice(len(a), k, ell)
+    return _member_rows(a, den, k, ell)
+
+
+@lru_cache(maxsize=2)
+def _member_rows(a: tuple[int, ...], den: int, k: int, ell: int) -> tuple[tuple, ...]:
+    walk = _orbit_walk(a, den, k, ell)
     factorial = lru_cache(maxsize=None)(math.factorial)
     c_log_c = lru_cache(maxsize=None)(lambda c: c * math.log(c) if c else 0.0)
     log_ell = math.log(ell)
@@ -268,9 +268,7 @@ def _entropy_key() -> Callable[[tuple], int]:
     return lambda parts: math.prod(map(factor, parts))
 
 
-def _extreme_member(
-    a: Sequence[int], den: int, k: int, ell: int, cap: int | None, key: Callable[[tuple], int]
-):
+def _extreme_member(a: Sequence[int], den: int, k: int, ell: int, key: Callable[[tuple], int]):
     """(members, first member of least key, members at that key).
 
     `key` maps an orbit row's parts, one non-increasing tuple per class, to
@@ -282,7 +280,7 @@ def _extreme_member(
     the least key is the smallest of those over the tied orbits.  Raises
     ValueError when the set is empty.
     """
-    walk = _orbit_walk(a, den, k, ell, cap)
+    walk = _orbit_walk(a, den, k, ell)
     classes = _block_classes(len(a), k)
     cols = list(zip(*(u for u, _ in classes)))
     targets = _lattice_targets(a, den, k, ell)
@@ -313,7 +311,7 @@ def _extreme_member(
     return members, min(map(first_counts, tied)), at_best
 
 
-def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, TypeVector, bool]:
+def pythagorean_scan(q, k: int, ell: int) -> tuple[int, TypeVector, bool]:
     """Walk the constraint set once: (members, argmin of D(. || U), unique).
 
     For any W on A^k with averaged coordinate marginal Wbar, and any q,
@@ -332,7 +330,7 @@ def pythagorean_scan(q, k: int, ell: int, cap: int | None = None) -> tuple[int, 
     one member reaches it; when Q^k is a lattice point it is the unique one.
     Raises ValueError when the set is empty.
     """
-    members, first, at_best = _extreme_member(*pmf_numerators(q), k, ell, cap, _entropy_key())
+    members, first, at_best = _extreme_member(*pmf_numerators(q), k, ell, _entropy_key())
     return members, TypeVector(first), at_best == 1
 
 
@@ -347,9 +345,7 @@ class ConditionalMeanResult(namedtuple("ConditionalMeanResult", "value members")
     __slots__ = ()
 
 
-def conditional_mean_divergence(
-    q, k: int, ell: int, cap: int | None = None
-) -> ConditionalMeanResult:
+def conditional_mean_divergence(q, k: int, ell: int) -> ConditionalMeanResult:
     """E[D(What || Q^k)] over l-block histograms conditioned on the constraint set.
 
     What is the histogram of l i.i.d. uniform blocks; conditioning on the
@@ -359,7 +355,7 @@ def conditional_mean_divergence(
     """
     a, den = pmf_numerators(q)
     k_entropy_q = k * entropy_of_numerators(a, den)
-    rows = _member_table(a, den, k, ell, resolve_cap(cap))
+    rows = _member_table(a, den, k, ell)
     if not rows:
         raise ValueError("constraint set has no lattice members at this l")
     total = sum(orbit * size for orbit, size, _ in rows)
@@ -380,9 +376,7 @@ class TailBoundResult(
     __slots__ = ()
 
 
-def partition_tail_bound(
-    q, k: int, ell: int, delta: float, cap: int | None = None
-) -> TailBoundResult:
+def partition_tail_bound(q, k: int, ell: int, delta: float) -> TailBoundResult:
     """(l+1)^(2*m^k) * e^(-l*delta) tail bound, with an exact check when cheap.
 
     Covers the conditional probability that an l-block histogram in the
@@ -415,8 +409,11 @@ def partition_tail_bound(
 
     exact_prob: float | None = None
     within: bool | None = None
-    cap = resolve_cap(cap)
-    if count_types(cells, ell) <= cap:
+    try:
+        rows = _member_table(a, den, k, ell)
+    except CapacityError:  # the lattice does not fit the cap: no exact tail
+        rows = None
+    if rows is not None:
         # D(Q^k || U): Q^k = T / D^k against all-ones over m^k, cell by cell
         d_star = divergence_of_numerators(
             power_numerators(a, k), den**k, [1] * cells, cells, range(cells)
@@ -425,7 +422,7 @@ def partition_tail_bound(
         log_cells = math.log(cells)
         total = heavy = 0
         # D(W||U) = log(m^k) - H(W) on the constraint set
-        for orbit, size, h in _member_table(a, den, k, ell, cap):
+        for orbit, size, h in rows:
             total += orbit * size
             if log_cells - h > threshold:
                 heavy += orbit * size

@@ -45,12 +45,12 @@ def _type_tuple(m: int, n: int) -> tuple[TypeVector, ...]:
     return tuple(map(TypeVector, _compositions(n, m)))
 
 
-def type_list(m: int, n: int, cap: int | None = None) -> tuple[TypeVector, ...]:
+def type_list(m: int, n: int) -> tuple[TypeVector, ...]:
     """Cached tuple of all n-types over m symbols, in enumeration order.
 
     The cap is checked on every call, cached or not.
     """
-    check_cap(m, n, cap)
+    check_cap(m, n)
     return _type_tuple(m, n)
 
 
@@ -67,9 +67,9 @@ def _cell_index(m: int, k: int) -> tuple[int, ...]:
 def cell_index(m: int, k: int) -> tuple[int, ...]:
     """Per cell of A^k, its k-histogram's position in type_list(m, k).
 
-    The m^k cells count against the env or default cap on every call, cached or not.
+    The m^k cells count against the cap on every call, cached or not.
     """
-    check_cells(m, k, None)
+    check_cells(m, k)
     return _cell_index(m, k)
 
 
@@ -93,19 +93,19 @@ def type_class_size(t: TypeVector) -> int:
 # ---------------------------------------------------------------------------
 
 
-def urn_numerators(urns, k: int, step: int, cap: int | None = None) -> tuple[list[int], int]:
+def urn_numerators(urns, k: int, step: int) -> tuple[list[int], int]:
     """First k draws from a mixture of urns: (numerator per histogram, denominator).
 
     Each (counts, w) in `urns` holds counts[a] balls of symbol a and has
     integer weight w; all urns hold n balls, and a drawn ball goes back with
     `step` more of its symbol.  A draw sequence with histogram u, the i-th of
-    type_list(m, k, cap), has probability numerators[i] / denominator, with
+    type_list(m, k), has probability numerators[i] / denominator, with
     numerators[i] = sum_w w * prod_a row(counts[a], u[a]) and denominator =
     sum_w w * prod_{j<k} (n + j*step); row(c, j) = c*(c+step)*...*(c+(j-1)*step).
     """
     urns = [(counts, w) for counts, w in urns if w]
     m, n = len(urns[0][0]), sum(urns[0][0])
-    blocks = type_list(m, k, cap)
+    blocks = type_list(m, k)
     held = {c for counts, _ in urns for c in counts}
     rows = {c: list(accumulate((c + j * step for j in range(k)), mul, initial=1)) for c in held}
     numerators = [0] * len(blocks)

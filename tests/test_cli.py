@@ -247,41 +247,37 @@ def test_env_cap_gives_capacity_exit(monkeypatch, capsys):
     assert "capacity" in err
 
 
-def test_cap_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("FINETTI_CAP", "10")
-    code, _, _ = run(["types", "--m", "4", "--n", "20", "--cap", "100000"], capsys)
-    assert code == EXIT_OK
-
-
 @pytest.mark.parametrize(
     "command, env_cap",
     [
         ("verify --family fair-coin --n 40 --k 8", "100"),
         ("gibbs --target 1/2,1/2 --k 8 --n 40", "100"),
-        ("lemma lemma1 --q 28,28 --k 7 --l 8 --seed 1 --cap 100", None),
+        ("lemma lemma1 --q 28,28 --k 7 --l 8 --seed 1", "100"),
     ],
 )
 def test_the_cells_of_a_k_count_against_the_cap(monkeypatch, capsys, command, env_cap):
     # verify and gibbs sum a divergence over A^k, lemma1 lists Q^k over it:
     # m^k cells are refused before they are listed, with the message of lemma3
-    monkeypatch.delenv("FINETTI_CAP", raising=False)
-    if env_cap is not None:
-        monkeypatch.setenv("FINETTI_CAP", env_cap)
-    m, k = 2, (8 if env_cap else 7)
-    want = f"capacity: {m**k} cells at (m={m}, k={k}) exceeds cap 100\n"
+    monkeypatch.setenv("FINETTI_CAP", env_cap)
+    k = 7 if command.startswith("lemma") else 8
+    want = f"capacity: {2**k} cells at (m=2, k={k}) exceeds cap 100\n"
     assert run(command.split(), capsys) == (EXIT_CAPACITY, "", want)
-    code, _, err = run(["lemma", "lemma3", "--m", "2", "--q", "1,1", "--k", "8", "--cap", "100"], capsys)
+    code, _, err = run(["lemma", "lemma3", "--m", "2", "--q", "1,1", "--k", "8"], capsys)
     assert (code, err) == (EXIT_CAPACITY, "capacity: 256 cells at (m=2, k=8) exceeds cap 100\n")
 
 
-def test_lemma3_grid_lists_q_k_under_the_env_cap(monkeypatch, capsys):
-    # --cap binds the lattice walk; the k-histograms and m^k cells of Q^k
-    # count against FINETTI_CAP or the default, after the walk
-    args = "lemma lemma3 --q 8,8 --k 8 --mode grid --l 2 --cap 100000".split()
-    monkeypatch.setenv("FINETTI_CAP", "100")
-    assert run(args, capsys) == (EXIT_CAPACITY, "", "capacity: 256 cells at (m=2, k=8) exceeds cap 100\n")
-    monkeypatch.setenv("FINETTI_CAP", "5")
-    assert run(args, capsys) == (EXIT_CAPACITY, "", "capacity: 9 types at (m=2, n=8) exceeds cap 5\n")
+def test_lemma3_grid_walk_meets_the_cap_first(monkeypatch, capsys):
+    # the walk counts C(256 + 2 - 1, 2) = 32,896 block histograms over the 256
+    # cells of A^8, more than the cells and the 9 k-histograms of Q^k, so the
+    # one cap refuses the walk before anything of Q^k is listed
+    args = "lemma lemma3 --q 8,8 --k 8 --mode grid --l 2".split()
+    want = "capacity: 32896 block histograms at (cells=256, l=2) exceeds cap {}\n"
+    for cap in ("5", "100", "32895"):
+        monkeypatch.setenv("FINETTI_CAP", cap)
+        assert run(args, capsys) == (EXIT_CAPACITY, "", want.format(cap))
+    monkeypatch.setenv("FINETTI_CAP", "32896")
+    code, out, _ = run(args, capsys)
+    assert code == EXIT_OK and json.loads(out)["mode"] == "grid"
 
 
 def test_type_weights_file_checks_the_cap_before_sizing_its_weights(monkeypatch, tmp_path, capsys):
@@ -421,9 +417,18 @@ def test_verify_polya_at_n_100000_runs(capsys):
 
 
 def test_verify_has_no_backend_or_cap_flag(capsys):
-    for extra in (["--backend", "float"], ["--cap", "10"]):
-        code, _, _ = run(["verify", "--family", "fair-coin", "--n", "8", "--k", "2", *extra], capsys)
-        assert code == EXIT_INPUT
+    # the one cap is FINETTI_CAP, on every subcommand
+    for command in (
+        "verify --family fair-coin --n 8 --k 2",
+        "types --m 2 --n 4",
+        "lemma lemma3 --q 2,2 --k 2",
+        "gibbs --target 1/2,1/2 --k 2 --n 20",
+    ):
+        assert run(command.split(), capsys)[0] == EXIT_OK
+        for extra in (["--backend", "float"], ["--cap", "10"]):
+            code, out, err = run([*command.split(), *extra], capsys)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err.endswith(f" error: unrecognized arguments: {' '.join(extra)}\n")
 
 
 def test_lemma1_requires_seed(capsys):
@@ -486,11 +491,15 @@ def test_lemma3_exact_vertex_search_is_stable(capsys, m, q, k, candidates, suppo
         # 49 cells, 28 columns over 7 rows: refused before the first solve
         (["--m", "7", "--q", "1,1,1,1,1,1,1", "--k", "2"], EXIT_CAPACITY),
         # the 128-cell witness exceeds the enumeration cap
-        (["--m", "2", "--q", "1,1", "--k", "7", "--cap", "100"], EXIT_CAPACITY),
+        (["FINETTI_CAP=100", "--m", "2", "--q", "1,1", "--k", "7"], EXIT_CAPACITY),
     ],
 )
-def test_lemma3_exact_limits_count_subsets_and_cells(capsys, extra, code):
-    got, out, err = run(["lemma", "lemma3", "--mode", "exact"] + extra, capsys)
+def test_lemma3_exact_limits_count_subsets_and_cells(monkeypatch, capsys, extra, code):
+    # a leading NAME=value word sets the environment, as in a shell
+    env = [word for word in extra if "=" in word]
+    for word in env:
+        monkeypatch.setenv(*word.split("=", 1))
+    got, out, err = run(["lemma", "lemma3", "--mode", "exact"] + extra[len(env):], capsys)
     assert got == code, err
     if code == EXIT_OK:
         assert json.loads(out)["candidates"] == 4096
@@ -546,7 +555,7 @@ def test_dbound_checks_the_theorem_delta_before_the_walk(monkeypatch, capsys):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(ms, "_lattice_walk", no_walk)
-    ms._member_table.cache_clear()
+    ms._member_rows.cache_clear()
     code, out, err = run(["lemma", "dbound", "--q", "1,1", "--k", "1"], capsys)
     assert (code, out) == (EXIT_INPUT, "")
     assert "delta(n, k, m)" in err and "not positive" in err and "--delta" in err
@@ -647,7 +656,7 @@ def test_dbound_rejects_a_bad_delta_before_the_walk(monkeypatch, capsys):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(ms, "_lattice_walk", no_walk)
-    ms._member_table.cache_clear()
+    ms._member_rows.cache_clear()
     for delta, message in [
         ("-1", "delta must be positive, got -1.0"),
         ("0", "delta must be positive, got 0.0"),

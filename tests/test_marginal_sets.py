@@ -21,7 +21,6 @@ from finetti.counts import (
     all_strings,
     occurrence_matrix,
     pmf_numerators,
-    resolve_cap,
 )
 from finetti.lemma1 import lemma1_constant, lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
@@ -85,7 +84,7 @@ def test_enumeration_matches_filter_oracle(k, ell, data):
     # the cell-level reference walk the scale tests rely on
     assert oracle_walk(q, k, ell) == filter_members(q, k, ell)
     # each orbit row stands for `orbit` members with its class size and entropy
-    table = ms._member_table(*numerators(q), k, ell, resolve_cap(None))
+    table = ms._member_table(*numerators(q), k, ell)
     expanded = chain.from_iterable(repeat((size, h), orbit) for orbit, size, h in table)
     assert sorted(expanded) == sorted(oracle_member_rows(q, k, ell))
 
@@ -100,16 +99,16 @@ def class_totals(counts, m: int, k: int) -> tuple[int, ...]:
 def test_class_walk_matches_filter_oracle(k, ell, data):
     q = lattice_points(k, ell, data)
     members = filter_members(q, k, ell)
-    walk = list(ms._lattice_walk(*numerators(q), k, ell, None))
+    walk = list(ms._lattice_walk(*numerators(q), k, ell))
     assert len(set(walk)) == len(walk)
     assert sorted(walk) == sorted({class_totals(c, q.m, k) for c in members})
-    rows = [fills for _, orbits in ms._orbit_walk(*numerators(q), k, ell, None) for fills in orbits]
+    rows = [fills for _, orbits in ms._orbit_walk(*numerators(q), k, ell) for fills in orbits]
     assert sum(math.prod(f[0] for f in fills) for fills in rows) == len(members)
 
 
 def test_member_table_holds_one_row_per_orbit():
     # 35,088 members of (6,6,6) at k = 3 in 319 orbits
-    table = ms._member_table(*numerators(TypeVector((6, 6, 6))), 3, 6, resolve_cap(None))
+    table = ms._member_table(*numerators(TypeVector((6, 6, 6))), 3, 6)
     assert len(table) == 319
     assert sum(orbit for orbit, _, _ in table) == 35088
 
@@ -129,7 +128,7 @@ def test_enumeration_matches_filter_oracle_spot():
     for m, k, ell in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
         n = k * ell
         for q in type_list(m, n):
-            walk = list(ms._lattice_walk(*numerators(q), k, ell, None))
+            walk = list(ms._lattice_walk(*numerators(q), k, ell))
             assert walk == sorted({class_totals(c, m, k) for c in filter_members(q, k, ell)})
 
 
@@ -147,7 +146,7 @@ def test_four_members_at_the_smallest_balanced_point():
         (1, 0, 0, 1): 2,
         (0, 0, 2, 0): 1,
     }
-    table = ms._member_table(*numerators(q), 2, 2, resolve_cap(None))
+    table = ms._member_table(*numerators(q), 2, 2)
     expanded = chain.from_iterable(repeat(size, orbit) for orbit, size, _ in table)
     assert sorted(expanded) == sorted(got.values())
 
@@ -158,18 +157,18 @@ def test_product_histogram_is_a_member_when_integral():
     qk = oracle_power_pmf(type_to_pmf(q), 2)
     counts = tuple(int(Fraction(p) * ell) for p in qk.probs)
     assert counts in oracle_walk(q, 2, ell)
-    assert class_totals(counts, 2, 2) in ms._lattice_walk(*numerators(q), 2, ell, None)
+    assert class_totals(counts, 2, 2) in ms._lattice_walk(*numerators(q), 2, ell)
 
 
 def test_nonintegral_targets_give_empty_set():
     # k*l*q(a) must be an integer for members to exist; an n-type with
     # n = k*l always satisfies this, a general pmf need not
     q = Pmf((Fraction(1, 3), Fraction(2, 3)))
-    assert list(ms._lattice_walk(*numerators(q), 2, 2, None)) == []
+    assert list(ms._lattice_walk(*numerators(q), 2, 2)) == []
     with pytest.raises(ValueError, match="no lattice members"):
         ms.pythagorean_scan(q, 2, 2)
     # scaling l to clear the denominators makes the set nonempty
-    assert list(ms._lattice_walk(*numerators(q), 2, 3, None))
+    assert list(ms._lattice_walk(*numerators(q), 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def test_decomposition_of_an_exact_member_against_a_float_q():
     # a float q is refused before any cache is read, also between calls with
     # exact q that fill the per-(q, k, l) row cache; both exact forms agree
     third = (1 / 3, 2 / 3)
-    ms._member_table.cache_clear()
+    ms._member_rows.cache_clear()
     results = []
     for q in (third, TypeVector((1, 2)), third, Pmf((Fraction(1, 3), Fraction(2, 3)))):
         if q is third:
@@ -366,8 +365,9 @@ def test_vertex_limit_refuses_before_the_first_solve(monkeypatch):
     with pytest.raises(CapacityError, match="1683217 column subsets"):
         max_divergence_over_E_k(TypeVector((1,) * 7), 2)
     # 36 column subsets, but the 128-cell witness exceeds the cap
-    with pytest.raises(CapacityError, match="128 cells"):
-        max_divergence_over_E_k(TypeVector((1, 1)), 7, cap=100)
+    monkeypatch.setenv("FINETTI_CAP", "100")
+    with pytest.raises(CapacityError, match=r"^128 cells at \(m=2, k=7\) exceeds cap 100$"):
+        max_divergence_over_E_k(TypeVector((1, 1)), 7)
     assert calls == []
 
 
@@ -595,10 +595,10 @@ def test_interval_walk_matches_oracle_walk(counts, k):
     q = TypeVector(counts)
     ell = q.n // k
     want = oracle_walk(q, k, ell)
-    walk = list(ms._lattice_walk(*numerators(q), k, ell, None))
+    walk = list(ms._lattice_walk(*numerators(q), k, ell))
     # each class total vector once, in ascending order, and the orbits cover every member
     assert walk == sorted({class_totals(c, q.m, k) for c in want})
-    rows = [fills for _, orbits in ms._orbit_walk(*numerators(q), k, ell, None) for fills in orbits]
+    rows = [fills for _, orbits in ms._orbit_walk(*numerators(q), k, ell) for fills in orbits]
     assert sum(math.prod(f[0] for f in fills) for fills in rows) == len(want)
     # (1, 2) at l = 1 has non-integral targets: the one empty set here
     assert bool(walk) == (q.n % k == 0)
@@ -609,19 +609,21 @@ def test_member_table_fills_on_demand(monkeypatch):
     seen = set()
     real = math.factorial
     monkeypatch.setattr(math, "factorial", lambda x: seen.add(x) or real(x))
-    ms._member_table.cache_clear()
+    ms._member_rows.cache_clear()
     assert conditional_mean_divergence(TypeVector((50000, 50000)), 1, 100000).members == 1
     assert len(seen) <= 3
 
 
-def test_cap_fires_before_the_walk():
+def test_cap_fires_before_the_walk(monkeypatch):
     q = TypeVector((1000, 1000))
-    with pytest.raises(CapacityError):
-        ms._lattice_walk(*numerators(q), 2, 1000, 10)
-    with pytest.raises(CapacityError):
-        ms.pythagorean_scan(q, 2, 1000, cap=10)
-    with pytest.raises(CapacityError):
-        conditional_mean_divergence(q, 2, 1000, cap=10)
+    monkeypatch.setenv("FINETTI_CAP", "10")
+    want = r"^167668501 block histograms at \(cells=4, l=1000\) exceeds cap 10$"
+    with pytest.raises(CapacityError, match=want):
+        ms._lattice_walk(*numerators(q), 2, 1000)
+    with pytest.raises(CapacityError, match=want):
+        ms.pythagorean_scan(q, 2, 1000)
+    with pytest.raises(CapacityError, match=want):
+        conditional_mean_divergence(q, 2, 1000)
 
 
 def oracle_members(q: TypeVector, k: int, ell: int) -> list[TypeVector]:
@@ -828,14 +830,16 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ms, "_lattice_walk", counted)
-    ms._member_table.cache_clear()
+    ms._member_rows.cache_clear()
     assert main(["lemma", "dbound", "--q", "12,12", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["members"] == 49
     assert len(walks) == 1
     # the cached rows still answer to the cap
+    monkeypatch.setenv("FINETTI_CAP", "10")
     with pytest.raises(CapacityError):
-        conditional_mean_divergence(TypeVector((12, 12)), 2, 12, cap=10)
-    assert main(["lemma", "dbound", "--q", "12,12", "--k", "2", "--cap", "10"]) == 2
+        conditional_mean_divergence(TypeVector((12, 12)), 2, 12)
+    assert main(["lemma", "dbound", "--q", "12,12", "--k", "2"]) == 2
+    assert len(walks) == 1
 
 
 def test_decomposition_builds_no_pmf(monkeypatch):
@@ -853,7 +857,7 @@ def test_decomposition_builds_no_pmf(monkeypatch):
     assert want[0][0] == len(oracle_walk(q, 2, 6)) > 3
     monkeypatch.setitem(sys.modules, "finetti.types_core", None)
     monkeypatch.setitem(sys.modules, "fractions", None)
-    ms._member_table.cache_clear()
+    ms._member_rows.cache_clear()
     got = (
         ms.pythagorean_scan(q, 2, 6),
         conditional_mean_divergence(q, 2, 6),

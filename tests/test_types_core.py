@@ -210,15 +210,17 @@ def test_pmf_exactness_detection():
 # ---------------------------------------------------------------------------
 
 
-def test_cap_blocks_large_enumerations():
-    with pytest.raises(CapacityError):
-        type_list(4, 20, cap=10)
+def test_cap_blocks_large_enumerations(monkeypatch):
+    monkeypatch.setenv("FINETTI_CAP", "10")
+    with pytest.raises(CapacityError, match=r"^1771 types at \(m=4, n=20\) exceeds cap 10$"):
+        type_list(4, 20)
 
 
-def test_type_list_checks_cap_on_cache_hit():
+def test_type_list_checks_cap_on_cache_hit(monkeypatch):
     assert len(type_list(3, 100)) == 5151
+    monkeypatch.setenv("FINETTI_CAP", "10")
     with pytest.raises(CapacityError):
-        type_list(3, 100, cap=10)
+        type_list(3, 100)
 
 
 def test_cell_index_checks_the_cells_on_cache_hit(monkeypatch):
@@ -231,7 +233,7 @@ def test_cell_index_checks_the_cells_on_cache_hit(monkeypatch):
         cell_index(3, 4)
 
 
-def test_type_caches_stay_within_their_bound():
+def test_type_caches_stay_within_their_bound(monkeypatch):
     from finetti import types_core
     from finetti.counts import TYPE_CACHE_SIZE as bound
 
@@ -245,8 +247,9 @@ def test_type_caches_stay_within_their_bound():
             assert cache.cache_info().currsize <= bound
     # an evicted entry is rebuilt equal, and the cap still binds on every call
     assert type_list(2, 1) == first
+    monkeypatch.setenv("FINETTI_CAP", "10")
     with pytest.raises(CapacityError):
-        type_list(2, 3 * bound - 1, cap=10)
+        type_list(2, 3 * bound - 1)
 
 
 def test_readme_states_the_default_cap():
@@ -368,12 +371,13 @@ def test_only_the_text_parsers_import_fractions():
 
 
 def test_cap_env_override(monkeypatch):
+    monkeypatch.delenv("FINETTI_CAP", raising=False)
+    assert resolve_cap() == DEFAULT_ENUMERATION_CAP == 2**26
     monkeypatch.setenv("FINETTI_CAP", "5")
-    assert resolve_cap(None) == 5
-    assert resolve_cap(77) == 77
+    assert resolve_cap() == 5
     monkeypatch.setenv("FINETTI_CAP", "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_cap(None)
+    with pytest.raises(ValueError, match="FINETTI_CAP must be an integer, got 'not-a-number'"):
+        resolve_cap()
 
 
 def test_type_list_cached_and_indexed():
