@@ -1093,9 +1093,9 @@ GOLDEN = [
     ),
     # help texts, wrapped at COLUMNS=80
     ("--help", "ab53581ded61e231d7aa9183bb21d03c1d9e99afa62824f81f50164d3d01c6a2"),
-    ("types --help", "6948192a966a8a33827bff8a0fe164a1d073b7649c9c34f2181b9187a6040bf6"),
+    ("types --help", "dcb49ba6e861fcf7edddd5e6053ab0141be91299e3a84e4a1beebb84648ec08d"),
     ("verify --help", "539834fff3eb0632b34d340c871f05a39b52a15bc4acf4bda129933aff865730"),
-    ("lemma --help", "5967b649eddd99e96e1fa0c262dd4d3946b62b9c7cc05bd1c364adacf16971b4"),
+    ("lemma --help", "a61d0e6847bd84085488e55cc47144379889c6e06c2720c2b91f1695b64c3534"),
     ("gibbs --help", "06aaa3f49662539ec3ebc1aea8307472907952f470e5d5bdc9be1311f294d9df"),
 ]
 
@@ -1114,7 +1114,7 @@ def test_golden_stdout(monkeypatch, capsys, command, digest):
 LEMMA_USAGE = """\
 usage: finetti lemma [-h] [--m M] --k K [--l L] [--q Q] [--seed SEED]
                      [--max-tries MAX_TRIES] [--mode {exact,grid}]
-                     [--delta DELTA] [--out OUT] [--cap CAP]
+                     [--delta DELTA] [--out OUT]
                      {lemma1,lemma3,dbound,pythagoras}
 """
 USAGE_ERRORS = [
@@ -1137,7 +1137,7 @@ USAGE_ERRORS = [
     (
         "types --m 2",
         "usage: finetti types [-h] --m M --n N [--q Q] [--format {text,json}]\n"
-        "                     [--out OUT] [--cap CAP]\n"
+        "                     [--out OUT]\n"
         "finetti types: error: the following arguments are required: --n\n",
     ),
 ]
