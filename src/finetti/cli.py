@@ -47,13 +47,24 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse integer list {text!r}") from exc
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n" if lines else ""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(lines, out_path: str | None, sep: str = "\n") -> None:
+    """Write the lines, sep between them and a newline after the last, to out_path or stdout.
+
+    Lines are written as they are read, so an iterator of pieces joined by
+    sep="" streams one long line without ever holding it whole.
+    """
+    lines = iter(lines)
+    first = next(lines, None)
+    fh = open(out_path, "w") if out_path else sys.stdout
+    try:
+        if first is not None:
+            fh.write(first)
+            for line in lines:
+                fh.write(sep + line)
+            fh.write("\n")
+    finally:
+        if out_path:
+            fh.close()
 
 
 def _json_line(obj) -> str:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
+from itertools import chain
 
 from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line, _parse_rational_list
 
@@ -20,6 +22,19 @@ def _rational_pair(num: int, den: int) -> dict:
     """num / den in lowest terms and as a float: int/int division rounds correctly."""
     g = math.gcd(num, den)
     return {"rational": f"{num // g}/{den // g}", "decimal": num / den}
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _row_json(den: int, counts, size: int, num: int, size_ok: bool, prob_ok: bool) -> str:
+    """One type's row as json.dumps(..., sort_keys=True) writes its dict, without building it."""
+    g = math.gcd(num, den)
+    return (
+        f'{{"counts": [{", ".join(map(str, counts))}], "probability": {{"decimal": {num / den!r}, '
+        f'"rational": "{num // g}/{den // g}"}}, "probability_bounds_ok": {_JSON_BOOL[prob_ok]}, '
+        f'"size": {size}, "size_bounds_ok": {_JSON_BOOL[size_ok]}}}'
+    )
 
 
 def run(args) -> int:
@@ -42,7 +57,7 @@ def run(args) -> int:
     powers, den_n = urn_numerators(((a, 1),), n, 0)  # prod a^t over D^n
     n_n, poly = n**n, (n + 1) ** m
     c_pow_c = lru_cache(maxsize=None)(lambda c: c**c)
-    rows = []  # only JSON prints the rows, so a text run builds none
+    rows = []  # only JSON prints the rows, so a text run keeps none
     visited = num_sum = size_sum = violations = 0
     for t, power in zip(type_list(m, n), powers):
         visited += 1
@@ -56,15 +71,7 @@ def run(args) -> int:
         if not (size_ok and prob_ok):
             violations += 1
         if args.format == "json":
-            rows.append(
-                {
-                    "counts": list(t.counts),
-                    "size": size,
-                    "probability": _rational_pair(num, den_n),
-                    "size_bounds_ok": size_ok,
-                    "probability_bounds_ok": prob_ok,
-                }
-            )
+            rows.append((t.counts, size, num, size_ok, prob_ok))
     checks = {
         "count": count,
         "count_matches_formula": count == visited,
@@ -75,15 +82,15 @@ def run(args) -> int:
     }
     ok = violations == 0 and all(v for v in checks.values() if isinstance(v, bool))
     if args.format == "json":
-        payload = {
-            "m": m,
-            "n": n,
-            "q": [_rational_pair(x, den) for x in a],
-            "checks": checks,
-            "types": rows,
-            "pass": ok,
-        }
-        _emit([_json_line(payload)], args.out)
+        # D^n can pass the 4,300 digits str(int) allows by default; 3.10 builds
+        # that predate the limit have no setter
+        getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
+        q = [_rational_pair(x, den) for x in a]
+        head = _json_line({"m": m, "n": n, "q": q, "checks": checks, "pass": ok, "types": []})
+        # "types" sorts last: the head ends '"types": []}', and each row is
+        # written as it is formatted, so the whole document is never held
+        texts = ((", " if i else "") + _row_json(den_n, *row) for i, row in enumerate(rows))
+        _emit(chain([head[:-2]], texts, ["]}"]), args.out, sep="")
     else:
         lines = [
             f"types m={m} n={n}: {count} histograms",

@@ -240,6 +240,34 @@ def test_verify_out_file(tmp_path, capsys):
     assert rep["holds"] is True
 
 
+OUT_COMMANDS = [
+    "types --m 3 --n 12 --q 0,1/4,3/4",
+    "types --m 3 --n 12 --q 0,1/4,3/4 --format json",
+    "verify --family polya --init 1,1 --n 12 --k 2,3",
+    "verify --family polya --init 1,1 --n 12 --k 2,3 --format csv",
+    "gibbs --target 1/3,2/3 --k 2 --n 4,16",
+    "lemma lemma1 --q 4,4,4 --k 2 --l 6 --seed 1",
+    "lemma lemma3 --q 4,4,4 --k 2",
+    "lemma dbound --q 6,6 --k 2",
+    "lemma pythagoras --q 4,4,4 --k 2",
+]
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, command):
+    code, out, err = run(command.split(), capsys)
+    assert out and not err
+    target = tmp_path / "out.txt"
+    assert run([*command.split(), "--out", str(target)], capsys) == (code, "", "")
+    assert target.read_text() == out
+    # a path inside a missing directory is bad input: nothing is printed or made
+    missing = tmp_path / "missing" / "out.txt"
+    code, out, err = run([*command.split(), "--out", str(missing)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert not missing.parent.exists()
+
+
 def test_env_cap_gives_capacity_exit(monkeypatch, capsys):
     monkeypatch.setenv("FINETTI_CAP", "10")
     code, _, err = run(["types", "--m", "4", "--n", "20"], capsys)
@@ -912,7 +940,8 @@ def test_types_rows_match_the_fraction_form(capsys, m, n, q):
     pmf = Pmf.uniform(m) if q is None else Pmf(tuple(Fraction(p) for p in q.split(",")))
     code, out, _ = run(args + (["--q", q] if q else []), capsys)
     want = fraction_types_payload(m, n, pmf)
-    assert json.loads(out) == want
+    # the rows are written one by one; the stdlib encoder is the oracle of their bytes
+    assert out == json.dumps(want, sort_keys=True) + "\n"
     assert code == (EXIT_OK if want["pass"] else EXIT_VIOLATION)
     if q and "0" in q.split(","):
         # classes that q misses have probability 0, and both bound flags hold
@@ -922,22 +951,59 @@ def test_types_rows_match_the_fraction_form(capsys, m, n, q):
 
 
 def test_types_text_builds_no_rows(monkeypatch, capsys):
-    # only JSON prints the per-histogram rows, so a text run makes none of them
+    # only JSON prints the per-histogram rows, so a text run formats none of
+    # them; a JSON run formats each row once, and a pair per entry of q
     import finetti.cli_types as cli_types
 
-    calls = []
-    real = cli_types._rational_pair
+    calls = {"_rational_pair": 0, "_row_json": 0}
+    for name in calls:
+        real = getattr(cli_types, name)
 
-    def spy(num, den):
-        calls.append((num, den))
-        return real(num, den)
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(cli_types, "_rational_pair", spy)
+        monkeypatch.setattr(cli_types, name, spy)
     code, out, _ = run(["types", "--m", "3", "--n", "20", "--q", "0,1/3,2/3"], capsys)
     assert code == EXIT_OK and out.startswith("types m=3 n=20: 231 histograms\n")
-    assert calls == []
+    assert calls == {"_rational_pair": 0, "_row_json": 0}
     code, out, _ = run(["types", "--m", "3", "--n", "20", "--q", "0,1/3,2/3", "--format", "json"], capsys)
-    assert code == EXIT_OK and len(calls) == 3 + 231
+    assert code == EXIT_OK and len(json.loads(out)["types"]) == 231
+    assert calls == {"_rational_pair": 3, "_row_json": 231}
+
+
+def test_types_json_holds_no_document(tmp_path):
+    # a JSON run writes its rows as it formats them: its traced peak exceeds
+    # a text run's by less than the document it writes
+    import tracemalloc
+
+    args = ["types", "--m", "3", "--n", "120", "--q", "1/2,1/3,1/6", "--out"]
+    for fmt in ("text", "json"):  # fill the type caches before tracing
+        main([*args, str(tmp_path / f"warm-{fmt}"), "--format", fmt])
+    peaks = {}
+    for fmt in ("text", "json"):
+        tracemalloc.start()
+        try:
+            assert main([*args, str(tmp_path / fmt), "--format", fmt]) == EXIT_OK
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    document = (tmp_path / "json").stat().st_size
+    assert document > 2_000_000
+    assert peaks["json"] - peaks["text"] < document
+
+
+def test_types_json_prints_integers_past_the_str_digit_limit():
+    # D^n = 10^4320 has more digits than str(int) allows by default: the run
+    # lifts the limit before its first row, so a fresh process prints them all
+    args = ["types", "--m", "2", "--n", "720", "--q", "1/1000000,999999/1000000", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "finetti", *args], capture_output=True, text=True, env=_env_with_finetti()
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    payload = json.loads(proc.stdout)
+    assert payload["pass"] is True and len(payload["types"]) == 721
+    assert payload["types"][0]["probability"]["rational"] == f"{999999**720}/{10**4320}"
 
 
 # ---------------------------------------------------------------------------
