@@ -353,6 +353,29 @@ def test_the_program_imports_only_the_standard_library():
                 assert top == "finetti" or top in sys.stdlib_module_names, (path.name, top)
 
 
+def test_the_cap_has_one_setting():
+    # FINETTI_CAP, read in counts alone, is the only cap: no function takes a
+    # cap argument and no parser adds a --cap option
+    readers, cap_params, cap_flags = set(), [], []
+    for path in _program_files():
+        if path.parent.name != "finetti":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == "FINETTI_CAP":
+                readers.add(path.stem)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                if any(a and a.arg == "cap" for a in every):
+                    cap_params.append((path.stem, getattr(node, "name", "lambda")))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                cap_flags += [(path.stem, name) for name in names if name == "--cap"]
+    assert readers == {"counts"}
+    assert cap_params == []
+    assert cap_flags == []
+
+
 def test_only_the_text_parsers_import_fractions():
     # a pmf is integer numerators over one denominator; Fraction(str) parses a
     # rational token, and only the modules that read rationals from text import it
