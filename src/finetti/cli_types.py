@@ -24,16 +24,13 @@ def _rational_pair(num: int, den: int) -> dict:
     return {"rational": f"{num // g}/{den // g}", "decimal": num / den}
 
 
-_JSON_BOOL = ("false", "true")
-
-
 def _row_json(den: int, counts, size: int, num: int, size_ok: bool, prob_ok: bool) -> str:
     """One type's row as json.dumps(..., sort_keys=True) writes its dict, without building it."""
     g = math.gcd(num, den)
     return (
         f'{{"counts": [{", ".join(map(str, counts))}], "probability": {{"decimal": {num / den!r}, '
-        f'"rational": "{num // g}/{den // g}"}}, "probability_bounds_ok": {_JSON_BOOL[prob_ok]}, '
-        f'"size": {size}, "size_bounds_ok": {_JSON_BOOL[size_ok]}}}'
+        f'"rational": "{num // g}/{den // g}"}}, "probability_bounds_ok": {str(prob_ok).lower()}, '
+        f'"size": {size}, "size_bounds_ok": {str(size_ok).lower()}}}'
     )
 
 
@@ -87,9 +84,13 @@ def run(args) -> int:
         getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
         q = [_rational_pair(x, den) for x in a]
         head = _json_line({"m": m, "n": n, "q": q, "checks": checks, "pass": ok, "types": []})
-        # "types" sorts last: the head ends '"types": []}', and each row is
-        # written as it is formatted, so the whole document is never held
-        texts = ((", " if i else "") + _row_json(den_n, *row) for i, row in enumerate(rows))
+        # "types" sorts last: the head ends '"types": []}', and the rows are
+        # written as they are formatted, 256 to a write (an unbuffered stdout
+        # makes each write a system call), so the whole document is never held
+        texts = (
+            (", " if i else "") + ", ".join(_row_json(den_n, *row) for row in rows[i : i + 256])
+            for i in range(0, len(rows), 256)
+        )
         _emit(chain([head[:-2]], texts, ["]}"]), args.out, sep="")
     else:
         lines = [
