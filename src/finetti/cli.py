@@ -47,21 +47,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse integer list {text!r}") from exc
 
 
-def _emit(lines, out_path: str | None, sep: str = "\n") -> None:
-    """Write the lines, sep between them and a newline after the last, to out_path or stdout.
+def _emit(lines, out_path: str | None, end: str = "\n") -> None:
+    """Write each line and `end` to out_path, else stdout, as the lines are read.
 
-    Lines are written as they are read, so an iterator of pieces joined by
-    sep="" streams one long line without ever holding it whole.
+    With end="", an iterator of pieces streams one long line without holding it whole.
     """
-    lines = iter(lines)
-    first = next(lines, None)
     fh = open(out_path, "w") if out_path else sys.stdout
     try:
-        if first is not None:
-            fh.write(first)
-            for line in lines:
-                fh.write(sep + line)
-            fh.write("\n")
+        for line in lines:
+            fh.write(line + end)
     finally:
         if out_path:
             fh.close()

@@ -91,7 +91,7 @@ def run(args) -> int:
             (", " if i else "") + ", ".join(_row_json(den_n, *row) for row in rows[i : i + 256])
             for i in range(0, len(rows), 256)
         )
-        _emit(chain([head[:-2]], texts, ["]}"]), args.out, sep="")
+        _emit(chain([head[:-2]], texts, ["]}\n"]), args.out, end="")
     else:
         lines = [
             f"types m={m} n={n}: {count} histograms",
