@@ -17,18 +17,14 @@ import math
 import sys
 import time
 
+from finetti.bound import theorem_constants
 from finetti.counts import TypeVector, pmf_numerators
-from finetti.definetti import (
-    binary_reference_bound,
-    convexity_chain_gap,
-    theorem_constants,
-    verify_theorem,
-)
+from finetti.dbound import conditional_mean_divergence
+from finetti.definetti import binary_reference_bound, convexity_chain_gap, verify_theorem
 from finetti.exchangeable import iid_law, polya_urn_law, random_type_weight_law
 from finetti.gibbs import convergence_trace
 from finetti.lemma1 import lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
-from finetti.marginal_sets import conditional_mean_divergence
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from finetti.definetti import binary_reference_bound, theorem_constants
+from finetti.bound import theorem_constants
+from finetti.definetti import binary_reference_bound
 
 
 def parse_ints(text: str) -> list[int]:

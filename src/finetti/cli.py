@@ -62,9 +62,28 @@ def _emit(lines, out_path: str | None, end: str = "\n") -> None:
 
 
 def _json_line(obj) -> str:
-    import json
+    """json.dumps(obj, sort_keys=True), without loading `json`.
 
-    return json.dumps(obj, sort_keys=True)
+    Dicts with str keys, lists, tuples, bools, None, ints, floats, and strings
+    of printable ASCII without '"' or '\\'; any other value raises.
+    """
+    if isinstance(obj, str):
+        if not (obj.isascii() and obj.isprintable()) or '"' in obj or "\\" in obj:
+            raise ValueError(f"cannot write {obj!r} as a JSON string without escapes")
+        return f'"{obj}"'
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(text, text)
+    if isinstance(obj, (list, tuple)):
+        return f"[{', '.join(map(_json_line, obj))}]"
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        items = (f"{_json_line(key)}: {_json_line(obj[key])}" for key in sorted(obj))
+        return f"{{{', '.join(items)}}}"
+    raise TypeError(f"cannot write {obj!r} as JSON")
 
 
 def main(argv=None) -> int:

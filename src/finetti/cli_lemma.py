@@ -1,9 +1,10 @@
 """``finetti lemma``: the supporting oracles lemma1, lemma3, dbound and pythagoras.
 
 Each branch imports only what its lemma runs: lemma1 loads `finetti.lemma1`,
-dbound and pythagoras load `finetti.marginal_sets`, and lemma3 loads the
-vertex search of `finetti.lemma3`.  Every branch reads --q as integer counts,
-so no lemma start loads `fractions`.
+pythagoras the walk of `finetti.marginal_sets`, dbound that walk, its mean
+and tail (`finetti.dbound`) and the theorem's constants (`finetti.bound`),
+and lemma3 the vertex search of `finetti.lemma3`.  Every branch reads --q
+as integer counts, so no lemma start loads `fractions`.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def run(args) -> int:
     if args.l is not None and args.l != ell:
         raise ValueError(f"--l {args.l} is not n/k = {ell}; {name} takes l = n/k")
     if name == "dbound":
-        from .definetti import theorem_constants  # only dbound needs the bound's constants
-        from .marginal_sets import conditional_mean_divergence, partition_tail_bound
+        from .bound import theorem_constants
+        from .dbound import conditional_mean_divergence, partition_tail_bound
 
         params = theorem_constants(n, args.k, q.m)
         if args.delta is None and params.delta <= 0:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from itertools import chain
+from operator import getitem
 
 from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line, _parse_rational_list
 
@@ -35,8 +35,8 @@ def _row_json(den: int, counts, size: int, num: int, size_ok: bool, prob_ok: boo
 
 
 def run(args) -> int:
-    from .counts import TypeVector, count_types, pmf_numerators
-    from .types_core import type_class_size, type_list, urn_numerators
+    from .counts import check_cap, count_types, pmf_numerators
+    from .types_core import compositions
 
     m, n = args.m, args.n
     if args.q is not None:
@@ -45,30 +45,37 @@ def run(args) -> int:
             raise ValueError(f"--q has {len(a)} entries, expected {m}")
     count = count_types(m, n)  # before the uniform q, so an --m below 1 reads its message
     if args.q is None:
-        a, den = pmf_numerators(TypeVector((1,) * m))
+        a, den = (1,) * m, m
+    check_cap(m, n)
     # q = a / D gives P(T_t) = |T_t| * prod a^t / D^n.  Multiplied through by
     # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=
     # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
     # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
-    # both sides of the second are 0 when q misses t's support.
-    powers, den_n = urn_numerators(((a, 1),), n, 0)  # prod a^t over D^n
-    n_n, poly = n**n, (n + 1) ** m
-    c_pow_c = lru_cache(maxsize=None)(lambda c: c**c)
+    # both sides of the second are 0 when q misses t's support.  One pass
+    # over the count tuples reads |T_t| = n!/prod c!, prod a^t and prod c^c
+    # from tables keyed by count: every count 0..n occurs once m > 1, and
+    # the one histogram at m = 1 holds n alone.
+    values = range(n + 1) if m > 1 else (n,)
+    factorial = {c: math.factorial(c) for c in values}
+    a_pow = [{c: x**c for c in values} for x in a]
+    c_pow_c = {c: c**c for c in values}
+    den_n, n_n, poly = den**n, n**n, (n + 1) ** m
     rows = []  # only JSON prints the rows, so a text run keeps none
     visited = num_sum = size_sum = violations = 0
-    for t, power in zip(type_list(m, n), powers):
+    for counts in compositions(n, m):
         visited += 1
-        size = type_class_size(t)
+        size = factorial[n] // math.prod(map(factorial.__getitem__, counts))
         size_sum += size
+        power = math.prod(map(getitem, a_pow, counts))
         num = size * power
         num_sum += num
-        cc = math.prod(map(c_pow_c, t.counts))
+        cc = math.prod(map(c_pow_c.__getitem__, counts))
         size_ok = size * cc <= n_n <= poly * size * cc
         prob_ok = num * cc <= n_n * power <= poly * num * cc
         if not (size_ok and prob_ok):
             violations += 1
         if args.format == "json":
-            rows.append((t.counts, size, num, size_ok, prob_ok))
+            rows.append((counts, size, num, size_ok, prob_ok))
     checks = {
         "count": count,
         "count_matches_formula": count == visited,
@@ -79,19 +86,24 @@ def run(args) -> int:
     }
     ok = violations == 0 and all(v for v in checks.values() if isinstance(v, bool))
     if args.format == "json":
-        # D^n can pass the 4,300 digits str(int) allows by default; 3.10 builds
-        # that predate the limit have no setter
-        getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
-        q = [_rational_pair(x, den) for x in a]
-        head = _json_line({"m": m, "n": n, "q": q, "checks": checks, "pass": ok, "types": []})
-        # "types" sorts last: the head ends '"types": []}', and the rows are
-        # written as they are formatted, 256 to a write (an unbuffered stdout
-        # makes each write a system call), so the whole document is never held
-        texts = (
-            (", " if i else "") + ", ".join(_row_json(den_n, *row) for row in rows[i : i + 256])
-            for i in range(0, len(rows), 256)
-        )
-        _emit(chain([head[:-2]], texts, ["]}\n"]), args.out, end="")
+        # D^n can pass the 4,300 digits str(int) allows by default, so the limit
+        # is lifted for this write alone; 3.10 builds that predate it have none
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+        set_digits(0)
+        try:
+            q = [_rational_pair(x, den) for x in a]
+            head = _json_line({"m": m, "n": n, "q": q, "checks": checks, "pass": ok, "types": []})
+            # "types" sorts last: the head ends '"types": []}', and the rows are
+            # written as they are formatted, 256 to a write (an unbuffered stdout
+            # makes each write a system call), so the whole document is never held
+            texts = (
+                (", " if i else "") + ", ".join(_row_json(den_n, *row) for row in rows[i : i + 256])
+                for i in range(0, len(rows), 256)
+            )
+            _emit(chain([head[:-2]], texts, ["]}\n"]), args.out, end="")
+        finally:
+            set_digits(digits)
     else:
         lines = [
             f"types m={m} n={n}: {count} histograms",

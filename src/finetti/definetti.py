@@ -8,7 +8,9 @@ delta = alpha * log(m^k / alpha); the bound is meaningful for
 1 <= k <= (n/100)^(1/3) and is reported (flagged) outside that range.  When k
 does not divide n, the mixture is taken over the histogram of the longest
 prefix of length divisible by k; it comes from the k-marginal alone, as a
-Stirling transform, so the law is never restricted.
+Stirling transform, so the law is never restricted.  The constants alpha,
+delta and epsilon come from `finetti.bound`, and the lattice mean of the
+convexity chain from `finetti.dbound`.
 """
 
 from __future__ import annotations
@@ -16,70 +18,22 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .counts import _EXP_MAX
+from .bound import theorem_constants
+from .counts import divergence_of_numerators
+from .exchangeable import block_laws, histogram_law
+from .types_core import cell_index, type_list, urn_numerators
 
 __all__ = [
-    "BoundParams",
     "VerificationReport",
     "binary_reference_bound",
     "convexity_chain_gap",
     "effective_n",
     "report_to_dict",
-    "theorem_constants",
     "verify_grid",
     "verify_theorem",
 ]
 
 _SLACK = 1e-12
-
-
-class BoundParams(
-    namedtuple("BoundParams", "n k m alpha delta epsilon vacuous in_validity_range")
-):
-    """Constants of the approximation bound at one (n, k, m) point."""
-
-    __slots__ = ()
-
-
-def theorem_constants(n: int, k: int, m: int) -> BoundParams:
-    """alpha, delta, and epsilon(n, k) for an m-symbol alphabet.
-
-    alpha = sqrt((2k/sqrt(n)) * ((1+2k)/sqrt(n) + 1)), delta = alpha *
-    log(m^k / alpha), and epsilon = 2*delta + k * e^(-(n/k)*delta) *
-    (n/k + 1)^(2*m^k) * log(n).  The second term is evaluated in log space
-    and saturates to +inf (flagged vacuous) when it overflows the float
-    range.  Requires 1 <= k <= n.
-    """
-    if m < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {m}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    root_n = math.sqrt(n)
-    alpha = math.sqrt((2.0 * k / root_n) * ((1.0 + 2.0 * k) / root_n + 1.0))
-    cells = float(m**k)
-    delta = alpha * math.log(cells / alpha)
-    blocks = n / k
-    if n == 1:
-        tail = 0.0
-    else:
-        log_tail = (
-            math.log(k)
-            - blocks * delta
-            + 2.0 * cells * math.log(blocks + 1.0)
-            + math.log(math.log(n))
-        )
-        tail = math.exp(log_tail) if log_tail <= _EXP_MAX else math.inf
-    epsilon = 2.0 * delta + tail
-    return BoundParams(
-        n=n,
-        k=k,
-        m=m,
-        alpha=alpha,
-        delta=delta,
-        epsilon=epsilon,
-        vacuous=math.isinf(epsilon),
-        in_validity_range=100 * k**3 <= n,
-    )
 
 
 def effective_n(n: int, k: int) -> int:
@@ -119,11 +73,6 @@ def verify_grid(law: UrnLaw, ks) -> list[VerificationReport]:
     per k-histogram, and only the divergence over the m^k cells is a float.
     For k = 1 the two sides coincide and the divergence is zero.
     """
-    # only verify runs the urn kernel, so dbound, which reads the constants, skips it
-    from .counts import divergence_of_numerators
-    from .exchangeable import block_laws
-    from .types_core import cell_index
-
     cells = []
     for k in ks:
         if not 1 <= k <= law.n:
@@ -167,12 +116,9 @@ def convexity_chain_gap(law: UrnLaw, k: int) -> tuple[float, float, float]:
     by convexity in the first.
     Requires k | n so the block decomposition is exact.
     """
-    # only this chain needs the block laws and the lattice walk, so verify skips them
-    from .counts import divergence_of_numerators
-    from .exchangeable import histogram_law
+    # only this chain needs the gibbs block law and the lattice walk, so verify skips them
+    from .dbound import conditional_mean_divergence
     from .gibbs import conditional_block_law
-    from .marginal_sets import conditional_mean_divergence
-    from .types_core import cell_index, type_list, urn_numerators
 
     if law.n % k != 0:
         raise ValueError(f"k={k} must divide n={law.n}")

@@ -19,7 +19,6 @@ parsed from text.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -277,6 +276,8 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
     kind of file.
     """
     if isinstance(obj, str):
+        import json  # only a law file's start parses JSON
+
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError("law file must be a JSON object")

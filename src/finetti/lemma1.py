@@ -4,7 +4,8 @@ An n-type q is read as its integer counts, and Q^k as the integers
 T_b = prod_a q_a^{u_a} over n^k, where u is the histogram of cell b, so the
 construction compares and reports in integers and makes one float per
 reported quantity.  The exhaustive fallback reads the lattice orbits of
-`finetti.marginal_sets`, which it imports only when it runs.
+`finetti.marginal_sets`, which it imports only when it runs.  The deviation
+constant M is in `finetti.counts`, where lemma dbound (`finetti.dbound`) reads it.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import getitem, mul
 
 from .counts import TYPE_CACHE_SIZE, TypeVector, check_cap, check_cells, occurrence_matrix
 
 __all__ = [
     "cell_index",
+    "compositions",
     "type_class_size",
     "type_list",
     "type_index_map",
@@ -31,18 +32,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every histogram of n over `parts` symbols as a count tuple, in lexicographic order.
+
+    Stars and bars: the counts between consecutive bars, for each choice of
+    parts - 1 bars among n + parts - 1 slots, taken in the same order.
+    """
+    end = n + parts - 1
+    for bars in combinations(range(end), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
 def _type_tuple(m: int, n: int) -> tuple[TypeVector, ...]:
-    return tuple(map(TypeVector, _compositions(n, m)))
+    return tuple(map(TypeVector, compositions(n, m)))
 
 
 def type_list(m: int, n: int) -> tuple[TypeVector, ...]:

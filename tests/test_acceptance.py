@@ -18,13 +18,15 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from finetti.cli import EXIT_OK, main
+from finetti.bound import theorem_constants
 from finetti.counts import TypeVector, count_types
-from finetti.definetti import theorem_constants, verify_theorem
+from finetti.dbound import conditional_mean_divergence
+from finetti.definetti import verify_theorem
 from finetti.exchangeable import iid_law, polya_urn_law, random_type_weight_law
 from finetti.gibbs import convergence_trace
 from finetti.lemma1 import lemma1_constant, lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
-from finetti.marginal_sets import conditional_mean_divergence, pythagorean_scan
+from finetti.marginal_sets import pythagorean_scan
 from finetti.types_core import type_list
 from oracles import (
     Pmf,

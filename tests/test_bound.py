@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finetti.bound import BoundParams, theorem_constants
 from finetti.counts import TypeVector
 from finetti.definetti import (
-    BoundParams,
     binary_reference_bound,
     convexity_chain_gap,
     effective_n,
     report_to_dict,
-    theorem_constants,
     verify_theorem,
 )
 from finetti.exchangeable import (

@@ -8,16 +8,20 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finetti.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VIOLATION,
+    _json_line,
     main,
 )
 from finetti.counts import count_types
@@ -577,13 +581,13 @@ def test_lemma_rejects_l_other_than_n_over_k(capsys, name):
 
 
 def test_dbound_checks_the_theorem_delta_before_the_walk(monkeypatch, capsys):
-    import finetti.marginal_sets as ms
+    import finetti.dbound as dbound
 
     def no_walk(*args, **kwargs):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(ms, "_lattice_walk", no_walk)
-    ms._member_rows.cache_clear()
+    monkeypatch.setattr(dbound, "_orbit_walk", no_walk)
+    dbound._member_rows.cache_clear()
     code, out, err = run(["lemma", "dbound", "--q", "1,1", "--k", "1"], capsys)
     assert (code, out) == (EXIT_INPUT, "")
     assert "delta(n, k, m)" in err and "not positive" in err and "--delta" in err
@@ -678,13 +682,13 @@ def test_parallel_jobs_match_serial_for_urn_laws(capsys, source, ns):
 
 
 def test_dbound_rejects_a_bad_delta_before_the_walk(monkeypatch, capsys):
-    import finetti.marginal_sets as ms
+    import finetti.dbound as dbound
 
     def no_walk(*args, **kwargs):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(ms, "_lattice_walk", no_walk)
-    ms._member_rows.cache_clear()
+    monkeypatch.setattr(dbound, "_orbit_walk", no_walk)
+    dbound._member_rows.cache_clear()
     for delta, message in [
         ("-1", "delta must be positive, got -1.0"),
         ("0", "delta must be positive, got 0.0"),
@@ -741,7 +745,7 @@ START_MODULES = [
     ("verify --help", {"cli", "cli_verify"}),
     (
         "verify --family fair-coin --n 8 --k 2",
-        {"cli", "cli_verify", "definetti", "exchangeable", "types_core", "counts"},
+        {"cli", "cli_verify", "definetti", "bound", "exchangeable", "types_core", "counts"},
     ),
     (
         "gibbs --target 1/2,1/2 --k 2 --n 4 --threshold 1",
@@ -754,7 +758,7 @@ START_MODULES = [
     ("lemma pythagoras --q 4,4 --k 2", {"cli", "cli_lemma", "counts", "marginal_sets"}),
     (
         "lemma dbound --q 4,4 --k 2",
-        {"cli", "cli_lemma", "counts", "marginal_sets", "definetti"},
+        {"cli", "cli_lemma", "counts", "marginal_sets", "dbound", "bound"},
     ),
 ]
 
@@ -782,14 +786,20 @@ def test_cli_start_loads_only_its_subcommands_modules(command, modules):
 
 # (start, modules it must not load besides fractions and decimal)
 INTEGER_STARTS = [
-    ("lemma dbound --q 120,120 --k 2", {"finetti.lemma3", "finetti.types_core"}),
-    ("lemma pythagoras --q 4,4,4 --k 2", {"finetti.lemma3", "finetti.lemma1", "finetti.types_core"}),
+    ("lemma dbound --q 120,120 --k 2", {"finetti.lemma3", "finetti.types_core", "finetti.definetti"}),
+    (
+        "lemma pythagoras --q 4,4,4 --k 2",
+        {"finetti.lemma3", "finetti.lemma1", "finetti.types_core", "finetti.dbound"},
+    ),
     (
         "lemma lemma1 --q 40,40 --k 2 --l 40 --seed 3",
-        {"finetti.marginal_sets", "finetti.lemma3", "finetti.types_core"},
+        {"finetti.marginal_sets", "finetti.lemma3", "finetti.types_core", "finetti.dbound"},
     ),
-    ("lemma lemma3 --q 4,4,4 --k 2", {"finetti.marginal_sets", "finetti.types_core"}),
-    ("lemma lemma3 --q 6,6 --k 2 --mode grid --l 6", {"finetti.lemma1", "finetti.types_core"}),
+    ("lemma lemma3 --q 4,4,4 --k 2", {"finetti.marginal_sets", "finetti.types_core", "finetti.dbound"}),
+    (
+        "lemma lemma3 --q 6,6 --k 2 --mode grid --l 6",
+        {"finetti.lemma1", "finetti.types_core", "finetti.dbound"},
+    ),
     ("verify --family fair-coin --n 8 --k 2", set()),
     ("verify --family polya --init 1,2 --n 9 --k 2,3", set()),
     ("verify --family delta-type --counts 3,2,1 --k 2", set()),
@@ -816,6 +826,34 @@ def test_integer_lemma_starts_load_no_fractions(command, absent):
         env=_env_with_finetti(),
     )
     assert proc.stderr.strip().splitlines()[-1] == "0 []", proc.stderr
+
+
+# every start writes its JSON with cli._json_line; only a law file is parsed as JSON
+JSON_STARTS = [command for command, _ in START_MODULES + INTEGER_STARTS] + [
+    "types --m 3 --n 12 --q 1/2,1/3,1/6 --format json",
+    "lemma lemma1 --q 400,400 --k 2 --l 400 --seed 7",
+    "verify --family random-type-weights --seed 5 --m 2 --n 40,41 --k 2,3",
+    "gibbs --target 1/2,1/3,1/6 --k 3 --n 6,60",
+    "verify --law laws/mix.json --n 40 --k 2",
+]
+
+
+@pytest.mark.parametrize("command", JSON_STARTS)
+def test_only_a_law_file_start_loads_json(command):
+    code = (
+        "import runpy, sys; sys.argv[0] = 'finetti'\n"
+        "try:\n    runpy.run_module('finetti', run_name='__main__')\n"
+        "except SystemExit as exc:\n    rc = exc.code\n"
+        "print(rc, 'json' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *command.split()],
+        capture_output=True,
+        text=True,
+        env=_env_with_finetti(),
+        cwd=ROOT,
+    )
+    assert proc.stderr.strip().splitlines()[-1] == f"0 {'--law' in command}", proc.stderr
 
 
 FRONT_STARTS = {
@@ -993,17 +1031,89 @@ def test_types_json_holds_no_document(tmp_path):
     assert peaks["json"] - peaks["text"] < document
 
 
+@contextmanager
+def int_digits_unlimited():
+    """Lift str(int)'s digit limit for the body, and put it back after."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(digits)
+
+
+BIG_DOCUMENT = ["types", "--m", "2", "--n", "720", "--q", "1/1000000,999999/1000000", "--format", "json"]
+
+
 def test_types_json_prints_integers_past_the_str_digit_limit():
     # D^n = 10^4320 has more digits than str(int) allows by default: the run
     # lifts the limit before its first row, so a fresh process prints them all
-    args = ["types", "--m", "2", "--n", "720", "--q", "1/1000000,999999/1000000", "--format", "json"]
     proc = subprocess.run(
-        [sys.executable, "-m", "finetti", *args], capture_output=True, text=True, env=_env_with_finetti()
+        [sys.executable, "-m", "finetti", *BIG_DOCUMENT], capture_output=True, text=True, env=_env_with_finetti()
     )
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     payload = json.loads(proc.stdout)
     assert payload["pass"] is True and len(payload["types"]) == 721
-    assert payload["types"][0]["probability"]["rational"] == f"{999999**720}/{10**4320}"
+    with int_digits_unlimited():
+        assert payload["types"][0]["probability"]["rational"] == f"{999999**720}/{10**4320}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no str(int) digit limit")
+def test_types_json_restores_the_str_digit_limit(capsys):
+    # the limit is lifted for the write alone: after an in-process run it reads
+    # as before, and a document with a 4,320-digit integer is still printed whole
+    before = sys.get_int_max_str_digits()
+    assert before != 0
+    assert main(["types", "--m", "2", "--n", "3", "--format", "json"]) == EXIT_OK
+    assert sys.get_int_max_str_digits() == before
+    capsys.readouterr()
+    code, out, err = run(BIG_DOCUMENT, capsys)
+    assert sys.get_int_max_str_digits() == before
+    assert (code, err) == (EXIT_OK, "") and out.endswith("]}\n")
+    with int_digits_unlimited():
+        assert f'"rational": "{999999**720}/{10**4320}"' in out
+        assert len(json.loads(out)["types"]) == 721
+
+
+# ---------------------------------------------------------------------------
+# JSON lines written without the json module, with json as their oracle
+# ---------------------------------------------------------------------------
+
+PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'))
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-1, 1]).map(lambda sign: sign * 7**6000),  # 5,072 digits, past the default limit
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 2.2250738585072014e-308]),
+    PLAIN_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(PLAIN_TEXT, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_line_writes_the_bytes_of_json_dumps(value):
+    with int_digits_unlimited():
+        assert _json_line(value) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("text", ['say "hi"', "a\\b", "tab\there", "\x00", "\x7f", "caf\u00e9", "\u2028"])
+def test_json_line_refuses_a_string_that_needs_an_escape(text):
+    with pytest.raises(ValueError, match="without escapes"):
+        _json_line({"key": [text]})
+    with pytest.raises(ValueError, match="without escapes"):
+        _json_line({text: 1})
 
 
 # ---------------------------------------------------------------------------

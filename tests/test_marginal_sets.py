@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finetti.dbound as dbound
 import finetti.lemma1 as lemma1
 import finetti.lemma3 as lemma3
 import finetti.marginal_sets as ms
@@ -22,9 +23,9 @@ from finetti.counts import (
     occurrence_matrix,
     pmf_numerators,
 )
+from finetti.dbound import conditional_mean_divergence, partition_tail_bound
 from finetti.lemma1 import lemma1_constant, lemma1_construct
 from finetti.lemma3 import max_divergence_over_E_k
-from finetti.marginal_sets import conditional_mean_divergence, partition_tail_bound
 from finetti.types_core import type_class_size, type_list
 from oracles import (
     Pmf,
@@ -84,7 +85,7 @@ def test_enumeration_matches_filter_oracle(k, ell, data):
     # the cell-level reference walk the scale tests rely on
     assert oracle_walk(q, k, ell) == filter_members(q, k, ell)
     # each orbit row stands for `orbit` members with its class size and entropy
-    table = ms._member_table(*numerators(q), k, ell)
+    table = dbound._member_table(*numerators(q), k, ell)
     expanded = chain.from_iterable(repeat((size, h), orbit) for orbit, size, h in table)
     assert sorted(expanded) == sorted(oracle_member_rows(q, k, ell))
 
@@ -108,7 +109,7 @@ def test_class_walk_matches_filter_oracle(k, ell, data):
 
 def test_member_table_holds_one_row_per_orbit():
     # 35,088 members of (6,6,6) at k = 3 in 319 orbits
-    table = ms._member_table(*numerators(TypeVector((6, 6, 6))), 3, 6)
+    table = dbound._member_table(*numerators(TypeVector((6, 6, 6))), 3, 6)
     assert len(table) == 319
     assert sum(orbit for orbit, _, _ in table) == 35088
 
@@ -146,7 +147,7 @@ def test_four_members_at_the_smallest_balanced_point():
         (1, 0, 0, 1): 2,
         (0, 0, 2, 0): 1,
     }
-    table = ms._member_table(*numerators(q), 2, 2)
+    table = dbound._member_table(*numerators(q), 2, 2)
     expanded = chain.from_iterable(repeat(size, orbit) for orbit, size, _ in table)
     assert sorted(expanded) == sorted(got.values())
 
@@ -212,7 +213,7 @@ def test_decomposition_of_an_exact_member_against_a_float_q():
     # a float q is refused before any cache is read, also between calls with
     # exact q that fill the per-(q, k, l) row cache; both exact forms agree
     third = (1 / 3, 2 / 3)
-    ms._member_rows.cache_clear()
+    dbound._member_rows.cache_clear()
     results = []
     for q in (third, TypeVector((1, 2)), third, Pmf((Fraction(1, 3), Fraction(2, 3)))):
         if q is third:
@@ -564,7 +565,7 @@ def test_tail_bound_entropy_margin_certificate():
     # alpha(n, k) equals the construction constant at l = n/k, so the
     # entropy-margin check holds with equality in the certified regime
     q = TypeVector((400, 400))
-    from finetti.definetti import theorem_constants
+    from finetti.bound import theorem_constants
 
     delta = theorem_constants(800, 2, 2).delta
     r = partition_tail_bound(q, 2, 400, delta)
@@ -609,7 +610,7 @@ def test_member_table_fills_on_demand(monkeypatch):
     seen = set()
     real = math.factorial
     monkeypatch.setattr(math, "factorial", lambda x: seen.add(x) or real(x))
-    ms._member_rows.cache_clear()
+    dbound._member_rows.cache_clear()
     assert conditional_mean_divergence(TypeVector((50000, 50000)), 1, 100000).members == 1
     assert len(seen) <= 3
 
@@ -830,7 +831,7 @@ def test_dbound_walks_the_lattice_once(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ms, "_lattice_walk", counted)
-    ms._member_rows.cache_clear()
+    dbound._member_rows.cache_clear()
     assert main(["lemma", "dbound", "--q", "12,12", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["members"] == 49
     assert len(walks) == 1
@@ -857,7 +858,7 @@ def test_decomposition_builds_no_pmf(monkeypatch):
     assert want[0][0] == len(oracle_walk(q, 2, 6)) > 3
     monkeypatch.setitem(sys.modules, "finetti.types_core", None)
     monkeypatch.setitem(sys.modules, "fractions", None)
-    ms._member_rows.cache_clear()
+    dbound._member_rows.cache_clear()
     got = (
         ms.pythagorean_scan(q, 2, 6),
         conditional_mean_divergence(q, 2, 6),

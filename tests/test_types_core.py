@@ -266,7 +266,7 @@ def test_readme_library_tour_names_exist():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
     bullets = re.findall(r"^\* `(finetti\.\w+)`(.*?)(?=^\* |^$)", tour, re.M | re.S)
-    assert len(bullets) == 8
+    assert len(bullets) == 10
     for module_name, text in bullets:
         module = importlib.import_module(module_name)
         for name in re.findall(r"`([^`]+)`", text):
@@ -351,6 +351,24 @@ def test_the_program_imports_only_the_standard_library():
                 continue
             for top in tops:
                 assert top == "finetti" or top in sys.stdlib_module_names, (path.name, top)
+
+
+def test_only_read_law_imports_json():
+    # the CLI writes its JSON with cli._json_line; only a law file is parsed,
+    # so `import json` sits in exchangeable.read_law and nowhere else in src
+    found = []
+    for path in _program_files():
+        if path.parent.name != "finetti":
+            continue
+        owner = {}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((inner, node.name) for inner in ast.walk(node))  # inner defs overwrite
+            elif isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names):
+                found.append((path.stem, owner.get(node)))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                found.append((path.stem, owner.get(node)))
+    assert found == [("exchangeable", "read_law")]
 
 
 def test_the_cap_has_one_setting():
