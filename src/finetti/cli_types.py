@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
-from operator import getitem
+from itertools import accumulate, chain, repeat
+from operator import getitem, mul
 
 from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line, _parse_rational_list
 
@@ -52,19 +52,17 @@ def run(args) -> int:
     # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
     # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
     # both sides of the second are 0 when q misses t's support.  One pass
-    # over the count tuples reads |T_t| = n!/prod c!, prod a^t and prod c^c
-    # from tables keyed by count: every count 0..n occurs once m > 1, and
-    # the one histogram at m = 1 holds n alone.
-    values = range(n + 1) if m > 1 else (n,)
-    factorial = {c: math.factorial(c) for c in values}
-    a_pow = [{c: x**c for c in values} for x in a]
-    c_pow_c = {c: c**c for c in values}
+    # over the count tuples reads |T_t| as a product of binomials, and
+    # prod a^t and prod c^c from tables a^0..a^n and c^c, keyed by count:
+    # every count 0..n occurs once m > 1, and the one histogram at m = 1 holds n.
+    a_pow = [list(accumulate(repeat(x, n), mul, initial=1)) for x in a]
+    c_pow_c = {c: c**c for c in (range(n + 1) if m > 1 else (n,))}
     den_n, n_n, poly = den**n, n**n, (n + 1) ** m
     rows = []  # only JSON prints the rows, so a text run keeps none
     visited = num_sum = size_sum = violations = 0
     for counts in compositions(n, m):
         visited += 1
-        size = factorial[n] // math.prod(map(factorial.__getitem__, counts))
+        size = math.prod(map(math.comb, accumulate(counts), counts))
         size_sum += size
         power = math.prod(map(getitem, a_pow, counts))
         num = size * power

@@ -38,6 +38,9 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     Stars and bars: the counts between consecutive bars, for each choice of
     parts - 1 bars among n + parts - 1 slots, taken in the same order.
     """
+    if parts == 1:  # one histogram; combinations would copy all n slots to choose none
+        yield (n,)
+        return
     end = n + parts - 1
     for bars in combinations(range(end), parts - 1):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))

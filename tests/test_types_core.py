@@ -34,7 +34,7 @@ from finetti.counts import (
     pmf_numerators,
     resolve_cap,
 )
-from finetti.types_core import cell_index, type_class_size, type_index_map, type_list
+from finetti.types_core import cell_index, compositions, type_class_size, type_index_map, type_list
 
 
 def brute_types(m: int, n: int) -> set[tuple[int, ...]]:
@@ -61,6 +61,10 @@ def test_enumeration_order_is_ascending():
     assert got == [(0, 2), (1, 1), (2, 0)]
     got3 = [t.counts for t in type_list(3, 2)]
     assert got3 == sorted(got3)
+    # the count tuples that `types` walks come in the same order as type_list
+    walk = list(compositions(60, 3))
+    assert walk == sorted(walk) == [t.counts for t in type_list(3, 60)]
+    assert len(walk) == count_types(3, 60) and list(compositions(5, 1)) == [(5,)]
 
 
 def test_single_symbol_alphabet():
