@@ -1,7 +1,6 @@
-"""The theorem's constants: alpha, delta and epsilon(n, k) at one (n, k, m) point.
+"""The theorem's constants alpha, delta and epsilon(n, k), read by `verify` and `lemma dbound`.
 
-`verify` and `lemma dbound` both read them, so they live apart from the
-mixture checks of `finetti.definetti`, which a dbound start never loads.
+A dbound start reads them without the mixture checks of `finetti.definetti`.
 """
 
 from __future__ import annotations

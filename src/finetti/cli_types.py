@@ -51,10 +51,9 @@ def run(args) -> int:
     # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=
     # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
     # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
-    # both sides of the second are 0 when q misses t's support.  One pass
-    # over the count tuples reads |T_t| as a product of binomials, and
-    # prod a^t and prod c^c from tables a^0..a^n and c^c, keyed by count:
-    # every count 0..n occurs once m > 1, and the one histogram at m = 1 holds n.
+    # both sides of the second are 0 when q misses t's support.  |T_t| is a
+    # product of binomials; prod a^t and prod c^c are read from tables keyed by
+    # count (every count 0..n occurs once m > 1; the one histogram at m = 1 holds n).
     a_pow = [list(accumulate(repeat(x, n), mul, initial=1)) for x in a]
     c_pow_c = {c: c**c for c in (range(n + 1) if m > 1 else (n,))}
     den_n, n_n, poly = den**n, n**n, (n + 1) ** m

@@ -8,9 +8,8 @@ delta = alpha * log(m^k / alpha); the bound is meaningful for
 1 <= k <= (n/100)^(1/3) and is reported (flagged) outside that range.  When k
 does not divide n, the mixture is taken over the histogram of the longest
 prefix of length divisible by k; it comes from the k-marginal alone, as a
-Stirling transform, so the law is never restricted.  The constants alpha,
-delta and epsilon come from `finetti.bound`, and the lattice mean of the
-convexity chain from `finetti.dbound`.
+Stirling transform, so the law is never restricted.  The constants come
+from `finetti.bound`, the convexity chain's lattice mean from `finetti.dbound`.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ import math
 from collections import namedtuple
 
 from .bound import theorem_constants
-from .counts import divergence_of_numerators
-from .exchangeable import block_laws, histogram_law
-from .types_core import cell_index, type_list, urn_numerators
 
 __all__ = [
     "VerificationReport",
@@ -73,6 +69,11 @@ def verify_grid(law: UrnLaw, ks) -> list[VerificationReport]:
     per k-histogram, and only the divergence over the m^k cells is a float.
     For k = 1 the two sides coincide and the divergence is zero.
     """
+    # only verify runs the urn kernel, so a script that reads the reference bound skips it
+    from .counts import divergence_of_numerators
+    from .exchangeable import block_laws
+    from .types_core import cell_index
+
     cells = []
     for k in ks:
         if not 1 <= k <= law.n:
@@ -116,9 +117,12 @@ def convexity_chain_gap(law: UrnLaw, k: int) -> tuple[float, float, float]:
     by convexity in the first.
     Requires k | n so the block decomposition is exact.
     """
-    # only this chain needs the gibbs block law and the lattice walk, so verify skips them
+    # only this chain needs the block laws and the lattice walk, so verify skips them
+    from .counts import divergence_of_numerators
     from .dbound import conditional_mean_divergence
+    from .exchangeable import histogram_law
     from .gibbs import conditional_block_law
+    from .types_core import cell_index, type_list, urn_numerators
 
     if law.n % k != 0:
         raise ValueError(f"k={k} must divide n={law.n}")

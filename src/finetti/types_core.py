@@ -35,8 +35,7 @@ __all__ = [
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Every histogram of n over `parts` symbols as a count tuple, in lexicographic order.
 
-    Stars and bars: the counts between consecutive bars, for each choice of
-    parts - 1 bars among n + parts - 1 slots, taken in the same order.
+    Stars and bars: the counts between consecutive bars of parts - 1 bars in n + parts - 1 slots.
     """
     if parts == 1:  # one histogram; combinations would copy all n slots to choose none
         yield (n,)
