@@ -1267,6 +1267,11 @@ GOLDEN = [
         "verify --law laws/mix.json --n 40,41 --k 2,3",
         "72ce89ba7051287376628db4a425f7d011ef32e8964a5c4669ba5b518b56ba7c",
     ),
+    # the README's typeWeights example: a law file that fixes m and n itself
+    (
+        "verify --law laws/binomial.json --k 1,2,3,4",
+        "395a317736fc3511ce594d6bccbc49859a76d97628e4eb9a6e83f1024d7d42c8",
+    ),
     # help texts, wrapped at COLUMNS=80
     ("--help", "ab53581ded61e231d7aa9183bb21d03c1d9e99afa62824f81f50164d3d01c6a2"),
     ("types --help", "dcb49ba6e861fcf7edddd5e6053ab0141be91299e3a84e4a1beebb84648ec08d"),
