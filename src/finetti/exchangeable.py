@@ -2,10 +2,11 @@
 
 n exchangeable draws are a mixture of urns (Diaconis & Freedman 1980): each
 urn holds balls of the m symbols, and a drawn ball goes back with `step`
-more of its symbol.  -1 draws without replacement (a law given by its
-histogram weights is its n-histograms at -1, a delta-type law one of them),
-0 with replacement (i.i.d. and mixing laws), +1 is the Polya urn.
-`UrnLaw(m, n, urns, step)` is the one law record.  The urn kernel
+more of its symbol.  -1 draws without replacement (a typeWeights law file
+is its n-histograms at -1, a delta-type law one of them), 0 with
+replacement (i.i.d. laws and a mixing file's atoms), +1 is the Polya urn.
+`UrnLaw(m, n, urns, step)` is the one law record, and `read_law` reads
+either kind of law file straight into one.  The urn kernel
 (`types_core.urn_numerators`) gives its k-block law P_k from the urns at a
 cost in m and k, not in n.  P_j for j < k is a margin of P_k, and the
 mixture M_k is a linear function of P_k (`block_laws`), so one pass at the
@@ -25,62 +26,23 @@ from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
 
-from .counts import (
-    TypeVector,
-    _exact_numerators,
-    _ratio_text,
-    check_cap,
-    count_types,
-    pmf_numerators,
-)
+from .counts import TypeVector, _exact_numerators, check_cap, pmf_numerators
 from .types_core import type_class_size, type_index_map, type_list, urn_numerators
 
 __all__ = [
-    "MixingMeasure",
     "UrnLaw",
     "block_laws",
     "delta_type_law",
-    "from_mixing_measure",
     "histogram_law",
     "iid_law",
     "polya_urn_law",
     "random_type_weight_law",
     "read_law",
-    "type_weight_law",
 ]
 
 
-class MixingMeasure(namedtuple("MixingMeasure", "atoms")):
-    """Finitely supported measure on the simplex: ((pmf, weight), ...) of exact rationals.
-
-    Each atom is read as a pmf (`pmf_numerators`), in order, when the record is made.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
-
-    def __new__(cls, atoms) -> "MixingMeasure":
-        atoms = tuple((tuple(q), w) for q, w in atoms)
-        if not atoms:
-            raise ValueError("mixing measure needs at least one atom")
-        for q, _ in atoms:
-            pmf_numerators(q)
-        if any(len(q) != len(atoms[0][0]) for q, _ in atoms):
-            raise ValueError("all atoms must share one alphabet")
-        weights, den = _exact_numerators([w for _, w in atoms])
-        if min(weights) < 0:
-            raise ValueError("negative mixing weight")
-        if sum(weights) != den:
-            raise ValueError(f"mixing weights sum to {_ratio_text(sum(weights), den)}, not 1")
-        return tuple.__new__(cls, (atoms,))
-
-    @property
-    def m(self) -> int:
-        return len(self.atoms[0][0])
-
-
 class UrnLaw(namedtuple("UrnLaw", "m n urns step")):
-    """Law of n draws from a weighted mixture of urns, kept as its urns.
+    """Law of n >= 1 draws from a weighted mixture of urns, kept as its urns.
 
     Each (counts, w) in `urns` holds counts[a] balls of symbol a and has
     integer weight w; all urns hold the same number of balls, and a drawn
@@ -95,6 +57,8 @@ class UrnLaw(namedtuple("UrnLaw", "m n urns step")):
 
     def __new__(cls, m: int, n: int, urns, step: int) -> "UrnLaw":
         urns = tuple((tuple(counts), w) for counts, w in urns)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         if step not in (-1, 0, 1):
             raise ValueError(f"step must be -1, 0 or 1, got {step}")
         if not urns or any(len(counts) != m or min(counts) < 0 for counts, _ in urns):
@@ -178,30 +142,9 @@ def histogram_law(law: UrnLaw) -> tuple[list[int], int]:
     return classes, den
 
 
-def _atom_urns(mix: MixingMeasure) -> list[tuple[tuple[int, ...], int]]:
-    """The atoms as urns: integer numerators over common denominators D and W."""
-    m = mix.m
-    nums, _ = _exact_numerators([p for q, _ in mix.atoms for p in q])
-    weights, _ = _exact_numerators([w for _, w in mix.atoms])
-    return [(nums[j * m : j * m + m], w) for j, w in enumerate(weights)]
-
-
-def from_mixing_measure(mix: MixingMeasure, n: int) -> UrnLaw:
-    """n i.i.d.-given-theta draws under the mixing measure: its atoms as urns at 0.
-
-    With atoms a_j / D and weights w_j / W over common denominators, urn j
-    holds a_j and has weight w_j.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return UrnLaw(mix.m, n, _atom_urns(mix), 0)
-
-
 def iid_law(q, n: int) -> UrnLaw:
     """n i.i.d. draws from the pmf or n-type q = a / D: the one urn a at 0."""
     a, _ = pmf_numerators(q)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     return UrnLaw(len(a), n, ((a, 1),), 0)
 
 
@@ -218,24 +161,7 @@ def polya_urn_law(initial: Sequence[int], n: int) -> UrnLaw:
     initial = tuple(int(a) for a in initial)
     if len(initial) < 1 or any(a < 1 for a in initial):
         raise ValueError(f"initial composition must be positive integers, got {initial}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     return UrnLaw(len(initial), n, ((initial, 1),), 1)
-
-
-def type_weight_law(m: int, n: int, weights) -> UrnLaw:
-    """The law with histogram weights `weights` over type_list(m, n): those urns at -1.
-
-    The weights, a pmf of exact rationals, become integer numerators over
-    their common denominator, and zero-weight histograms are left out.
-    """
-    expected = count_types(m, n)
-    if len(weights) != expected:
-        raise ValueError(
-            f"weight vector has {len(weights)} entries, (m={m}, n={n}) has {expected} types"
-        )
-    nums, _ = pmf_numerators(weights)
-    return UrnLaw(m, n, [(t.counts, w) for t, w in zip(type_list(m, n), nums) if w], -1)
 
 
 RANDOM_WEIGHT_LIMIT = 2**30  # random histogram weights lie in 1..RANDOM_WEIGHT_LIMIT - 1
@@ -258,22 +184,31 @@ def random_type_weight_law(m: int, n: int, seed: int) -> UrnLaw:
 
 
 def _parse_rational(value):
-    """A law file's int or rational string as a `Fraction`, the one parser of its tokens."""
+    """A law file's integer or rational string as a `Fraction`, the one parser of its tokens."""
     from fractions import Fraction  # only a law file's start parses rationals from text
 
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"rationals must be integers or strings like '3/4', got {value!r}")
 
 
-def read_law(obj, n: int | None = None) -> UrnLaw:
-    """Read a law file: histogram weights (`type_weight_law`) or a mixing measure.
+def _checked(value, kind, field: str):
+    """`value` when its type is `kind` (list, dict or int, so not a bool), else a ValueError."""
+    if type(value) is not kind:
+        name = {list: "array", dict: "object", int: "integer"}[kind]
+        raise ValueError(f"law file {field} must be a JSON {name}, got {value!r}")
+    return value
 
-    A typeWeights file fixes (m, n) itself.  A mixing file needs n, from the
-    file or from the caller.  When both give n they must agree, for either
-    kind of file.
+
+def read_law(obj, n: int | None = None) -> UrnLaw:
+    """Read a law file, JSON text or its parsed dict, into an `UrnLaw`: the one check of a file.
+
+    A typeWeights file gives the weights of n-histograms, which become those
+    urns at -1; it fixes (m, n) itself.  A mixing file gives a finite mixture
+    of i.i.d. laws, its atoms as urns at 0, and needs n, from the file or
+    from the caller.  When both give n they must agree, for either kind of
+    file.  m, n and counts are integers; weights and pmf entries are integers
+    or rational strings.
     """
     if isinstance(obj, str):
         import json  # only a law file's start parses JSON
@@ -282,29 +217,43 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
     if not isinstance(obj, dict):
         raise ValueError("law file must be a JSON object")
     if "typeWeights" in obj:
-        m, file_n = int(obj["m"]), int(obj["n"])
+        m, file_n = _checked(obj["m"], int, "'m'"), _checked(obj["n"], int, "'n'")
         if n is not None and n != file_n:
             raise ValueError(f"law file has n={file_n}, caller asked for n={n}")
         check_cap(m, file_n)  # before the weight list is sized
-        weights = [0] * count_types(m, file_n)
         idx = type_index_map(m, file_n)
-        for entry in obj["typeWeights"]:
-            counts = tuple(int(c) for c in entry["counts"])
+        weights = [0] * len(idx)
+        for entry in _checked(obj["typeWeights"], list, "'typeWeights'"):
+            entry = _checked(entry, dict, "'typeWeights' entry")
+            counts = _checked(entry["counts"], list, "'counts'")
+            counts = tuple(_checked(c, int, "'counts' entry") for c in counts)
             if counts not in idx:
                 raise ValueError(f"counts {counts} are not a histogram at (m={m}, n={file_n})")
             weights[idx[counts]] += _parse_rational(entry["w"])
-        return type_weight_law(m, file_n, weights)
+        nums, _ = pmf_numerators(weights)
+        return UrnLaw(m, file_n, [(counts, w) for counts, w in zip(idx, nums) if w], -1)
     if "mixing" in obj:
-        atoms = []
-        for entry in obj["mixing"]:
-            q = [_parse_rational(v) for v in entry["pmf"]]
-            pmf_numerators(q)  # before the next token is parsed, so the first error is reported
+        atoms = []  # ((a, D), w): each pmf is read before the next token is parsed
+        for entry in _checked(obj["mixing"], list, "'mixing'"):
+            pmf = _checked(_checked(entry, dict, "'mixing' entry")["pmf"], list, "'pmf'")
+            q = pmf_numerators([_parse_rational(v) for v in pmf])
             atoms.append((q, _parse_rational(entry["w"])))
-        mix = MixingMeasure(atoms)
-        use_n = int(obj["n"]) if "n" in obj else n
+        if not atoms:
+            raise ValueError("mixing measure needs at least one atom")
+        if len({len(a) for (a, _), _ in atoms}) > 1:
+            raise ValueError("all atoms must share one alphabet")
+        weights = [w for _, w in atoms]
+        if min(weights) < 0:
+            raise ValueError("negative mixing weight")
+        if sum(weights) != 1:
+            raise ValueError(f"mixing weights sum to {sum(weights)}, not 1")
+        use_n = _checked(obj["n"], int, "'n'") if "n" in obj else n
         if use_n is None:
             raise ValueError("mixing law file needs n (in the file or from the caller)")
         if n is not None and n != use_n:
             raise ValueError(f"law file has n={use_n}, caller asked for n={n}")
-        return from_mixing_measure(mix, use_n)
+        # atom j is a_j / D_j and has weight w_j / W: urn j holds a_j scaled to lcm(D) balls
+        den = math.lcm(*(d for (_, d), _ in atoms))
+        scaled = [[x * (den // d) for x in a] for (a, d), _ in atoms]
+        return UrnLaw(len(scaled[0]), use_n, zip(scaled, _exact_numerators(weights)[0]), 0)
     raise ValueError("law file needs a 'typeWeights' or 'mixing' key")

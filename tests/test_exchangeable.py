@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     urn_draw_probability,
 )
 
+from finetti.cli import main
 from finetti.counts import (
     CapacityError,
     TypeVector,
@@ -40,17 +41,14 @@ from finetti.counts import (
 )
 from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
-    MixingMeasure,
     UrnLaw,
     block_laws,
     delta_type_law,
-    from_mixing_measure,
     histogram_law,
     iid_law,
     polya_urn_law,
     random_type_weight_law,
     read_law,
-    type_weight_law,
 )
 from finetti.gibbs import conditional_block_law
 from finetti.types_core import (
@@ -73,6 +71,17 @@ def spread_block_laws(law: UrnLaw, k: int, n: int | None = None) -> tuple[Pmf, P
 def marginal(law: UrnLaw, k: int) -> Pmf:
     """P_k of `block_laws`, spread over A^k."""
     return spread_block_laws(law, k)[0]
+
+
+def weights_law(m: int, n: int, weights) -> UrnLaw:
+    """`read_law` of a typeWeights file: `weights` (a pmf of Fractions) in type_list(m, n) order."""
+    entries = [{"counts": list(t.counts), "w": w} for t, w in zip(type_list(m, n), weights)]
+    return read_law({"m": m, "n": n, "typeWeights": entries})
+
+
+def mixing_law(atoms, n: int) -> UrnLaw:
+    """`read_law` of a mixing file of n draws: its (pmf, weight) atoms of Fractions."""
+    return read_law({"mixing": [{"pmf": list(q), "w": w} for q, w in atoms], "n": n})
 
 
 def histogram_pmf(law: UrnLaw) -> Pmf:
@@ -108,7 +117,7 @@ def test_marginal_matches_brute_force():
     rng = random.Random(11)
     for m, n in ((2, 5), (3, 4)):
         weights = [rng.randrange(1, 9) for _ in type_list(m, n)]
-        law = type_weight_law(m, n, pmf_from_weights(weights))
+        law = weights_law(m, n, pmf_from_weights(weights))
         for k in range(1, n + 1):
             got = marginal(law, k)
             want = brute_marginal(law, k)
@@ -158,7 +167,7 @@ def test_iid_marginal_is_product():
 def test_mixture_iid_matches_direct_integral():
     rng = random.Random(3)
     weights = [rng.randrange(1, 7) for _ in type_list(2, 5)]
-    law = type_weight_law(2, 5, pmf_from_weights(weights))
+    law = weights_law(2, 5, pmf_from_weights(weights))
     k = 2
     mix = spread_block_laws(law, k)[1]
     # direct: sum_T w(T) * (T/n)^k as a product over coordinates
@@ -227,7 +236,7 @@ def test_restrict_law_is_marginal_consistent():
     # verify_theorem reads P_k from the unrestricted law
     rng = random.Random(99)
     weights = [rng.randrange(1, 9) for _ in type_list(2, 6)]
-    law = type_weight_law(2, 6, pmf_from_weights(weights))
+    law = weights_law(2, 6, pmf_from_weights(weights))
     small = oracle_restrict_law(law, 4)
     assert small.n == 4
     for k in range(1, 5):
@@ -249,9 +258,8 @@ def test_restrict_law_weights_are_hypergeometric():
 def test_mixing_measure_mixture():
     q1 = Pmf((Fraction(3, 4), Fraction(1, 4)))
     q2 = Pmf((Fraction(1, 4), Fraction(3, 4)))
-    mix = MixingMeasure(((q1, Fraction(1, 2)), (q2, Fraction(1, 2))))
     # k draws of the mixing law are the mixture of i.i.d. k-blocks
-    got = marginal(from_mixing_measure(mix, 2), 2)
+    got = marginal(mixing_law(((q1, Fraction(1, 2)), (q2, Fraction(1, 2))), 2), 2)
     want = tuple(
         (a * b + c * d) / 2
         for (a, b), (c, d) in zip(
@@ -263,24 +271,21 @@ def test_mixing_measure_mixture():
 
 def test_from_mixing_measure_round_trip():
     q = Pmf((Fraction(1, 3), Fraction(2, 3)))
-    mix = MixingMeasure(((q, Fraction(1),),))
-    law = from_mixing_measure(mix, 4)
+    law = mixing_law(((q, Fraction(1)),), 4)
     want = iid_law(q, 4)
     assert histogram_pmf(law).probs == histogram_pmf(want).probs
 
 
-def fraction_mixture_weights(mix: MixingMeasure, n: int) -> tuple[Fraction, ...]:
+def fraction_mixture_weights(atoms, n: int) -> tuple[Fraction, ...]:
     """The histogram weights as a Fraction sum of class probabilities per type."""
     return tuple(
-        sum((w * type_class_probability(t, q) for q, w in mix.atoms if w), Fraction(0))
-        for t in type_list(mix.m, n)
+        sum((w * type_class_probability(t, q) for q, w in atoms if w), Fraction(0))
+        for t in type_list(len(atoms[0][0]), n)
     )
 
 
-def _mixture(*atoms) -> MixingMeasure:
-    return MixingMeasure(
-        tuple((Pmf(tuple(map(Fraction, q))), Fraction(w)) for q, w in atoms)
-    )
+def _mixture(*atoms) -> tuple[tuple[Pmf, Fraction], ...]:
+    return tuple((Pmf(tuple(map(Fraction, q))), Fraction(w)) for q, w in atoms)
 
 
 MIXTURES = {
@@ -298,9 +303,9 @@ MIXTURES = {
 @pytest.mark.parametrize("name", sorted(MIXTURES))
 def test_from_mixing_measure_matches_the_fraction_sum(name):
     mix = MIXTURES[name]
-    grid = (1, 2, 7, 30, 60) + ((403,) if mix.m == 2 else ())
+    grid = (1, 2, 7, 30, 60) + ((403,) if len(mix[0][0]) == 2 else ())
     for n in grid:
-        got = histogram_pmf(from_mixing_measure(mix, n)).probs
+        got = histogram_pmf(mixing_law(mix, n)).probs
         assert got == fraction_mixture_weights(mix, n), (name, n)
 
 
@@ -355,44 +360,137 @@ def test_marginals_are_consistent(m, n, seed):
 
 
 def test_law_validates_weight_count():
-    with pytest.raises(ValueError):
-        type_weight_law(2, 3, Pmf.uniform(5))
+    # a typeWeights file puts each weight on one n-histogram of (m, n)
+    for counts in ([1, 1, 1], [1, 1], [4, -1]):
+        blob = {"m": 2, "n": 3, "typeWeights": [{"counts": counts, "w": 1}]}
+        with pytest.raises(ValueError, match=r"are not a histogram at \(m=2, n=3\)"):
+            read_law(blob)
 
 
 def test_law_rejects_float_weights():
+    for blob in (
+        {"m": 2, "n": 1, "typeWeights": [{"counts": [1, 0], "w": 0.5}, {"counts": [0, 1], "w": 0.5}]},
+        {"mixing": [{"pmf": [0.5, 0.5], "w": 1}], "n": 1},
+        {"mixing": [{"pmf": ["1/2", "1/2"], "w": 1.0}], "n": 1},
+    ):
+        with pytest.raises(ValueError, match="rationals must be integers or strings like '3/4', got"):
+            read_law(blob)
     with pytest.raises(ValueError, match="must be exact rationals"):
-        type_weight_law(2, 1, (0.5, 0.5))
-    # a plain tuple of Fractions is a pmf: its weights are read, not its type
+        iid_law((0.5, 0.5), 3)
+    # a Fraction weight is read as the rational its string spells
     half = (Fraction(1, 2), Fraction(1, 2))
-    assert type_weight_law(2, 1, half) == type_weight_law(2, 1, Pmf(half))
-    with pytest.raises(ValueError, match="must be exact rationals"):
-        MixingMeasure((((0.5, 0.5), Fraction(1)),))
-    with pytest.raises(ValueError, match="must be exact rationals"):
-        MixingMeasure(((half, 1.0),))
+    assert weights_law(2, 1, half) == weights_law(2, 1, ("1/2", "0.5"))
+    assert mixing_law(((half, 1),), 2) == mixing_law(((("1/2", "1/2"), "1"),), 2)
 
 
 def test_law_and_mixing_validation_messages():
-    half = Pmf((Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(ValueError, match=r"3 entries, \(m=2, n=1\) has 2 types"):
-        type_weight_law(m=2, n=1, weights=Pmf.uniform(3))
-    with pytest.raises(ValueError, match="at least one atom"):
-        MixingMeasure(())
-    with pytest.raises(ValueError, match="share one alphabet"):
-        MixingMeasure(((half, Fraction(1, 2)), (Pmf.uniform(3), Fraction(1, 2))))
-    with pytest.raises(ValueError, match="negative mixing weight"):
-        MixingMeasure(((half, Fraction(3, 2)), (half, Fraction(-1, 2))))
-    with pytest.raises(ValueError, match="sum to 2/3, not 1"):
-        MixingMeasure(atoms=((half, Fraction(1, 3)), (half, Fraction(1, 3))))
+    half = ("1/2", "1/2")
+    for atoms, message in [
+        ((), "at least one atom"),
+        (((half, "1/2"), (("1/3", "1/3", "1/3"), "1/2")), "share one alphabet"),
+        (((half, Fraction(3, 2)), (half, Fraction(-1, 2))), "negative mixing weight"),
+        (((half, Fraction(1, 3)), (half, Fraction(1, 3))), "sum to 2/3, not 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            mixing_law(atoms, 2)
+
+
+TYPED = {"m": 2, "n": 2, "typeWeights": [{"counts": [2, 0], "w": "1"}]}
+ATOM = {"pmf": ["1/2", "1/2"], "w": "1"}
+
+# (law file, the message of its mistyped field): each one exits 3, not 1
+MISTYPED_LAW_FILES = [
+    ({"mixing": [1]}, "'mixing' entry must be a JSON object, got 1"),
+    ({"mixing": "ab", "n": 3}, "'mixing' must be a JSON array, got 'ab'"),
+    ({**TYPED, "typeWeights": [{"counts": 5, "w": "1"}]}, "'counts' must be a JSON array, got 5"),
+    ({**TYPED, "m": None, "typeWeights": []}, "'m' must be a JSON integer, got None"),
+    ({"mixing": [ATOM], "n": [4]}, r"'n' must be a JSON integer, got \[4\]"),
+    ({"mixing": [{**ATOM, "pmf": None}], "n": 3}, "'pmf' must be a JSON array, got None"),
+    ({**TYPED, "typeWeights": [{"counts": [2.9, 0], "w": "1"}]}, "'counts' entry must be a JSON integer"),
+    ({**TYPED, "m": 2.7}, "'m' must be a JSON integer, got 2.7"),
+    ({**TYPED, "n": "2"}, "'n' must be a JSON integer, got '2'"),
+    ({"mixing": [ATOM], "n": 4.5}, "'n' must be a JSON integer, got 4.5"),
+    ({"mixing": [{**ATOM, "w": True}], "n": 3}, "strings like '3/4', got True"),
+    ({**TYPED, "typeWeights": {"counts": [2, 0]}}, "'typeWeights' must be a JSON array"),
+    ({**TYPED, "typeWeights": [[2, 0]]}, "'typeWeights' entry must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("blob, message", MISTYPED_LAW_FILES, ids=range(len(MISTYPED_LAW_FILES)))
+def test_read_law_refuses_mistyped_fields(blob, message):
+    # nothing is coerced: a float, a string or a bool where an integer stands is refused
+    with pytest.raises(ValueError, match=message):
+        read_law(json.dumps(blob))
+
+
+def _places(doc, path=()):
+    """The path of the document itself and of every value nested in it."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of the JSON document with the value at `path` replaced."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+LAW_FILE_BASES = [
+    {**json.loads((LAWS / "mix.json").read_text()), "n": 2},
+    json.loads((LAWS / "binomial.json").read_text()),
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(10**30), 10**100])
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["m", "n", "mixing", "typeWeights", "pmf", "counts", "w"]) | st.text(max_size=4),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+@given(st.sampled_from([(doc, path) for doc in LAW_FILE_BASES for path in _places(doc)]), JSON_VALUES)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_no_law_file_exits_1_or_raises(tmp_path, monkeypatch, place, value):
+    # at k = 1, P_1 = M_1, so D = 0 and no law can fail its bound: exit 1
+    # or an exception could only come from a law file the reader let through
+    monkeypatch.setenv("FINETTI_CAP", "50")
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(_replaced(*place, value)))
+    assert main(["verify", "--law", str(law), "--k", "1"]) in (0, 2, 3)
+
+
+def test_read_law_builds_the_urns_of_each_kind_of_file():
+    # a typeWeights file is its weighted n-histograms at -1, in type order
+    law = weights_law(2, 3, ("1/8", "0", "1/2", "3/8"))
+    assert law == UrnLaw(2, 3, (((0, 3), 1), ((2, 1), 4), ((3, 0), 3)), -1)
+    # a mixing file's atoms a_j / D_j become urns of lcm(D) balls, weighted
+    # by the integer numerators of the weights
+    atoms = ((("1/2", "1/2"), "1/6"), (("1/3", "2/3"), "1/2"), (("1", "0"), "1/3"))
+    want = UrnLaw(2, 5, (((3, 3), 1), ((2, 4), 3), ((6, 0), 2)), 0)
+    assert mixing_law(atoms, 5) == want
 
 
 def _records():
     """(record, an equal rebuild, a different one, a field) for each record kind."""
     law = polya_urn_law((1, 2), 5)
-    mix = MixingMeasure(((Pmf((Fraction(1, 3), Fraction(2, 3))), 1),))
-    other_mix = MixingMeasure(((Pmf((Fraction(2, 3), Fraction(1, 3))), 1),))
     return [
         (law, UrnLaw(2, 5, (((1, 2), 1),), 1), polya_urn_law((2, 1), 5), "m"),
-        (mix, MixingMeasure(mix.atoms), other_mix, "atoms"),
         (
             verify_theorem(law, 2),
             verify_theorem(polya_urn_law((1, 2), 5), 2),
@@ -415,15 +513,14 @@ def test_records_pickle_compare_and_stay_frozen():
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             record.extra = 1
-    (law, *_), (mix, *_), _ = _records()
+    (law, *_), _ = _records()
     assert repr(law) == "UrnLaw(m=2, n=5, urns=(((1, 2), 1),), step=1)"
     assert len(histogram_pmf(law)) == len(type_list(2, 5))
-    assert MixingMeasure(((Pmf.uniform(3), 1),)).m == 3
     # a changed copy is validated like a new record
     with pytest.raises(ValueError, match="nonnegative counts of 3 symbols"):
         law._replace(m=3)
-    with pytest.raises(ValueError, match="not 1"):
-        mix._replace(atoms=((Pmf.uniform(2), Fraction(1, 2)),))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        law._replace(n=0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +542,14 @@ def oracle_marginal(law: UrnLaw, k: int) -> Pmf:
 
 
 def oracle_mixture_iid(source, k: int) -> Pmf:
-    """M_k one string at a time: sum over atoms of w * prod q(s_i)."""
+    """M_k one string at a time: sum over atoms of w * prod q(s_i).
+
+    The atoms are a law's n-histograms as pmfs, or (pmf, weight) pairs.
+    """
     if isinstance(source, UrnLaw):
         atoms = [(type_to_pmf(t), w) for t, w in histograms(source) if w]
     else:
-        atoms = [(q, w) for q, w in source.atoms if w]
+        atoms = [(q, w) for q, w in source if w]
     entries = []
     for s in all_strings(len(atoms[0][0]), k):
         acc = Fraction(0)
@@ -547,7 +647,7 @@ def oracle_restrict_law(law: UrnLaw, n_sub: int) -> UrnLaw:
             for c, r in zip(t.counts, removal):
                 ways *= math.comb(c, r)
             out[idx[tuple(c - r for c, r in zip(t.counts, removal))]] += w * ways * denom
-    return type_weight_law(law.m, n_sub, Pmf(tuple(out)))
+    return weights_law(law.m, n_sub, out)
 
 
 @pytest.mark.parametrize(
@@ -601,15 +701,13 @@ def test_verify_cell_makes_one_kernel_pass(monkeypatch):
 
 
 def test_mixing_measure_mixture_matches_oracle():
-    mix = MixingMeasure(
-        (
-            (Pmf((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))), Fraction(2, 7)),
-            (Pmf((Fraction(3, 10), Fraction(0), Fraction(7, 10))), Fraction(5, 7)),
-            (Pmf((Fraction(1), Fraction(0), Fraction(0))), Fraction(0)),
-        )
+    mix = (
+        (Pmf((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))), Fraction(2, 7)),
+        (Pmf((Fraction(3, 10), Fraction(0), Fraction(7, 10))), Fraction(5, 7)),
+        (Pmf((Fraction(1), Fraction(0), Fraction(0))), Fraction(0)),
     )
     for k in range(1, 5):
-        got = marginal(from_mixing_measure(mix, k), k)
+        got = marginal(mixing_law(mix, k), k)
         assert got.probs == oracle_mixture_iid(mix, k).probs
 
 
@@ -682,7 +780,7 @@ def test_urn_law_block_laws_equal_the_level_n_law(build, ns):
     # and M_k agree as Fractions, so verify prints the same divergence
     for n in ns:
         urns = build(n)
-        level = type_weight_law(urns.m, n, histogram_pmf(urns))
+        level = weights_law(urns.m, n, histogram_pmf(urns))
         assert type(urns) is UrnLaw and level.step == -1
         assert (urns.m, urns.n) == (level.m, level.n)
         for k in range(1, min(n, 4) + 1):
@@ -730,8 +828,21 @@ def test_urn_law_records_pickle_compare_and_validate(monkeypatch):
         UrnLaw(2, 5, (((1, 2), 1),), -1)
     with pytest.raises(ValueError, match="urns of 0 balls"):
         UrnLaw(2, 5, (((0, 0), 1),), 0)
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        iid_law(THIRD, 0)
+    # n >= 1 is checked by the record alone, after each builder's own checks
+    builds = (
+        lambda: iid_law(THIRD, 0),
+        lambda: polya_urn_law((1, 2), 0),
+        lambda: UrnLaw(2, 0, (((1, 2), 1),), -1),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            build()
+    with pytest.raises(ValueError, match="n must be >= 1, got -3"):
+        read_law(MIX_TEXT, -3)
+    with pytest.raises(ValueError, match="initial composition must be positive"):
+        polya_urn_law((0, 2), 0)
+    with pytest.raises(ValueError, match="negative probability"):
+        iid_law((Fraction(3, 2), Fraction(-1, 2)), 0)
     # the n-histograms are checked against the cap, as the level-n build checks them
     monkeypatch.setenv("FINETTI_CAP", "5")
     with pytest.raises(CapacityError, match=r"6 types at \(m=2, n=5\) exceeds cap 5"):
