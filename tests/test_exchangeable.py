@@ -74,7 +74,7 @@ def marginal(law: UrnLaw, k: int) -> Pmf:
 
 
 def weights_law(m: int, n: int, weights) -> UrnLaw:
-    """`read_law` of a typeWeights file: `weights` (a pmf of Fractions) in type_list(m, n) order."""
+    """`read_law` of a typeWeights file: `weights` (a pmf of rationals) in type_list(m, n) order."""
     entries = [{"counts": list(t.counts), "w": w} for t, w in zip(type_list(m, n), weights)]
     return read_law({"m": m, "n": n, "typeWeights": entries})
 
