@@ -31,15 +31,6 @@ COMMANDS = {
 }
 
 
-def _parse_rational_list(text: str) -> "tuple[Fraction, ...]":
-    from fractions import Fraction
-
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational list {text!r}") from exc
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in text.split(","))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _parse_int_list, _parse_rational_list
+from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _parse_int_list
 
 
 def add_arguments(parser) -> None:
@@ -14,10 +14,12 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> int:
-    from .counts import pmf_numerators
+    from .counts import parse_rational, pmf_numerators
     from .gibbs import convergence_trace, trace_to_csv
 
-    target = pmf_numerators(_parse_rational_list(args.target))
+    if not 0 < args.threshold < float("inf"):
+        raise ValueError(f"--threshold must be finite and positive, got {args.threshold}")
+    target = pmf_numerators([parse_rational(x) for x in args.target.split(",")])
     n_values = _parse_int_list(args.n)
     trace = convergence_trace(target, args.k, n_values)
     _emit(trace_to_csv(trace).splitlines(), args.out)

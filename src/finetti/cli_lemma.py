@@ -4,7 +4,7 @@ Each branch imports only what its lemma runs: lemma1 loads `finetti.lemma1`,
 pythagoras the walk of `finetti.marginal_sets`, dbound that walk, its mean
 and tail (`finetti.dbound`) and the theorem's constants (`finetti.bound`),
 and lemma3 the vertex search of `finetti.lemma3`.  Every branch reads --q
-as integer counts, so no lemma start loads `fractions`.
+as integer counts.
 """
 
 from __future__ import annotations
@@ -125,7 +125,9 @@ def run(args) -> int:
     if name == "dbound":
         from .bound import theorem_constants
         from .dbound import conditional_mean_divergence, partition_tail_bound
+        from .marginal_sets import _check_lattice
 
+        _check_lattice(q.m, args.k, ell)  # the walk's cap, before m^k is read as a float
         params = theorem_constants(n, args.k, q.m)
         if args.delta is None and params.delta <= 0:
             raise ValueError(

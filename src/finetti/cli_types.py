@@ -7,7 +7,7 @@ import sys
 from itertools import accumulate, chain, repeat
 from operator import getitem, mul
 
-from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line, _parse_rational_list
+from .cli import EXIT_OK, EXIT_VIOLATION, _emit, _json_line
 
 
 def add_arguments(parser) -> None:
@@ -35,12 +35,12 @@ def _row_json(den: int, counts, size: int, num: int, size_ok: bool, prob_ok: boo
 
 
 def run(args) -> int:
-    from .counts import check_cap, count_types, pmf_numerators
+    from .counts import check_cap, count_types, parse_rational, pmf_numerators
     from .types_core import compositions
 
     m, n = args.m, args.n
     if args.q is not None:
-        a, den = pmf_numerators(_parse_rational_list(args.q))
+        a, den = pmf_numerators([parse_rational(x) for x in args.q.split(",")])
         if len(a) != m:
             raise ValueError(f"--q has {len(a)} entries, expected {m}")
     count = count_types(m, n)  # before the uniform q, so an --m below 1 reads its message

@@ -24,7 +24,7 @@ def add_arguments(parser) -> None:
 def _build_law(args, n: int):
     """The family's law of n draws, an `UrnLaw`."""
     from .exchangeable import delta_type_law, iid_law, polya_urn_law, random_type_weight_law
-    from .counts import TypeVector
+    from .counts import TypeVector, _ratio_text, parse_rational
 
     fam = args.family
     if fam == "fair-coin":
@@ -32,12 +32,10 @@ def _build_law(args, n: int):
     if fam == "biased":
         if args.p is None:
             raise ValueError("--family biased needs --p")
-        from fractions import Fraction  # only --p is parsed from text here
-
-        p = Fraction(args.p)
-        if not 0 <= p <= 1:
-            raise ValueError(f"--p must lie in [0, 1], got {p}")
-        return iid_law((p, 1 - p), n)
+        num, den = parse_rational(args.p)
+        if not 0 <= num <= den:
+            raise ValueError(f"--p must lie in [0, 1], got {_ratio_text(num, den)}")
+        return iid_law(TypeVector((num, den - num)), n)  # the urn of p and 1 - p over den
     if fam == "polya":
         if args.init is None:
             raise ValueError("--family polya needs --init")

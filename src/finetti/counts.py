@@ -1,14 +1,15 @@
 """Integer groundwork for n-types: the enumeration cap, `TypeVector`, pmfs and the cells of A^k.
 
-Nothing here imports `fractions`.  A pmf is one record, integer numerators a
+No module imports `fractions`.  A pmf is one record, integer numerators a
 over their least common denominator D: `pmf_numerators` is the one reader
 that validates a pmf and returns (a, D), and every law, witness and weight
-vector the package builds is such a pair.  `power_numerators` gives Q^k from
-a, and every entropy, divergence and max-deviation the command line prints
-comes from integer numerators by one rule (`divergence_of_numerators`), one
-per block histogram where a law is constant on them
-(`types_core.cell_index`).  This module is the one reader of the cap (`check_count`)
-and the home of `TypeVector`, `count_types`, `all_strings` and `occurrence_matrix`.
+vector the package builds is such a pair; `parse_rational` reads rational
+text into integers.  `power_numerators` gives Q^k from a, and every entropy,
+divergence and max-deviation the command line prints comes from integer
+numerators by one rule (`divergence_of_numerators`), one per block
+histogram where a law is constant on them (`types_core.cell_index`).  This
+module is the one reader of the cap (`check_count`) and the home of
+`TypeVector`, `count_types`, `all_strings` and `occurrence_matrix`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 from itertools import product
 
 DEFAULT_ENUMERATION_CAP = 2**26
+DIGIT_LIMIT = 4300  # str(int)'s default: no count is written, nor exponent read, past it
 
 
 class CapacityError(RuntimeError):
@@ -38,10 +40,18 @@ def resolve_cap() -> int:
 
 
 def check_count(total: int, what: str) -> None:
-    """Raise CapacityError, "<total> <what> exceeds cap <cap>", when total is over the cap."""
+    """Raise CapacityError "<total> <what> exceeds cap <cap>", a long total as "at least 2^b"."""
     limit = resolve_cap()
     if total > limit:
-        raise CapacityError(f"{total} {what} exceeds cap {limit}")
+        text = total if total < 10**DIGIT_LIMIT else f"at least 2^{total.bit_length() - 1}"
+        raise CapacityError(f"{text} {what} exceeds cap {limit}")
+
+
+def check_power(m: int, k: int) -> int:
+    """m^k, unless 2^k passes both the cap and DIGIT_LIMIT digits: then CapacityError, unbuilt."""
+    if m > 1 and k > max(resolve_cap().bit_length(), DIGIT_LIMIT / math.log10(2)):
+        raise CapacityError(f"{m}^{k} cells at (m={m}, k={k}) exceeds cap {resolve_cap()}")
+    return m**k
 
 
 def _alphabet_size(alphabet: int) -> int:
@@ -82,11 +92,32 @@ def _ratio_text(num: int, den: int) -> str:
     return f"{num // g}" if den == g else f"{num // g}/{den // g}"
 
 
+Ratio = namedtuple("Ratio", "numerator denominator")  # _exact_numerators reads it as a Fraction
+_D = r"\d+(?:_\d+)*"  # Python 3.11's `Fraction(str)` grammar follows; `re` compiles it once
+_RATIONAL = rf"\s*([-+]?)(?=\d|\.\d)(\d*(?:_\d+)*)(?:/({_D})|(?:\.({_D})?)?(?:[eE]([-+]?{_D}))?)\s*"
+
+
+def parse_rational(text: str) -> Ratio:
+    """(num, den), den > 0, as Python 3.11's `Fraction(text)` reads it; |exponent| <= DIGIT_LIMIT."""
+    import re  # argparse has loaded it
+    match = re.fullmatch(_RATIONAL, text)
+    if match is None or match[3] and not int(match[3]):  # no rational, or a zero denominator
+        raise ValueError(f"cannot read {text!r} as a rational")
+    sign, whole, den, frac, exp = match.groups()
+    if exp and (len(exp) > DIGIT_LIMIT or abs(int(exp)) > DIGIT_LIMIT):  # refused before 10**e
+        raise ValueError(f"the exponent of {text!r} exceeds {DIGIT_LIMIT} in absolute value")
+    scale, e = 10 ** len((frac or "").replace("_", "")), int(exp or 0)
+    num = (int(whole or 0) * scale + int(frac or 0)) * 10 ** max(e, 0)
+    den = int(den or 1) * scale * 10 ** max(-e, 0)
+    g = math.gcd(num, den)
+    return Ratio((-num if sign == "-" else num) // g, den // g)
+
+
 def _exact_numerators(values) -> tuple[tuple[int, ...], int]:
     """(a, D) with values = a / D over their least common denominator D.
 
     Each value must be exact: an int, or a rational with int numerator and
-    denominator, such as a `Fraction`.  A float is refused.
+    denominator, such as a `Ratio` or a `Fraction`.  A float is refused.
     """
     for p in values:
         if not all(isinstance(getattr(p, part, None), int) for part in ("numerator", "denominator")):
@@ -98,13 +129,12 @@ def _exact_numerators(values) -> tuple[tuple[int, ...], int]:
 def pmf_numerators(q) -> tuple[tuple[int, ...], int]:
     """(a, D) with q = a / D over the least common denominator D: the one reader of a pmf.
 
-    An n-type gives its counts over n, both divided by their gcd.  Any other
-    q is a sequence of exact rationals (`_exact_numerators`), nonnegative and
-    summing to 1.
+    An n-type gives its counts over n.  Any other q is a sequence of exact
+    rationals (`_exact_numerators`; a `Ratio` need not be in lowest terms),
+    nonnegative and summing to 1.  a and D come divided by their gcd.
     """
     if isinstance(q, TypeVector):
-        g = math.gcd(*q.counts)
-        return tuple(c // g for c in q.counts), q.n // g
+        q = [Ratio(c, q.n) for c in q.counts]
     a, den = _exact_numerators(tuple(q))
     if not a:
         raise ValueError("empty probability vector")
@@ -112,7 +142,8 @@ def pmf_numerators(q) -> tuple[tuple[int, ...], int]:
         raise ValueError("negative probability")
     if sum(a) != den:
         raise ValueError(f"pmf sums to {_ratio_text(sum(a), den)}, not 1")
-    return a, den
+    g = math.gcd(*a)  # divides den = sum(a); 1 when every entry is in lowest terms
+    return tuple(x // g for x in a), den // g
 
 
 def count_types(alphabet: int, n: int) -> int:
@@ -134,7 +165,7 @@ def check_cells(m: int, k: int) -> None:
     Every caller that lists a law, a witness or a count per cell of A^k
     checks this first.
     """
-    check_count(m**k, f"cells at (m={m}, k={k})")
+    check_count(check_power(m, k), f"cells at (m={m}, k={k})")
 
 
 # largest exponent whose math.exp is finite: a log bound above it reads as inf

@@ -127,10 +127,8 @@ def convexity_chain_gap(law: UrnLaw, k: int) -> tuple[float, float, float]:
     if law.n % k != 0:
         raise ValueError(f"k={k} must divide n={law.n}")
     ell = law.n // k
-    report = verify_theorem(law, k)
-    stage1 = report.divergence
-    stage2 = 0.0
-    stage3 = 0.0
+    stage1 = verify_theorem(law, k).divergence
+    stage2 = stage3 = 0.0
     cells = cell_index(law.m, k)
     weights, den = histogram_law(law)
     for t, w in zip(type_list(law.m, law.n), weights):
@@ -150,7 +148,7 @@ def convexity_chain_gap(law: UrnLaw, k: int) -> tuple[float, float, float]:
 
 def report_to_dict(report: VerificationReport) -> dict:
     """Flat JSON-ready view of a verification report."""
-    out = {
+    return {
         "n": report.n,
         "k": report.k,
         "m": report.m,
@@ -164,4 +162,3 @@ def report_to_dict(report: VerificationReport) -> dict:
         "binary_reference": report.binary_reference,
         "vacuous": report.params.vacuous,
     }
-    return out

@@ -14,8 +14,8 @@ largest k of a grid serves every k; all come as one integer numerator per
 k-histogram, never spread over the m^k strings.
 `histogram_law` builds a law out to its n-histogram weights.  A pmf, an
 atom or a weight vector is read once, into integer numerators over a common
-denominator (`counts.pmf_numerators`); only a law file's rationals are
-parsed from text.
+denominator (`counts.pmf_numerators`); a law file's rational strings are
+read into integers by `counts.parse_rational`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
 
-from .counts import TypeVector, _exact_numerators, check_cap, pmf_numerators
+from .counts import Ratio, TypeVector, _exact_numerators, _ratio_text, check_cap
+from .counts import parse_rational, pmf_numerators
 from .types_core import type_class_size, type_index_map, type_list, urn_numerators
 
 __all__ = [
@@ -183,12 +184,12 @@ def random_type_weight_law(m: int, n: int, seed: int) -> UrnLaw:
 # ---------------------------------------------------------------------------
 
 
-def _parse_rational(value):
-    """A law file's integer or rational string as a `Fraction`, the one parser of its tokens."""
-    from fractions import Fraction  # only a law file's start parses rationals from text
-
-    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
+def _law_rational(value):
+    """A law file's integer or rational string as an exact rational: the one check of its tokens."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(getattr(value, "denominator", None), int) and not isinstance(value, bool):
+        return value  # an int, or a Fraction in a dict given by the caller
     raise ValueError(f"rationals must be integers or strings like '3/4', got {value!r}")
 
 
@@ -220,33 +221,34 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
         m, file_n = _checked(obj["m"], int, "'m'"), _checked(obj["n"], int, "'n'")
         if n is not None and n != file_n:
             raise ValueError(f"law file has n={file_n}, caller asked for n={n}")
-        check_cap(m, file_n)  # before the weight list is sized
-        idx = type_index_map(m, file_n)
-        weights = [0] * len(idx)
+        check_cap(m, file_n)  # before any entry is read
+        given = {}  # counts -> the sum of the weights given to that histogram, in integers
         for entry in _checked(obj["typeWeights"], list, "'typeWeights'"):
             entry = _checked(entry, dict, "'typeWeights' entry")
             counts = _checked(entry["counts"], list, "'counts'")
             counts = tuple(_checked(c, int, "'counts' entry") for c in counts)
-            if counts not in idx:
+            if len(counts) != m or min(counts) < 0 or sum(counts) != file_n:
                 raise ValueError(f"counts {counts} are not a histogram at (m={m}, n={file_n})")
-            weights[idx[counts]] += _parse_rational(entry["w"])
-        nums, _ = pmf_numerators(weights)
-        return UrnLaw(m, file_n, [(counts, w) for counts, w in zip(idx, nums) if w], -1)
+            a, d = _exact_numerators((given.get(counts, 0), _law_rational(entry["w"])))
+            given[counts] = Ratio(sum(a), d)
+        cells = sorted(given)  # type order, the lexicographic order of the counts
+        nums, _ = pmf_numerators(map(given.get, cells))
+        return UrnLaw(m, file_n, [(counts, w) for counts, w in zip(cells, nums) if w], -1)
     if "mixing" in obj:
         atoms = []  # ((a, D), w): each pmf is read before the next token is parsed
         for entry in _checked(obj["mixing"], list, "'mixing'"):
             pmf = _checked(_checked(entry, dict, "'mixing' entry")["pmf"], list, "'pmf'")
-            q = pmf_numerators([_parse_rational(v) for v in pmf])
-            atoms.append((q, _parse_rational(entry["w"])))
+            q = pmf_numerators([_law_rational(v) for v in pmf])
+            atoms.append((q, _law_rational(entry["w"])))
         if not atoms:
             raise ValueError("mixing measure needs at least one atom")
         if len({len(a) for (a, _), _ in atoms}) > 1:
             raise ValueError("all atoms must share one alphabet")
-        weights = [w for _, w in atoms]
+        weights, total = _exact_numerators([w for _, w in atoms])
         if min(weights) < 0:
             raise ValueError("negative mixing weight")
-        if sum(weights) != 1:
-            raise ValueError(f"mixing weights sum to {sum(weights)}, not 1")
+        if sum(weights) != total:
+            raise ValueError(f"mixing weights sum to {_ratio_text(sum(weights), total)}, not 1")
         use_n = _checked(obj["n"], int, "'n'") if "n" in obj else n
         if use_n is None:
             raise ValueError("mixing law file needs n (in the file or from the caller)")
@@ -255,5 +257,5 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
         # atom j is a_j / D_j and has weight w_j / W: urn j holds a_j scaled to lcm(D) balls
         den = math.lcm(*(d for (_, d), _ in atoms))
         scaled = [[x * (den // d) for x in a] for (a, d), _ in atoms]
-        return UrnLaw(len(scaled[0]), use_n, zip(scaled, _exact_numerators(weights)[0]), 0)
+        return UrnLaw(len(scaled[0]), use_n, zip(scaled, weights), 0)
     raise ValueError("law file needs a 'typeWeights' or 'mixing' key")

@@ -88,19 +88,12 @@ def convergence_trace(target: tuple[tuple[int, ...], int], k: int, n_values) -> 
     for n in n_values:
         rounded = round_to_type(target, n)
         block = conditional_block_law(rounded, k)
-        points.append(
-            TracePoint(
-                n=n,
-                rounded=rounded,
-                divergence=divergence_of_numerators(*block, *reference, cells),
-                max_deviation=max_deviation_of_numerators(*block, *reference),
-            )
-        )
+        divergence = divergence_of_numerators(*block, *reference, cells)
+        deviation = max_deviation_of_numerators(*block, *reference)
+        points.append(TracePoint(n, rounded, divergence, deviation))
     return ConvergenceTrace(target=target, k=k, points=tuple(points))
 
 
 def trace_to_csv(trace: ConvergenceTrace) -> str:
-    lines = ["n,divergence_nats,max_abs_deviation"]
-    for p in trace.points:
-        lines.append(f"{p.n},{p.divergence!r},{p.max_deviation!r}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{p.n},{p.divergence!r},{p.max_deviation!r}\n" for p in trace.points)
+    return "n,divergence_nats,max_abs_deviation\n" + "".join(rows)

@@ -83,17 +83,13 @@ def lemma1_construct(
     def excess(counts) -> int:
         return max(abs(c * nk - t) for c, t in zip(counts, targets))
 
-    base = []
-    for a, c in enumerate(q.counts):
-        base.extend([a] * c)
+    base = [a for a, c in enumerate(q.counts) for _ in range(c)]
     rng = random.Random(seed)
     cells = m**k
 
     accepted = None
-    tries = 0
     fallback = False
-    for _ in range(max_tries):
-        tries += 1
+    for tries in range(1, max_tries + 1):
         rng.shuffle(base)
         counts = [0] * cells
         for start in range(0, q.n, k):

@@ -121,8 +121,8 @@ def max_divergence_over_E_k(
         return MaxDivergenceResult(value, (best_counts, ell), candidates, "grid")
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
-    cells = m**k
     check_cells(m, k)  # the witness has one entry per cell
+    cells = m**k
     active_rows = [s for s in range(m) if a[s] > 0]
     # one column per k-histogram over the active symbols, subsets up to the rows
     columns = count_types(len(active_rows), k)

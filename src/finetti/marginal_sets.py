@@ -10,8 +10,8 @@ times symbol a occurs in block b,
 The module walks the lattice points of this polytope among l-block
 histograms, one row per orbit of counts permuted within a k-histogram class,
 and scans it for the argmin of D(. || U).  It reads q once as integer
-numerators a over their least common denominator D (`counts.pmf_numerators`),
-so an n-type's start imports no `fractions`.  Lemma 1 (`finetti.lemma1`),
+numerators a over their least common denominator D (`counts.pmf_numerators`).
+Lemma 1 (`finetti.lemma1`),
 lemma 3 (`finetti.lemma3`) and the conditional mean divergence and tail
 bound of lemma dbound (`finetti.dbound`) read the walk from here.
 """
@@ -28,6 +28,7 @@ from .counts import (
     TYPE_CACHE_SIZE,
     TypeVector,
     check_count,
+    check_power,
     count_types,
     occurrence_matrix,
     pmf_numerators,
@@ -71,7 +72,8 @@ def _check_lattice(m: int, k: int, ell: int) -> None:
     """Check k, l and the cap on the l-block histograms over m^k cells, count_types(m^k, l)."""
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={ell}")
-    check_count(count_types(m**k, ell), f"block histograms at (cells={m ** k}, l={ell})")
+    cells = check_power(m, k)  # C(m^k + l - 1, l) >= m^k, so a refused m^k is never built
+    check_count(count_types(cells, ell), f"block histograms at (cells={cells}, l={ell})")
 
 
 def _lattice_walk(a: Sequence[int], den: int, k: int, ell: int) -> Iterator[tuple[int, ...]]:

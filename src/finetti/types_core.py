@@ -84,13 +84,8 @@ def cell_index(m: int, k: int) -> tuple[int, ...]:
 
 
 def type_class_size(t: TypeVector) -> int:
-    """Number of strings with histogram t: the multinomial coefficient."""
-    size = 1
-    remaining = t.n
-    for c in t.counts:
-        size *= math.comb(remaining, c)
-        remaining -= c
-    return size
+    """Number of strings with histogram t: the multinomial coefficient, a product of binomials."""
+    return math.prod(map(math.comb, accumulate(t.counts), t.counts))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -319,6 +320,38 @@ def test_type_weights_file_checks_the_cap_before_sizing_its_weights(monkeypatch,
     law.write_text(json.dumps({"m": 30, "n": 1000, "typeWeights": [{"counts": [1000] + [0] * 29, "w": "1"}]}))
     want = f"capacity: {math.comb(1029, 29)} types at (m=30, n=1000) exceeds cap 67108864\n"
     assert run(["verify", "--law", str(law), "--k", "2"], capsys) == (EXIT_CAPACITY, "", want)
+
+
+# counts too long to build, or to write in full: each is refused at once with exit 2
+HUGE_COUNTS = [
+    ("types --m 3000 --n 100000", "capacity: at least 2^19556 types at (m=3000, n=100000) exceeds cap 67108864\n"),
+    (
+        "verify --family random-type-weights --seed 1 --m 3000 --n 100000 --k 2",
+        "capacity: at least 2^19556 types at (m=3000, n=100000) exceeds cap 67108864\n",
+    ),
+    (
+        "lemma lemma3 --q 1,1 --k 1000000000",
+        "capacity: 2^1000000000 cells at (m=2, k=1000000000) exceeds cap 67108864\n",
+    ),
+    (
+        "lemma lemma3 --q 1,1 --k 1000000000 --mode grid --l 2",
+        "capacity: 2^1000000000 cells at (m=2, k=1000000000) exceeds cap 67108864\n",
+    ),
+    (
+        "lemma dbound --q 1030,1030 --k 1030",
+        f"capacity: {math.comb(2**1030 + 1, 2)} block histograms at (cells={2**1030}, l=2) exceeds cap 67108864\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, stderr", HUGE_COUNTS, ids=[c for c, _ in HUGE_COUNTS])
+def test_a_count_of_any_size_exits_2(monkeypatch, capsys, command, stderr):
+    # a count past 4,300 digits reads "at least 2^b"; an m^k past them and the
+    # cap is never built; dbound checks its walk's cap before its constants
+    monkeypatch.delenv("FINETTI_CAP", raising=False)
+    start = time.perf_counter()
+    assert run(command.split(), capsys) == (EXIT_CAPACITY, "", stderr)
+    assert time.perf_counter() - start < 1
 
 
 def test_env_cap_binds_verify(monkeypatch, capsys):
@@ -648,6 +681,14 @@ def test_gibbs_threshold_violation(capsys):
     assert code == EXIT_VIOLATION
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_gibbs_threshold_must_be_finite_and_positive(capsys, threshold):
+    # nan made every trace fail and inf every trace pass; both are bad input now
+    args = ["gibbs", "--target", "1/2,1/2", "--k", "2", "--n", "4", f"--threshold={threshold}"]
+    want = f"error: --threshold must be finite and positive, got {float(threshold)}\n"
+    assert run(args, capsys) == (EXIT_INPUT, "", want)
+
+
 def test_gibbs_bad_target(capsys):
     code, _, _ = run(["gibbs", "--target", "1/2,1/3", "--k", "2", "--n", "4"], capsys)
     assert code == EXIT_INPUT
@@ -784,7 +825,8 @@ def test_cli_start_loads_only_its_subcommands_modules(command, modules):
     assert loaded == f"0 False {sorted(f'finetti.{name}' for name in modules)}", proc.stderr
 
 
-# (start, modules it must not load besides fractions and decimal)
+# (start, modules it must not load besides fractions and decimal); the last
+# four read rationals from text, with counts.parse_rational
 INTEGER_STARTS = [
     ("lemma dbound --q 120,120 --k 2", {"finetti.lemma3", "finetti.types_core", "finetti.definetti"}),
     (
@@ -805,13 +847,17 @@ INTEGER_STARTS = [
     ("verify --family delta-type --counts 3,2,1 --k 2", set()),
     ("verify --family random-type-weights --seed 5 --m 2 --n 12 --k 2", set()),
     ("types --m 2 --n 4", set()),
+    ("types --m 3 --n 60 --q 1/2,1/3,1/6", set()),
+    ("gibbs --target 1/2,1/3,1/6 --k 3 --n 6,60", set()),
+    ("verify --family biased --p 0.3 --n 20 --k 2", set()),
+    ("verify --law laws/mix.json --n 40 --k 2", set()),
 ]
 
 
 @pytest.mark.parametrize("command, absent", INTEGER_STARTS, ids=[c for c, _ in INTEGER_STARTS])
 def test_integer_lemma_starts_load_no_fractions(command, absent):
-    # a start that parses no rational from text reads its pmfs as integer
-    # counts: no Fraction (which brings decimal), and no other lemma's code
+    # every pmf is read as integer numerators, and rational text into integers:
+    # no Fraction (which brings decimal), and no other lemma's code
     code = (
         "import runpy, sys; sys.argv[0] = 'finetti'\n"
         "try:\n    runpy.run_module('finetti', run_name='__main__')\n"
@@ -824,6 +870,7 @@ def test_integer_lemma_starts_load_no_fractions(command, absent):
         capture_output=True,
         text=True,
         env=_env_with_finetti(),
+        cwd=ROOT,
     )
     assert proc.stderr.strip().splitlines()[-1] == "0 []", proc.stderr
 
@@ -833,8 +880,6 @@ JSON_STARTS = [command for command, _ in START_MODULES + INTEGER_STARTS] + [
     "types --m 3 --n 12 --q 1/2,1/3,1/6 --format json",
     "lemma lemma1 --q 400,400 --k 2 --l 400 --seed 7",
     "verify --family random-type-weights --seed 5 --m 2 --n 40,41 --k 2,3",
-    "gibbs --target 1/2,1/3,1/6 --k 3 --n 6,60",
-    "verify --law laws/mix.json --n 40 --k 2",
 ]
 
 
@@ -1356,6 +1401,39 @@ def test_verify_grid_errors_are_pinned(monkeypatch, capsys, command, cap, code, 
     if cap is not None:
         monkeypatch.setenv("FINETTI_CAP", cap)
     assert run(command.split(), capsys) == (code, "", stderr)
+
+
+# rational text: every token is read by counts.parse_rational, in integers;
+# an exponent past 4,300 is refused before 10**e is built
+EXPONENT_ERROR = "error: the exponent of '{}' exceeds 4300 in absolute value\n"
+RATIONAL_ERRORS = [
+    ("types --m 2 --n 3 --q 1e1000000,1", EXPONENT_ERROR.format("1e1000000")),
+    ("gibbs --target 1e1000000,1 --k 2 --n 4", EXPONENT_ERROR.format("1e1000000")),
+    ("verify --family biased --p 1e1000000 --n 4 --k 2", EXPONENT_ERROR.format("1e1000000")),
+    ("verify --family biased --p 1e-1000000 --n 4 --k 2", EXPONENT_ERROR.format("1e-1000000")),
+    ("verify --law {weight} --k 2", EXPONENT_ERROR.format("1e16000000")),
+    ("verify --law {atom} --n 4 --k 2", EXPONENT_ERROR.format("1e-16000000")),
+    ("types --m 2 --n 3 --q 1/2,x", "error: cannot read 'x' as a rational\n"),
+    ("gibbs --target 1/2,1/0 --k 2 --n 4", "error: cannot read '1/0' as a rational\n"),
+    ("verify --family biased --p 1_/2 --n 4 --k 2", "error: cannot read '1_/2' as a rational\n"),
+    ("verify --law {bad} --n 4 --k 2", "error: cannot read '1 / 2' as a rational\n"),
+]
+RATIONAL_ERROR_FILES = {
+    "weight": {"m": 2, "n": 1, "typeWeights": [{"counts": [1, 0], "w": "1e16000000"}]},
+    "atom": {"mixing": [{"pmf": ["1e-16000000", "1"], "w": "1"}]},
+    "bad": {"mixing": [{"pmf": ["1/2", "1/2"], "w": "1 / 2"}, {"pmf": ["1/3", "1/3"], "w": "1/2"}]},
+}
+
+
+@pytest.mark.parametrize("command, stderr", RATIONAL_ERRORS, ids=[c for c, _ in RATIONAL_ERRORS])
+def test_rational_text_errors_are_pinned(tmp_path, capsys, command, stderr):
+    files = {}
+    for name, law in RATIONAL_ERROR_FILES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(law))
+    start = time.perf_counter()
+    assert run(command.format(**files).split(), capsys) == (EXIT_INPUT, "", stderr)
+    assert time.perf_counter() - start < 0.1
 
 
 # n-type errors of --q: their text comes from TypeVector

@@ -38,6 +38,7 @@ from finetti.counts import (
     all_strings,
     divergence_of_numerators,
     max_deviation_of_numerators,
+    pmf_numerators,
 )
 from finetti.definetti import effective_n, verify_theorem
 from finetti.exchangeable import (
@@ -365,6 +366,29 @@ def test_law_validates_weight_count():
         blob = {"m": 2, "n": 3, "typeWeights": [{"counts": counts, "w": 1}]}
         with pytest.raises(ValueError, match=r"are not a histogram at \(m=2, n=3\)"):
             read_law(blob)
+
+
+TYPE_WEIGHT_ENTRIES = [
+    [((2, 0), "1/8"), ((1, 1), "0.25"), ((2, 0), "1.25e-1"), ((0, 2), "1/6"), ((1, 1), Fraction(1, 3))],
+    [((2, 0), "-1/2"), ((2, 0), "1/2"), ((1, 1), "1_0/4_0"), ((0, 2), "3/4")],
+    [((1, 1), "1")],
+    # every histogram of (3, 3), listed against type order
+    [(t.counts, f"{i + 1}/55") for i, t in reversed(list(enumerate(type_list(3, 3))))],
+]
+
+
+@pytest.mark.parametrize("entries", TYPE_WEIGHT_ENTRIES)
+def test_type_weights_are_summed_in_integers(entries):
+    # repeated counts add up over one common denominator, and the urns come in
+    # type order: they equal the urns of the Fraction sums, read by pmf_numerators
+    m, n = len(entries[0][0]), sum(entries[0][0])
+    sums = dict.fromkeys((t.counts for t in type_list(m, n)), Fraction(0))
+    for counts, w in entries:
+        sums[counts] += Fraction(w)
+    nums, _ = pmf_numerators(list(sums.values()))
+    want = UrnLaw(m, n, [(c, w) for c, w in zip(sums, nums) if w], -1)
+    got = read_law({"m": m, "n": n, "typeWeights": [{"counts": list(c), "w": w} for c, w in entries]})
+    assert got == want
 
 
 def test_law_rejects_float_weights():

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,10 +28,12 @@ from oracles import (
 
 from finetti.counts import (
     DEFAULT_ENUMERATION_CAP,
+    DIGIT_LIMIT,
     CapacityError,
     TypeVector,
     count_types,
     occurrence_matrix,
+    parse_rational,
     pmf_numerators,
     resolve_cap,
 )
@@ -210,6 +213,93 @@ def test_pmf_exactness_detection():
 
 
 # ---------------------------------------------------------------------------
+# the reader of rational text
+# ---------------------------------------------------------------------------
+
+# Fraction(str)'s alphabet, with Unicode digits (ARABIC-INDIC THREE, FULLWIDTH
+# ZERO) and spaces (NO-BREAK SPACE, EM SPACE), which its \d and \s match
+RATIONAL_ALPHABET = "0123456789_./eE+-d \t\u0663\uff10\u00a0\u2003"
+
+
+def _fraction_or_none(text: str):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.text(alphabet=RATIONAL_ALPHABET, max_size=12))
+def test_parse_rational_reads_what_fraction_reads(text):
+    # Fraction(str) is the oracle: the same value, or both refuse.  Declared
+    # differences: an exponent past DIGIT_LIMIT is refused unbuilt (Fraction
+    # builds 10**e); the grammar is Python 3.11's, so whitespace around "/"
+    # is refused (3.12 accepts it) and underscores are read (3.10 refuses them)
+    try:
+        got = parse_rational(text)
+    except ValueError as exc:
+        if "exponent" in str(exc):
+            assert abs(int(text.lower().split("e")[1])) > DIGIT_LIMIT
+            return
+        got = None
+    want = _fraction_or_none(text)
+    if got is None and want is not None:
+        assert sys.version_info >= (3, 12) and re.search(r"\s/|/\s", text), text
+    elif got is not None and want is None:
+        assert sys.version_info < (3, 11) and "_" in text, text
+    elif got is not None:
+        assert got == (want.numerator, want.denominator) and got.denominator > 0
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("3/4", (3, 4)),
+        (" -0.25\t", (-1, 4)),
+        ("1_0/2_0", (1, 2)),
+        ("5e-1", (1, 2)),
+        ("2.5E-1", (1, 4)),
+        (".5", (1, 2)),
+        ("7.", (7, 1)),
+        ("-0", (0, 1)),
+        ("\u0663/\u0664", (3, 4)),
+        (f"1e{DIGIT_LIMIT}", (10**DIGIT_LIMIT, 1)),
+        (f"1e-{DIGIT_LIMIT}", (1, 10**DIGIT_LIMIT)),
+    ],
+)
+def test_parse_rational_spellings(text, want):
+    assert parse_rational(text) == want == (Fraction(text).numerator, Fraction(text).denominator)
+
+
+@pytest.mark.parametrize("text", ["", "1 / 2", "1/-2", "1_", "1__0", "_1", "1._5", "1.d", "e5", "1e", "0x10", "inf"])
+def test_parse_rational_refuses_what_fraction_refuses(text):
+    with pytest.raises(ValueError, match=f"^cannot read {re.escape(repr(text))} as a rational$"):
+        parse_rational(text)
+    if text != "1 / 2" or sys.version_info < (3, 12):
+        assert _fraction_or_none(text) is None
+
+
+@pytest.mark.parametrize(
+    "text", [f"1e{DIGIT_LIMIT + 1}", f"1e-{DIGIT_LIMIT + 1}", "1e16000000", "2.5e-1_000_000", "1e" + "0" * 5000 + "1"]
+)
+def test_parse_rational_refuses_a_large_exponent_unbuilt(text):
+    # 10**e is never built: each refusal takes microseconds, where Fraction
+    # takes seconds at 1e16000000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds {DIGIT_LIMIT} in absolute value$"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_rational_refuses_a_zero_denominator():
+    for text in ("1/0", "0/0", "3/0_0"):
+        with pytest.raises(ValueError, match=f"^cannot read '{text}' as a rational$"):
+            parse_rational(text)
+        with pytest.raises(ZeroDivisionError):
+            Fraction(text)
+
+
+# ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------
 
@@ -262,6 +352,14 @@ def test_readme_states_the_default_cap():
     assert found, "README no longer states the default cap"
     stated, power = int(found.group(1).replace(",", "")), int(found.group(2))
     assert stated == 2**power == DEFAULT_ENUMERATION_CAP
+
+
+def test_readme_states_the_exponent_limit():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    found = re.search(r"exponent past ([\d,]+)\s+in\s+absolute\s+value", readme)
+    assert found, "README no longer states the exponent limit of rational text"
+    assert int(found.group(1).replace(",", "")) == DIGIT_LIMIT
+    assert f"exceeds {DIGIT_LIMIT} in absolute value" in readme
 
 
 def test_readme_library_tour_names_exist():
@@ -399,8 +497,9 @@ def test_the_cap_has_one_setting():
 
 
 def test_only_the_text_parsers_import_fractions():
-    # a pmf is integer numerators over one denominator; Fraction(str) parses a
-    # rational token, and only the modules that read rationals from text import it
+    # a pmf is integer numerators over one denominator, and rational text is
+    # read into integers by counts.parse_rational: no program file imports
+    # fractions, which the tests keep as their oracle
     importers = set()
     for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text())):
@@ -412,7 +511,7 @@ def test_only_the_text_parsers_import_fractions():
                 continue
             if "fractions" in tops:
                 importers.add(path.relative_to(path.parent.parent).as_posix())
-    assert importers == {"finetti/cli.py", "finetti/cli_verify.py", "finetti/exchangeable.py"}
+    assert importers == set()
 
 
 def test_cap_env_override(monkeypatch):
