@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     rep = verify_theorem(iid_law(fair, n_adj), k)
     print(
         f"remainder adjustment at n={n_adj}: effective n = {rep.effective_n}, "
-        f"epsilon = {rep.params.epsilon:.6f}, holds = {rep.holds}"
+        f"epsilon = {rep.epsilon:.6f}, holds = {rep.holds}"
     )
     print()
 
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
 
     trace = convergence_trace(pmf_numerators(fair), k, tuple(k * 2**j for j in (1, 3, 5, 7)))
     print("block-law trace toward the product (n, divergence):")
-    for point in trace.points:
+    for point in trace:
         print(f"  n={point.n:>4}  D = {point.divergence:.3e}")
 
     print()

@@ -23,5 +23,5 @@ def run(args) -> int:
     n_values = _parse_int_list(args.n)
     trace = convergence_trace(target, args.k, n_values)
     _emit(trace_to_csv(trace).splitlines(), args.out)
-    final = trace.points[-1].divergence
+    final = trace[-1].divergence
     return EXIT_OK if final < args.threshold else EXIT_VIOLATION

@@ -48,12 +48,13 @@ def run(args) -> int:
         a, den = (1,) * m, m
     check_cap(m, n)
     # q = a / D gives P(T_t) = |T_t| * prod a^t / D^n.  Multiplied through by
-    # prod c^c = n^n / e^(n*H(t/n)) and D^n, the bounds e^(nH)/(n+1)^m <=
-    # |T_t| <= e^(nH) and e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) are integer
-    # inequalities, as e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c * D^n);
-    # both sides of the second are 0 when q misses t's support.  |T_t| is a
-    # product of binomials; prod a^t and prod c^c are read from tables keyed by
-    # count (every count 0..n occurs once m > 1; the one histogram at m = 1 holds n).
+    # prod c^c = n^n / e^(n*H(t/n)), the bound e^(nH)/(n+1)^m <= |T_t| <= e^(nH)
+    # is an integer inequality.  As e^(-nD(t/n||q)) = n^n * prod a^t / (prod c^c
+    # * D^n), the bound e^(-nD)/(n+1)^m <= P(T_t) <= e^(-nD) is the same
+    # inequality times prod a^t: it holds when the first does, and when q
+    # misses t's support, as both sides are 0.  |T_t| is a product of
+    # binomials; prod a^t and prod c^c are read from tables keyed by count
+    # (every count 0..n occurs once m > 1; the one histogram at m = 1 holds n).
     a_pow = [list(accumulate(repeat(x, n), mul, initial=1)) for x in a]
     c_pow_c = {c: c**c for c in (range(n + 1) if m > 1 else (n,))}
     den_n, n_n, poly = den**n, n**n, (n + 1) ** m
@@ -68,8 +69,8 @@ def run(args) -> int:
         num_sum += num
         cc = math.prod(map(c_pow_c.__getitem__, counts))
         size_ok = size * cc <= n_n <= poly * size * cc
-        prob_ok = num * cc <= n_n * power <= poly * num * cc
-        if not (size_ok and prob_ok):
+        prob_ok = size_ok or not power
+        if not size_ok:  # prob_ok follows from size_ok
             violations += 1
         if args.format == "json":
             rows.append((counts, size, num, size_ok, prob_ok))

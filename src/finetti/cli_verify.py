@@ -56,7 +56,7 @@ def _build_law(args, n: int):
 
 
 def run(args) -> int:
-    from .definetti import report_to_dict, verify_grid
+    from .definetti import VerificationReport, verify_grid
     from .exchangeable import read_law
 
     if (args.law is None) == (args.family is None):
@@ -76,14 +76,13 @@ def run(args) -> int:
         else:
             n_values = _parse_int_list(args.n)
         laws = [_build_law(args, n) for n in n_values]
-    reports = [report_to_dict(rep) for law in laws for rep in verify_grid(law, k_values)]
+    reports = [rep for law in laws for rep in verify_grid(law, k_values)]
     if args.format == "csv":
-        cols = list(reports[0])  # the keys of report_to_dict, in its order
-        lines = [",".join(cols)]
+        lines = [",".join(VerificationReport._fields)]
         for rep in reports:
-            lines.append(",".join("" if rep[c] is None else repr(rep[c]) for c in cols))
+            lines.append(",".join("" if v is None else repr(v) for v in rep))
     else:
-        lines = [_json_line(rep) for rep in reports]
+        lines = [_json_line(rep._asdict()) for rep in reports]
     _emit(lines, args.out)
-    in_range_fail = any(rep["valid_range"] and not rep["holds"] for rep in reports)
+    in_range_fail = any(rep.valid_range and not rep.holds for rep in reports)
     return EXIT_VIOLATION if in_range_fail else EXIT_OK

@@ -99,8 +99,7 @@ def conditional_mean_divergence(q, k: int, ell: int) -> ConditionalMeanResult:
 class TailBoundResult(
     namedtuple(
         "TailBoundResult",
-        "log_bound bound exact_probability exact_within_bound deviation_constant "
-        "entropy_margin_certified",
+        "log_bound bound exact_probability entropy_margin_certified",
     )
 ):
     """The analytic tail bound, the exact tail when the lattice fits the cap, the margin check."""
@@ -132,15 +131,10 @@ def partition_tail_bound(q, k: int, ell: int, delta: float) -> TailBoundResult:
     log_bound = 2 * cells * math.log(ell + 1) - ell * delta
     bound = math.exp(log_bound) if log_bound <= _EXP_MAX else math.inf
 
-    if ell > k:
-        big_m = lemma1_constant(ell, k)
-        certified = big_m < 0.5 and -big_m * math.log(big_m / cells) <= delta + _SLACK
-    else:
-        big_m = math.inf
-        certified = False
+    big_m = lemma1_constant(ell, k) if ell > k else math.inf
+    certified = big_m < 0.5 and -big_m * math.log(big_m / cells) <= delta + _SLACK
 
     exact_prob: float | None = None
-    within: bool | None = None
     try:
         rows = _member_table(a, den, k, ell)
     except CapacityError:  # the lattice does not fit the cap: no exact tail
@@ -161,8 +155,7 @@ def partition_tail_bound(q, k: int, ell: int, delta: float) -> TailBoundResult:
         if total == 0:
             raise ValueError("constraint set has no lattice members at this l")
         exact_prob = heavy / total
-        within = exact_prob <= bound + _SLACK
-        if not within:
+        if not exact_prob <= bound + _SLACK:
             raise AssertionError(
                 f"exact tail {exact_prob} exceeds analytic bound {bound}; unreachable"
             )
@@ -170,7 +163,5 @@ def partition_tail_bound(q, k: int, ell: int, delta: float) -> TailBoundResult:
         log_bound=log_bound,
         bound=bound,
         exact_probability=exact_prob,
-        exact_within_bound=within,
-        deviation_constant=big_m,
         entropy_margin_certified=certified,
     )

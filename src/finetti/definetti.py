@@ -24,7 +24,6 @@ __all__ = [
     "binary_reference_bound",
     "convexity_chain_gap",
     "effective_n",
-    "report_to_dict",
     "verify_grid",
     "verify_theorem",
 ]
@@ -49,10 +48,11 @@ def binary_reference_bound(n: int, k: int) -> float:
 class VerificationReport(
     namedtuple(
         "VerificationReport",
-        "m n k params divergence holds effective_n remark_adjusted binary_reference",
+        "n k m alpha delta epsilon divergence holds valid_range effective_n "
+        "binary_reference vacuous",
     )
 ):
-    """One verified (law, k) cell: the divergence, the constants and the verdict."""
+    """One verified (law, k) cell: the row `verify` prints, its fields in the CSV column order."""
 
     __slots__ = ()
 
@@ -87,15 +87,18 @@ def verify_grid(law: UrnLaw, ks) -> list[VerificationReport]:
         reference = binary_reference_bound(n_eff, k) if law.m == 2 and k < n_eff else None
         reports.append(
             VerificationReport(
-                m=law.m,
                 n=law.n,
                 k=k,
-                params=params,
+                m=law.m,
+                alpha=params.alpha,
+                delta=params.delta,
+                epsilon=params.epsilon,
                 divergence=divergence,
                 holds=divergence <= params.epsilon + _SLACK,
+                valid_range=params.in_validity_range,
                 effective_n=n_eff,
-                remark_adjusted=n_eff != law.n,
                 binary_reference=reference,
+                vacuous=params.vacuous,
             )
         )
     return reports
@@ -145,20 +148,3 @@ def convexity_chain_gap(law: UrnLaw, k: int) -> tuple[float, float, float]:
         )
     return stage1, stage2, stage3
 
-
-def report_to_dict(report: VerificationReport) -> dict:
-    """Flat JSON-ready view of a verification report."""
-    return {
-        "n": report.n,
-        "k": report.k,
-        "m": report.m,
-        "alpha": report.params.alpha,
-        "delta": report.params.delta,
-        "epsilon": report.params.epsilon,
-        "divergence": report.divergence,
-        "holds": report.holds,
-        "valid_range": report.params.in_validity_range,
-        "effective_n": report.effective_n,
-        "binary_reference": report.binary_reference,
-        "vacuous": report.params.vacuous,
-    }

@@ -214,7 +214,10 @@ def read_law(obj, n: int | None = None) -> UrnLaw:
     if isinstance(obj, str):
         import json  # only a law file's start parses JSON
 
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except RecursionError:  # a file nested past the interpreter's recursion limit
+            raise ValueError("law file nests its JSON too deeply to read") from None
     if not isinstance(obj, dict):
         raise ValueError("law file must be a JSON object")
     if "typeWeights" in obj:

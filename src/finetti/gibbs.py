@@ -17,7 +17,6 @@ from .counts import TypeVector, divergence_of_numerators, max_deviation_of_numer
 from .types_core import cell_index, urn_numerators
 
 __all__ = [
-    "ConvergenceTrace",
     "TracePoint",
     "conditional_block_law",
     "convergence_trace",
@@ -59,14 +58,10 @@ class TracePoint(namedtuple("TracePoint", "n rounded divergence max_deviation"))
     __slots__ = ()
 
 
-class ConvergenceTrace(namedtuple("ConvergenceTrace", "target k points")):
-    """The target pmf as (a, D), the block length and one `TracePoint` per n."""
-
-    __slots__ = ()
-
-
-def convergence_trace(target: tuple[tuple[int, ...], int], k: int, n_values) -> ConvergenceTrace:
-    """Divergence of the conditional block law from target^k along n_values.
+def convergence_trace(
+    target: tuple[tuple[int, ...], int], k: int, n_values
+) -> tuple[TracePoint, ...]:
+    """One `TracePoint` per n: the conditional block law's divergence from target^k.
 
     Each n is rounded to a histogram first; the divergence is
     D(block law of the rounded histogram || target^k) in nats, target^k the
@@ -91,9 +86,9 @@ def convergence_trace(target: tuple[tuple[int, ...], int], k: int, n_values) -> 
         divergence = divergence_of_numerators(*block, *reference, cells)
         deviation = max_deviation_of_numerators(*block, *reference)
         points.append(TracePoint(n, rounded, divergence, deviation))
-    return ConvergenceTrace(target=target, k=k, points=tuple(points))
+    return tuple(points)
 
 
-def trace_to_csv(trace: ConvergenceTrace) -> str:
-    rows = (f"{p.n},{p.divergence!r},{p.max_deviation!r}\n" for p in trace.points)
+def trace_to_csv(trace: tuple[TracePoint, ...]) -> str:
+    rows = (f"{p.n},{p.divergence!r},{p.max_deviation!r}\n" for p in trace)
     return "n,divergence_nats,max_abs_deviation\n" + "".join(rows)

@@ -192,9 +192,9 @@ def test_criterion_05_remainder_adjustment():
         assert abs(eps_802 - 1.8618649768426032) <= 1e-12
         for law in laws:
             rep = verify_theorem(law, 2)
-            assert rep.remark_adjusted
+            assert rep.effective_n != rep.n
             assert rep.effective_n == 802
-            assert rep.params.epsilon == eps_802
+            assert rep.epsilon == eps_802
             assert rep.holds
         info["note"] = f"52 laws at n=803 verified against eps(802,2)={eps_802:.7f}"
 
@@ -278,7 +278,7 @@ def test_criterion_09_conditional_mean_within_bound():
 def test_criterion_10_block_law_trace():
     with criterion(10, "conditional block law converges to the product", 10.0) as info:
         trace = convergence_trace(((1, 1), 2), 2, (4, 16, 64, 256))
-        values = [p.divergence for p in trace.points]
+        values = [p.divergence for p in trace]
         assert abs(values[0] - 0.056633) <= 1e-6
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 0.01

@@ -15,7 +15,6 @@ from finetti.definetti import (
     binary_reference_bound,
     convexity_chain_gap,
     effective_n,
-    report_to_dict,
     verify_theorem,
 )
 from finetti.exchangeable import (
@@ -156,7 +155,7 @@ def test_verify_fair_coin_holds():
     assert rep.holds
     assert rep.divergence >= 0.0
     assert rep.effective_n == 12
-    assert not rep.remark_adjusted
+    assert rep.effective_n == rep.n
 
 
 def test_verify_k1_is_exact_zero():
@@ -170,10 +169,10 @@ def test_verify_k1_is_exact_zero():
 def test_verify_remark_adjustment():
     law = iid_law(Pmf((Fraction(1, 2), Fraction(1, 2))), 9)
     rep = verify_theorem(law, 2)
-    assert rep.remark_adjusted
+    assert rep.effective_n != rep.n
     assert rep.effective_n == 8
-    assert rep.params.n == 8
-    assert rep.params.epsilon == pytest.approx(theorem_constants(8, 2, 2).epsilon)
+    assert rep.n == 9
+    assert rep.epsilon == pytest.approx(theorem_constants(8, 2, 2).epsilon)
 
 
 def test_verify_delta_law_divergence_value():
@@ -198,7 +197,7 @@ def test_verify_binary_reference_presence():
 def test_report_dict_schema():
     law = iid_law(Pmf((Fraction(1, 2), Fraction(1, 2))), 10)
     rep = verify_theorem(law, 2)
-    d = report_to_dict(rep)
+    d = rep._asdict()
     assert set(d) == {
         "n",
         "k",

@@ -27,6 +27,7 @@ from finetti.cli import (
     main,
 )
 from finetti.counts import count_types
+from finetti.definetti import VerificationReport
 from finetti.types_core import type_class_size, type_list
 from oracles import (
     Pmf,
@@ -139,6 +140,15 @@ def test_verify_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("n,k,m,alpha,delta,epsilon,divergence,holds")
     assert len(lines) == 3
+
+
+def test_readme_shows_the_verify_row():
+    # the CSV header is the report's fields in order, the JSON example its keys
+    readme = (ROOT / "README.md").read_text()
+    header = readme.split("`--format csv` emits the same fields with header\n`", 1)[1]
+    assert header.split("`", 1)[0] == ",".join(VerificationReport._fields)
+    example = readme.split("$ finetti verify --family fair-coin --n 800 --k 2\n", 1)[1]
+    assert set(json.loads(example.split("```", 1)[0])) == set(VerificationReport._fields)
 
 
 def test_verify_law_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -497,6 +498,17 @@ def test_no_law_file_exits_1_or_raises(tmp_path, monkeypatch, place, value):
     law = tmp_path / "law.json"
     law.write_text(json.dumps(_replaced(*place, value)))
     assert main(["verify", "--law", str(law), "--k", "1"]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_a_deeply_nested_law_file_exits_3(tmp_path, capsys, depth):
+    # the JSON reader recurses once per level and stops at the recursion limit
+    law = tmp_path / "law.json"
+    law.write_text('{"mixing": ' + "[" * depth + "]" * depth + ', "n": 3}')
+    start = time.perf_counter()
+    assert main(["verify", "--law", str(law), "--k", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: law file nests its JSON too deeply to read\n"
 
 
 def test_read_law_builds_the_urns_of_each_kind_of_file():

@@ -92,7 +92,7 @@ def test_round_to_type_is_exact_on_lattice_points():
 def test_trace_frozen_values():
     target = Pmf((Fraction(1, 2), Fraction(1, 2)))
     tr = convergence_trace(pmf_numerators(target), 2, (4, 16, 64, 256))
-    got = {p.n: p.divergence for p in tr.points}
+    got = {p.n: p.divergence for p in tr}
     assert got[4] == pytest.approx(0.05663301226513234, abs=1e-12)
     assert got[16] == pytest.approx(0.002223871246127135, abs=1e-12)
     assert got[64] == pytest.approx(0.00012598160699646768, abs=1e-12)
@@ -104,13 +104,13 @@ def test_trace_value_closed_form_smallest():
     want = (1 / 3) * math.log(2 / 3) + (2 / 3) * math.log(4 / 3)
     target = Pmf((Fraction(1, 2), Fraction(1, 2)))
     tr = convergence_trace(pmf_numerators(target), 2, (4,))
-    assert tr.points[0].divergence == pytest.approx(want, abs=1e-12)
+    assert tr[0].divergence == pytest.approx(want, abs=1e-12)
 
 
 def test_trace_is_decreasing_toward_zero():
     target = Pmf((Fraction(1, 3), Fraction(2, 3)))
     tr = convergence_trace(pmf_numerators(target), 2, (6, 12, 48, 192))
-    ds = [p.divergence for p in tr.points]
+    ds = [p.divergence for p in tr]
     assert all(a > b for a, b in zip(ds, ds[1:]))
     assert ds[-1] < 0.01
 
@@ -120,7 +120,7 @@ def test_trace_max_deviation_tracks_rounding():
     tr = convergence_trace(pmf_numerators(target), 2, (4,))
     # rounded histogram is exactly (2,2): deviation of the block law
     # from the product is 1/4 - 1/6 = 1/12
-    assert tr.points[0].max_deviation == pytest.approx(1 / 12, abs=1e-12)
+    assert tr[0].max_deviation == pytest.approx(1 / 12, abs=1e-12)
 
 
 def test_block_law_k1_is_type_pmf():
@@ -133,7 +133,7 @@ def test_block_law_k1_is_type_pmf():
 def test_degenerate_target_gives_zero_trace():
     target = Pmf((Fraction(1), Fraction(0)))
     tr = convergence_trace(pmf_numerators(target), 3, (6, 12))
-    assert [p.divergence for p in tr.points] == [0.0, 0.0]
+    assert [p.divergence for p in tr] == [0.0, 0.0]
 
 
 def test_trace_decay_rate_regression():
@@ -141,7 +141,7 @@ def test_trace_decay_rate_regression():
     # without-replacement vs with-replacement gap decays at least that fast
     target = Pmf((Fraction(1, 3), Fraction(2, 3)))
     tr = convergence_trace(pmf_numerators(target), 2, (8, 16, 32, 64, 128, 256))
-    ds = {p.n: p.divergence for p in tr.points}
+    ds = {p.n: p.divergence for p in tr}
     c = max(ds[8] * 8, ds[16] * 16)
     for n in (32, 64, 128, 256):
         assert ds[n] <= c / n
@@ -183,7 +183,7 @@ def test_block_law_nonnegative_divergence(m, k, seed):
     w = [rng.randrange(1, 8) for _ in range(m)]
     target = Pmf(tuple(Fraction(x, sum(w)) for x in w))
     tr = convergence_trace(pmf_numerators(target), k, (n,))
-    assert tr.points[0].divergence >= -1e-12
+    assert tr[0].divergence >= -1e-12
 
 
 GIBBS_TRACES = [
@@ -202,7 +202,7 @@ def test_trace_has_the_bits_of_the_fraction_pmfs(target, k, ns):
     # spread block law and the per-string product oracle, bit for bit
     pmf = Pmf(tuple(Fraction(p) for p in target.split(",")))
     product = oracle_power_pmf(pmf, k)
-    for point in convergence_trace(pmf_numerators(pmf), k, ns).points:
+    for point in convergence_trace(pmf_numerators(pmf), k, ns):
         block = block_pmf(point.rounded, k)
         assert point.divergence == relative_entropy(block, product), point.n
         assert point.max_deviation == max_abs_deviation(block, product), point.n
